@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import desk_profile, load_scenario, paper_profile
-from .harness import SCHEMES, SWEEP_AXES, run_sweep
+from .harness import INTEGER_AXES, SCHEMES, SWEEP_AXES, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -16,8 +16,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Active-RIS anti-jamming simulation: seeded Monte-Carlo trials and sweeps.",
     )
     p.add_argument("--scenario", help="flat key=value scenario file overriding profile defaults")
-    p.add_argument("--scheme", default="all", help=f"one of {', '.join(SCHEMES)} or 'all'")
-    p.add_argument("--sweep", help=f"sweep axis: one of {', '.join(SWEEP_AXES)}")
+    p.add_argument("--scheme", default="all", choices=(*SCHEMES, "all"),
+                   help=f"one of {', '.join(SCHEMES)} or 'all'")
+    p.add_argument("--sweep", choices=SWEEP_AXES, help=f"sweep axis: one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--seed", type=int, help="override master seed")
@@ -28,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.scenario:
         cfg = load_scenario(args.scenario, profile=args.profile)
     else:
@@ -46,7 +48,12 @@ def main(argv=None) -> int:
             print("--values is required for this sweep axis", file=sys.stderr)
             return 2
         else:
-            values = [float(v) for v in args.values.split(",")]
+            try:
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError:
+                parser.error(f"--values must be comma-separated numbers, got {args.values}")
+            if args.sweep in INTEGER_AXES and not all(v.is_integer() for v in values):
+                parser.error(f"--values for {args.sweep} must be integers, got {args.values}")
         result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
     else:
         # single point: reuse the sweep machinery on the B axis at its configured value

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import optimizer, system
+from . import numerics, optimizer, system
 from .channel import sample_static_channels, sample_uncertain_realization
 from .config import ParseError, ScenarioConfig, ValidationError, load_scenario  # noqa: F401 (re-exported)
 from .optimizer import AoReport, SaaStats, initial_state, ssca_ao, update_aux_stage2
@@ -22,6 +22,7 @@ from .system import LN2, SolverState
 
 SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
 SWEEP_AXES = ("M", "e_mse", "P_max", "alpha_r", "B", "iterations")
+INTEGER_AXES = ("M", "B")  # element and interferer counts
 
 
 class UnknownAxis(Exception):
@@ -85,9 +86,9 @@ def _baseline_loop(cs, pm, cfg, rng, unit_modulus: bool):
 
         state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs_eval, stats,
                                                     pm.sigma_r_sq, pm.sigma2_sq)
-        h_eff = system.effective_channels(state.theta, cs_eval)
-        prob = optimizer._beam_problem(h_eff, state.omega2, state.nu2, pm.p_max)
-        state.w2 = optimizer.solve_concave_qcqp(prob, tol=1e-9).reshape(k, -1)
+        a, y = optimizer.beam_terms(system.effective_channels(state.theta, cs_eval),
+                                    state.omega2, state.nu2)
+        state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
         state.w1 = state.w2
         if m:
             gamma, lam = optimizer.theta_quadratic_model(state, cs_eval, stats, pm.sigma_r_sq)
@@ -186,6 +187,8 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    if axis in INTEGER_AXES and not float(value).is_integer():
+        raise ValueError(f"axis {axis} takes integer values, got {value!r}")
     if axis == "M":
         return replace(cfg, m=int(value))
     if axis == "e_mse":

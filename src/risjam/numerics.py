@@ -171,172 +171,128 @@ def _pinv_maximizer(eigvals, eigvecs, rhs):
     return x, inconsistent
 
 
-def _shifted_solution(eigvals, eigvecs, rhs, lam):
-    """x = (A + lam*I)^{-1} rhs via a precomputed eigendecomposition of A."""
-    if lam <= 0:
-        return _pinv_maximizer(eigvals, eigvecs, rhs)
-    r = eigvecs.conj().T @ rhs
-    return eigvecs @ (r / (eigvals + lam)), False
+def _ball_factors(d, r, cap, tol):
+    """Factors 1/(d_i + lam) for the smallest lam >= 0 with
+    p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, given d >= 0 ascending, r >= 0.
+
+    lam = 0 (pseudo-inverse factors) when r has no weight on the numerical
+    null space of d and p(0) fits.  Otherwise lam solves the secular equation
+    phi(lam) = 1/sqrt(p(lam)) - 1/sqrt(target) = 0, target = cap (1 - tol/2),
+    by Newton's method from a lower bound of the root.  phi is increasing
+    and concave, so the iterates rise towards the root without passing it
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983); the first one with
+    p <= cap is returned, which leaves p in [cap (1 - tol), cap].
+    """
+    if cap <= 0.0:
+        return np.zeros_like(d)
+    keep = d > 1e-12 * d.max(initial=1e-300)
+    pinv = np.where(keep, 1.0 / np.where(keep, d, 1.0), 0.0)
+    total = float(np.sum(r))
+    if np.sum(r[~keep]) <= 1e-20 * total and float(np.sum(r * pinv * pinv)) <= cap:
+        return pinv
+    on = r > 0
+    d_on, r_on = d[on], r[on]
+    target = cap * (1.0 - 0.5 * tol)
+    # p(lam) >= r_i/(d_i+lam)^2 and p(lam) >= total/(d_max+lam)^2, so both
+    # bounds put the start at or left of the root
+    lam = max(0.0, math.sqrt(total / cap) - d[-1], float(np.max(np.sqrt(r_on / cap) - d_on)))
+    for _ in range(100):
+        inv = 1.0 / (d_on + lam)
+        q = r_on * inv * inv
+        p = float(np.sum(q))
+        if p <= cap:
+            return 1.0 / (d + lam)
+        lam += p * (math.sqrt(p / target) - 1.0) / float(np.sum(q * inv))
+    raise MaxIterExceeded("power multiplier: Newton iteration did not settle")
 
 
-def _solve_ball(a, b, q_scale, cap, tol):
-    """max Re{b^H x} - x^H a x  s.t.  q_scale * ||x||^2 <= cap.
-
-    The constraint matrix is q_scale * I.  Returns (x, lam)."""
-    eigvals, eigvecs = np.linalg.eigh(a)
-    rhs = 0.5 * b
-
-    def point(lam):
-        return _shifted_solution(eigvals, eigvecs, rhs, lam * q_scale)
-
-    x0, inconsistent = point(0.0)
-    if not inconsistent and q_scale * np.vdot(x0, x0).real <= cap * (1 + 1e-10) + 1e-300:
-        return x0, 0.0
-
-    def g(lam):
-        x, bad = point(lam)
-        if bad:
-            return np.inf
-        return q_scale * np.vdot(x, x).real
-
-    hi = max(1.0, eigvals[-1])
-    while g(hi) > cap:
-        hi *= 4.0
-        if hi > 1e30:
-            raise MaxIterExceeded("ball multiplier bracket expansion failed")
-    lam = _bisect_feasible(g, 0.0, hi, cap, tol)
-    x, _ = point(lam)
-    return x, lam
+def _ball_beams(m, y, cap, tol):
+    """Rows w_k = (M + lam I)^+ y_k / 2 with the smallest lam >= 0 that keeps
+    sum_k ||w_k||^2 <= cap; one eigendecomposition of M serves every row."""
+    d, u = np.linalg.eigh(m)
+    d = np.maximum(d, 0.0)
+    c = 0.5 * (y @ u.conj())  # rows: U^H y_k / 2
+    inv = _ball_factors(d, np.sum(np.abs(c) ** 2, axis=0), cap, tol)
+    return (c * inv[None, :]) @ u.T
 
 
-def _null_restricted(a, b, q):
-    """Solution when the bound is exactly zero: x confined to null(q)."""
-    w, v = np.linalg.eigh(q)
-    null = v[:, w <= 1e-14 * max(w[-1], 1e-300)]
-    if null.shape[1] == 0:
-        return np.zeros_like(b), 0.0
-    a_r = hermitize(null.conj().T @ a @ null)
-    b_r = null.conj().T @ b
-    ev, evec = np.linalg.eigh(a_r)
-    z, inconsistent = _pinv_maximizer(np.maximum(ev, 0.0), evec, 0.5 * b_r)
-    if inconsistent:
-        raise Infeasible("objective unbounded on the null space of a zero-bound constraint")
-    return null @ z, 0.0
+def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None = None,
+                p_e: float = 0.0, tol: float = 1e-9) -> np.ndarray:
+    """Concave QCQP over the rows w_k of a K x N beam matrix:
 
+        maximize    sum_k Re{y_k^H w_k} - w_k^H A w_k
+        subject to  sum_k ||w_k||^2 <= p_max,   sum_k w_k^H S w_k <= p_e
 
-def _eig_general(a, q):
-    """Factor q = L L^H and return the eigendecomposition of L^{-1} a L^{-H}.
+    with A, S Hermitian PSD (N x N); without S only the power ball applies.
+    The stationary beams (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N
+    eigendecomposition of A + lam2 S across the K users.  For each lam2 the
+    power multiplier lam1 is found by Newton's method on the secular
+    equation; lam2 is found by Illinois false position on
+    sqrt(target / energy) - 1.  Both searches stop on the feasible side,
+    with a binding constraint within tol relative of its bound.
+    """
+    if s is not None and p_e <= 0.0:
+        # lam2 -> infinity: the beams are confined to null(S)
+        ev, v = np.linalg.eigh(s)
+        null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
+        return solve_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol=tol) @ null.T
+    w = _ball_beams(a, y, p_max, tol)
+    if s is None:
+        return w
 
-    Reduces (a + lam*q) solves to diagonal shifts when q is PD."""
-    ell = np.linalg.cholesky(q)
-    mid = np.linalg.solve(ell, np.linalg.solve(ell, a.conj().T).conj().T)
-    eigvals, eigvecs = np.linalg.eigh(hermitize(mid))
-    return ell, eigvals, eigvecs
+    def energy(w):
+        return float(np.sum(np.real(np.conj(w) * (w @ s.T))))
+
+    e0 = energy(w)
+    if e0 <= p_e:
+        return w
+    target = p_e * (1.0 - 0.5 * tol)
+
+    def at(lam2):
+        # inner power band well inside the outer energy band, so the
+        # energy curve is smooth at the scale the outer search resolves
+        w = _ball_beams(a + lam2 * s, y, p_max, 1e-2 * tol)
+        e = energy(w)
+        return w, e, (math.sqrt(target / e) if e > 0 else math.inf) - 1.0
+
+    # w(lam2) maximizes f - lam2 * energy over the power ball, which holds
+    # w = 0, so energy(w(lam2)) <= f(w(lam2)) / lam2 <= f(w(0)) / lam2
+    f0 = float(np.sum(np.real(np.conj(y) * w)) - np.sum(np.real(np.conj(w) * (w @ a.T))))
+    lo, f_lo, hi = 0.0, math.sqrt(target / e0) - 1.0, f0 / target
+    w_hi, e_hi, f_hi = at(hi)
+    while e_hi > p_e:  # the bound holds only up to the inner solves' tolerance
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        w_hi, e_hi, f_hi = at(hi)
+    side = 0
+    for _ in range(200):
+        if e_hi >= p_e * (1.0 - tol) or hi - lo <= 1e-15 * hi:
+            return w_hi
+        lam2 = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < lam2 < hi:
+            lam2 = 0.5 * (lo + hi)
+        w, e, f = at(lam2)
+        if e <= p_e:
+            hi, w_hi, e_hi, f_hi = lam2, w, e, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = lam2, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+    raise MaxIterExceeded("energy multiplier: false position did not settle")
 
 
 def _solve_one_ellipsoid(a, b, q, cap, tol):
-    """max Re{b^H x} - x^H a x  s.t.  x^H q x <= cap, for general PSD q."""
-    n = b.size
-    qnorm = np.linalg.norm(q)
-    if cap <= 1e-300:
-        return _null_restricted(a, b, q)
-    iq = np.eye(n)
-    if qnorm > 0 and np.allclose(q, q[0, 0].real * iq, atol=1e-13 * max(abs(q[0, 0]), 1.0)) and q[0, 0].real > 0:
-        return _solve_ball(a, b, q[0, 0].real, cap, tol)
-    eigvals, eigvecs = np.linalg.eigh(a)
-    x0, inconsistent = _pinv_maximizer(np.maximum(eigvals, 0.0), eigvecs, 0.5 * b)
-    if not inconsistent and (np.vdot(x0, q @ x0).real <= cap * (1 + 1e-10) + 1e-300):
-        return x0, 0.0
-    qeigs = np.linalg.eigvalsh(q)
-    if qeigs[0] > 1e-12 * max(qnorm, 1e-300):
-        # q PD: whiten (y = L^H x) so the constraint is a plain norm ball and
-        # the multiplier becomes a diagonal shift; x^H q x = ||y||^2
-        ell, w, v = _eig_general(a, q)
-        w = np.maximum(w, 0.0)
-        r_w = v.conj().T @ np.linalg.solve(ell, 0.5 * b)
+    """max Re{b^H x} - x^H a x  s.t.  x^H q x <= cap, for positive-definite q.
 
-        def y_of(lam):
-            if lam <= 0:
-                # limit verdict comes from the unconstrained probe above
-                return None if inconsistent else v.conj().T @ (ell.conj().T @ x0)
-            return r_w / (w + lam)
-
-        def g(lam):
-            y = y_of(lam)
-            return np.inf if y is None else float(np.vdot(y, y).real)
-
-        hi = max(1.0, w[-1])
-        while g(hi) > cap:
-            hi *= 4.0
-            if hi > 1e30:
-                raise MaxIterExceeded("ellipsoid multiplier bracket expansion failed")
-        lam = _bisect_feasible(g, 0.0, hi, cap, tol)
-        y = y_of(lam)
-        if y is None:
-            lam = 1e-12 * max(w[-1], 1.0)
-            y = y_of(lam)
-        return np.linalg.solve(ell.conj().T, v @ y), lam
-
-    # singular q: per-evaluation Hermitian solves with pinv fallback.  At
-    # lam = 0 reuse the verdict from the unconstrained probe above: when b
-    # has a null(a) component the limit of x^H q x as lam -> 0+ is +inf.
-    def point(lam):
-        if lam <= 0:
-            return None if inconsistent else x0
-        m = a + lam * q
-        ev, evec = np.linalg.eigh(hermitize(m))
-        x, bad = _pinv_maximizer(np.maximum(ev, 0.0), evec, 0.5 * b)
-        return None if bad else x
-
-    def g(lam):
-        x = point(lam)
-        if x is None:
-            return np.inf
-        return np.vdot(x, q @ x).real
-
-    hi = max(1.0, np.linalg.norm(a) / max(qnorm, 1e-300))
-    while g(hi) > cap:
-        hi *= 4.0
-        if hi > 1e30:
-            raise MaxIterExceeded("ellipsoid multiplier bracket expansion failed")
-    lam = _bisect_feasible(g, 0.0, hi, cap, tol)
-    x = point(lam)
-    if x is None:
-        raise SingularSystem("stationary system inconsistent at the bisected multiplier")
-    return x, lam
-
-
-def _solve_two_ellipsoids(a, b, q1, c1, q2, c2, tol, max_iter):
-    """Dual bisection for two coupled PSD quadratic constraints.
-
-    For each trial multiplier lam2 the inner single-constraint problem is
-    solved exactly; the map lam2 -> x^H q2 x along that path is
-    non-increasing (convexity of the partial dual), so an outer bisection
-    recovers complementary slackness.
-    """
-    x, _ = _solve_one_ellipsoid(a, b, q1, c1, tol)
-    if x is not None and np.vdot(x, q2 @ x).real <= c2 * (1 + 1e-8) + 1e-300:
-        return x
-    x, _ = _solve_one_ellipsoid(a, b, q2, c2, tol)
-    if x is not None and np.vdot(x, q1 @ x).real <= c1 * (1 + 1e-8) + 1e-300:
-        return x
-
-    def inner(lam2):
-        return _solve_one_ellipsoid(a + lam2 * q2, b, q1, c1, tol)[0]
-
-    def g2(lam2):
-        x = inner(lam2)
-        return np.vdot(x, q2 @ x).real
-
-    hi = max(1.0, np.linalg.norm(a) / max(np.linalg.norm(q2), 1e-300))
-    it = 0
-    while g2(hi) > c2:
-        hi *= 4.0
-        it += 1
-        if it > 100:
-            raise MaxIterExceeded("outer multiplier bracket expansion failed")
-    lam2 = _bisect_feasible(g2, 0.0, hi, c2, tol)
-    return inner(lam2)
+    Whitening y = L^H x (q = L L^H) turns the constraint into the norm ball
+    ||y||^2 <= cap, solved by the one-row beam route."""
+    ell = np.linalg.cholesky(q)
+    mid = np.linalg.solve(ell, np.linalg.solve(ell, a.conj().T).conj().T)
+    y = _ball_beams(hermitize(mid), np.linalg.solve(ell, b)[None, :], cap, tol)[0]
+    return np.linalg.solve(ell.conj().T, y)
 
 
 def _fista_caps(a, b, caps, x0, tol, max_iter):
@@ -408,8 +364,8 @@ def _solve_caps(a, b, q, cap, caps, tol, max_iter, warm=None):
             warm["x"] = x
         return x
     # fast path: if the cap-free optimum already satisfies the caps it is optimal
-    x_try, _ = _solve_one_ellipsoid(a, b, q, cap, tol)
-    if x_try is not None and np.all(np.abs(x_try) <= caps * (1 + 1e-10) + 1e-300):
+    x_try = _solve_one_ellipsoid(a, b, q, cap, tol)
+    if np.all(np.abs(x_try) <= caps * (1 + 1e-10) + 1e-300):
         if warm is not None:
             warm["lam"] = None
         return x_try
@@ -487,12 +443,15 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
     """Maximize Re{b^H x} - x^H A x under PSD quadratic constraints and
     optional per-element magnitude caps.
 
-    Two strategies, matching the shapes that actually occur:
-      * no caps, up to two ellipsoids: nested dual bisection with the
-        closed-form stationary point x(lam) = (A + sum lam_i Q_i)^{-1} b/2;
-      * caps present (at most one ellipsoid): projected gradient ascent with
-        per-element magnitude projection, the ellipsoid handled by its own
-        multiplier bisection.
+    Routes, matching the shapes that actually occur:
+      * no caps, no constraint: the pseudo-inverse point A^+ b/2;
+      * no caps, one positive-definite ellipsoid: whitening to a norm ball,
+        then x(lam) = (A + lam Q)^{-1} b/2 with lam from Newton's method on
+        the secular equation (the one-row case of solve_beams' ball step);
+      * caps present (at most one positive-definite ellipsoid): if the
+        cap-free optimum meets the caps it is returned, otherwise projected
+        gradient ascent with per-element magnitude projection, the
+        ellipsoid handled by its own multiplier bisection.
 
     The problem is normalized once (unit feasible radius, O(1) objective) so
     the tolerances act relatively regardless of the physical scales.
@@ -528,10 +487,8 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
             raise Infeasible("unbounded objective: no constraints and b outside range(A)")
     elif len(cons) == 1:
         q, c = cons[0]
-        x, _ = _solve_one_ellipsoid(a, b, q, c, tol)
-    elif len(cons) == 2:
-        (q1, c1), (q2, c2) = cons
-        x = _solve_two_ellipsoids(a, b, q1, c1, q2, c2, tol, max_iter)
+        x = _solve_one_ellipsoid(a, b, q, c, tol)
     else:
-        raise ValueError("solver supports at most two quadratic constraints")
+        raise ValueError("solver supports at most one quadratic constraint; "
+                         "the two-constraint beam problem goes to solve_beams")
     return x * xs

@@ -206,7 +206,8 @@ def surrogate_stage2(w2: np.ndarray, theta: np.ndarray, omega: np.ndarray, nu: n
 def _p2c_multiplier_solve(s, u_eig, bt, r_vec, xi1, p_max, tol=1e-9):
     """Stationary beams w_k(lam1, lam2) in the eigenbasis of the shared
     quadratic matrix, with lam2 eliminated by energy complementarity and
-    lam1 found by bisection on the transmit power.
+    lam1 found by bisection on the transmit power that keeps the feasible
+    end of its bracket, so ||w||^2 <= p_max holds exactly.
 
     Returns (w_hat, lam1, lam2)."""
     scale = max(float(s[-1]), 1e-300)
@@ -246,12 +247,7 @@ def _p2c_multiplier_solve(s, u_eig, bt, r_vec, xi1, p_max, tol=1e-9):
     else:
         raise NumericalFailure("power multiplier bracket expansion failed")
 
-    def f(lam1):
-        return eval_at(lam1)[2] / p_max
-
-    lam1 = numerics.bisect(f, 0.0, hi, tol=tol, target=1.0)
-    if lam1 <= 0 or not np.isfinite(eval_at(lam1)[2]):
-        lam1 = max(lam1, 1e-14 * scale)
+    lam1 = numerics._bisect_feasible(lambda lam: eval_at(lam)[2], 0.0, hi, p_max, tol)
     w_hat, lam2, _ = eval_at(lam1)
     return w_hat, lam1, lam2
 
@@ -291,28 +287,21 @@ def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
 
 
 # ---------------------------------------------------------------------------
-# P3-C: stage-2 beams (stacked QCQP)
+# P3-C: stage-2 beams (K-block QCQP)
 # ---------------------------------------------------------------------------
 
-def _beam_problem(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray, p_max: float,
-                  s_block: np.ndarray | None = None, p_e: float | None = None) -> QcqpProblem:
-    """Stacked-beam QCQP: block-diagonal quadratic I_K (x) A with
-    A = sum_k |nu_k|^2 h_k h_k^H, linear part y_k = 2 sqrt(1+omega_k) nu_k h_k."""
-    k, n = h_eff.shape
-    a_blk = numerics.hermitize((h_eff.T * (np.abs(nu) ** 2)[None, :]) @ h_eff.conj())
-    y = ((2.0 * np.sqrt(1.0 + omega) * nu)[:, None] * h_eff).ravel()
-    quad = np.kron(np.eye(k), a_blk)
-    cons = [(np.eye(n * k, dtype=complex), p_max)]
-    if s_block is not None:
-        cons.append((np.kron(np.eye(k), s_block), p_e))
-    return QcqpProblem(quad=quad, lin=y, constraints=cons)
+def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
+    """Shared quadratic A = sum_k |nu_k|^2 h_k h_k^H and the linear rows
+    y_k = 2 sqrt(1+omega_k) nu_k h_k of the stage-2 beam surrogate."""
+    a = numerics.hermitize((h_eff.T * (np.abs(nu) ** 2)[None, :]) @ h_eff.conj())
+    y = (2.0 * np.sqrt(1.0 + omega) * nu)[:, None] * h_eff
+    return a, y
 
 
 def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
              tol: float = 1e-9) -> np.ndarray:
     """Reflection-stage beams: maximize the stage-2 surrogate under the
-    transmit-power ball and the harvested-energy ellipsoid."""
-    k, n = state.w2.shape
+    transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams)."""
     theta = state.theta
     h_eff = system.effective_channels(theta, cs)
     e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
@@ -330,9 +319,8 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
     s_block = numerics.hermitize(
         cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
     ) if m else None
-    prob = _beam_problem(h_eff, state.omega2, state.nu2, pm.p_max, s_block, p_e)
-    x = solve_concave_qcqp(prob, tol=tol)
-    return x.reshape(k, n)
+    a, y = beam_terms(h_eff, state.omega2, state.nu2)
+    return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol)
 
 
 # ---------------------------------------------------------------------------

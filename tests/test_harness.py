@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import harness
+from risjam import cli, harness
 from risjam.config import ParseError, ScenarioConfig, ValidationError, load_scenario
 from risjam.harness import (
     SCHEMES,
@@ -118,6 +118,13 @@ class TestRunTrial:
             assert res.iterations <= cfg.r_max
 
 
+    def test_stage1_power_within_cap(self):
+        # desk profile, seed 44, trial 12: the stage-1 power multiplier once
+        # landed 1e-7 relative above P_max, past the feasibility tolerance
+        res = run_trial(risjam.desk_profile(seed=44), "active-harvesting", 12)
+        assert res.feasible
+
+
 class TestBaselines:
     def _setup(self, seed=0, **kw):
         cfg = micro_cfg(**kw)
@@ -189,6 +196,13 @@ class TestRunSweep:
         assert a.alpha_br == 2.4 and a.alpha_ru == 2.4
         assert harness._apply_axis(cfg, "B", 3).b == 3
 
+    def test_integer_axes_reject_fractions(self):
+        cfg = micro_cfg()
+        assert harness._apply_axis(cfg, "B", 2.0).b == 2
+        for axis in ("M", "B"):
+            with pytest.raises(ValueError, match="integer"):
+                harness._apply_axis(cfg, axis, 2.7)
+
     def test_stderr_scaling(self):
         # standard error falls like 1/sqrt(trials)
         stderrs = {}
@@ -206,3 +220,20 @@ class TestRunSweep:
         run_sweep(cfg, "B", [1], schemes=["no-ris"], jobs=1, out=str(p1))
         run_sweep(cfg, "B", [1], schemes=["no-ris"], jobs=2, out=str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "bogus"],
+        ["--sweep", "temperature", "--values", "1"],
+        ["--profile", "desk", "--sweep", "B", "--values", "2,2.7", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "M", "--values", "4.5", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "B", "--values", "2,abc", "--scheme", "no-ris"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--trials", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()

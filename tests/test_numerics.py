@@ -13,6 +13,7 @@ from risjam.numerics import (
     herm_solve,
     project_magnitude_caps,
     qcqp_objective,
+    solve_beams,
     solve_concave_qcqp,
 )
 
@@ -164,23 +165,6 @@ class TestSolveConcaveQcqp:
         x = solve_concave_qcqp(p)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
 
-    def test_two_constraints_vs_pg_oracle(self):
-        rng = np.random.default_rng(11)
-        for trial in range(6):
-            n = 4
-            a = rand_psd(rng, n)
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            q2 = rand_psd(rng, n) + 0.1 * np.eye(n)
-            c1, c2 = 1.0, 0.5
-            p = QcqpProblem(quad=a, lin=b, constraints=[(np.eye(n), c1), (q2, c2)])
-            x = solve_concave_qcqp(p, tol=1e-9)
-            assert np.vdot(x, x).real <= c1 * (1 + 1e-8)
-            assert np.vdot(x, q2 @ x).real <= c2 * (1 + 1e-8)
-            projs = [lambda y: project_ball(y, c1), lambda y, q=q2: project_ellipsoid(y, q, c2)]
-            x_ref, f_ref = pg_qcqp_max(a, b, projs, iters=40000)
-            f = qcqp_objective(p, x)
-            assert f >= f_ref - 1e-5 * (1.0 + abs(f_ref))
-
     def test_caps_route_vs_pg_oracle(self):
         rng = np.random.default_rng(12)
         for trial in range(6):
@@ -208,6 +192,73 @@ class TestSolveConcaveQcqp:
         assert abs(abs(x[0]) - 0.5) < 1e-9
         assert abs(np.angle(x[0]) - 0.7) < 1e-7
 
+
+def beam_objective(a, y, w):
+    return float(np.sum(np.real(np.conj(y) * w)) - np.sum(np.real(np.conj(w) * (w @ a.T))))
+
+
+def beam_instance(rng, n, k, s_rank=None, in_range=True):
+    """Stage-2-shaped instance: A = sum_k |nu_k|^2 h_k h_k^H (rank <= K) and
+    y_k = 2 sqrt(1+omega_k) nu_k h_k, or an arbitrary y off range(A)."""
+    h = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    nu = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    omega = rng.uniform(0.0, 2.0, k)
+    a = (h.T * (np.abs(nu) ** 2)[None, :]) @ h.conj()
+    a = 0.5 * (a + a.conj().T)
+    if in_range:
+        y = (2.0 * np.sqrt(1.0 + omega) * nu)[:, None] * h
+    else:
+        y = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    s = None if s_rank is None else rand_psd(rng, n, rank=s_rank)
+    return a, y, s
+
+
+def kkt_certificate(a, y, p_max, s, p_e, w):
+    """Multipliers recovered from w alone by least squares on the
+    stationarity equations lam1 w_k + lam2 S w_k = y_k/2 - A w_k, then the
+    KKT conditions checked at them.  Returns (lam1, lam2)."""
+    cols = [w.ravel()] + ([] if s is None else [(w @ s.T).ravel()])
+    rhs = (0.5 * y - w @ a.T).ravel()
+    mat = np.stack(cols, axis=1)
+    lams, *_ = np.linalg.lstsq(np.vstack([mat.real, mat.imag]),
+                               np.concatenate([rhs.real, rhs.imag]), rcond=None)
+    lam1, lam2 = float(lams[0]), (float(lams[1]) if s is not None else 0.0)
+    m = a + lam1 * np.eye(a.shape[0]) + (0.0 if s is None else lam2 * s)
+    scale = lam1 + np.linalg.norm(a, 2) + (0.0 if s is None else lam2 * np.linalg.norm(s, 2))
+    # dual feasibility
+    assert lam1 >= -1e-8 * scale
+    assert lam2 >= -1e-8 * scale / (1.0 if s is None else np.linalg.norm(s, 2))
+    # stationarity, user by user
+    for k in range(y.shape[0]):
+        assert np.linalg.norm(m @ w[k] - 0.5 * y[k]) <= 1e-8 * np.linalg.norm(0.5 * y[k])
+    # primal feasibility
+    power = float(np.sum(np.abs(w) ** 2))
+    energy = 0.0 if s is None else float(np.sum(np.real(np.conj(w) * (w @ s.T))))
+    assert power <= p_max * (1 + 1e-12)
+    assert energy <= p_e * (1 + 1e-12)
+    # complementary slackness: the duality gap it leaves is negligible
+    gap = max(lam1, 0.0) * (p_max - power) + max(lam2, 0.0) * (p_e - energy)
+    assert gap <= 1e-8 * abs(beam_objective(a, y, w))
+    return lam1, lam2
+
+
+class TestSolveBeams:
+    def test_two_constraints_vs_pg_oracle(self):
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            n = 4
+            a = rand_psd(rng, n)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            q2 = rand_psd(rng, n) + 0.1 * np.eye(n)
+            c1, c2 = 1.0, 0.5
+            x = solve_beams(a, b[None, :], c1, q2, c2, tol=1e-9)[0]
+            assert np.vdot(x, x).real <= c1 * (1 + 1e-8)
+            assert np.vdot(x, q2 @ x).real <= c2 * (1 + 1e-8)
+            projs = [lambda y: project_ball(y, c1), lambda y, q=q2: project_ellipsoid(y, q, c2)]
+            x_ref, f_ref = pg_qcqp_max(a, b, projs, iters=40000)
+            f = beam_objective(a, b[None, :], x[None, :])
+            assert f >= f_ref - 1e-5 * (1.0 + abs(f_ref))
+
     def test_constraint_never_violated_scaled(self):
         # physical scales (watts ~1e-4): relative feasibility still holds
         rng = np.random.default_rng(5)
@@ -216,7 +267,88 @@ class TestSolveConcaveQcqp:
         b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 1e-2
         q = rand_psd(rng, n, rank=3) * 1e-5
         c = 2e-4
-        p = QcqpProblem(quad=a, lin=b, constraints=[(np.eye(n).astype(complex), 0.5), (q, c)])
-        x = solve_concave_qcqp(p, tol=1e-9)
+        x = solve_beams(a, b[None, :], 0.5, q, c, tol=1e-9)[0]
         assert np.vdot(x, x).real <= 0.5 * (1 + 1e-8)
         assert np.vdot(x, q @ x).real <= c * (1 + 1e-8)
+
+    @pytest.mark.parametrize("in_range", [True, False])
+    def test_kkt_certificate_seeded(self, in_range):
+        rng = np.random.default_rng(31 + in_range)
+        binding = 0
+        for _ in range(40):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            a, y, s = beam_instance(rng, n, k, s_rank=int(rng.integers(1, n + 1)), in_range=in_range)
+            p_max = 10 ** rng.uniform(-3, 1)
+            p_e = float(rng.uniform(0.01, 1.2)) * p_max * np.linalg.eigvalsh(s)[-1]
+            w = solve_beams(a, y, p_max, s, p_e, tol=1e-10)
+            _, lam2 = kkt_certificate(a, y, p_max, s, p_e, w)
+            binding += lam2 > 0 and np.sum(np.real(np.conj(w) * (w @ s.T))) >= p_e * (1 - 1e-9)
+        assert 5 <= binding <= 35  # both binding and slack energy constraints occurred
+
+    def test_no_energy_constraint(self):
+        # M = 0: S absent, only the power ball
+        rng = np.random.default_rng(40)
+        for p_max in (1e-3, 1.0, 1e3):
+            a, y, _ = beam_instance(rng, 6, 3)
+            w = solve_beams(a, y, p_max)
+            kkt_certificate(a, y, p_max, None, 0.0, w)
+
+    def test_zero_s_matches_ball(self):
+        # theta = 0 gives S = 0: the energy constraint is vacuous
+        rng = np.random.default_rng(41)
+        a, y, _ = beam_instance(rng, 5, 2, in_range=False)
+        w0 = solve_beams(a, y, 0.3, np.zeros((5, 5), complex), 0.0)
+        w1 = solve_beams(a, y, 0.3)
+        np.testing.assert_allclose(w0, w1, rtol=1e-12, atol=1e-15)
+        kkt_certificate(a, y, 0.3, None, 0.0, w1)
+
+    def test_rank_deficient_s(self):
+        rng = np.random.default_rng(42)
+        for rank in (1, 2):
+            a, y, s = beam_instance(rng, 6, 3, s_rank=rank)
+            p_e = 0.05 * np.linalg.eigvalsh(s)[-1]
+            w = solve_beams(a, y, 1.0, s, p_e, tol=1e-10)
+            kkt_certificate(a, y, 1.0, s, p_e, w)
+
+    def test_zero_energy_bound_confines_to_null_space(self):
+        # P_E = 0: the beams live in null(S), stationary there
+        rng = np.random.default_rng(43)
+        a, y, s = beam_instance(rng, 6, 2, s_rank=2, in_range=False)
+        w = solve_beams(a, y, 1.0, s, 0.0)
+        assert np.linalg.norm(w @ s.T) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(w)
+        ev, v = np.linalg.eigh(s)
+        null = v[:, :4]
+        w_r = w @ null.conj()  # coordinates in null(S)
+        kkt_certificate(null.conj().T @ a @ null, y @ null.conj(), 1.0, None, 0.0, w_r)
+        assert np.sum(np.abs(w) ** 2) <= 1.0 * (1 + 1e-12)
+
+    def test_energy_slack_and_binding(self):
+        rng = np.random.default_rng(44)
+        a, y, s = beam_instance(rng, 6, 3, s_rank=6)
+        s_max = np.linalg.eigvalsh(s)[-1]
+        # energy <= s_max * power <= s_max * p_max: slack, lam2 = 0
+        w = solve_beams(a, y, 1.0, s, 1.01 * s_max)
+        _, lam2 = kkt_certificate(a, y, 1.0, s, 1.01 * s_max, w)
+        assert abs(lam2) <= 1e-8 * np.linalg.norm(a, 2) / s_max
+        # a small bound binds: energy within tol of it
+        p_e = 1e-3 * s_max
+        w = solve_beams(a, y, 1.0, s, p_e, tol=1e-10)
+        _, lam2 = kkt_certificate(a, y, 1.0, s, p_e, w)
+        energy = np.sum(np.real(np.conj(w) * (w @ s.T)))
+        assert lam2 > 0 and p_e * (1 - 1e-10) <= energy <= p_e
+
+    def test_single_user(self):
+        rng = np.random.default_rng(45)
+        for _ in range(5):
+            a, y, s = beam_instance(rng, 4, 1, s_rank=4)
+            p_e = 0.1 * np.linalg.eigvalsh(s)[-1]
+            kkt_certificate(a, y, 0.5, s, p_e, solve_beams(a, y, 0.5, s, p_e))
+
+    def test_tiny_power_budget(self):
+        rng = np.random.default_rng(46)
+        a, y, s = beam_instance(rng, 6, 3, s_rank=6)
+        p_max = 1e-12
+        p_e = 0.2 * p_max * np.linalg.eigvalsh(s)[-1]
+        w = solve_beams(a, y, p_max, s, p_e)
+        kkt_certificate(a, y, p_max, s, p_e, w)
+        assert np.sum(np.abs(w) ** 2) <= p_max

@@ -300,6 +300,20 @@ class TestSolveW1:
         w = solve_w1(st, cs, stats, pm, i_max=1)
         assert np.sum(np.abs(w) ** 2) == pytest.approx(pm.p_max, rel=1e-6)
 
+    def test_power_never_exceeds_cap(self):
+        # the power multiplier search ends on the feasible side of its bracket
+        worst = -np.inf
+        for seed in range(40):
+            rng, cs, stats, _ = make_instance(300 + seed, m=4, scale=3.0)
+            pm = pm_default(p_max=float(rng.uniform(0.1, 2.0)))
+            st = self._state(cs, stats, pm, rng, tau=float(rng.uniform(0.3, 0.7)))
+            st.theta = crand(rng, 4) * 0.3
+            st.nu1 = st.nu1 * float(rng.uniform(5.0, 100.0))  # the ball binds
+            w = solve_w1(st, cs, stats, pm)
+            worst = max(worst, np.sum(np.abs(w) ** 2) / pm.p_max - 1.0)
+        assert worst <= 1e-12
+        assert worst >= -1e-8  # the cap was binding, not slack
+
     def test_sca_surrogate_monotone(self):
         rng, cs, stats, _ = make_instance(14, m=4)
         pm = pm_default()
