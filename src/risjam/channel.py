@@ -301,13 +301,16 @@ def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
                       ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
 
 
-def _add_estimation_error(est: np.ndarray, e_mse: float, rng: Generator) -> np.ndarray:
-    """actual = estimate + CN(0, e_mse * mean|estimate|^2) per entry."""
+def _add_estimation_error(est: np.ndarray, e_mse: float, rng: Generator, block_ndim: int) -> np.ndarray:
+    """actual = estimate + CN(0, e_mse * mean|block|^2) per entry, where a
+    block is one trailing (block_ndim-dimensional) estimate; one draw per link
+    fills every block in order, real part before imaginary part."""
     if e_mse == 0.0 or est.size == 0:
         return est.copy()
-    var = e_mse * float(np.mean(np.abs(est) ** 2))
-    noise = np.sqrt(var / 2.0) * (rng.standard_normal(est.shape) + 1j * rng.standard_normal(est.shape))
-    return est + noise
+    lead = est.ndim - block_ndim
+    var = e_mse * np.mean(np.abs(est) ** 2, axis=tuple(range(lead, est.ndim)), keepdims=True)
+    re, im = np.moveaxis(rng.standard_normal(est.shape[:lead] + (2,) + est.shape[lead:]), lead, 0)
+    return est + np.sqrt(var / 2.0) * (re + 1j * im)
 
 
 def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.ndarray:
@@ -331,18 +334,8 @@ def sample_uncertain_realization(cs: ChannelSet, e_mse: float, cfg, rng: Generat
     """
     if e_mse < 0:
         raise BadParams("e_mse must be nonnegative")
-    q, k = cs.n_jammers, cs.n_users
-    bq = cs.n_interferers
-    h_ju = np.stack([
-        np.stack([_add_estimation_error(cs.h_ju_est[iq, ik], e_mse, rng) for ik in range(k)])
-        for iq in range(q)
-    ]) if q else cs.h_ju_est.copy()
-    g_jr = np.stack([
-        _add_estimation_error(cs.g_jr_est[iq], e_mse, rng) for iq in range(q)
-    ]) if q else cs.g_jr_est.copy()
-    h_iu = np.stack([
-        np.stack([_add_estimation_error(cs.h_iu_est[ib, ik], e_mse, rng) for ik in range(k)])
-        for ib in range(bq)
-    ]) if bq else cs.h_iu_est.copy()
+    h_ju = _add_estimation_error(cs.h_ju_est, e_mse, rng, 1)
+    g_jr = _add_estimation_error(cs.g_jr_est, e_mse, rng, 2)
+    h_iu = _add_estimation_error(cs.h_iu_est, e_mse, rng, 1)
     return Realization(index=index, h_ju=h_ju, g_jr=g_jr, h_iu=h_iu,
                        z_j=cs.z_jam, z_i=cs.z_int)

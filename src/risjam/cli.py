@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import desk_profile, load_scenario, paper_profile
+from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
 from .harness import INTEGER_AXES, SCHEMES, SWEEP_AXES, run_sweep
 
 
@@ -31,14 +31,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.scenario:
-        cfg = load_scenario(args.scenario, profile=args.profile)
-    else:
-        cfg = desk_profile() if args.profile == "desk" else paper_profile()
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        if args.scenario:
+            cfg = load_scenario(args.scenario, profile=args.profile)
+        else:
+            cfg = desk_profile() if args.profile == "desk" else paper_profile()
+        if args.trials is not None:
+            cfg = replace(cfg, trials=args.trials)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+    except (OSError, ParseError, ValidationError) as exc:
+        parser.error(str(exc))
 
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     if args.sweep:

@@ -122,6 +122,8 @@ class ScenarioConfig:
             raise ValidationError("iteration caps and trial counts must be positive")
         if self.varsigma <= 0 or self.varsigma1 <= 0:
             raise ValidationError("convergence tolerances must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
     # derived quantities -------------------------------------------------
     @property

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numerics, optimizer, system
+from . import optimizer, system
 from .channel import sample_static_channels, sample_uncertain_realization
-from .config import ParseError, ScenarioConfig, ValidationError, load_scenario  # noqa: F401 (re-exported)
-from .optimizer import AoReport, SaaStats, initial_state, ssca_ao, update_aux_stage2
-from .system import LN2, SolverState
+from .config import ScenarioConfig
+from .optimizer import AoReport, ssca_ao
 
 SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
 SWEEP_AXES = ("M", "e_mse", "P_max", "alpha_r", "B", "iterations")
@@ -37,103 +36,16 @@ def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
     return root.spawn(3)
 
 
-def _baseline_loop(cs, pm, cfg, rng, unit_modulus: bool):
-    """Shared AO loop of both baselines: full-period reflection-stage rate
-    (tau = 0), no harvesting, no energy constraints.
-
-    unit_modulus=True keeps an RIS with amplitudes pinned to one (passive);
-    False removes the RIS entirely (theta = 0)."""
-    k = cs.n_users
-    m = cs.m_elements if unit_modulus else 0
-    norms = np.linalg.norm(cs.h_bu, axis=1)
-    w = np.sqrt(pm.p_max / k) * cs.h_bu / norms[:, None]
-    if m:
-        g_h = cs.g_br @ cs.h_bu[0]
-        theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * g_h))
-    else:
-        theta = np.zeros(0, dtype=complex)
-    stats = SaaStats.empty(cs.n_jammers, k, m)
-    cs_eval = cs if unit_modulus else _without_ris(cs)
-    realizations = []
-    report = AoReport(timings={})
-    state = SolverState(tau=0.0, w1=w.copy(), w2=w.copy(), theta=theta)
-    best_state = state.copy()
-    prev_v = None
-    flat_streak = 0
-    for r in range(1, cfg.r_max + 1):
-        sub = np.random.default_rng(rng.spawn(1)[0])
-        rlz = sample_uncertain_realization(cs, cfg.e_mse, cfg, sub, index=r)
-        if not unit_modulus:
-            rlz = _without_ris_rlz(rlz)
-        realizations.append(rlz)
-        optimizer.update_saa_stats(stats, rlz, cs_eval)
-        v = system.sum_rate_nats(0.0, state.w1, state.w2, state.theta, realizations,
-                                 cs_eval, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
-        report.objective_nats.append(v)
-        report.objective_bits.append(v / LN2)
-        report.iterations = r
-        if v > report.best_objective_nats:
-            report.best_objective_nats = v
-            best_state = state.copy()
-        if prev_v is not None and abs(v - prev_v) < cfg.varsigma * max(abs(v), 1e-12):
-            flat_streak += 1
-        else:
-            flat_streak = 0
-        if r > 5 and flat_streak >= 2:
-            report.converged = True
-            break
-        prev_v = v
-
-        state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs_eval, stats,
-                                                    pm.sigma_r_sq, pm.sigma2_sq)
-        a, y = optimizer.beam_terms(system.effective_channels(state.theta, cs_eval),
-                                    state.omega2, state.nu2)
-        state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
-        state.w1 = state.w2
-        if m:
-            gamma, lam = optimizer.theta_quadratic_model(state, cs_eval, stats, pm.sigma_r_sq)
-            prob_t = optimizer.QcqpProblem(quad=gamma, lin=lam, constraints=[],
-                                           caps=np.ones(m))
-            raw = optimizer.solve_concave_qcqp(prob_t, tol=1e-8)
-            mag = np.abs(raw)
-            state.theta = np.where(mag > 0, raw / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
-        state.iteration = r
-    report.state = best_state
-    # baselines carry no energy-supply constraint (no harvesting stage, no
-    # amplification draw), so the report checks powers and amplitude only
-    full = system.check_feasibility(best_state, cs_eval, pm)
-    report.feasibility = system.FeasibilityReport(
-        power1_slack=full.power1_slack, power2_slack=full.power2_slack,
-        energy_slack=0.0, amplitude_slack=full.amplitude_slack, tol=full.tol,
-    )
-    return report
-
-
-def _without_ris(cs):
-    """ChannelSet view with zero reflecting elements."""
-    m0 = 0
-    return replace(
-        cs,
-        g_br=np.zeros((m0, cs.n_antennas), dtype=complex),
-        h_ru=np.zeros((cs.n_users, m0), dtype=complex),
-        g_jr_est=np.zeros((cs.n_jammers, m0, cs.h_ju_est.shape[2]), dtype=complex),
-    )
-
-
-def _without_ris_rlz(rlz):
-    return replace(rlz, g_jr=np.zeros((rlz.g_jr.shape[0], 0, rlz.g_jr.shape[2]), dtype=complex))
-
-
 def baseline_passive(cs, cfg, rng) -> AoReport:
     """Conventional passive-RIS AO: unit-modulus reflection (amplitudes fixed
     at one), full period for data, no harvesting or RIS power draw."""
-    return _baseline_loop(cs, cfg.power_model(), cfg, rng, unit_modulus=True)
+    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, optimizer.PASSIVE)
 
 
 def baseline_noris(cs, cfg, rng) -> AoReport:
-    """Transmit beamforming without any RIS against the SAA-averaged jamming
-    and interference."""
-    return _baseline_loop(cs, cfg.power_model(), cfg, rng, unit_modulus=False)
+    """Transmit beamforming without any RIS (empty theta) against the
+    SAA-averaged jamming and interference."""
+    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, optimizer.NO_RIS)
 
 
 @dataclass
@@ -147,36 +59,38 @@ class TrialResult:
     iterations: int
 
 
-def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult:
-    """One seeded trial: sample channels, optimize, score on held-out draws."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+def _optimize(cfg: ScenarioConfig, scheme: str, trial_index: int):
+    """Sample the trial's channels and run the scheme's optimizer on them.
+    Returns the channels, the AO report and the held-out seed."""
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
     cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
-    pm = cfg.power_model()
     try:
         if scheme == "active-harvesting":
-            report = ssca_ao(cs, pm, cfg, ss_opt)
-            cs_eval, tau = cs, report.state.tau
+            report = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
         elif scheme == "passive-ris":
             report = baseline_passive(cs, cfg, ss_opt)
-            cs_eval, tau = cs, 0.0
         else:
             report = baseline_noris(cs, cfg, ss_opt)
-            cs_eval, tau = _without_ris(cs), 0.0
     except optimizer.EnergyInfeasible as exc:
         raise optimizer.EnergyInfeasible(
             f"trial {trial_index}: {exc}", iteration=exc.iteration, best_state=exc.best_state
         ) from exc
+    return cs, report, ss_eval
+
+
+def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult:
+    """One seeded trial: sample channels, optimize, score on held-out draws."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    cs, report, ss_eval = _optimize(cfg, scheme, trial_index)
+    pm = cfg.power_model()
     rng_eval = np.random.default_rng(ss_eval)
     heldout = [
         sample_uncertain_realization(cs, cfg.e_mse, cfg, rng_eval, index=i + 1)
         for i in range(cfg.heldout)
     ]
-    if scheme == "no-ris":
-        heldout = [_without_ris_rlz(r) for r in heldout]
     st = report.state
-    rate = system.sum_rate(tau, st.w1, st.w2, st.theta, heldout, cs_eval,
+    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
                            pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
     return TrialResult(
         scheme=scheme, trial_index=trial_index, rate_bits=rate,
@@ -290,17 +204,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
 
 def _iteration_trace(cfg: ScenarioConfig, schemes, out):
     """Per-iteration objective trace of a single trial (convergence curve)."""
-    traces = {}
-    for scheme in schemes:
-        ss_chan, ss_opt, _ = _trial_seeds(cfg, 0)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
-        if scheme == "active-harvesting":
-            report = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
-        elif scheme == "passive-ris":
-            report = baseline_passive(cs, cfg, ss_opt)
-        else:
-            report = baseline_noris(cs, cfg, ss_opt)
-        traces[scheme] = report.objective_bits
+    traces = {scheme: _optimize(cfg, scheme, 0)[1].objective_bits for scheme in schemes}
     length = max(len(t) for t in traces.values())
     values = list(range(1, length + 1))
     result = SweepResult(axis="iterations", values=values, schemes=list(schemes),

@@ -10,15 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-
-
-class SingularSystem(Exception):
-    """Linear system remained ill-conditioned after regularization."""
-
-
-class NoBracket(Exception):
-    """Bisection endpoints do not bracket the target."""
 
 
 class Infeasible(Exception):
@@ -29,67 +20,9 @@ class MaxIterExceeded(Exception):
     """Iterative solve did not reach the requested KKT residual."""
 
 
-COND_LIMIT = 1e14
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H)/2; guards against accumulation drift."""
     return 0.5 * (a + a.conj().T)
-
-
-def herm_solve(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve (A + ridge*I) x = b for Hermitian A.
-
-    A is symmetrized before factorization.  Raises SingularSystem when the
-    regularized matrix has a condition estimate above 1e14.  The returned
-    solution satisfies ||(A + ridge*I)x - b|| <= 1e-9 ||b|| (one step of
-    iterative refinement is applied if the first solve misses that bound).
-    """
-    a = hermitize(np.asarray(a, dtype=complex))
-    b = np.asarray(b, dtype=complex)
-    if ridge:
-        a = a + ridge * np.eye(a.shape[0])
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    x = scipy.linalg.solve(a, b, assume_a="her")
-    bnorm = np.linalg.norm(b)
-    resid = np.linalg.norm(a @ x - b)
-    if resid > 1e-9 * max(bnorm, 1e-300):
-        x = x + scipy.linalg.solve(a, b - a @ x, assume_a="her")
-        resid = np.linalg.norm(a @ x - b)
-        if resid > 1e-9 * max(bnorm, 1e-300):
-            raise SingularSystem(f"residual {resid:.3e} after refinement, cond {cond:.3e}")
-    return x
-
-
-def bisect(f, lo: float, hi: float, tol: float, target: float = 0.0) -> float:
-    """Bisection for monotone f: find x with f(x) ~= target on [lo, hi].
-
-    Stops when |f(x) - target| <= tol or the interval width drops below
-    tol * max(1, |hi|).  Raises NoBracket if f(lo) and f(hi) lie on the
-    same side of the target.
-    """
-    flo = f(lo) - target
-    if abs(flo) <= tol:
-        return lo
-    fhi = f(hi) - target
-    if abs(fhi) <= tol:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoBracket(f"f({lo})={flo + target:.6g}, f({hi})={fhi + target:.6g} do not bracket {target:.6g}")
-    width_tol = tol * max(1.0, abs(hi))
-    max_iter = max(1, math.ceil(math.log2(max((hi - lo) / max(tol, 1e-300), 1.0)))) + 2
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - target
-        if abs(fm) <= tol or (hi - lo) <= 2 * width_tol:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def project_magnitude_caps(x: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -109,7 +42,7 @@ class QcqpProblem:
 
         maximize    Re{b^H x} - x^H A x
         subject to  x^H Q_i x <= c_i          (Q_i Hermitian PSD, c_i >= 0)
-                    |x_m| <= caps_m           (optional, per element)
+                    |x_m| <= caps_m           (per element; solve_concave_qcqp needs them)
 
     A must be Hermitian PSD; x = 0 is always feasible when all c_i >= 0.
     """
@@ -157,18 +90,6 @@ def _bisect_feasible(g, lo, hi, cap, tol, max_iter=200):
         else:
             hi, val_hi = mid, val
     return hi
-
-
-def _pinv_maximizer(eigvals, eigvecs, rhs):
-    """x = A^+ rhs in the eigenbasis; second return flags a null-space
-    component of rhs (no finite stationary point exists in that case)."""
-    scale = max(eigvals[-1], 1e-300)
-    cut = 1e-12 * scale
-    keep = eigvals > cut
-    r = eigvecs.conj().T @ rhs
-    inconsistent = np.linalg.norm(r[~keep]) > 1e-10 * max(np.linalg.norm(r), 1e-300)
-    x = eigvecs @ np.where(keep, r / np.where(keep, eigvals, 1.0), 0.0)
-    return x, inconsistent
 
 
 def _ball_factors(d, r, cap, tol):
@@ -412,10 +333,6 @@ def _solve_caps(a, b, q, cap, caps, tol, max_iter, warm=None):
     return x
 
 
-def qcqp_objective(p: QcqpProblem, x: np.ndarray) -> float:
-    return float(np.real(np.vdot(p.lin, x)) - np.vdot(x, p.quad @ x).real)
-
-
 def _problem_scales(a, b, constraints, caps):
     """Pick (xscale, fscale) so the normalized problem has O(1) feasible
     radius and O(1) objective; makes the absolute tolerances meaningful."""
@@ -424,15 +341,9 @@ def _problem_scales(a, b, constraints, caps):
         lam = np.linalg.eigvalsh(q)[-1]
         if lam > 0 and c > 0:
             radii.append(math.sqrt(c / lam))
-    if caps is not None and caps.size and np.max(caps) > 0:
+    if caps.size and np.max(caps) > 0:
         radii.append(float(np.max(caps)))
-    if radii:
-        xscale = min(radii)
-    else:
-        lam_a = np.linalg.eigvalsh(a)[-1]
-        bn = np.linalg.norm(b)
-        xscale = bn / (2.0 * lam_a) if lam_a > 0 and bn > 0 else 1.0
-    xscale = max(xscale, 1e-150)
+    xscale = max(min(radii, default=1.0), 1e-150)
     lam_a = np.linalg.eigvalsh(a)[-1]
     fscale = max(lam_a * xscale * xscale, np.linalg.norm(b) * xscale, 1e-150)
     return xscale, fscale
@@ -440,18 +351,16 @@ def _problem_scales(a, b, constraints, caps):
 
 def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
                        warm: dict | None = None) -> np.ndarray:
-    """Maximize Re{b^H x} - x^H A x under PSD quadratic constraints and
-    optional per-element magnitude caps.
+    """Maximize Re{b^H x} - x^H A x under per-element magnitude caps and at
+    most one positive-definite ellipsoid, the shape of the reflection solves.
 
-    Routes, matching the shapes that actually occur:
-      * no caps, no constraint: the pseudo-inverse point A^+ b/2;
-      * no caps, one positive-definite ellipsoid: whitening to a norm ball,
-        then x(lam) = (A + lam Q)^{-1} b/2 with lam from Newton's method on
-        the secular equation (the one-row case of solve_beams' ball step);
-      * caps present (at most one positive-definite ellipsoid): if the
-        cap-free optimum meets the caps it is returned, otherwise projected
-        gradient ascent with per-element magnitude projection, the
-        ellipsoid handled by its own multiplier bisection.
+    With an ellipsoid, its cap-free optimum is tried first and returned if
+    it meets the caps: whitening turns the ellipsoid into a norm ball, and
+    x(lam) = (A + lam Q)^{-1} b/2 with lam from Newton's method on the
+    secular equation (the one-row case of solve_beams' ball step).
+    Otherwise projected gradient ascent with per-element magnitude
+    projection, the ellipsoid handled by its own multiplier bisection.
+    Problems without caps raise ValueError.
 
     The problem is normalized once (unit feasible radius, O(1) objective) so
     the tolerances act relatively regardless of the physical scales.
@@ -459,36 +368,25 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
     for _, c in p.constraints:
         if c < 0:
             raise Infeasible(f"constraint bound {c} < 0")
+    if p.caps is None:
+        raise ValueError("solve_concave_qcqp needs magnitude caps; beam problems go to solve_beams")
+    if len(p.constraints) > 1:
+        raise ValueError("solve_concave_qcqp supports at most one quadratic constraint")
     xs, fs = _problem_scales(p.quad, p.lin, p.constraints, p.caps)
     a = p.quad * (xs * xs / fs)
     b = p.lin * (xs / fs)
-    cons = [(q * (xs * xs / fs), c / fs) for q, c in p.constraints]
-    caps = None if p.caps is None else p.caps / xs
-
-    if caps is not None:
-        if len(cons) > 1:
-            raise ValueError("caps route supports at most one quadratic constraint")
-        q, c = cons[0] if cons else (None, 0.0)
-        w = None
-        if warm is not None:
-            w = {}
-            if warm.get("x") is not None:
-                w["x"] = np.asarray(warm["x"], dtype=complex) / xs
-            if warm.get("lam") is not None:
-                w["lam"] = warm["lam"]
-        x = _solve_caps(a, b, q, c, caps, tol, max_iter, warm=w)
-        if warm is not None:
-            warm["x"] = w.get("x", x) * xs
-            warm["lam"] = w.get("lam")
-    elif len(cons) == 0:
-        eigvals, eigvecs = np.linalg.eigh(a)
-        x, inconsistent = _pinv_maximizer(np.maximum(eigvals, 0.0), eigvecs, 0.5 * b)
-        if inconsistent:
-            raise Infeasible("unbounded objective: no constraints and b outside range(A)")
-    elif len(cons) == 1:
-        q, c = cons[0]
-        x = _solve_one_ellipsoid(a, b, q, c, tol)
-    else:
-        raise ValueError("solver supports at most one quadratic constraint; "
-                         "the two-constraint beam problem goes to solve_beams")
+    q, c = None, 0.0
+    if p.constraints:
+        q, c = p.constraints[0][0] * (xs * xs / fs), p.constraints[0][1] / fs
+    w = None
+    if warm is not None:
+        w = {}
+        if warm.get("x") is not None:
+            w["x"] = np.asarray(warm["x"], dtype=complex) / xs
+        if warm.get("lam") is not None:
+            w["lam"] = warm["lam"]
+    x = _solve_caps(a, b, q, c, p.caps / xs, tol, max_iter, warm=w)
+    if warm is not None:
+        warm["x"] = w.get("x", x) * xs
+        warm["lam"] = w.get("lam")
     return x * xs

@@ -2,14 +2,17 @@
 
 Per outer iteration a fresh channel realization is folded into running SAA
 statistics, the time split is set by the closed-form energy-tight rule, and
-the three beamforming blocks are solved as convex subproblems built from
-quadratic-transform surrogates of the sum rate.
+the beamforming blocks are solved as convex subproblems built from
+quadratic-transform surrogates of the sum rate.  One AO loop runs every
+scheme: the active harvesting RIS, and the passive-RIS and no-RIS
+baselines, which skip harvesting and (no RIS) start with an empty theta.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,57 +41,44 @@ class NumericalFailure(Exception):
 
 @dataclass
 class SaaStats:
-    """Running means of the realization-dependent quantities.
+    """Running means of the realization-dependent quantities, summed over the
+    jammers (every consumer needs only the sum).
 
-    Memory is O(Q*K*M^2), independent of the number of realizations; the
-    stage-2 surrogate matrices are assembled from these means rather than by
-    re-looping over stored draws.
+    Memory is O(K*M^2), independent of the number of realizations and of
+    jammers; the stage-2 surrogate matrices are assembled from these means
+    rather than by re-looping over stored draws.  M is the number of
+    reflection coefficients being optimized (0 without an RIS).
     """
 
     count: int
-    zbar1: np.ndarray     # (K,)   mean of Z_1,k
-    d_abs2: np.ndarray    # (Q,K)  mean of |d_qk|^2
-    dt_conj: np.ndarray   # (Q,K,M) mean of conj(d_qk) * t_qk
-    m_mat: np.ndarray     # (Q,K,M,M) mean of (t* o h_RU)(t* o h_RU)^H
-    zbar_i2: np.ndarray   # (K,)   mean interferer power at the UE
+    d_abs2: np.ndarray    # (K,)     mean of sum_q |d_qk|^2, d_qk = h_JU,qk^H z_qk
+    dt_conj: np.ndarray   # (K,M)    mean of sum_q conj(d_qk) t_qk, t_qk = G_JR,q z_qk
+    m_mat: np.ndarray     # (K,M,M)  mean of sum_q u_qk u_qk^H, u_qk = conj(t_qk) o h_RU,k
+    zbar_i2: np.ndarray   # (K,)     mean interferer power at the UE
 
     @classmethod
-    def empty(cls, q: int, k: int, m: int) -> "SaaStats":
+    def empty(cls, k: int, m: int) -> "SaaStats":
         return cls(
             count=0,
-            zbar1=np.zeros(k),
-            d_abs2=np.zeros((q, k)),
-            dt_conj=np.zeros((q, k, m), dtype=complex),
-            m_mat=np.zeros((q, k, m, m), dtype=complex),
+            d_abs2=np.zeros(k),
+            dt_conj=np.zeros((k, m), dtype=complex),
+            m_mat=np.zeros((k, m, m), dtype=complex),
             zbar_i2=np.zeros(k),
         )
 
 
 def update_saa_stats(stats: SaaStats, rlz: Realization, cs: ChannelSet) -> SaaStats:
     """Fold one realization into the running means (Welford-style updates)."""
-    q, k, m = stats.dt_conj.shape
-    d = np.zeros((q, k), dtype=complex)
-    t = np.zeros((q, k, m), dtype=complex)
-    for iq in range(q):
-        for ik in range(k):
-            d[iq, ik] = np.vdot(rlz.h_ju[iq, ik], rlz.z_j[iq, ik])
-            t[iq, ik] = rlz.g_jr[iq] @ rlz.z_j[iq, ik]
-    zi = np.zeros(k)
-    for ib in range(rlz.h_iu.shape[0]):
-        for ik in range(k):
-            zi[ik] += abs(np.vdot(rlz.h_iu[ib, ik], rlz.z_i[ib, ik])) ** 2
-    z1 = np.sum(np.abs(d) ** 2, axis=0) + zi if q else zi.copy()
-
-    u = np.conj(t) * cs.h_ru[None, :, :]  # (Q,K,M): diag(t*) h_RU
-    m_sample = u[..., :, None] * np.conj(u[..., None, :])
-
+    d = np.sum(np.conj(rlz.h_ju) * rlz.z_j, axis=-1)  # (Q,K)
+    zi = np.sum(np.abs(np.sum(np.conj(rlz.h_iu) * rlz.z_i, axis=-1)) ** 2, axis=0)
     r = stats.count + 1
-    stats.zbar1 += (z1 - stats.zbar1) / r
     stats.zbar_i2 += (zi - stats.zbar_i2) / r
-    if q:
-        stats.d_abs2 += (np.abs(d) ** 2 - stats.d_abs2) / r
-        stats.dt_conj += (np.conj(d)[..., None] * t - stats.dt_conj) / r
-        stats.m_mat += (m_sample - stats.m_mat) / r
+    stats.d_abs2 += (np.sum(np.abs(d) ** 2, axis=0) - stats.d_abs2) / r
+    if stats.dt_conj.shape[1]:
+        t = np.swapaxes(rlz.g_jr @ np.swapaxes(rlz.z_j, 1, 2), 1, 2)  # (Q,K,M)
+        u = np.conj(t) * cs.h_ru[None, :, :]  # diag(t*) h_RU
+        stats.dt_conj += (np.einsum("qk,qkm->km", np.conj(d), t) - stats.dt_conj) / r
+        stats.m_mat += (np.einsum("qkm,qkn->kmn", u, np.conj(u)) - stats.m_mat) / r
     stats.count = r
     return stats
 
@@ -119,7 +109,7 @@ def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, sigma1_sq
     e, g = _stage1_gains(w1, cs)
     sig = np.diag(g).copy()
     interf = g.sum(axis=1) - sig
-    base = interf + stats.zbar1 + sigma1_sq
+    base = interf + stats.zbar_i2 + stats.d_abs2 + sigma1_sq
     omega = sig / base
     nu = np.sqrt(1.0 + omega) * np.diag(e) / (base + sig)
     return omega, nu
@@ -129,7 +119,7 @@ def surrogate_stage1(w1: np.ndarray, omega: np.ndarray, nu: np.ndarray,
                      cs: ChannelSet, stats: SaaStats, sigma1_sq: float) -> float:
     """f_OF^I in nats at the given beams and auxiliaries."""
     e, g = _stage1_gains(w1, cs)
-    denom = g.sum(axis=1) + stats.zbar1 + sigma1_sq
+    denom = g.sum(axis=1) + stats.zbar_i2 + stats.d_abs2 + sigma1_sq
     val = (
         np.log1p(omega)
         + 2.0 * np.sqrt(1.0 + omega) * np.real(np.conj(nu) * np.diag(e))
@@ -146,29 +136,18 @@ def surrogate_stage1(w1: np.ndarray, omega: np.ndarray, nu: np.ndarray,
 def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) -> np.ndarray:
     """(K,) SAA average of Z_2,k as a function of theta, assembled from the
     sufficient statistics: E|d|^2 + 2 Re{...theta} + theta^H M_bar theta."""
-    q = stats.d_abs2.shape[0]
-    z = stats.zbar_i2.copy()
-    if q == 0 or theta.size == 0:
-        if q:
-            z = z + stats.d_abs2.sum(axis=0)
+    z = stats.zbar_i2 + stats.d_abs2
+    if theta.size == 0:
         return z
-    z = z + stats.d_abs2.sum(axis=0)
-    lin = np.einsum("km,qkm,m->k", np.conj(cs.h_ru), stats.dt_conj, theta)
-    z = z + 2.0 * np.real(lin)
-    quad = np.einsum("m,qkmn,n->k", np.conj(theta), stats.m_mat, theta)
-    return z + np.real(quad)
+    lin = np.einsum("km,km,m->k", np.conj(cs.h_ru), stats.dt_conj, theta)
+    quad = np.einsum("m,kmn,n->k", np.conj(theta), stats.m_mat, theta)
+    return z + 2.0 * np.real(lin) + np.real(quad)
 
 
 def _stage2_gains(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet):
     h_eff = system.effective_channels(theta, cs)
     e = h_eff.conj() @ w2.T
     return h_eff, e, np.abs(e) ** 2
-
-
-def _ris_noise_at_ue(theta: np.ndarray, cs: ChannelSet, sigma_r_sq: float) -> np.ndarray:
-    if theta.size == 0:
-        return np.zeros(cs.n_users)
-    return sigma_r_sq * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
 
 
 def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: SaaStats,
@@ -178,7 +157,7 @@ def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: 
     _, e, g = _stage2_gains(w2, theta, cs)
     sig = np.diag(g).copy()
     interf = g.sum(axis=1) - sig
-    base = interf + _ris_noise_at_ue(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
+    base = interf + system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
     omega = sig / base
     nu = np.sqrt(1.0 + omega) * np.diag(e) / (base + sig)
     return omega, nu
@@ -188,7 +167,7 @@ def surrogate_stage2(w2: np.ndarray, theta: np.ndarray, omega: np.ndarray, nu: n
                      cs: ChannelSet, stats: SaaStats, sigma_r_sq: float, sigma2_sq: float) -> float:
     """f_OF^II in nats at the given beams, reflection coefficients, and auxiliaries."""
     _, e, g = _stage2_gains(w2, theta, cs)
-    denom = (g.sum(axis=1) + _ris_noise_at_ue(theta, cs, sigma_r_sq)
+    denom = (g.sum(axis=1) + system.ris_noise(theta, cs, sigma_r_sq)
              + stage2_interference_avg(theta, cs, stats) + sigma2_sq)
     val = (
         np.log1p(omega)
@@ -336,22 +315,18 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
     Both are assembled from the SaaStats means, never by looping over draws.
     """
     w2, omega, nu = state.w2, state.omega2, state.nu2
-    k, m = cs.n_users, cs.m_elements
     mu = w2 @ cs.g_br.T  # rows: mu_j = G_BR w2_j  (K, M)
     e_dir = cs.h_bu.conj() @ w2.T  # e[k, j] = h_BU,k^H w2_j
     nu2 = np.abs(nu) ** 2
-    gamma = np.zeros((m, m), dtype=complex)
-    lam = np.zeros(m, dtype=complex)
-    for ik in range(k):
-        v = np.conj(mu) * cs.h_ru[ik][None, :]  # rows: conj(mu_j) o h_RU,k
-        gamma += nu2[ik] * (v.T @ v.conj())  # sum_j v_j v_j^H
-        gamma += nu2[ik] * sigma_r_sq * np.diag(np.abs(cs.h_ru[ik]) ** 2)
-        if stats.m_mat.shape[0]:
-            gamma += nu2[ik] * stats.m_mat[:, ik].sum(axis=0)
-        lam += 2.0 * np.sqrt(1.0 + omega[ik]) * nu[ik] * (cs.h_ru[ik] * np.conj(mu[ik]))
-        lam -= 2.0 * nu2[ik] * np.einsum("j,jm->m", e_dir[ik], np.conj(mu)) * cs.h_ru[ik]
-        if stats.dt_conj.shape[0]:
-            lam -= 2.0 * nu2[ik] * cs.h_ru[ik] * np.conj(stats.dt_conj[:, ik].sum(axis=0))
+    # sum_k |nu_k|^2 sum_j v_kj v_kj^H with v_kj = conj(mu_j) o h_RU,k
+    h_w = cs.h_ru.T @ (nu2[:, None] * np.conj(cs.h_ru))  # sum_k |nu_k|^2 h_RU,k h_RU,k^H
+    gamma = (mu.conj().T @ mu) * h_w
+    gamma += np.diag(sigma_r_sq * (nu2 @ np.abs(cs.h_ru) ** 2))
+    gamma += np.einsum("k,kmn->mn", nu2, stats.m_mat)
+    coef = ((np.sqrt(1.0 + omega) * nu)[:, None] * np.conj(mu)
+            - nu2[:, None] * (e_dir @ np.conj(mu))
+            - nu2[:, None] * np.conj(stats.dt_conj))
+    lam = 2.0 * np.sum(cs.h_ru * coef, axis=0)
     return numerics.hermitize(gamma), lam
 
 
@@ -401,30 +376,59 @@ class AoReport:
         return self.best_objective_nats / LN2
 
 
-def initial_state(cs: ChannelSet, pm: PowerModel) -> SolverState:
+@dataclass(frozen=True)
+class Scheme:
+    """How a scheme enters the AO loop.
+
+    harvest=True is the TD-SWIPT active RIS: energy-tight tau, stage-1
+    beams, and the energy terms of the w2 and theta solves.  Otherwise the
+    whole period is the reflection stage: tau = 0, w1 = w2, beams over the
+    power ball only, and unit-modulus theta.  ris=False starts theta empty,
+    so every RIS term drops out.
+    """
+
+    harvest: bool
+    ris: bool = True
+
+
+ACTIVE = Scheme(harvest=True)
+PASSIVE = Scheme(harvest=False)
+NO_RIS = Scheme(harvest=False, ris=False)
+
+
+def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState:
     """Deterministic feasible start: equal-power matched filters, reflection
-    phases aligned to the first user's cascade, energy-tight tau."""
-    k = cs.n_users
+    phases aligned to the first user's cascade, energy-tight tau (0 without
+    harvesting)."""
     norms = np.linalg.norm(cs.h_bu, axis=1)
-    w = np.sqrt(pm.p_max / k) * cs.h_bu / norms[:, None]
-    m = cs.m_elements
-    if m:
-        g_h = cs.g_br @ cs.h_bu[0]
-        phase = -np.angle(np.conj(cs.h_ru[0]) * g_h)
-        theta = min(1.0, pm.a_max) * np.exp(1j * phase)
-    else:
-        theta = np.zeros(0, dtype=complex)
-    p_r = system.ris_power(w, theta, cs.g_br, pm)
-    tau = update_tau(p_r, w, cs.g_br, pm.eta1) if (p_r > 0 or m) else 0.0
+    w = np.sqrt(pm.p_max / cs.n_users) * cs.h_bu / norms[:, None]
+    theta = np.zeros(0, dtype=complex)
+    if scheme.ris and cs.m_elements:
+        theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
+    tau = 0.0
+    if scheme.harvest and theta.size:
+        tau = update_tau(system.ris_power(w, theta, cs.g_br, pm), w, cs.g_br, pm.eta1)
     return SolverState(tau=tau, w1=w.copy(), w2=w.copy(), theta=theta)
 
 
-def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) -> AoReport:
-    """SSCA-based alternating optimization (realization draw, tau, stage-1
-    beams, stage-2 beams, reflection coefficients) until the SAA objective
-    changes by less than varsigma relative or r_max iterations elapse."""
-    state = initial_state(cs, pm)
-    stats = SaaStats.empty(cs.n_jammers, cs.n_users, cs.m_elements)
+def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
+                        pm: PowerModel) -> np.ndarray:
+    """Passive reflection: maximize the averaged theta model under
+    |theta_m| <= 1, then keep only the phases."""
+    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
+    raw = solve_concave_qcqp(QcqpProblem(quad=gamma, lin=lam, caps=np.ones(lam.size)), tol=1e-8)
+    mag = np.abs(raw)
+    return np.where(mag > 0, raw / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
+
+
+def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
+               scheme: Scheme) -> AoReport:
+    """The SSCA alternating optimization of every scheme.  Each iteration
+    draws a realization, folds it into the SAA statistics, evaluates the SAA
+    objective, applies the stop rule, keeps the best state, then updates the
+    blocks the scheme optimizes."""
+    state = initial_state(cs, pm, scheme)
+    stats = SaaStats.empty(cs.n_users, state.theta.size)
     realizations: list[Realization] = []
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")})
     best_state = state.copy()
@@ -433,18 +437,20 @@ def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) ->
     flat_streak = 0
     theta_warm: dict = {}
 
-    for r in range(1, cfg.r_max + 1):
+    @contextmanager
+    def timed(block):
         t0 = time.perf_counter()
-        sub = np.random.default_rng(rng.spawn(1)[0])
-        rlz = sample_uncertain_realization(cs, cfg.e_mse, cfg, sub, index=r)
-        realizations.append(rlz)
-        update_saa_stats(stats, rlz, cs)
-        report.timings["draw"] += time.perf_counter() - t0
+        yield
+        report.timings[block] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, realizations,
-                                 cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
-        report.timings["objective"] += time.perf_counter() - t0
+    for r in range(1, cfg.r_max + 1):
+        with timed("draw"):
+            sub = np.random.default_rng(rng.spawn(1)[0])
+            realizations.append(sample_uncertain_realization(cs, cfg.e_mse, cfg, sub, index=r))
+            update_saa_stats(stats, realizations[-1], cs)
+        with timed("objective"):
+            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, realizations,
+                                     cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
         report.objective_nats.append(v)
         report.objective_bits.append(v / LN2)
         report.iterations = r
@@ -465,40 +471,48 @@ def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) ->
         prev_v = v
 
         try:
-            t0 = time.perf_counter()
-            p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
-            if p_r > 0:
-                state.tau = update_tau(p_r, state.w1, cs.g_br, pm.eta1)
-                e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
-                gap = e_r - (1.0 - state.tau) * p_r
-                report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
-            report.timings["tau"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
-            report.timings["aux1"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1)
-            report.timings["w1"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
-                                                        pm.sigma_r_sq, pm.sigma2_sq)
-            report.timings["aux2"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            state.w2 = solve_w2(state, cs, stats, pm)
-            report.timings["w2"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            if state.theta.size:
-                state.theta = solve_theta(state, cs, stats, pm, warm=theta_warm)
-            report.timings["theta"] += time.perf_counter() - t0
+            if scheme.harvest:
+                with timed("tau"):
+                    p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
+                    if p_r > 0:
+                        state.tau = update_tau(p_r, state.w1, cs.g_br, pm.eta1)
+                        e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
+                        gap = e_r - (1.0 - state.tau) * p_r
+                        report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
+                with timed("aux1"):
+                    state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
+                with timed("w1"):
+                    state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1)
+            with timed("aux2"):
+                state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
+                                                            pm.sigma_r_sq, pm.sigma2_sq)
+            with timed("w2"):
+                if scheme.harvest:
+                    state.w2 = solve_w2(state, cs, stats, pm)
+                else:
+                    a, y = beam_terms(system.effective_channels(state.theta, cs),
+                                      state.omega2, state.nu2)
+                    state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
+            with timed("theta"):
+                if state.theta.size and scheme.harvest:
+                    state.theta = solve_theta(state, cs, stats, pm, warm=theta_warm)
+                elif state.theta.size:
+                    state.theta = _unit_modulus_theta(state, cs, stats, pm)
         except EnergyInfeasible as exc:
             raise EnergyInfeasible(str(exc), iteration=r, best_state=best_state) from exc
         state.iteration = r
 
     report.state = best_state
     report.feasibility = system.check_feasibility(best_state, cs, pm)
+    if not scheme.harvest:
+        # no harvesting stage and no amplification draw: no energy-supply constraint
+        report.feasibility = replace(report.feasibility, energy_slack=0.0)
     return report
+
+
+def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) -> AoReport:
+    """SSCA-based alternating optimization of the active harvesting scheme
+    (realization draw, tau, stage-1 beams, stage-2 beams, reflection
+    coefficients) until the SAA objective changes by less than varsigma
+    relative or r_max iterations elapse."""
+    return _alternate(cs, pm, cfg, rng, ACTIVE)

@@ -83,78 +83,68 @@ def effective_channels(theta: np.ndarray, cs: ChannelSet) -> np.ndarray:
     return cs.h_bu + casc
 
 
-def jam_interference_stage1(k: int, rlz: Realization) -> float:
-    """Z_1,k: jamming plus co-channel interference power at UE k, stage 1."""
-    z = 0.0
-    for iq in range(rlz.h_ju.shape[0]):
-        z += abs(np.vdot(rlz.h_ju[iq, k], rlz.z_j[iq, k])) ** 2
-    for ib in range(rlz.h_iu.shape[0]):
-        z += abs(np.vdot(rlz.h_iu[ib, k], rlz.z_i[ib, k])) ** 2
-    return z
+def adversary_interference(theta: np.ndarray, realizations, cs: ChannelSet):
+    """(R, K) jamming plus co-channel interference power at each UE for each
+    draw: (Z_1, Z_2), stage 1 over the direct jammer links and stage 2 with
+    the jammer paths bounced through the RIS,
+    h_J,qk^H = h_JU,qk^H + h_RU,k^H Theta G_JR,q.  Without reflection
+    coefficients both stages see the same power."""
+    h_ju = np.stack([r.h_ju for r in realizations])  # (R,Q,K,Nj)
+    z_j = np.stack([r.z_j for r in realizations])
+    h_iu = np.stack([r.h_iu for r in realizations])  # (R,B,K,N)
+    z_i = np.stack([r.z_i for r in realizations])
+    direct = np.sum(np.conj(h_ju) * z_j, axis=-1)  # (R,Q,K): h_JU,qk^H z_qk
+    interf = np.sum(np.abs(np.sum(np.conj(h_iu) * z_i, axis=-1)) ** 2, axis=1)
+    z1 = np.sum(np.abs(direct) ** 2, axis=1) + interf
+    if theta.size == 0 or h_ju.shape[1] == 0:
+        return z1, z1
+    g_jr = np.stack([r.g_jr for r in realizations])  # (R,Q,M,Nj)
+    t = g_jr @ np.swapaxes(z_j, -1, -2)  # (R,Q,M,K): G_JR,q z_qk
+    bounced = np.einsum("km,rqmk->rqk", np.conj(cs.h_ru) * theta[None, :], t)
+    return z1, np.sum(np.abs(direct + bounced) ** 2, axis=1) + interf
 
 
-def jam_interference_stage2(k: int, theta: np.ndarray, rlz: Realization, cs: ChannelSet) -> float:
-    """Z_2,k with the jammer paths bounced through the RIS:
-    h_J,qk = h_JU,qk + G_JR,q^H Theta^H h_RU,k."""
-    z = 0.0
-    for iq in range(rlz.h_ju.shape[0]):
-        h_eff = rlz.h_ju[iq, k]
-        if theta.size:
-            h_eff = h_eff + rlz.g_jr[iq].conj().T @ (np.conj(theta) * cs.h_ru[k])
-        z += abs(np.vdot(h_eff, rlz.z_j[iq, k])) ** 2
-    for ib in range(rlz.h_iu.shape[0]):
-        z += abs(np.vdot(rlz.h_iu[ib, k], rlz.z_i[ib, k])) ** 2
-    return z
+def ris_noise(theta: np.ndarray, cs: ChannelSet, sigma_r_sq: float) -> np.ndarray:
+    """(K,) amplified RIS noise at each UE, sigma_R^2 ||h_RU,k^H Theta||^2."""
+    if theta.size == 0:
+        return np.zeros(cs.n_users)
+    return sigma_r_sq * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
+
+
+def _sinr_terms(h: np.ndarray, w: np.ndarray):
+    """(K,) signal |h_k^H w_k|^2 and multiuser interference sum_{j!=k} |h_k^H w_j|^2."""
+    g = np.abs(h.conj() @ w.T) ** 2
+    sig = np.diag(g).copy()
+    return sig, g.sum(axis=1) - sig
 
 
 def stage1_sinr(k: int, w1: np.ndarray, rlz: Realization, cs: ChannelSet, sigma1_sq: float) -> float:
     """Received SINR of UE k during the harvesting stage."""
-    gains = np.abs(cs.h_bu[k].conj() @ w1.T) ** 2  # |h_k^H w_j|^2 over j
-    signal = gains[k]
-    interf = float(np.sum(gains)) - signal
-    return signal / (interf + jam_interference_stage1(k, rlz) + sigma1_sq)
+    sig, interf = _sinr_terms(cs.h_bu, w1)
+    z1, _ = adversary_interference(np.zeros(0, dtype=complex), [rlz], cs)
+    return sig[k] / (interf[k] + z1[0, k] + sigma1_sq)
 
 
 def stage2_sinr(k: int, w2: np.ndarray, theta: np.ndarray, rlz: Realization, cs: ChannelSet,
                 sigma2_sq: float, sigma_r_sq: float) -> float:
     """Received SINR of UE k during the reflection stage, including the
     amplified RIS noise term sigma_R^2 ||h_RU,k^H Theta||^2."""
-    h_eff = effective_channels(theta, cs)
-    gains = np.abs(h_eff[k].conj() @ w2.T) ** 2
-    signal = gains[k]
-    interf = float(np.sum(gains)) - signal
-    ris_noise = sigma_r_sq * float(np.sum(np.abs(cs.h_ru[k]) ** 2 * np.abs(theta) ** 2)) if theta.size else 0.0
-    denom = interf + ris_noise + jam_interference_stage2(k, theta, rlz, cs) + sigma2_sq
-    return signal / denom
+    sig, interf = _sinr_terms(effective_channels(theta, cs), w2)
+    _, z2 = adversary_interference(theta, [rlz], cs)
+    return sig[k] / (interf[k] + ris_noise(theta, cs, sigma_r_sq)[k] + z2[0, k] + sigma2_sq)
 
 
 def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
                   realizations, cs: ChannelSet, sigma1_sq: float, sigma2_sq: float,
                   sigma_r_sq: float) -> float:
-    """Sample-average sum rate in nats per channel use over the given draws."""
-    k_users = cs.n_users
-    h_eff = effective_channels(theta, cs)
-    e1 = cs.h_bu.conj() @ w1.T  # (K, K): e1[k, j] = h_k^H w1_j
-    e2 = h_eff.conj() @ w2.T
-    g1 = np.abs(e1) ** 2
-    g2 = np.abs(e2) ** 2
-    sig1 = np.diag(g1)
-    sig2 = np.diag(g2)
-    int1 = g1.sum(axis=1) - sig1
-    int2 = g2.sum(axis=1) - sig2
-    if theta.size:
-        ris_noise = sigma_r_sq * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
-    else:
-        ris_noise = np.zeros(k_users)
-    total = 0.0
-    for rlz in realizations:
-        for k in range(k_users):
-            z1 = jam_interference_stage1(k, rlz)
-            z2 = jam_interference_stage2(k, theta, rlz, cs)
-            r1 = np.log1p(sig1[k] / (int1[k] + z1 + sigma1_sq))
-            r2 = np.log1p(sig2[k] / (int2[k] + ris_noise[k] + z2 + sigma2_sq))
-            total += tau * r1 + (1.0 - tau) * r2
-    return total / len(realizations)
+    """Sample-average sum rate in nats per channel use over the given draws,
+    all draws and users evaluated together."""
+    sig1, int1 = _sinr_terms(cs.h_bu, w1)
+    sig2, int2 = _sinr_terms(effective_channels(theta, cs), w2)
+    z1, z2 = adversary_interference(theta, realizations, cs)
+    r1 = np.log1p(sig1 / (int1 + z1 + sigma1_sq))
+    r2 = np.log1p(sig2 / (int2 + ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
+    return float(np.sum(tau * r1 + (1.0 - tau) * r2)) / len(realizations)
 
 
 def sum_rate(tau, w1, w2, theta, realizations, cs, sigma1_sq, sigma2_sq, sigma_r_sq) -> float:

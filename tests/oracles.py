@@ -8,28 +8,6 @@ other.
 import numpy as np
 
 
-def gauss_solve(a, b):
-    """Complex Gaussian elimination with partial pivoting, residual-checked."""
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = a.shape[0]
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    for col in range(n):
-        piv = col + np.argmax(np.abs(aug[col:, col]))
-        if abs(aug[piv, col]) == 0:
-            raise ZeroDivisionError("singular matrix")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        for row in range(col + 1, n):
-            f = aug[row, col] / aug[col, col]
-            aug[row, col:] -= f * aug[col, col:]
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, n] - aug[row, row + 1:n] @ x[row + 1:]) / aug[row, row]
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * max(np.linalg.norm(b), 1e-300)
-    return x
-
-
 def project_ball(x, c):
     n2 = float(np.vdot(x, x).real)
     if n2 <= c:
@@ -37,30 +15,57 @@ def project_ball(x, c):
     return x * np.sqrt(c / n2)
 
 
+_EIGH_CACHE = {}
+
+
+def _clipped_eigh(q):
+    """eigh(q) with negative eigenvalues clipped to 0, memoised on q's bytes:
+    projected-gradient runs project onto the same ellipsoid many times."""
+    key = (q.dtype.str, q.shape, q.tobytes())
+    if key not in _EIGH_CACHE:
+        if len(_EIGH_CACHE) >= 64:
+            _EIGH_CACHE.clear()
+        w, v = np.linalg.eigh(q)
+        _EIGH_CACHE[key] = (np.maximum(w, 0.0), v)
+    return _EIGH_CACHE[key]
+
+
 def project_ellipsoid(x, q, c, tol=1e-13):
-    """Euclidean projection onto {y : y^H q y <= c} via its own multiplier."""
+    """Euclidean projection onto {y : y^H q y <= c} via its own multiplier.
+
+    The multiplier is found by bisection.  Each round evaluates the
+    constraint at every midpoint the next four bisection steps can reach
+    (heap order: node i's children are 2i+1 when the value exceeds c, 2i+2
+    otherwise) in one array expression, then takes those steps; the steps,
+    and so the result, are those of plain one-at-a-time bisection."""
     val = float(np.vdot(x, q @ x).real)
     if val <= c:
         return x
-    w, v = np.linalg.eigh(q)
-    w = np.maximum(w, 0.0)
+    w, v = _clipped_eigh(q)
     z = v.conj().T @ x
+    def vals(mus):
+        y = z / (1.0 + np.asarray(mus)[:, None] * w)
+        return (w * np.abs(y) ** 2).sum(axis=1)
+    depth = 4  # steps per round; divides the 200-step cap
     lo, hi = 0.0, 1.0
-    def val_at(mu):
-        y = z / (1.0 + mu * w)
-        return float(np.sum(w * np.abs(y) ** 2))
-    while val_at(hi) > c:
+    while vals([hi])[0] > c:
         hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if val_at(mid) > c:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    mu = hi
-    return v @ (z / (1.0 + mu * w))
+    for _ in range(200 // depth):
+        bounds, mids = [(lo, hi)], [0.5 * (lo + hi)]
+        for i in range(2 ** (depth - 1) - 1):
+            (a, b), m = bounds[i], mids[i]
+            bounds += [(m, b), (a, m)]
+            mids += [0.5 * (m + b), 0.5 * (a + m)]
+        above = vals(mids) > c
+        i = 0
+        for _ in range(depth):
+            if above[i]:
+                lo, i = mids[i], 2 * i + 1
+            else:
+                hi, i = mids[i], 2 * i + 2
+            if hi - lo < tol * max(1.0, hi):
+                return v @ (z / (1.0 + hi * w))
+    return v @ (z / (1.0 + hi * w))
 
 
 def project_caps(x, caps):
@@ -175,3 +180,87 @@ def stage1_sinr_scalar(k, w1, h_bu, h_ju, z_j, h_iu, z_i, sigma_sq):
     for b in range(h_iu.shape[0]):
         z += abs(np.sum(np.conj(h_iu[b, k]) * z_i[b, k])) ** 2
     return sig / (interf + z + sigma_sq)
+
+
+# ---------------------------------------------------------------------------
+# per-block / per-draw / per-user loop references for the batched model code
+# ---------------------------------------------------------------------------
+
+def _block_error(est, e_mse, rng):
+    """One estimate block plus CN(0, e_mse * mean|block|^2) per entry:
+    real part drawn first, then imaginary part."""
+    if e_mse == 0.0 or est.size == 0:
+        return est.copy()
+    var = e_mse * float(np.mean(np.abs(est) ** 2))
+    return est + np.sqrt(var / 2.0) * (rng.standard_normal(est.shape) + 1j * rng.standard_normal(est.shape))
+
+
+def uncertain_draw_loops(cs, e_mse, rng):
+    """(h_ju, g_jr, h_iu) drawn block by block: every (jammer, user) direct
+    link, then every jammer-RIS matrix, then every (interferer, user) link."""
+    q, k, b = cs.h_ju_est.shape[0], cs.h_bu.shape[0], cs.h_iu_est.shape[0]
+    h_ju = cs.h_ju_est.copy()
+    for iq in range(q):
+        for ik in range(k):
+            h_ju[iq, ik] = _block_error(cs.h_ju_est[iq, ik], e_mse, rng)
+    g_jr = cs.g_jr_est.copy()
+    for iq in range(q):
+        g_jr[iq] = _block_error(cs.g_jr_est[iq], e_mse, rng)
+    h_iu = cs.h_iu_est.copy()
+    for ib in range(b):
+        for ik in range(k):
+            h_iu[ib, ik] = _block_error(cs.h_iu_est[ib, ik], e_mse, rng)
+    return h_ju, g_jr, h_iu
+
+
+def saa_means_loops(realizations, h_ru):
+    """Jammer-summed sample means over the draws, by explicit loops:
+    E sum_q |d_qk|^2, E sum_q conj(d_qk) t_qk, E sum_q u_qk u_qk^H and the
+    interferer power, with d_qk = h_JU,qk^H z_qk, t_qk = G_JR,q z_qk and
+    u_qk = conj(t_qk) o h_RU,k."""
+    k, m = h_ru.shape
+    d_abs2, zi = np.zeros(k), np.zeros(k)
+    dt = np.zeros((k, m), dtype=complex)
+    mm = np.zeros((k, m, m), dtype=complex)
+    for rlz in realizations:
+        for ik in range(k):
+            for iq in range(rlz.h_ju.shape[0]):
+                d = np.sum(np.conj(rlz.h_ju[iq, ik]) * rlz.z_j[iq, ik])
+                t = rlz.g_jr[iq] @ rlz.z_j[iq, ik]
+                u = np.conj(t) * h_ru[ik]
+                d_abs2[ik] += abs(d) ** 2
+                dt[ik] += np.conj(d) * t
+                mm[ik] += np.outer(u, np.conj(u))
+            for ib in range(rlz.h_iu.shape[0]):
+                zi[ik] += abs(np.sum(np.conj(rlz.h_iu[ib, ik]) * rlz.z_i[ib, ik])) ** 2
+    r = len(realizations)
+    return d_abs2 / r, dt / r, mm / r, zi / r
+
+
+def sum_rate_nats_loops(tau, w1, w2, theta, realizations, h_bu, h_ru, g_br,
+                        sigma1_sq, sigma2_sq, sigma_r_sq):
+    """Mean over draws of sum_k tau ln(1+SINR1_k) + (1-tau) ln(1+SINR2_k),
+    one draw, one user and one adversary at a time."""
+    k_users = h_bu.shape[0]
+    total = 0.0
+    for rlz in realizations:
+        for k in range(k_users):
+            h2 = h_bu[k] + (g_br.conj().T @ (np.conj(theta) * h_ru[k]) if theta.size else 0.0)
+            g1 = [abs(np.sum(np.conj(h_bu[k]) * w1[j])) ** 2 for j in range(k_users)]
+            g2 = [abs(np.sum(np.conj(h2) * w2[j])) ** 2 for j in range(k_users)]
+            z1 = z2 = 0.0
+            for iq in range(rlz.h_ju.shape[0]):
+                z1 += abs(np.sum(np.conj(rlz.h_ju[iq, k]) * rlz.z_j[iq, k])) ** 2
+                hj = rlz.h_ju[iq, k]
+                if theta.size:
+                    hj = hj + rlz.g_jr[iq].conj().T @ (np.conj(theta) * h_ru[k])
+                z2 += abs(np.sum(np.conj(hj) * rlz.z_j[iq, k])) ** 2
+            for ib in range(rlz.h_iu.shape[0]):
+                zi = abs(np.sum(np.conj(rlz.h_iu[ib, k]) * rlz.z_i[ib, k])) ** 2
+                z1 += zi
+                z2 += zi
+            ris_noise = sigma_r_sq * float(np.sum(np.abs(h_ru[k]) ** 2 * np.abs(theta) ** 2)) if theta.size else 0.0
+            r1 = np.log1p(g1[k] / (sum(g1) - g1[k] + z1 + sigma1_sq))
+            r2 = np.log1p(g2[k] / (sum(g2) - g2[k] + ris_noise + z2 + sigma2_sq))
+            total += tau * r1 + (1.0 - tau) * r2
+    return total / len(realizations)

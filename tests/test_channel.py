@@ -18,6 +18,8 @@ from risjam.channel import (
     _link,
 )
 
+from oracles import uncertain_draw_loops
+
 PAPER_B = (735.0 / 72.0, -1190.0 / 72.0, 455.0 / 72.0)
 PAPER_UPS = (1.0, 3.0, 5.0)
 
@@ -245,3 +247,17 @@ class TestRealization:
         r1 = sample_uncertain_realization(cs, 0.1, cfg, np.random.default_rng(ss.spawn(1)[0]), index=1)
         r2 = sample_uncertain_realization(cs, 0.1, cfg, np.random.default_rng(ss.spawn(1)[0]), index=2)
         assert not np.allclose(r1.h_ju, r2.h_ju)
+
+    @pytest.mark.parametrize("e_mse", [0.0, 0.1])
+    @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"q": 0, "b": 0}])
+    def test_one_draw_per_link_equals_per_block_draws(self, e_mse, counts):
+        # the batched draw consumes the stream exactly as block-by-block
+        # draws do, so realizations stay bitwise reproducible
+        cfg = risjam.paper_profile(e_mse=e_mse, **counts)
+        for seed in range(4):
+            cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(seed))
+            rlz = sample_uncertain_realization(cs, e_mse, cfg, np.random.default_rng(100 + seed))
+            ref = uncertain_draw_loops(cs, e_mse, np.random.default_rng(100 + seed))
+            for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), ref):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)

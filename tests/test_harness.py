@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import cli, harness
+from risjam import cli, harness, optimizer
 from risjam.config import ParseError, ScenarioConfig, ValidationError, load_scenario
 from risjam.harness import (
     SCHEMES,
@@ -11,12 +11,16 @@ from risjam.harness import (
     baseline_passive,
     run_sweep,
     run_trial,
-    _without_ris,
 )
 from risjam.channel import sample_static_channels
 from dataclasses import replace
 
 from oracles import wmmse_sum_rate
+
+
+def m0_view(cs):
+    """The same channels with zero reflecting elements."""
+    return replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
 
 
 def micro_cfg(**kw):
@@ -35,6 +39,10 @@ class TestLoadScenario:
         assert (cfg.n, cfg.k, cfg.q, cfg.b, cfg.n_jam, cfg.m) == (8, 4, 3, 4, 8, 25)
         assert cfg.p_j_dbm == 10.0 and cfg.noise_dbm == -105.0
         assert cfg.a_max == pytest.approx(100.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            ScenarioConfig(seed=-4)
 
     def test_zero_m_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -137,11 +145,54 @@ class TestBaselines:
         np.testing.assert_allclose(np.abs(rep.state.theta), 1.0, atol=1e-12)
 
     def test_passive_without_elements_equals_noris(self):
+        # no-RIS is the passive scheme with an empty theta (e_mse = 0: the
+        # M = 0 view consumes no draws, so both see the same realizations)
         cfg, cs = self._setup()
-        cs0 = _without_ris(cs)
-        rep_p = baseline_passive(cs0, cfg, np.random.SeedSequence(2))
-        rep_n = baseline_noris(cs0, cfg, np.random.SeedSequence(2))
+        rep_p = baseline_passive(m0_view(cs), cfg, np.random.SeedSequence(2))
+        rep_n = baseline_noris(cs, cfg, np.random.SeedSequence(2))
         assert rep_p.objective_bits == rep_n.objective_bits
+
+    @pytest.mark.parametrize("profile, kw", [
+        (risjam.desk_profile, {}),
+        (risjam.desk_profile, {"e_mse": 0.1, "b": 0}),
+        (risjam.paper_profile, {}),
+    ])
+    def test_active_on_m0_view_reproduces_noris_trace(self, profile, kw):
+        # without elements the active scheme has tau = 0 and an empty theta;
+        # with interferers and e_mse > 0 the view would skip the G_JR error
+        # draws and shift the interferer draws, so those cases are left out
+        cfg = profile(r_max=15, **kw)
+        for trial in range(2):
+            ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
+            cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+            rep_a = risjam.ssca_ao(m0_view(cs), cfg.power_model(), cfg, ss_opt)
+            rep_n = baseline_noris(cs, cfg, harness._trial_seeds(cfg, trial)[1])
+            assert rep_a.objective_nats == rep_n.objective_nats
+            assert rep_a.state.tau == 0.0
+
+    def test_noris_trial_skips_stage1(self, monkeypatch):
+        # no-RIS runs the shared AO loop without harvesting: no stage-1 solve,
+        # tau = 0, one beam set for the whole period, no reflection
+        calls = {"n": 0}
+        solve_w1 = optimizer.solve_w1
+
+        def counted(*args, **kw):
+            calls["n"] += 1
+            return solve_w1(*args, **kw)
+
+        monkeypatch.setattr(optimizer, "solve_w1", counted)
+        cfg = micro_cfg(e_mse=0.1)
+        run_trial(cfg, "active-harvesting", 0)
+        assert calls["n"] > 0  # the AO loop looks the block up at call time
+        calls["n"] = 0
+        ss_chan, ss_opt, _ = harness._trial_seeds(cfg, 0)
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+        rep = baseline_noris(cs, cfg, ss_opt)
+        assert calls["n"] == 0
+        assert rep.state.tau == 0.0
+        np.testing.assert_array_equal(rep.state.w1, rep.state.w2)
+        assert rep.state.theta.shape == (0,)
+        assert rep.feasibility.all_ok
 
     def test_noris_ignores_ris_channels(self):
         cfg, cs = self._setup()
@@ -229,11 +280,24 @@ class TestCli:
         ["--profile", "desk", "--sweep", "B", "--values", "2,2.7", "--scheme", "no-ris"],
         ["--profile", "desk", "--sweep", "M", "--values", "4.5", "--scheme", "no-ris"],
         ["--profile", "desk", "--sweep", "B", "--values", "2,abc", "--scheme", "no-ris"],
+        ["--profile", "desk", "--trials", "0"],
+        ["--profile", "desk", "--seed", "-1"],
+        ["--profile", "desk", "--seed", "-1", "--jobs", "2"],
+        ["--profile", "desk", "--jobs", "0"],
+        ["--profile", "desk", "--jobs", "-1"],
+        ["--scenario", "{tmp}/negative_seed.cfg"],
+        ["--scenario", "{tmp}/unparsable.cfg"],
+        ["--scenario", "{tmp}/missing.cfg"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+        (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")
+        (tmp_path / "unparsable.cfg").write_text("this is not a pair\n")
         out = tmp_path / "never.csv"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--trials" not in argv:
+            argv += ["--trials", "1"]
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--trials", "1", "--out", str(out)])
+            cli.main(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()

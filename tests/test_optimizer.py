@@ -25,15 +25,16 @@ from risjam.optimizer import (
 )
 from risjam.system import PowerModel, SolverState
 
-from oracles import pg_qcqp_max, project_ball, wmmse_sum_rate
-from test_system import crand, make_channels, make_realization, pm_default
+from oracles import pg_qcqp_max, project_ball, saa_means_loops, wmmse_sum_rate
+from test_system import (crand, make_channels, make_realization, permute_realization,
+                         permute_users, pm_default)
 
 
 def make_instance(seed, n=4, m=3, k=2, q=1, b=1, n_jam=2, n_rlz=3, jitter=0.1, scale=1.0):
     """Random channels plus statistics accumulated over a few realizations."""
     rng = np.random.default_rng(seed)
     cs = make_channels(rng, n=n, m=m, k=k, q=q, b=b, n_jam=n_jam, scale=scale)
-    stats = SaaStats.empty(q, k, m)
+    stats = SaaStats.empty(k, m)
     rlzs = []
     for i in range(n_rlz):
         rlz = make_realization(cs, rng, jitter=jitter)
@@ -76,7 +77,8 @@ class TestUpdateTau:
 class TestAuxStage1:
     def test_single_user_no_jamming(self):
         rng, cs, stats, _ = make_instance(2, k=1, jitter=0.0)
-        stats.zbar1[:] = 0.0
+        stats.zbar_i2[:] = 0.0
+        stats.d_abs2[:] = 0.0
         w = crand(rng, 1, 4)
         sigma = 0.3
         omega, nu = update_aux_stage1(w, cs, stats, sigma)
@@ -131,60 +133,75 @@ class TestAuxStage2:
             assert abs(f - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def assert_rel(got, want, rtol=1e-12):
+    assert np.linalg.norm(np.ravel(got - want)) <= rtol * np.linalg.norm(np.ravel(want))
+
+
 class TestSaaStats:
     def test_first_update_equals_sample(self):
         rng, cs, _, rlzs = make_instance(6, n_rlz=1, jitter=0.2)
-        stats = SaaStats.empty(1, 2, 3)
+        stats = SaaStats.empty(2, 3)
         update_saa_stats(stats, rlzs[0], cs)
         d00 = np.vdot(rlzs[0].h_ju[0, 0], rlzs[0].z_j[0, 0])
-        assert stats.d_abs2[0, 0] == pytest.approx(abs(d00) ** 2, rel=1e-12)
+        assert stats.d_abs2[0] == pytest.approx(abs(d00) ** 2, rel=1e-12)
         t00 = rlzs[0].g_jr[0] @ rlzs[0].z_j[0, 0]
-        np.testing.assert_allclose(stats.dt_conj[0, 0], np.conj(d00) * t00, rtol=1e-12)
+        np.testing.assert_allclose(stats.dt_conj[0], np.conj(d00) * t00, rtol=1e-12)
 
     def test_idempotent_on_constants(self):
         rng, cs, _, rlzs = make_instance(7, n_rlz=1)
-        stats = SaaStats.empty(1, 2, 3)
+        stats = SaaStats.empty(2, 3)
         update_saa_stats(stats, rlzs[0], cs)
-        snap = stats.zbar1.copy(), stats.dt_conj.copy(), stats.m_mat.copy()
+        snap = stats.d_abs2.copy(), stats.zbar_i2.copy(), stats.dt_conj.copy(), stats.m_mat.copy()
         update_saa_stats(stats, rlzs[0], cs)
-        np.testing.assert_allclose(stats.zbar1, snap[0], rtol=1e-12)
-        np.testing.assert_allclose(stats.dt_conj, snap[1], rtol=1e-12)
-        np.testing.assert_allclose(stats.m_mat, snap[2], rtol=1e-12)
+        for got, want in zip((stats.d_abs2, stats.zbar_i2, stats.dt_conj, stats.m_mat), snap):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_batch_mean_oracle(self):
-        rng, cs, stats, rlzs = make_instance(8, n_rlz=50, jitter=0.3)
-        # batch recomputation over all 50 stored samples
-        q, k, m = 1, 2, 3
-        d_all = np.zeros((50, q, k), dtype=complex)
-        t_all = np.zeros((50, q, k, m), dtype=complex)
-        z1_all = np.zeros((50, k))
-        zi_all = np.zeros((50, k))
-        for i, rlz in enumerate(rlzs):
-            for iq in range(q):
-                for ik in range(k):
-                    d_all[i, iq, ik] = np.vdot(rlz.h_ju[iq, ik], rlz.z_j[iq, ik])
-                    t_all[i, iq, ik] = rlz.g_jr[iq] @ rlz.z_j[iq, ik]
-            for ik in range(k):
-                zi = sum(abs(np.vdot(rlz.h_iu[ib, ik], rlz.z_i[ib, ik])) ** 2
-                         for ib in range(rlz.h_iu.shape[0]))
-                zi_all[i, ik] = zi
-                z1_all[i, ik] = zi + sum(abs(d_all[i, iq, ik]) ** 2 for iq in range(q))
-        np.testing.assert_allclose(stats.zbar1, z1_all.mean(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(stats.zbar_i2, zi_all.mean(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(stats.d_abs2, np.mean(np.abs(d_all) ** 2, axis=0), rtol=1e-10)
-        np.testing.assert_allclose(stats.dt_conj, np.mean(np.conj(d_all)[..., None] * t_all, axis=0),
-                                   rtol=1e-10, atol=1e-12)
-        u = np.conj(t_all) * cs.h_ru[None, None, :, :]
-        m_ref = np.mean(u[..., :, None] * np.conj(u[..., None, :]), axis=0)
-        np.testing.assert_allclose(stats.m_mat, m_ref, rtol=1e-10, atol=1e-12)
+        # jammer-summed running means against explicit loops over the 50
+        # stored draws, users and adversaries
+        _, cs, stats, rlzs = make_instance(8, n_rlz=50, jitter=0.3)
+        for got, want in zip((stats.d_abs2, stats.dt_conj, stats.m_mat, stats.zbar_i2),
+                             saa_means_loops(rlzs, cs.h_ru)):
+            assert_rel(got, want)
+
+    @pytest.mark.parametrize("q, b, m", [(3, 2, 4), (0, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_equals_per_draw_per_user_loops(self, q, b, m):
+        _, cs, stats, rlzs = make_instance(8 + q + b, m=m, q=q, b=b, n_rlz=50, jitter=0.3)
+        d_abs2, dt, mm, zi = saa_means_loops(rlzs, cs.h_ru)
+        assert stats.count == 50
+        assert stats.d_abs2.shape == (2,) and stats.dt_conj.shape == (2, m)
+        assert stats.m_mat.shape == (2, m, m)
+        for got, want in ((stats.d_abs2, d_abs2), (stats.zbar_i2, zi),
+                          (stats.dt_conj, dt), (stats.m_mat, mm)):
+            assert_rel(got, want)
+
+    def test_without_reflection_skips_ris_terms(self):
+        # statistics sized for an empty theta ignore the RIS channels
+        _, cs, _, rlzs = make_instance(9, m=3, q=2, n_rlz=4, jitter=0.3)
+        full, bare = SaaStats.empty(2, 3), SaaStats.empty(2, 0)
+        for rlz in rlzs:
+            update_saa_stats(full, rlz, cs)
+            update_saa_stats(bare, rlz, cs)
+        np.testing.assert_array_equal(bare.d_abs2, full.d_abs2)
+        np.testing.assert_array_equal(bare.zbar_i2, full.zbar_i2)
+        assert bare.m_mat.shape == (2, 0, 0)
+
+    def test_permuting_users_permutes_statistics(self):
+        _, cs, stats, rlzs = make_instance(10, k=3, m=4, q=2, b=2, n_rlz=5, jitter=0.3)
+        perm = np.array([1, 2, 0])
+        cs_p = permute_users(cs, perm)
+        stats_p = SaaStats.empty(3, 4)
+        for rlz in rlzs:
+            update_saa_stats(stats_p, permute_realization(rlz, perm), cs_p)
+        for got, want in ((stats_p.d_abs2, stats.d_abs2), (stats_p.zbar_i2, stats.zbar_i2),
+                          (stats_p.dt_conj, stats.dt_conj), (stats_p.m_mat, stats.m_mat)):
+            np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=0)
 
     def test_m_mat_hermitian_psd(self):
-        _, cs, stats, _ = make_instance(9, n_rlz=7, jitter=0.5)
-        for iq in range(stats.m_mat.shape[0]):
-            for ik in range(stats.m_mat.shape[1]):
-                mm = stats.m_mat[iq, ik]
-                np.testing.assert_allclose(mm, mm.conj().T, atol=1e-12)
-                assert np.linalg.eigvalsh(mm)[0] >= -1e-12
+        _, cs, stats, _ = make_instance(9, q=2, n_rlz=7, jitter=0.5)
+        for mm in stats.m_mat:
+            np.testing.assert_allclose(mm, mm.conj().T, atol=1e-12)
+            assert np.linalg.eigvalsh(mm)[0] >= -1e-12
 
 
 class TestThetaModel:
@@ -258,7 +275,8 @@ class TestSolveW1:
 
     def test_single_user_mrt(self):
         rng, cs, stats, _ = make_instance(11, k=1, jitter=0.0)
-        stats.zbar1[:] = 0.0
+        stats.zbar_i2[:] = 0.0
+        stats.d_abs2[:] = 0.0
         # noise comparable to the signal so the QT fixed-point iteration
         # reaches the power boundary in a handful of rounds
         pm = pm_default(sigma1_sq=0.5)
@@ -410,8 +428,7 @@ class TestSolveW2:
         rng = np.random.default_rng(17)
         cs = make_channels(rng, n=2, k=2, m=3)
         cs.h_bu[:] = np.eye(2)  # orthonormal channels
-        stats = SaaStats.empty(1, 2, 3)
-        stats.zbar1[:] = 0.0
+        stats = SaaStats.empty(2, 3)
         pm = pm_default(p_max=0.1)
         st = SolverState(tau=0.5, w1=np.full((2, 2), 10.0, complex),
                          w2=np.zeros((2, 2), complex), theta=np.zeros(3, complex))

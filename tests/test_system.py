@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from risjam.system import (
     sum_rate_nats,
 )
 
-from oracles import stage1_sinr_scalar
+from oracles import stage1_sinr_scalar, sum_rate_nats_loops
 
 
 def crand(rng, *shape):
@@ -49,6 +51,18 @@ def make_realization(cs, rng, jitter=0.0):
         z_j=cs.z_jam,
         z_i=cs.z_int,
     )
+
+
+def permute_users(cs, perm):
+    """The same channels with the users relabelled: user k becomes perm[k]."""
+    return replace(cs, h_bu=cs.h_bu[perm], h_ru=cs.h_ru[perm], h_ju_est=cs.h_ju_est[:, perm],
+                   h_iu_est=cs.h_iu_est[:, perm], z_jam=cs.z_jam[:, perm], z_int=cs.z_int[:, perm],
+                   ue_pos=cs.ue_pos[perm])
+
+
+def permute_realization(rlz, perm):
+    return replace(rlz, h_ju=rlz.h_ju[:, perm], h_iu=rlz.h_iu[:, perm],
+                   z_j=rlz.z_j[:, perm], z_i=rlz.z_i[:, perm])
 
 
 def pm_default(**kw):
@@ -208,6 +222,52 @@ class TestSumRate:
         s_before = stage1_sinr(0, w, rlz, cs, 1e-3)
         s_after = stage1_sinr(0, w_up, rlz, cs, 1e-3)
         assert s_after > s_before
+
+
+    @pytest.mark.parametrize("q, b, m", [(1, 1, 3), (3, 4, 5), (0, 2, 4), (2, 0, 4), (0, 0, 2), (2, 2, 0)])
+    def test_batched_equals_per_draw_per_user_loops(self, q, b, m):
+        rng = np.random.default_rng(20 + 7 * q + b + m)
+        cs = make_channels(rng, n=4, m=m, k=3, q=q, b=b, n_jam=3)
+        rlzs = [make_realization(cs, rng, jitter=0.4) for _ in range(6)]
+        w1, w2 = crand(rng, 3, 4), crand(rng, 3, 4)
+        for th in (crand(rng, m), np.zeros(0, complex)):
+            got = sum_rate_nats(0.35, w1, w2, th, rlzs, cs, 0.02, 0.03, 0.01)
+            want = sum_rate_nats_loops(0.35, w1, w2, th, rlzs, cs.h_bu, cs.h_ru, cs.g_br,
+                                       0.02, 0.03, 0.01)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_permuting_users_permutes_sinrs_and_keeps_rate(self):
+        rng = np.random.default_rng(21)
+        cs = make_channels(rng, m=4, k=4, q=2, b=3)
+        rlzs = [make_realization(cs, rng, jitter=0.3) for _ in range(4)]
+        w1, w2, th = crand(rng, 4, 4), crand(rng, 4, 4), crand(rng, 4)
+        perm = np.array([2, 0, 3, 1])
+        cs_p = permute_users(cs, perm)
+        rlzs_p = [permute_realization(r, perm) for r in rlzs]
+        for k in range(4):
+            assert stage1_sinr(k, w1[perm], rlzs_p[0], cs_p, 0.01) == pytest.approx(
+                stage1_sinr(perm[k], w1, rlzs[0], cs, 0.01), rel=1e-12)
+            assert stage2_sinr(k, w2[perm], th, rlzs_p[0], cs_p, 0.01, 0.02) == pytest.approx(
+                stage2_sinr(perm[k], w2, th, rlzs[0], cs, 0.01, 0.02), rel=1e-12)
+        base = sum_rate(0.3, w1, w2, th, rlzs, cs, 0.01, 0.01, 0.02)
+        assert sum_rate(0.3, w1[perm], w2[perm], th, rlzs_p, cs_p, 0.01, 0.01, 0.02) == pytest.approx(
+            base, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-4, 1e3])
+    def test_scaling_powers_and_noise_keeps_rate(self, c):
+        # beams and adversary vectors by sqrt(c), every noise power by c:
+        # every SINR term scales by c, so the rate is unchanged (catches
+        # unit slips between watts and dBm)
+        rng = np.random.default_rng(22)
+        cs = make_channels(rng, m=5, k=3, q=2, b=2)
+        rlzs = [make_realization(cs, rng, jitter=0.3) for _ in range(5)]
+        w1, w2, th = crand(rng, 3, 4), crand(rng, 3, 4), crand(rng, 5) * 3.0
+        base = sum_rate(0.4, w1, w2, th, rlzs, cs, 0.01, 0.02, 0.005)
+        sc = np.sqrt(c)
+        cs_c = replace(cs, z_jam=cs.z_jam * sc, z_int=cs.z_int * sc)
+        rlzs_c = [replace(r, z_j=r.z_j * sc, z_i=r.z_i * sc) for r in rlzs]
+        got = sum_rate(0.4, w1 * sc, w2 * sc, th, rlzs_c, cs_c, 0.01 * c, 0.02 * c, 0.005 * c)
+        assert got == pytest.approx(base, rel=1e-12)
 
 
 class TestRisPower:
