@@ -126,7 +126,7 @@ class SweepResult:
     mean_objective: dict = field(default_factory=dict)
     trials: int = 0
     seed: int = 0
-    wall_clock: dict = field(default_factory=dict)     # value -> seconds
+    wall_clock: float = 0.0                            # seconds for the whole sweep
 
     def rows(self):
         for value in self.values:
@@ -162,8 +162,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
               out: str | None = None) -> SweepResult:
     """Paired Monte-Carlo sweep over one axis; optionally writes the CSV.
 
-    Trials may execute in separate processes (jobs > 1); results are merged
-    by trial index so the output is deterministic either way.
+    Trials may execute in separate processes (jobs > 1): one pool runs every
+    (value, scheme, trial) task of the sweep, and results are merged by
+    value, scheme and trial index so the output is deterministic either way.
     """
     if isinstance(schemes, str):
         schemes = [schemes]
@@ -178,16 +179,19 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     values = list(values)
     result = SweepResult(axis=axis, values=values, schemes=schemes,
                          trials=cfg.trials, seed=cfg.seed)
-    for value in values:
-        cfg_v = _apply_axis(cfg, axis, value)
-        t0 = time.perf_counter()
-        tasks = [(cfg_v, scheme, idx) for scheme in schemes for idx in range(cfg.trials)]
-        if jobs and jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outputs = list(pool.map(_run_point, tasks, chunksize=4))
-        else:
-            outputs = [_run_point(t) for t in tasks]
-        by_scheme = {s: sorted((r for r in outputs if r.scheme == s), key=lambda r: r.trial_index)
+    cfgs = [_apply_axis(cfg, axis, value) for value in values]
+    tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
+    t0 = time.perf_counter()
+    if jobs and jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outputs = list(pool.map(_run_point, tasks, chunksize=4))
+    else:
+        outputs = [_run_point(t) for t in tasks]
+    result.wall_clock = time.perf_counter() - t0
+    per_value = len(schemes) * cfg.trials
+    for i, value in enumerate(values):
+        chunk = outputs[i * per_value:(i + 1) * per_value]
+        by_scheme = {s: sorted((r for r in chunk if r.scheme == s), key=lambda r: r.trial_index)
                      for s in schemes}
         for scheme in schemes:
             rates = np.array([r.rate_bits for r in by_scheme[scheme]])
@@ -196,7 +200,6 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
             result.mean_rate[key] = float(rates.mean())
             result.stderr[key] = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
             result.mean_objective[key] = float(objs.mean())
-        result.wall_clock[value] = time.perf_counter() - t0
     if out:
         write_csv(result, out)
     return result

@@ -205,6 +205,37 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     raise MaxIterExceeded("energy multiplier: false position did not settle")
 
 
+def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
+                    max_iter: int, tol: float = 1e-8) -> tuple[np.ndarray, int]:
+    """Maximize f(theta) = Re{theta^H lam} - theta^H Gamma theta over the
+    unit-modulus set |theta_m| = 1 (Gamma Hermitian PSD) by
+    majorization-minimization, from a unit-modulus start theta0.
+
+    With lam_max the largest eigenvalue of Gamma, lam_max I - Gamma is PSD
+    and theta^H theta = M on the set, so f is minorized at theta_t by a
+    linear function whose maximizer over the set is
+    theta = exp(j arg(2 (lam_max I - Gamma) theta_t + lam))
+    (Sun, Babu & Palomar, IEEE TSP 2017).  Each step raises f, so the result
+    is never worse than theta0.  Elements whose update direction vanishes
+    keep their phase.  Stops after the first step that raises f by at most
+    tol relative, or after max_iter steps.  Returns (theta, steps).
+    """
+    lam_max = float(np.linalg.eigvalsh(gamma)[-1])
+    theta = np.asarray(theta0, dtype=complex)
+    g_theta = gamma @ theta
+    f = float(np.real(np.vdot(theta, lam - g_theta)))
+    for step in range(1, max_iter + 1):
+        v = 2.0 * (lam_max * theta - g_theta) + lam
+        mag = np.abs(v)
+        theta = np.where(mag > 0.0, v / np.where(mag > 0.0, mag, 1.0), theta)
+        g_theta = gamma @ theta
+        f_new = float(np.real(np.vdot(theta, lam - g_theta)))
+        rise, f = f_new - f, f_new
+        if rise <= tol * abs(f):
+            break
+    return theta, step
+
+
 def _solve_one_ellipsoid(a, b, q, cap, tol):
     """max Re{b^H x} - x^H a x  s.t.  x^H q x <= cap, for positive-definite q.
 
@@ -269,21 +300,13 @@ def _fista_caps(a, b, caps, x0, tol, max_iter):
 
 def _solve_caps(a, b, q, cap, caps, tol, max_iter, warm=None):
     """Caps-constrained route: projected gradient ascent with the ellipsoid
-    constraint (if present) handled by bisection on its own multiplier.
+    constraint handled by bisection on its own multiplier.
 
     warm, if given, is a dict carrying the previous solve's multiplier and
     point to seed the bracket and the gradient iterations.
     """
     pga_tol = max(tol, 1e-9)
     search_tol = max(100.0 * pga_tol, 3e-7)
-    if q is None:
-        x0 = np.zeros_like(b) if warm is None else warm.get("x", np.zeros_like(b))
-        x, res = _fista_caps(a, b, caps, x0, pga_tol, max_iter)
-        if res > pga_tol:
-            raise MaxIterExceeded(f"KKT residual {res:.3e} > {pga_tol:.1e}")
-        if warm is not None:
-            warm["x"] = x
-        return x
     # fast path: if the cap-free optimum already satisfies the caps it is optimal
     x_try = _solve_one_ellipsoid(a, b, q, cap, tol)
     if np.all(np.abs(x_try) <= caps * (1 + 1e-10) + 1e-300):
@@ -351,16 +374,17 @@ def _problem_scales(a, b, constraints, caps):
 
 def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
                        warm: dict | None = None) -> np.ndarray:
-    """Maximize Re{b^H x} - x^H A x under per-element magnitude caps and at
-    most one positive-definite ellipsoid, the shape of the reflection solves.
+    """Maximize Re{b^H x} - x^H A x under per-element magnitude caps and one
+    positive-definite ellipsoid, the shape of the active reflection solve.
 
-    With an ellipsoid, its cap-free optimum is tried first and returned if
-    it meets the caps: whitening turns the ellipsoid into a norm ball, and
+    The ellipsoid's cap-free optimum is tried first and returned if it meets
+    the caps: whitening turns the ellipsoid into a norm ball, and
     x(lam) = (A + lam Q)^{-1} b/2 with lam from Newton's method on the
     secular equation (the one-row case of solve_beams' ball step).
     Otherwise projected gradient ascent with per-element magnitude
     projection, the ellipsoid handled by its own multiplier bisection.
-    Problems without caps raise ValueError.
+    Any other constraint shape raises ValueError: beam problems go to
+    solve_beams, unit-modulus reflection to unit_modulus_mm.
 
     The problem is normalized once (unit feasible radius, O(1) objective) so
     the tolerances act relatively regardless of the physical scales.
@@ -370,14 +394,12 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
             raise Infeasible(f"constraint bound {c} < 0")
     if p.caps is None:
         raise ValueError("solve_concave_qcqp needs magnitude caps; beam problems go to solve_beams")
-    if len(p.constraints) > 1:
-        raise ValueError("solve_concave_qcqp supports at most one quadratic constraint")
+    if len(p.constraints) != 1:
+        raise ValueError("solve_concave_qcqp needs exactly one quadratic constraint")
     xs, fs = _problem_scales(p.quad, p.lin, p.constraints, p.caps)
     a = p.quad * (xs * xs / fs)
     b = p.lin * (xs / fs)
-    q, c = None, 0.0
-    if p.constraints:
-        q, c = p.constraints[0][0] * (xs * xs / fs), p.constraints[0][1] / fs
+    q, c = p.constraints[0][0] * (xs * xs / fs), p.constraints[0][1] / fs
     w = None
     if warm is not None:
         w = {}

@@ -6,6 +6,10 @@ the beamforming blocks are solved as convex subproblems built from
 quadratic-transform surrogates of the sum rate.  One AO loop runs every
 scheme: the active harvesting RIS, and the passive-RIS and no-RIS
 baselines, which skip harvesting and (no RIS) start with an empty theta.
+The active reflection is a concave QCQP under the output-power ellipsoid and
+amplitude caps (numerics.solve_concave_qcqp); the passive reflection stays
+on the unit-modulus set, by majorization-minimization steps
+(numerics.unit_modulus_mm).
 """
 
 from __future__ import annotations
@@ -356,9 +360,16 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
 # outer loop
 # ---------------------------------------------------------------------------
 
+# Step cap of one unit-modulus theta solve, far above the largest count seen
+# on the paper and desk profiles.  A capped solve is kept, not raised: every
+# MM step ascends, so it still improves on its warm start.
+THETA_MM_MAX_ITER = 10000
+
+
 @dataclass
 class AoReport:
-    """Objective trace, timings, final (best-so-far) state, and slacks."""
+    """Objective trace, timings, final (best-so-far) state, slacks, and the
+    step counts of the unit-modulus theta solves."""
 
     objective_nats: list = field(default_factory=list)
     objective_bits: list = field(default_factory=list)
@@ -370,6 +381,8 @@ class AoReport:
     tau_tightness: list = field(default_factory=list)
     monotone_after_warmup: bool = True
     best_objective_nats: float = -np.inf
+    theta_steps: int = 0    # MM steps summed over the unit-modulus theta solves
+    theta_capped: int = 0   # unit-modulus theta solves stopped by THETA_MM_MAX_ITER
 
     @property
     def best_objective_bits(self) -> float:
@@ -412,13 +425,12 @@ def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState
 
 
 def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
-                        pm: PowerModel) -> np.ndarray:
-    """Passive reflection: maximize the averaged theta model under
-    |theta_m| <= 1, then keep only the phases."""
+                        pm: PowerModel) -> tuple[np.ndarray, int]:
+    """Passive reflection: maximize the averaged theta model over
+    |theta_m| = 1 by MM steps warm-started at the current theta.
+    Returns (theta, steps)."""
     gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
-    raw = solve_concave_qcqp(QcqpProblem(quad=gamma, lin=lam, caps=np.ones(lam.size)), tol=1e-8)
-    mag = np.abs(raw)
-    return np.where(mag > 0, raw / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
+    return numerics.unit_modulus_mm(gamma, lam, state.theta, max_iter=THETA_MM_MAX_ITER)
 
 
 def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
@@ -497,7 +509,9 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
                 if state.theta.size and scheme.harvest:
                     state.theta = solve_theta(state, cs, stats, pm, warm=theta_warm)
                 elif state.theta.size:
-                    state.theta = _unit_modulus_theta(state, cs, stats, pm)
+                    state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
+                    report.theta_steps += steps
+                    report.theta_capped += steps >= THETA_MM_MAX_ITER
         except EnergyInfeasible as exc:
             raise EnergyInfeasible(str(exc), iteration=r, best_state=best_state) from exc
         state.iteration = r

@@ -132,6 +132,18 @@ class TestRunTrial:
         res = run_trial(risjam.desk_profile(seed=44), "active-harvesting", 12)
         assert res.feasible
 
+    @pytest.mark.parametrize("profile", [risjam.desk_profile, risjam.paper_profile])
+    def test_binding_amplitude_caps(self, profile):
+        # A_max = 3 dB: the reflection caps bind, so the active theta solve
+        # leaves its cap-free fast path for projected gradient ascent
+        cfg = profile(a_max_db=3.0)
+        for trial in range(4):
+            _, report, _ = harness._optimize(cfg, "active-harvesting", trial)
+            amp = np.abs(report.state.theta)
+            assert report.feasibility.all_ok
+            assert amp.max() <= cfg.a_max * (1 + 1e-9)
+            assert amp.max() >= cfg.a_max * (1 - 1e-6)
+
 
 class TestBaselines:
     def _setup(self, seed=0, **kw):
@@ -142,6 +154,34 @@ class TestBaselines:
     def test_passive_unit_modulus_output(self):
         cfg, cs = self._setup(m=6, r_max=10)
         rep = baseline_passive(cs, cfg, np.random.SeedSequence(1))
+        np.testing.assert_allclose(np.abs(rep.state.theta), 1.0, atol=1e-12)
+
+    def test_passive_counts_mm_steps(self, monkeypatch):
+        cfg, cs = self._setup(m=6, r_max=10, e_mse=0.1)
+        steps, starts, ends = [], [], []
+        solve = risjam.numerics.unit_modulus_mm
+
+        def recorded(gamma, lam, theta0, *args, **kw):
+            theta, n = solve(gamma, lam, theta0, *args, **kw)
+            starts.append(theta0.copy())
+            ends.append(theta)
+            steps.append(n)
+            return theta, n
+
+        monkeypatch.setattr(risjam.numerics, "unit_modulus_mm", recorded)
+        rep = baseline_passive(cs, cfg, np.random.SeedSequence(1))
+        assert steps and rep.theta_steps == sum(steps)
+        assert rep.theta_capped == 0
+        # each solve is warm-started where the previous one ended
+        start = optimizer.initial_state(cs, cfg.power_model(), optimizer.PASSIVE).theta
+        for theta0, theta in zip(starts, ends):
+            np.testing.assert_array_equal(theta0, start)
+            start = theta
+        # a solve that reaches the step cap is counted, and its theta kept
+        monkeypatch.setattr(optimizer, "THETA_MM_MAX_ITER", 1)
+        steps.clear()
+        rep = baseline_passive(cs, cfg, np.random.SeedSequence(1))
+        assert rep.theta_capped == rep.theta_steps == len(steps)
         np.testing.assert_allclose(np.abs(rep.state.theta), 1.0, atol=1e-12)
 
     def test_passive_without_elements_equals_noris(self):
@@ -267,10 +307,25 @@ class TestRunSweep:
 
     def test_parallel_merge_deterministic(self, tmp_path):
         cfg = micro_cfg(trials=4)
-        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        run_sweep(cfg, "B", [1], schemes=["no-ris"], jobs=1, out=str(p1))
-        run_sweep(cfg, "B", [1], schemes=["no-ris"], jobs=2, out=str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+        for axis, values in (("B", [1, 2]), ("e_mse", [0.1])):
+            p1, p2 = tmp_path / f"s-{axis}.csv", tmp_path / f"p-{axis}.csv"
+            run_sweep(cfg, axis, values, jobs=1, out=str(p1))
+            run_sweep(cfg, axis, values, jobs=2, out=str(p2))
+            assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                pools.append(self)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        res = run_sweep(micro_cfg(trials=2), "B", [1, 2, 3], schemes=["no-ris"], jobs=2)
+        assert len(pools) == 1
+        assert len(res.mean_rate) == 3
+        assert res.wall_clock > 0.0
 
 
 class TestCli:

@@ -10,6 +10,7 @@ from risjam.numerics import (
     project_magnitude_caps,
     solve_beams,
     solve_concave_qcqp,
+    unit_modulus_mm,
 )
 
 from oracles import dykstra, pg_qcqp_max, project_ball, project_caps, project_ellipsoid
@@ -117,14 +118,102 @@ class TestSolveConcaveQcqp:
             f = float(np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real)
             assert f >= f_ref - 1e-5 * (1.0 + abs(f_ref))
 
+    def test_requires_one_ellipsoid(self):
+        for constraints in ([], [(np.eye(2), 1.0), (np.eye(2), 2.0)]):
+            p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), constraints=constraints,
+                            caps=np.ones(2))
+            with pytest.raises(ValueError, match="exactly one"):
+                solve_concave_qcqp(p)
+
     def test_cap_clip_scalar(self):
-        # unconstrained optimum b/2 beyond the cap: solution sits on the cap
-        # at the phase of b
+        # cap-free optimum b/2 inside the loose ellipsoid but beyond the cap:
+        # the caps route puts the solution on the cap at the phase of b
         b = np.array([4.0 * np.exp(0.7j)])
-        p = QcqpProblem(quad=np.eye(1), lin=b, caps=np.array([0.5]))
+        p = QcqpProblem(quad=np.eye(1), lin=b, constraints=[(np.eye(1), 100.0)],
+                        caps=np.array([0.5]))
         x = solve_concave_qcqp(p)
         assert abs(abs(x[0]) - 0.5) < 1e-9
         assert abs(np.angle(x[0]) - 0.7) < 1e-7
+
+
+def mm_objective(gamma, lam, theta):
+    return float(np.real(np.vdot(theta, lam)) - np.vdot(theta, gamma @ theta).real)
+
+
+def mm_instance(rng, m, log_ratio=(-3.0, 3.0)):
+    """Random unit-modulus problem: PSD Gamma of random rank and scale, a
+    start of random phases, and a linear term of random phases with
+    log10(||lam|| / (lam_max sqrt(M))) drawn from log_ratio.
+
+    The passive trials of the paper and desk profiles give ratios of
+    0.8 to 7.8; far below that the quadratic term dominates and MM
+    can take more than 10^4 steps to settle."""
+    gamma = rand_psd(rng, m, rank=int(rng.integers(1, m + 1))) * 10.0 ** rng.uniform(-3, 3)
+    lam = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    lam *= (10.0 ** rng.uniform(*log_ratio) * np.linalg.eigvalsh(gamma)[-1] * np.sqrt(m)
+            / np.linalg.norm(lam))
+    theta0 = np.exp(2j * np.pi * rng.uniform(size=m))
+    return gamma, lam, theta0
+
+
+MM_SIZES = [1, 2, 3, 8, 25] * 10  # 50 instances, ten at the paper's M = 25
+MM_MAX_ITER = 10000
+
+
+class TestUnitModulusMm:
+    def test_single_element_one_step(self):
+        lam = np.array([2.0 * np.exp(-1.1j)])
+        theta, steps = unit_modulus_mm(np.array([[3.0]]), lam, np.array([1j]), max_iter=1)
+        assert steps == 1
+        np.testing.assert_allclose(theta, [np.exp(-1.1j)], atol=1e-15)
+
+    @pytest.mark.parametrize("seed, m", list(enumerate(MM_SIZES)))
+    def test_ascent_at_every_step(self, seed, m):
+        # each call with max_iter=1 is one MM step from its start
+        gamma, lam, theta = mm_instance(np.random.default_rng(seed), m)
+        f = mm_objective(gamma, lam, theta)
+        for _ in range(100):
+            theta, _ = unit_modulus_mm(gamma, lam, theta, max_iter=1)
+            f_new = mm_objective(gamma, lam, theta)
+            assert f_new >= f - 1e-12 * abs(f)
+            f = f_new
+
+    @pytest.mark.parametrize("seed, m", list(enumerate(MM_SIZES)))
+    def test_fixed_point_at_return(self, seed, m):
+        gamma, lam, theta0 = mm_instance(np.random.default_rng(seed), m, log_ratio=(-0.5, 1.0))
+        theta, steps = unit_modulus_mm(gamma, lam, theta0, MM_MAX_ITER)
+        assert steps < MM_MAX_ITER
+        np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
+        assert mm_objective(gamma, lam, theta) >= mm_objective(gamma, lam, theta0)
+        # a rise of at most 1e-8 relative leaves a next step of about 1e-4
+        # per element
+        lam_max = np.linalg.eigvalsh(gamma)[-1]
+        step = np.exp(1j * np.angle(2.0 * (lam_max * theta - gamma @ theta) + lam))
+        assert np.linalg.norm(theta - step) / np.sqrt(m) <= 1e-3
+        # warm-started at its own answer the solve stops after one step
+        again, steps = unit_modulus_mm(gamma, lam, theta, MM_MAX_ITER)
+        assert steps == 1
+        np.testing.assert_allclose(again, theta, atol=1e-3)
+
+    def test_zero_quadratic_aligns_with_linear_term(self):
+        lam = np.array([1.0 + 1.0j, -2.0, 3.0j])
+        theta, steps = unit_modulus_mm(np.zeros((3, 3)), lam, np.ones(3, dtype=complex),
+                                       MM_MAX_ITER)
+        np.testing.assert_allclose(theta, np.exp(1j * np.angle(lam)), atol=1e-15)
+        assert steps == 2
+
+    def test_zero_linear_term(self):
+        gamma, _, theta0 = mm_instance(np.random.default_rng(5), 6)
+        theta, _ = unit_modulus_mm(gamma, np.zeros(6, dtype=complex), theta0, MM_MAX_ITER)
+        np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
+        assert mm_objective(gamma, np.zeros(6), theta) >= mm_objective(gamma, np.zeros(6), theta0)
+
+    def test_zero_problem_keeps_start(self):
+        theta0 = np.exp(1j * np.arange(4.0))
+        theta, steps = unit_modulus_mm(np.zeros((4, 4)), np.zeros(4, dtype=complex), theta0,
+                                       MM_MAX_ITER)
+        np.testing.assert_array_equal(theta, theta0)
+        assert steps == 1
 
 
 def beam_objective(a, y, w):
