@@ -12,7 +12,7 @@ from .channel import (
 )
 from .config import ScenarioConfig, desk_profile, load_scenario, paper_profile
 from .harness import SCHEMES, SweepResult, baseline_noris, baseline_passive, run_sweep, run_trial
-from .numerics import QcqpProblem, project_magnitude_caps, solve_concave_qcqp
+from .numerics import QcqpProblem, solve_concave_qcqp
 from .optimizer import AoReport, SaaStats, ssca_ao, update_saa_stats, update_tau
 from .system import (
     FeasibilityReport,

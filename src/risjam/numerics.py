@@ -1,5 +1,9 @@
-"""Complex linear algebra primitives and small concave-QCQP engines.
+"""Complex linear algebra primitives and the concave QCQPs of the optimizer
+blocks.
 
+Every Lagrange-multiplier search here runs on one engine: the ball step
+(Newton's method on the secular equation) for a power-ball multiplier, and
+one Illinois false-position search for the beam solves' second multiplier.
 Everything here operates on dense complex numpy arrays and is pure: no
 global state, safe to call from concurrent trial workers.
 """
@@ -7,13 +11,14 @@ global state, safe to call from concurrent trial workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class Infeasible(Exception):
-    """QCQP constraint bound is negative on entry."""
+    """No point meets the QCQP constraints: a negative bound on entry, or a
+    half-space out of the power ball's reach."""
 
 
 class MaxIterExceeded(Exception):
@@ -25,32 +30,22 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def project_magnitude_caps(x: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {|x_m| <= cap_m}: clip magnitudes, keep phases."""
-    x = np.asarray(x, dtype=complex)
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-    if np.any(caps < 0):
-        raise ValueError("caps must be nonnegative")
-    mag = np.abs(x)
-    scale = np.where(mag > caps, caps / np.where(mag > 0, mag, 1.0), 1.0)
-    return x * scale
-
-
 @dataclass
 class QcqpProblem:
-    """Concave QCQP in canonical form.
+    """Concave QCQP of the active reflection solve.
 
         maximize    Re{b^H x} - x^H A x
-        subject to  x^H Q_i x <= c_i          (Q_i Hermitian PSD, c_i >= 0)
-                    |x_m| <= caps_m           (per element; solve_concave_qcqp needs them)
+        subject to  sum_m v_m |x_m|^2 <= c,   |x_m| <= caps_m
 
-    A must be Hermitian PSD; x = 0 is always feasible when all c_i >= 0.
+    A Hermitian PSD and the ellipsoid diagonal with weights v_m > 0; x = 0
+    is feasible when c >= 0.
     """
 
     quad: np.ndarray
     lin: np.ndarray
-    constraints: list = field(default_factory=list)
-    caps: np.ndarray | None = None
+    weights: np.ndarray
+    bound: float
+    caps: np.ndarray
 
     def __post_init__(self):
         self.quad = hermitize(np.asarray(self.quad, dtype=complex))
@@ -58,38 +53,17 @@ class QcqpProblem:
         n = self.lin.size
         if self.quad.shape != (n, n):
             raise ValueError(f"quad shape {self.quad.shape} does not match lin length {n}")
-        checked = []
-        for q, c in self.constraints:
-            q = hermitize(np.asarray(q, dtype=complex))
-            if q.shape != (n, n):
-                raise ValueError("constraint matrix dimension mismatch")
-            w = np.linalg.eigvalsh(q)
-            if w[0] < -1e-10 * max(1.0, w[-1]):
-                raise ValueError(f"constraint matrix not PSD (min eig {w[0]:.3e})")
-            checked.append((q, float(c)))
-        self.constraints = checked
-        if self.caps is not None:
-            self.caps = np.asarray(self.caps, dtype=float).ravel()
-            if self.caps.size != n:
-                raise ValueError("caps length mismatch")
-            if np.any(self.caps < 0):
-                raise ValueError("caps must be nonnegative")
-
-
-def _bisect_feasible(g, lo, hi, cap, tol, max_iter=200):
-    """Bisection for non-increasing g with g(lo) > cap >= g(hi): returns a
-    multiplier on the feasible side (g <= cap) within tol*cap of the bound."""
-    val_hi = g(hi)
-    for _ in range(max_iter):
-        if cap - val_hi <= tol * max(cap, 1e-30) or (hi - lo) <= 1e-14 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if val > cap:
-            lo = mid
-        else:
-            hi, val_hi = mid, val
-    return hi
+        self.weights = np.asarray(self.weights, dtype=float).ravel()
+        if self.weights.size != n:
+            raise ValueError("weights length mismatch")
+        if not np.all(self.weights > 0):
+            raise ValueError("ellipsoid weights must be positive")
+        self.bound = float(self.bound)
+        self.caps = np.asarray(self.caps, dtype=float).ravel()
+        if self.caps.size != n:
+            raise ValueError("caps length mismatch")
+        if np.any(self.caps < 0):
+            raise ValueError("caps must be nonnegative")
 
 
 def _ball_factors(d, r, cap, tol):
@@ -137,6 +111,46 @@ def _ball_beams(m, y, cap, tol):
     return (c * inv[None, :]) @ u.T
 
 
+def _illinois(at, lo, f_lo, hi, band):
+    """The smallest multiplier at which one constraint holds, by Illinois
+    false position (Dowell & Jarratt, BIT 1971).
+
+    at(lam) returns (x, f, slack): the stationary point at lam, a residual
+    that rises with lam and crosses zero inside the stopping band, and the
+    constraint's slack, nonnegative exactly where x is feasible.  lo is an
+    infeasible multiplier with residual f_lo; hi is doubled until feasible.
+    Returns the first feasible x whose slack is at most band, so the answer
+    never leaves the feasible side.
+    """
+    x_hi, f_hi, s_hi = at(hi)
+    for _ in range(200):
+        if s_hi >= 0.0:
+            break
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        x_hi, f_hi, s_hi = at(hi)
+    else:
+        raise MaxIterExceeded("multiplier bracket: no feasible multiplier found")
+    side = 0
+    for _ in range(200):
+        if s_hi <= band or hi - lo <= 1e-15 * hi:
+            return x_hi
+        lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        x, f, s = at(lam)
+        if s >= 0.0:
+            hi, x_hi, f_hi, s_hi = lam, x, f, s
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = lam, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+    raise MaxIterExceeded("multiplier: false position did not settle")
+
+
 def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None = None,
                 p_e: float = 0.0, tol: float = 1e-9) -> np.ndarray:
     """Concave QCQP over the rows w_k of a K x N beam matrix:
@@ -174,35 +188,56 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         # energy curve is smooth at the scale the outer search resolves
         w = _ball_beams(a + lam2 * s, y, p_max, 1e-2 * tol)
         e = energy(w)
-        return w, e, (math.sqrt(target / e) if e > 0 else math.inf) - 1.0
+        return w, (math.sqrt(target / e) if e > 0 else math.inf) - 1.0, p_e - e
 
     # w(lam2) maximizes f - lam2 * energy over the power ball, which holds
     # w = 0, so energy(w(lam2)) <= f(w(lam2)) / lam2 <= f(w(0)) / lam2
     f0 = float(np.sum(np.real(np.conj(y) * w)) - np.sum(np.real(np.conj(w) * (w @ a.T))))
-    lo, f_lo, hi = 0.0, math.sqrt(target / e0) - 1.0, f0 / target
-    w_hi, e_hi, f_hi = at(hi)
-    while e_hi > p_e:  # the bound holds only up to the inner solves' tolerance
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        w_hi, e_hi, f_hi = at(hi)
-    side = 0
-    for _ in range(200):
-        if e_hi >= p_e * (1.0 - tol) or hi - lo <= 1e-15 * hi:
-            return w_hi
-        lam2 = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < lam2 < hi:
-            lam2 = 0.5 * (lo + hi)
-        w, e, f = at(lam2)
-        if e <= p_e:
-            hi, w_hi, e_hi, f_hi = lam2, w, e, f
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = lam2, f
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-    raise MaxIterExceeded("energy multiplier: false position did not settle")
+    return _illinois(at, 0.0, math.sqrt(target / e0) - 1.0, f0 / target, tol * p_e)
+
+
+def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndarray,
+                          xi: float, tol: float = 1e-9) -> np.ndarray:
+    """Concave QCQP over the rows w_k of a K x N beam matrix:
+
+        maximize    sum_k Re{y_k^H w_k} - w_k^H A w_k
+        subject to  sum_k ||w_k||^2 <= p_max,   2 Re{sum_k r_k^H w_k} >= xi
+
+    with A Hermitian PSD: the stage-1 beams under the linearized harvest.
+    The stationary beams (A + lam1 I) w_k = y_k / 2 + lam2 r_k share one
+    eigendecomposition of A for every lam2.  For each lam2 the power
+    multiplier lam1 is the ball step of solve_beams; lam2 is found by the
+    same Illinois search.  Both stop on the feasible side: the power never
+    exceeds p_max, and a binding half-space holds within tol relative of xi.
+    Raises Infeasible when no beam in the power ball meets the half-space.
+    """
+    d, u = np.linalg.eigh(a)
+    d = np.maximum(d, 0.0)
+    c, rt = 0.5 * (y @ u.conj()), r @ u.conj()  # rows in the eigenbasis
+    target = xi + 0.5 * tol * abs(xi)
+
+    def at(lam2):
+        rows = c + lam2 * rt
+        w = rows * _ball_factors(d, np.sum(np.abs(rows) ** 2, axis=0), p_max, 1e-2 * tol)
+        g = 2.0 * float(np.sum(np.real(np.conj(rt) * w)))
+        return w, g - target, g - xi
+
+    w, f0, slack = at(0.0)
+    if slack < 0.0:
+        # w(lam2) maximizes f + lam2 (g - xi) over the ball.  The ball's
+        # point of largest g, w_s, has g - xi = delta > 0, so
+        # g(w(lam2)) - xi >= delta - (f(w(0)) - f(w_s)) / lam2, which is
+        # nonnegative from lam2 = (f(w(0)) - f(w_s)) / delta on.
+        def f(w):
+            return float(np.sum(2.0 * np.real(np.conj(c) * w) - d * np.abs(w) ** 2))
+
+        norm_r = float(np.linalg.norm(rt))
+        delta = 2.0 * math.sqrt(p_max) * norm_r - xi
+        if delta <= 0.0:
+            raise Infeasible(f"half-space bound {xi:.3e} beyond the power ball's reach")
+        gap = f(w) - f(rt * (math.sqrt(p_max) / norm_r))
+        w = _illinois(at, 0.0, f0, gap / delta, tol * abs(xi))
+    return w @ u.T
 
 
 def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
@@ -236,48 +271,53 @@ def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
     return theta, step
 
 
-def _solve_one_ellipsoid(a, b, q, cap, tol):
-    """max Re{b^H x} - x^H a x  s.t.  x^H q x <= cap, for positive-definite q.
+def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
+    """Euclidean projection of z onto {|y_m| <= caps_m} and {||y||^2 <= c}.
 
-    Whitening y = L^H x (q = L L^H) turns the constraint into the norm ball
-    ||y||^2 <= cap, solved by the one-row beam route."""
-    ell = np.linalg.cholesky(q)
-    mid = np.linalg.solve(ell, np.linalg.solve(ell, a.conj().T).conj().T)
-    y = _ball_beams(hermitize(mid), np.linalg.solve(ell, b)[None, :], cap, tol)[0]
-    return np.linalg.solve(ell.conj().T, y)
-
-
-def _fista_caps(a, b, caps, x0, tol, max_iter):
-    """Projected accelerated gradient ascent of Re{b^H x} - x^H a x over the
-    magnitude-cap box, with Jacobi preconditioning.
-
-    The diagonal rescale keeps the per-element projection exact (the box is
-    separable) while flattening the diagonal spread of a.  When the scaled
-    matrix is strongly convex the constant heavy-ball momentum is used,
-    otherwise FISTA weights with monotone restarts.  Returns
-    (x, kkt_residual) with the residual measured on the scaled gradient.
+    The answer keeps the phases of z, with |y_m| = min(t |z_m|, caps_m) for
+    the largest t <= 1 that fits the ball (t = 1 / (1 + lam), lam the ball's
+    multiplier).  The ball sum is nondecreasing and piecewise quadratic in t
+    with breaks at caps_m / |z_m|, so one sort of the breaks gives t exactly.
     """
-    diag = np.real(np.diag(a))
-    d = np.sqrt(np.maximum(diag, 1e-12 * max(diag.max(initial=0.0), 1e-300)))
-    d = np.maximum(d, 1e-150)
-    a_s = a / np.outer(d, d)
-    b_s = b / d
-    caps_s = caps * d
-    eigs = np.linalg.eigvalsh(a_s)
+    mag = np.abs(z)
+    t = 1.0
+    if float(np.sum(np.minimum(mag, caps) ** 2)) > c:
+        on = mag > 0.0  # zero elements stay at zero
+        brk = caps[on] / mag[on]
+        order = np.argsort(brk)
+        brk, cap2, mag2 = brk[order], caps[on][order] ** 2, mag[on][order] ** 2
+        clipped = np.cumsum(cap2) - cap2        # sum before break j: on their caps
+        free = np.cumsum(mag2[::-1])[::-1]      # sum from break j on: scaled by t
+        j = int(np.count_nonzero(clipped + brk ** 2 * free <= c))
+        t = math.sqrt(max(c - clipped[j], 0.0) / free[j])
+    return z * np.minimum(t, caps / np.where(mag > 0.0, mag, 1.0))
+
+
+def _caps_ball_ascent(a, b, caps, c, y, tol, max_iter):
+    """Accelerated projected gradient ascent of Re{b^H y} - y^H a y over
+    {|y_m| <= caps_m} and {||y||^2 <= c}, from the projection of y.
+
+    The projection is exact (project_caps_ball).  When a is strongly convex
+    the constant heavy-ball momentum is used, otherwise FISTA weights with
+    monotone restarts.  Stops once the KKT residual, the projected-gradient
+    step relative to the gradient scale over the set, is at most tol.
+    """
+    eigs = np.linalg.eigvalsh(a)
     lmax = max(float(eigs[-1]), 1e-300)
     lmin = max(float(eigs[0]), 0.0)
     step = 1.0 / (2.0 * lmax)
     strong = lmin / lmax > 1e-10
     beta_sc = ((math.sqrt(lmax) - math.sqrt(lmin)) / (math.sqrt(lmax) + math.sqrt(lmin))) if strong else 0.0
-    gscale = max(np.linalg.norm(b_s), 2.0 * lmax * np.linalg.norm(caps_s), 1e-300)
-    x = project_magnitude_caps(x0 * d, caps_s)
+    radius = min(math.sqrt(c), float(np.linalg.norm(caps)))
+    gscale = max(float(np.linalg.norm(b)), 2.0 * lmax * radius, 1e-300)
+    x = project_caps_ball(y, caps, c)
     y = x.copy()
     t = 1.0
     fx = -np.inf
     res = np.inf
     check_every = 8
-    for it in range(max_iter):
-        x_new = project_magnitude_caps(y + step * (b_s - 2.0 * (a_s @ y)), caps_s)
+    for it in range(1, max_iter + 1):
+        x_new = project_caps_ball(y + step * (b - 2.0 * (a @ y)), caps, c)
         if strong:
             y = x_new + beta_sc * (x_new - x)
         else:
@@ -285,130 +325,39 @@ def _fista_caps(a, b, caps, x0, tol, max_iter):
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             t = t_new
         x = x_new
-        if (it + 1) % check_every == 0 or it + 1 == max_iter:
-            f_new = np.real(np.vdot(b_s, x)) - np.vdot(x, a_s @ x).real
+        if it % check_every == 0:
+            f_new = np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real
             if f_new < fx - 1e-15 * abs(fx):  # momentum overshoot: restart
                 y = x.copy()
                 t = 1.0
             fx = f_new
-            gx = b_s - 2.0 * (a_s @ x)
-            res = np.linalg.norm(x - project_magnitude_caps(x + step * gx, caps_s)) / (step * gscale)
+            g = b - 2.0 * (a @ x)
+            res = np.linalg.norm(x - project_caps_ball(x + step * g, caps, c)) / (step * gscale)
             if res <= tol:
-                break
-    return x / d, res
+                return x
+    raise MaxIterExceeded(f"caps and ball: KKT residual {res:.3e} > {tol:.1e}")
 
 
-def _solve_caps(a, b, q, cap, caps, tol, max_iter, warm=None):
-    """Caps-constrained route: projected gradient ascent with the ellipsoid
-    constraint handled by bisection on its own multiplier.
+def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000) -> np.ndarray:
+    """Maximize Re{b^H x} - x^H A x under the diagonal ellipsoid
+    sum_m v_m |x_m|^2 <= c and per-element magnitude caps: the active
+    reflection solve.
 
-    warm, if given, is a dict carrying the previous solve's multiplier and
-    point to seed the bracket and the gradient iterations.
+    Whitening y_m = sqrt(v_m) x_m turns the ellipsoid into the ball
+    ||y||^2 <= c and the caps into |y_m| <= caps_m sqrt(v_m).  The ball's
+    optimum without the caps is one ball step of the beam solves, and is
+    returned when it meets the caps.  Otherwise one accelerated
+    projected-gradient ascent in y, started from that ball optimum, with the
+    exact projection onto the caps and the ball; its KKT residual ends at
+    most max(tol, 1e-9).
     """
-    pga_tol = max(tol, 1e-9)
-    search_tol = max(100.0 * pga_tol, 3e-7)
-    # fast path: if the cap-free optimum already satisfies the caps it is optimal
-    x_try = _solve_one_ellipsoid(a, b, q, cap, tol)
-    if np.all(np.abs(x_try) <= caps * (1 + 1e-10) + 1e-300):
-        if warm is not None:
-            warm["lam"] = None
-        return x_try
-
-    state = {"x": np.zeros_like(b) if warm is None else warm.get("x", np.zeros_like(b))}
-
-    def inner(lam, inner_tol):
-        x, res = _fista_caps(a + lam * q, b, caps, state["x"], inner_tol, max_iter)
-        state["x"] = x
-        return x, res
-
-    def g(lam):
-        x, _ = inner(lam, search_tol)
-        return np.vdot(x, q @ x).real
-
-    x0, _ = inner(0.0, search_tol)
-    if np.vdot(x0, q @ x0).real <= cap * (1 + 1e-8) + 1e-300:
-        x, res = inner(0.0, pga_tol)
-        if res > pga_tol:
-            raise MaxIterExceeded(f"KKT residual {res:.3e} > {pga_tol:.1e}")
-        if warm is not None:
-            warm["x"], warm["lam"] = x, 0.0
+    if p.bound < 0:
+        raise Infeasible(f"ellipsoid bound {p.bound} < 0")
+    s = np.sqrt(p.weights)
+    a = p.quad / np.outer(s, s)
+    b = p.lin / s
+    y = _ball_beams(a, b[None, :], p.bound, tol)[0]
+    x = y / s
+    if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
         return x
-
-    lo, hi = 0.0, max(1.0, np.linalg.norm(a) / max(np.linalg.norm(q), 1e-300))
-    prev = None if warm is None else warm.get("lam")
-    if prev:  # try a narrow bracket around the previous multiplier first
-        if g(2.0 * prev) <= cap:
-            hi = 2.0 * prev
-            if g(0.5 * prev) >= cap:
-                lo = 0.5 * prev
-    it = 0
-    while g(hi) > cap:
-        hi *= 4.0
-        it += 1
-        if it > 100:
-            raise MaxIterExceeded("caps-route multiplier bracket expansion failed")
-    lam = _bisect_feasible(g, lo, hi, cap, tol)
-    x, res = inner(lam, pga_tol)
-    if res > pga_tol:
-        raise MaxIterExceeded(f"KKT residual {res:.3e} > {pga_tol:.1e}")
-    if warm is not None:
-        warm["x"], warm["lam"] = x, lam
-    return x
-
-
-def _problem_scales(a, b, constraints, caps):
-    """Pick (xscale, fscale) so the normalized problem has O(1) feasible
-    radius and O(1) objective; makes the absolute tolerances meaningful."""
-    radii = []
-    for q, c in constraints:
-        lam = np.linalg.eigvalsh(q)[-1]
-        if lam > 0 and c > 0:
-            radii.append(math.sqrt(c / lam))
-    if caps.size and np.max(caps) > 0:
-        radii.append(float(np.max(caps)))
-    xscale = max(min(radii, default=1.0), 1e-150)
-    lam_a = np.linalg.eigvalsh(a)[-1]
-    fscale = max(lam_a * xscale * xscale, np.linalg.norm(b) * xscale, 1e-150)
-    return xscale, fscale
-
-
-def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
-                       warm: dict | None = None) -> np.ndarray:
-    """Maximize Re{b^H x} - x^H A x under per-element magnitude caps and one
-    positive-definite ellipsoid, the shape of the active reflection solve.
-
-    The ellipsoid's cap-free optimum is tried first and returned if it meets
-    the caps: whitening turns the ellipsoid into a norm ball, and
-    x(lam) = (A + lam Q)^{-1} b/2 with lam from Newton's method on the
-    secular equation (the one-row case of solve_beams' ball step).
-    Otherwise projected gradient ascent with per-element magnitude
-    projection, the ellipsoid handled by its own multiplier bisection.
-    Any other constraint shape raises ValueError: beam problems go to
-    solve_beams, unit-modulus reflection to unit_modulus_mm.
-
-    The problem is normalized once (unit feasible radius, O(1) objective) so
-    the tolerances act relatively regardless of the physical scales.
-    """
-    for _, c in p.constraints:
-        if c < 0:
-            raise Infeasible(f"constraint bound {c} < 0")
-    if p.caps is None:
-        raise ValueError("solve_concave_qcqp needs magnitude caps; beam problems go to solve_beams")
-    if len(p.constraints) != 1:
-        raise ValueError("solve_concave_qcqp needs exactly one quadratic constraint")
-    xs, fs = _problem_scales(p.quad, p.lin, p.constraints, p.caps)
-    a = p.quad * (xs * xs / fs)
-    b = p.lin * (xs / fs)
-    q, c = p.constraints[0][0] * (xs * xs / fs), p.constraints[0][1] / fs
-    w = None
-    if warm is not None:
-        w = {}
-        if warm.get("x") is not None:
-            w["x"] = np.asarray(warm["x"], dtype=complex) / xs
-        if warm.get("lam") is not None:
-            w["lam"] = warm["lam"]
-    x = _solve_caps(a, b, q, c, p.caps / xs, tol, max_iter, warm=w)
-    if warm is not None:
-        warm["x"] = w.get("x", x) * xs
-        warm["lam"] = w.get("lam")
-    return x * xs
+    return _caps_ball_ascent(a, b, p.caps * s, p.bound, y, max(tol, 1e-9), max_iter) / s

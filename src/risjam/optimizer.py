@@ -6,10 +6,21 @@ the beamforming blocks are solved as convex subproblems built from
 quadratic-transform surrogates of the sum rate.  One AO loop runs every
 scheme: the active harvesting RIS, and the passive-RIS and no-RIS
 baselines, which skip harvesting and (no RIS) start with an empty theta.
-The active reflection is a concave QCQP under the output-power ellipsoid and
-amplitude caps (numerics.solve_concave_qcqp); the passive reflection stays
-on the unit-modulus set, by majorization-minimization steps
-(numerics.unit_modulus_mm).
+
+The blocks and their solves in numerics:
+
+- stage-1 beams: SCA on the energy-supply constraint; each linearized
+  problem keeps the power ball and a half-space (solve_beams_halfspace);
+- stage-2 beams: the power ball and the harvested-energy ellipsoid
+  (solve_beams);
+- active reflection: the diagonal output-power ellipsoid and the amplitude
+  caps (solve_concave_qcqp);
+- passive reflection: the unit-modulus set, by majorization-minimization
+  steps (unit_modulus_mm).
+
+The beam solves and the reflection's cap-free step share one multiplier
+engine: Newton's method on the secular equation for a ball, and one Illinois
+search for a second constraint.
 """
 
 from __future__ import annotations
@@ -37,10 +48,6 @@ class EnergyInfeasible(Exception):
         super().__init__(msg)
         self.iteration = iteration
         self.best_state = best_state
-
-
-class NumericalFailure(Exception):
-    """Linear systems singular beyond ridge rescue."""
 
 
 @dataclass
@@ -186,80 +193,24 @@ def surrogate_stage2(w2: np.ndarray, theta: np.ndarray, omega: np.ndarray, nu: n
 # P2-C: stage-1 beams under power + linearized energy constraints
 # ---------------------------------------------------------------------------
 
-def _p2c_multiplier_solve(s, u_eig, bt, r_vec, xi1, p_max, tol=1e-9):
-    """Stationary beams w_k(lam1, lam2) in the eigenbasis of the shared
-    quadratic matrix, with lam2 eliminated by energy complementarity and
-    lam1 found by bisection on the transmit power that keeps the feasible
-    end of its bracket, so ||w||^2 <= p_max holds exactly.
-
-    Returns (w_hat, lam1, lam2)."""
-    scale = max(float(s[-1]), 1e-300)
-    cut = 1e-12 * scale
-    g1_den = np.sum(np.abs(r_vec) ** 2)
-
-    def eval_at(lam1):
-        if lam1 <= 0:
-            keep = s > cut
-            inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        else:
-            keep = np.ones_like(s, dtype=bool)
-            inv = 1.0 / (s + lam1)
-        g0 = 2.0 * float(np.sum(np.real(np.conj(r_vec) * bt) * inv[None, :]))
-        g1 = 2.0 * float(np.sum(np.abs(r_vec) ** 2 * inv[None, :]))
-        lam2 = 0.0
-        if g1 > 1e-300 * max(g1_den, 1.0) and xi1 - g0 > 0:
-            lam2 = (xi1 - g0) / g1
-        rhs = bt + lam2 * r_vec
-        w_hat = rhs * inv[None, :]
-        if lam1 <= 0:
-            resid = np.linalg.norm(rhs[:, ~keep])
-            if resid > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
-                return None, lam2, np.inf  # no stationary point at lam1 = 0
-        power = float(np.sum(np.abs(w_hat) ** 2))
-        return w_hat, lam2, power
-
-    w_hat, lam2, power = eval_at(0.0)
-    if power <= p_max * (1.0 + 1e-12):
-        return w_hat, 0.0, lam2
-
-    hi = max(scale, 1.0)
-    for _ in range(200):
-        if eval_at(hi)[2] < p_max:
-            break
-        hi *= 4.0
-    else:
-        raise NumericalFailure("power multiplier bracket expansion failed")
-
-    lam1 = numerics._bisect_feasible(lambda lam: eval_at(lam)[2], 0.0, hi, p_max, tol)
-    w_hat, lam2, _ = eval_at(lam1)
-    return w_hat, lam1, lam2
-
-
 def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
              i_max: int = 15, varsigma1: float = 1e-3) -> np.ndarray:
     """SCA loop for the stage-1 beams: the nonconvex energy-supply constraint
-    is linearized at the current iterate and the resulting convex problem is
-    solved in closed form over the two Lagrange multipliers."""
+    is linearized at the current iterate into a half-space, and each step
+    solves the beam QCQP under that half-space and the power ball
+    (numerics.solve_beams_halfspace)."""
     tau = state.tau
     p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
     omega, nu = state.omega1, state.nu1
     k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
-    quad = numerics.hermitize(
-        (cs.h_bu.T * (np.abs(nu) ** 2)[None, :]) @ cs.h_bu.conj()
-    )  # sum_k |nu_k|^2 h_k h_k^H
-    s, u_eig = np.linalg.eigh(quad)
-    s = np.maximum(s, 0.0)
-    b_half = (np.sqrt(1.0 + omega) * nu)[:, None] * cs.h_bu  # b_k / 2
-    bt = b_half @ np.conj(u_eig)  # rows: U^H (b_k/2)
+    a, y = beam_terms(cs.h_bu, omega, nu)
 
     w = state.w1.copy()
     val = surrogate_stage1(w, omega, nu, cs, stats, pm.sigma1_sq)
     for _ in range(i_max):
         a_vec = w @ k1.T  # rows: K1 w_k (K1 Hermitian)
         xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float(np.sum(np.real(np.conj(w) * a_vec)))
-        r_vec = (tau * pm.eta1) * (a_vec @ np.conj(u_eig))
-        w_hat, _, _ = _p2c_multiplier_solve(s, u_eig, bt, r_vec, xi1, pm.p_max)
-        w_new = w_hat @ u_eig.T  # back to the antenna basis: w_k = U w_hat_k
+        w_new = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1)
         val_new = surrogate_stage1(w_new, omega, nu, cs, stats, pm.sigma1_sq)
         w = w_new
         if abs(val_new - val) <= varsigma1 * max(abs(val_new), 1e-12):
@@ -275,7 +226,8 @@ def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
 
 def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
     """Shared quadratic A = sum_k |nu_k|^2 h_k h_k^H and the linear rows
-    y_k = 2 sqrt(1+omega_k) nu_k h_k of the stage-2 beam surrogate."""
+    y_k = 2 sqrt(1+omega_k) nu_k h_k of a beam surrogate, for either stage
+    (the direct channels h_BU for stage 1, the effective ones for stage 2)."""
     a = numerics.hermitize((h_eff.T * (np.abs(nu) ** 2)[None, :]) @ h_eff.conj())
     y = (2.0 * np.sqrt(1.0 + omega) * nu)[:, None] * h_eff
     return a, y
@@ -335,9 +287,10 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
 
 
 def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-                tol: float = 1e-8, warm: dict | None = None) -> np.ndarray:
+                tol: float = 1e-8) -> np.ndarray:
     """Reflection coefficients: maximize the averaged quadratic model under
-    the output-power ellipsoid and per-element amplitude caps."""
+    the output-power ellipsoid, diagonal with weights sum_k |mu_km|^2 +
+    sigma_R^2, and per-element amplitude caps (numerics.solve_concave_qcqp)."""
     m = state.theta.size
     if m == 0:
         return state.theta.copy()
@@ -350,10 +303,9 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
         )
     gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
     mu = state.w2 @ cs.g_br.T
-    v_mat = np.diag(np.sum(np.abs(mu) ** 2, axis=0)) + pm.sigma_r_sq * np.eye(m)
-    prob = QcqpProblem(quad=gamma, lin=lam, constraints=[(v_mat.astype(complex), p_e)],
-                       caps=np.full(m, pm.a_max))
-    return solve_concave_qcqp(prob, tol=tol, warm=warm)
+    prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq,
+                       bound=p_e, caps=np.full(m, pm.a_max))
+    return solve_concave_qcqp(prob, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +399,6 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     prev_v = None
     warmup = 5
     flat_streak = 0
-    theta_warm: dict = {}
 
     @contextmanager
     def timed(block):
@@ -507,7 +458,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
                     state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
             with timed("theta"):
                 if state.theta.size and scheme.harvest:
-                    state.theta = solve_theta(state, cs, stats, pm, warm=theta_warm)
+                    state.theta = solve_theta(state, cs, stats, pm)
                 elif state.theta.size:
                     state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
                     report.theta_steps += steps

@@ -77,16 +77,22 @@ def project_caps(x, caps):
 
 
 def dykstra(x, projections, iters=200, tol=1e-14):
-    """Dykstra's alternating projections onto an intersection of convex sets."""
+    """Dykstra's alternating projections onto an intersection of convex sets.
+
+    Stops after the first sweep in which y and every correction term move by
+    at most tol * max(1, ||y||), or after iters sweeps.  y alone can stand
+    still for a sweep while the corrections still carry it elsewhere."""
     p = [np.zeros_like(x) for _ in projections]
     y = x.copy()
     for _ in range(iters):
-        y_prev = y.copy()
+        y_prev, moved = y, 0.0
         for i, proj in enumerate(projections):
             z = proj(y + p[i])
-            p[i] = y + p[i] - z
-            y = z
-        if np.linalg.norm(y - y_prev) <= tol * max(1.0, np.linalg.norm(y)):
+            p_new = y + p[i] - z
+            moved = max(moved, np.linalg.norm(p_new - p[i]))
+            p[i], y = p_new, z
+        moved = max(moved, np.linalg.norm(y - y_prev))
+        if moved <= tol * max(1.0, np.linalg.norm(y)):
             break
     return y
 

@@ -7,8 +7,9 @@ from risjam.numerics import (
     Infeasible,
     MaxIterExceeded,
     QcqpProblem,
-    project_magnitude_caps,
+    project_caps_ball,
     solve_beams,
+    solve_beams_halfspace,
     solve_concave_qcqp,
     unit_modulus_mm,
 )
@@ -29,21 +30,23 @@ def rand_psd(rng, n, rank=None):
 
 
 class TestProjectMagnitudeCaps:
+    """Per-element magnitude caps alone: project_caps_ball with a loose ball."""
+
     def test_phase_preserved(self):
         x = np.array([2.0 * np.exp(1j * np.pi / 4)])
-        out = project_magnitude_caps(x, np.array([1.0]))
+        out = project_caps_ball(x, np.array([1.0]), np.inf)
         np.testing.assert_allclose(out, [np.exp(1j * np.pi / 4)], atol=1e-15)
 
     def test_identity_inside(self):
         x = np.array([0.3 + 0.1j, -0.2j])
-        np.testing.assert_array_equal(project_magnitude_caps(x, np.array([1.0, 1.0])), x)
+        np.testing.assert_array_equal(project_caps_ball(x, np.array([1.0, 1.0]), np.inf), x)
 
     def test_matches_grid_oracle(self):
         # Euclidean projection: per element, nearest point of the disc.
         rng = np.random.default_rng(3)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         caps = rng.uniform(0.0, 2.0, size=16)
-        out = project_magnitude_caps(x, caps)
+        out = project_caps_ball(x, caps, np.inf)
         for m in range(16):
             # 1-D search over the magnitude along the phase ray (the optimal
             # projection keeps the phase; scan magnitudes to confirm)
@@ -60,22 +63,87 @@ class TestProjectMagnitudeCaps:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         caps = rng.uniform(0.0, 2.0, size=n)
-        px, py = project_magnitude_caps(x, caps), project_magnitude_caps(y, caps)
-        np.testing.assert_allclose(project_magnitude_caps(px, caps), px, atol=1e-14)
+        px, py = project_caps_ball(x, caps, np.inf), project_caps_ball(y, caps, np.inf)
+        np.testing.assert_allclose(project_caps_ball(px, caps, np.inf), px, atol=1e-14)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+def caps_ball_instance(rng):
+    """z, caps and a ball bound c below the squared norm of the clipped z,
+    so both the caps and the ball can bind."""
+    n = int(rng.integers(1, 12))
+    z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    caps = rng.uniform(0.0, 2.0, n)
+    c = float(rng.uniform(0.05, 1.0)) * np.sum(np.minimum(np.abs(z), caps) ** 2)
+    return z, caps, c
+
+
+def caps_ball_dykstra(z, caps, c):
+    # sweep cap far above the slowest of these instances
+    return dykstra(z, [lambda y: project_caps(y, caps), lambda y: project_ball(y, c)], iters=100000)
+
+
+class TestProjectCapsBall:
+    def test_variational_inequality(self):
+        # Re<z - P(z), x - P(z)> <= 0 for every x in the set, sampled inside
+        # it and on its boundary
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            z, caps, c = caps_ball_instance(rng)
+            p = project_caps_ball(z, caps, c)
+            assert np.all(np.abs(p) <= caps * (1 + 1e-15))
+            assert np.sum(np.abs(p) ** 2) <= c * (1 + 1e-14)
+            x = 3.0 * (rng.standard_normal((200, z.size)) + 1j * rng.standard_normal((200, z.size)))
+            x *= np.minimum(1.0, caps / np.abs(x))
+            x *= np.minimum(1.0, np.sqrt(c / np.sum(np.abs(x) ** 2, axis=1)))[:, None]
+            vi = np.real(np.conj(z - p) * (x - p)).sum(axis=1)
+            assert np.all(vi <= 1e-12 * np.linalg.norm(z) ** 2)
+
+    def test_matches_dykstra(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            z, caps, c = caps_ball_instance(rng)
+            p = project_caps_ball(z, caps, c)
+            ref = caps_ball_dykstra(z, caps, c)
+            assert np.linalg.norm(p - ref) <= 1e-10 * max(1.0, np.linalg.norm(p))
+
+    def test_zero_elements_stay_zero(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            z, caps, c = caps_ball_instance(rng)
+            z[rng.uniform(size=z.size) < 0.5] = 0.0
+            p = project_caps_ball(z, caps, c)
+            assert np.all(p[z == 0] == 0)
+            np.testing.assert_allclose(p, caps_ball_dykstra(z, caps, c), atol=1e-10)
+
+    def test_zero_ball(self):
+        z = np.array([1.0 + 1j, -0.5, 0.0])
+        np.testing.assert_array_equal(project_caps_ball(z, np.ones(3), 0.0), np.zeros(3))
+
+    def test_loose_caps_is_ball_projection(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            z, _, _ = caps_ball_instance(rng)
+            c = float(rng.uniform(0.1, 2.0))
+            p = project_caps_ball(z, np.full(z.size, 1e3), c)
+            np.testing.assert_allclose(p, project_ball(z, c), rtol=1e-14, atol=1e-15)
+
+
 class TestQcqpProblem:
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
-            QcqpProblem(quad=np.eye(2), lin=np.zeros(2), constraints=[(-np.eye(2), 1.0)])
+    def test_rejects_nonpositive_weights(self):
+        for weights in ([1.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(ValueError, match="weights"):
+                QcqpProblem(quad=np.eye(2), lin=np.zeros(2), weights=weights, bound=1.0,
+                            caps=np.ones(2))
 
     def test_rejects_cap_length(self):
         with pytest.raises(ValueError):
-            QcqpProblem(quad=np.eye(2), lin=np.zeros(2), caps=np.ones(3))
+            QcqpProblem(quad=np.eye(2), lin=np.zeros(2), weights=np.ones(2), bound=1.0,
+                        caps=np.ones(3))
 
     def test_negative_bound_infeasible_at_solve(self):
-        p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), constraints=[(np.eye(2), -1.0)])
+        p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), weights=np.ones(2), bound=-1.0,
+                        caps=np.ones(2))
         with pytest.raises(Infeasible):
             solve_concave_qcqp(p)
 
@@ -84,21 +152,21 @@ class TestSolveConcaveQcqp:
     # caps loose enough that the cap-free ellipsoid optimum (whitening plus
     # the secular Newton step) is returned by the fast path
     def test_interior_optimum(self):
-        p = QcqpProblem(quad=np.eye(2), lin=np.array([0.2, 0.0]),
-                        constraints=[(np.eye(2), 100.0)], caps=np.full(2, 50.0))
+        p = QcqpProblem(quad=np.eye(2), lin=np.array([0.2, 0.0]), weights=np.ones(2),
+                        bound=100.0, caps=np.full(2, 50.0))
         x = solve_concave_qcqp(p)
         np.testing.assert_allclose(x, [0.1, 0.0], atol=1e-9)
 
     def test_binding_norm_ball(self):
-        p = QcqpProblem(quad=np.eye(2), lin=np.array([10.0, 0.0]),
-                        constraints=[(np.eye(2), 1.0)], caps=np.full(2, 5.0))
+        p = QcqpProblem(quad=np.eye(2), lin=np.array([10.0, 0.0]), weights=np.ones(2),
+                        bound=1.0, caps=np.full(2, 5.0))
         x = solve_concave_qcqp(p)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
 
     def test_requires_caps(self):
-        p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), constraints=[(np.eye(2), 1.0)])
-        with pytest.raises(ValueError, match="caps"):
-            solve_concave_qcqp(p)
+        # the problem always carries caps: the benchmark's tracer reads them
+        with pytest.raises(TypeError, match="caps"):
+            QcqpProblem(quad=np.eye(2), lin=np.ones(2), weights=np.ones(2), bound=1.0)
 
     def test_caps_route_vs_pg_oracle(self):
         rng = np.random.default_rng(12)
@@ -106,30 +174,56 @@ class TestSolveConcaveQcqp:
             n = 5
             a = rand_psd(rng, n)
             b = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            q = np.diag(rng.uniform(0.1, 1.0, n)).astype(complex)
+            v = rng.uniform(0.1, 1.0, n)
             caps = rng.uniform(0.3, 1.5, n)
             c = 1.0
-            p = QcqpProblem(quad=a, lin=b, constraints=[(q, c)], caps=caps)
+            p = QcqpProblem(quad=a, lin=b, weights=v, bound=c, caps=caps)
             x = solve_concave_qcqp(p, tol=1e-8)
-            assert np.vdot(x, q @ x).real <= c * (1 + 1e-7)
+            assert np.sum(v * np.abs(x) ** 2) <= c * (1 + 1e-7)
             assert np.all(np.abs(x) <= caps * (1 + 1e-7))
+            q = np.diag(v).astype(complex)
             projs = [lambda y, cp=caps: project_caps(y, cp), lambda y, qq=q: project_ellipsoid(y, qq, c)]
             x_ref, f_ref = pg_qcqp_max(a, b, projs, iters=40000)
             f = float(np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real)
             assert f >= f_ref - 1e-5 * (1.0 + abs(f_ref))
 
-    def test_requires_one_ellipsoid(self):
-        for constraints in ([], [(np.eye(2), 1.0), (np.eye(2), 2.0)]):
-            p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), constraints=constraints,
-                            caps=np.ones(2))
-            with pytest.raises(ValueError, match="exactly one"):
-                solve_concave_qcqp(p)
+    def test_kkt_certificate_seeded(self):
+        # KKT read off x alone: the gradient g = b - 2Ax is, element by
+        # element, a real nonnegative multiple alpha_m x_m, with
+        # alpha_m = 2 lam v_m below the caps for one lam >= 0, at least that
+        # on the caps, and lam > 0 only on a tight ellipsoid
+        rng = np.random.default_rng(13)
+        both = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            a = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+            b = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            v = rng.uniform(0.1, 1.0, n)
+            caps = rng.uniform(0.3, 1.5, n)
+            c = float(rng.uniform(0.2, 2.0))
+            x = solve_concave_qcqp(QcqpProblem(quad=a, lin=b, weights=v, bound=c, caps=caps), tol=1e-9)
+            energy = float(np.sum(v * np.abs(x) ** 2))
+            assert np.all(np.abs(x) <= caps * (1 + 1e-12)) and energy <= c * (1 + 1e-12)
+            g = b - 2.0 * (a @ x)
+            g_scale = np.linalg.norm(b) + 2.0 * np.linalg.norm(a, 2) * np.linalg.norm(x)
+            alpha = np.real(g * np.conj(x)) / np.abs(x) ** 2
+            a_scale = g_scale / np.linalg.norm(x)
+            assert np.linalg.norm(g - alpha * x) <= 1e-8 * g_scale
+            assert np.all(alpha >= -1e-8 * a_scale)
+            capped = np.abs(x) >= caps * (1 - 1e-9)
+            lam = alpha[~capped] / (2.0 * v[~capped])
+            lam0 = max(float(np.mean(lam)), 0.0) if lam.size else 0.0
+            assert np.all(np.abs(lam - lam0) <= 1e-7 * a_scale)
+            assert np.all(alpha[capped] >= 2.0 * lam0 * v[capped] - 1e-7 * a_scale)
+            assert lam0 * (c - energy) <= 1e-8 * a_scale * c
+            both += capped.any() and energy >= c * (1 - 1e-9)
+        assert both >= 10  # caps and ellipsoid binding together occurred
 
     def test_cap_clip_scalar(self):
         # cap-free optimum b/2 inside the loose ellipsoid but beyond the cap:
         # the caps route puts the solution on the cap at the phase of b
         b = np.array([4.0 * np.exp(0.7j)])
-        p = QcqpProblem(quad=np.eye(1), lin=b, constraints=[(np.eye(1), 100.0)],
+        p = QcqpProblem(quad=np.eye(1), lin=b, weights=np.ones(1), bound=100.0,
                         caps=np.array([0.5]))
         x = solve_concave_qcqp(p)
         assert abs(abs(x[0]) - 0.5) < 1e-9
@@ -375,3 +469,93 @@ class TestSolveBeams:
         w = solve_beams(a, y, p_max, s, p_e)
         kkt_certificate(a, y, p_max, s, p_e, w)
         assert np.sum(np.abs(w) ** 2) <= p_max
+
+
+def halfspace_instance(rng, n, k, in_range=True, share=None):
+    """Stage-1-shaped instance: the beam terms of beam_instance and the
+    linearized harvest at a start w0 inside the power ball, r_k = c K w0_k
+    and xi = (1 + share) c sum_k w0_k^H K w0_k with share in [0, 1], so w0
+    meets the half-space, on its boundary at share = 1 (the energy-tight
+    time split)."""
+    a, y, _ = beam_instance(rng, n, k, in_range=in_range)
+    p_max = 10 ** rng.uniform(-3, 1)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kk = g.conj().T @ g
+    w0 = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    w0 *= np.sqrt(p_max * rng.uniform(0.1, 1.0) / np.sum(np.abs(w0) ** 2))
+    c = 10 ** rng.uniform(-2, 1)
+    r = c * (w0 @ kk.T)
+    harvest = float(np.sum(np.real(np.conj(w0) * r)))
+    share = rng.uniform(0.0, 1.0) if share is None else share
+    return a, y, p_max, r, harvest * (1.0 + share)
+
+
+def halfspace_certificate(a, y, p_max, r, xi, w, tol):
+    """Multipliers recovered from w alone by least squares on the
+    stationarity equations lam1 w_k - lam2 r_k = y_k/2 - A w_k, then the
+    KKT conditions checked at them.  Returns (lam1, lam2)."""
+    mat = np.stack([w.ravel(), -r.ravel()], axis=1)
+    rhs = (0.5 * y - w @ a.T).ravel()
+    (lam1, lam2), *_ = np.linalg.lstsq(np.vstack([mat.real, mat.imag]),
+                                       np.concatenate([rhs.real, rhs.imag]), rcond=None)
+    scale = abs(lam1) + np.linalg.norm(a, 2)
+    # dual feasibility
+    assert lam1 >= -1e-8 * scale
+    assert lam2 >= -1e-8 * scale * np.linalg.norm(w) / np.linalg.norm(r)
+    # stationarity, user by user
+    m = a + lam1 * np.eye(a.shape[0])
+    for k in range(y.shape[0]):
+        err = np.linalg.norm(m @ w[k] - 0.5 * y[k] - lam2 * r[k])
+        assert err <= 1e-8 * (np.linalg.norm(0.5 * y[k]) + abs(lam2) * np.linalg.norm(r[k]))
+    # primal feasibility: the power never above its cap, the half-space met
+    # from the feasible side
+    power = float(np.sum(np.abs(w) ** 2))
+    g = 2.0 * float(np.sum(np.real(np.conj(r) * w)))
+    assert power <= p_max
+    assert g >= xi
+    if lam2 > 1e-6 * np.linalg.norm(y) / np.linalg.norm(r):
+        assert g <= xi * (1 + tol)
+    # complementary slackness: the duality gap it leaves is negligible
+    gap = max(lam1, 0.0) * (p_max - power) + max(lam2, 0.0) * (g - xi)
+    assert gap <= 1e-8 * abs(beam_objective(a, y, w))
+    return lam1, lam2
+
+
+class TestSolveBeamsHalfspace:
+    @pytest.mark.parametrize("in_range", [True, False])
+    def test_kkt_certificate_seeded(self, in_range):
+        rng = np.random.default_rng(51 + in_range)
+        binding = 0
+        for _ in range(40):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            a, y, p_max, r, xi = halfspace_instance(rng, n, k, in_range=in_range)
+            w = solve_beams_halfspace(a, y, p_max, r, xi, tol=1e-10)
+            halfspace_certificate(a, y, p_max, r, xi, w, tol=1e-10)
+            binding += 2.0 * np.sum(np.real(np.conj(r) * w)) <= xi * (1 + 1e-10)
+        assert 4 <= binding <= 36  # both binding and slack half-spaces occurred
+
+    def test_slack_halfspace_is_ball_solution(self):
+        # xi far below what the ball solution delivers: only the ball acts
+        rng = np.random.default_rng(53)
+        a, y, p_max, r, _ = halfspace_instance(rng, 6, 3)
+        w_ball = solve_beams(a, y, p_max)
+        xi = 2.0 * float(np.sum(np.real(np.conj(r) * w_ball))) - 1.0
+        w = solve_beams_halfspace(a, y, p_max, r, xi)
+        np.testing.assert_allclose(w, w_ball, rtol=1e-12, atol=1e-15)
+        _, lam2 = halfspace_certificate(a, y, p_max, r, xi, w, tol=1e-9)
+        assert lam2 == pytest.approx(0.0, abs=1e-8)
+
+    def test_start_on_boundary(self):
+        # the SCA case: the linearization point sits on the half-space boundary
+        rng = np.random.default_rng(54)
+        for _ in range(10):
+            a, y, p_max, r, xi = halfspace_instance(rng, 5, 2, share=1.0)
+            w = solve_beams_halfspace(a, y, p_max, r, xi)
+            halfspace_certificate(a, y, p_max, r, xi, w, tol=1e-9)
+
+    def test_out_of_reach_is_infeasible(self):
+        rng = np.random.default_rng(55)
+        a, y, p_max, r, _ = halfspace_instance(rng, 4, 2)
+        reach = 2.0 * np.sqrt(p_max) * np.linalg.norm(r)
+        with pytest.raises(Infeasible):
+            solve_beams_halfspace(a, y, p_max, r, 1.01 * reach)
