@@ -21,8 +21,7 @@ from .system import (
     check_feasibility,
     harvested_energy,
     ris_power,
-    stage1_sinr,
-    stage2_sinr,
+    sinr,
     sum_rate,
 )
 

@@ -226,7 +226,6 @@ class ChannelSet:
 class Realization:
     """One draw of the uncertain channels and adversary transmit vectors."""
 
-    index: int
     h_ju: np.ndarray  # (Q,K,N_jam) actual = estimate + error
     g_jr: np.ndarray  # (Q,M,N_jam)
     h_iu: np.ndarray  # (B,K,N)
@@ -258,43 +257,35 @@ def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
     int_pos = _uniform_box(rng, *geom.interferer_box, bq)
 
     z0, m_f = cfg.zeta0_db, cfg.m_nakagami
-    d_br = float(np.linalg.norm(geom.bs - geom.ris))
-    g_br = _link(rng, (cfg.m, cfg.n), d_br, cfg.alpha_br, z0, m_f)
-    h_bu = np.stack([
-        _link(rng, (cfg.n,), float(np.linalg.norm(geom.bs - ue_pos[i])), cfg.alpha_bu, z0, m_f)
-        for i in range(k)
-    ])
-    h_ru = np.stack([
-        _link(rng, (cfg.m,), float(np.linalg.norm(geom.ris - ue_pos[i])), cfg.alpha_ru, z0, m_f)
-        for i in range(k)
-    ])
-    h_ju = np.stack([
-        np.stack([
-            _link(rng, (cfg.n_jam,), float(np.linalg.norm(jam_pos[iq] - ue_pos[ik])), cfg.alpha_ju, z0, m_f)
-            for ik in range(k)
-        ])
-        for iq in range(q)
-    ]) if q else np.zeros((0, k, cfg.n_jam), dtype=complex)
-    g_jr = np.stack([
-        _link(rng, (cfg.m, cfg.n_jam), float(np.linalg.norm(jam_pos[iq] - geom.ris)), cfg.alpha_jr, z0, m_f)
-        for iq in range(q)
-    ]) if q else np.zeros((0, cfg.m, cfg.n_jam), dtype=complex)
-    h_iu = np.stack([
-        np.stack([
-            _link(rng, (cfg.n,), float(np.linalg.norm(int_pos[ib] - ue_pos[ik])), cfg.alpha_iu, z0, m_f)
-            for ik in range(k)
-        ])
-        for ib in range(bq)
-    ]) if bq else np.zeros((0, k, cfg.n), dtype=complex)
 
-    # adversary transmit vectors are constants of the trial (the uncertainty
-    # index applies to the channels only); each transmitter meets its budget
-    z_jam = np.stack([
-        _isotropic_power_vectors(rng, (k, cfg.n_jam), cfg.p_jam_w) for _ in range(q)
-    ]) if q else np.zeros((0, k, cfg.n_jam), dtype=complex)
-    z_int = np.stack([
-        _isotropic_power_vectors(rng, (k, cfg.n), cfg.p_int_w) for _ in range(bq)
-    ]) if bq else np.zeros((0, k, cfg.n), dtype=complex)
+    def stacked(lead, shape, draw):
+        """draw(index) for every index of the lead shape, in row-major
+        order, stacked to lead + shape."""
+        out = np.empty(lead + shape, dtype=complex)
+        for idx in np.ndindex(lead):
+            out[idx] = draw(idx)
+        return out
+
+    def link(a, b, shape, alpha):
+        """One link of the given shape per pair of points of a and b
+        (broadcast), each from its distance |a - b|."""
+        a, b = np.broadcast_arrays(a, b)
+        return stacked(a.shape[:-1], shape, lambda i: _link(
+            rng, shape, float(np.linalg.norm(a[i] - b[i])), alpha, z0, m_f))
+
+    g_br = link(geom.bs, geom.ris, (cfg.m, cfg.n), cfg.alpha_br)
+    h_bu = link(geom.bs, ue_pos, (cfg.n,), cfg.alpha_bu)
+    h_ru = link(geom.ris, ue_pos, (cfg.m,), cfg.alpha_ru)
+    h_ju = link(jam_pos[:, None], ue_pos, (cfg.n_jam,), cfg.alpha_ju)
+    g_jr = link(jam_pos, geom.ris, (cfg.m, cfg.n_jam), cfg.alpha_jr)
+    h_iu = link(int_pos[:, None], ue_pos, (cfg.n,), cfg.alpha_iu)
+
+    # adversary transmit vectors are constants of the trial (realizations
+    # redraw the channels only); each transmitter meets its budget
+    z_jam = stacked((q,), (k, cfg.n_jam),
+                    lambda _: _isotropic_power_vectors(rng, (k, cfg.n_jam), cfg.p_jam_w))
+    z_int = stacked((bq,), (k, cfg.n),
+                    lambda _: _isotropic_power_vectors(rng, (k, cfg.n), cfg.p_int_w))
 
     return ChannelSet(g_br=g_br, h_bu=h_bu, h_ru=h_ru, h_ju_est=h_ju, g_jr_est=g_jr,
                       h_iu_est=h_iu, z_jam=z_jam, z_int=z_int,
@@ -323,19 +314,17 @@ def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.nd
     return v * np.sqrt(total_power / norm2)
 
 
-def sample_uncertain_realization(cs: ChannelSet, e_mse: float, cfg, rng: Generator,
-                                 index: int = 0) -> Realization:
+def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator) -> Realization:
     """Draw one realization of the uncertain channels and adversary signals.
 
     Errors are circular Gaussian with per-entry variance e_mse times the mean
     squared magnitude of the corresponding estimate block.  The adversary
     transmit vectors are the trial constants stored in the ChannelSet; only
-    the channels carry the realization index.
+    the channels change from draw to draw.
     """
     if e_mse < 0:
         raise BadParams("e_mse must be nonnegative")
     h_ju = _add_estimation_error(cs.h_ju_est, e_mse, rng, 1)
     g_jr = _add_estimation_error(cs.g_jr_est, e_mse, rng, 2)
     h_iu = _add_estimation_error(cs.h_iu_est, e_mse, rng, 1)
-    return Realization(index=index, h_ju=h_ju, g_jr=g_jr, h_iu=h_iu,
-                       z_j=cs.z_jam, z_i=cs.z_int)
+    return Realization(h_ju=h_ju, g_jr=g_jr, h_iu=h_iu, z_j=cs.z_jam, z_i=cs.z_int)

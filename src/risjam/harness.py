@@ -72,9 +72,7 @@ def _optimize(cfg: ScenarioConfig, scheme: str, trial_index: int):
         else:
             report = baseline_noris(cs, cfg, ss_opt)
     except optimizer.EnergyInfeasible as exc:
-        raise optimizer.EnergyInfeasible(
-            f"trial {trial_index}: {exc}", iteration=exc.iteration, best_state=exc.best_state
-        ) from exc
+        raise optimizer.EnergyInfeasible(f"trial {trial_index}: {exc}") from exc
     return cs, report, ss_eval
 
 
@@ -85,10 +83,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
     cs, report, ss_eval = _optimize(cfg, scheme, trial_index)
     pm = cfg.power_model()
     rng_eval = np.random.default_rng(ss_eval)
-    heldout = [
-        sample_uncertain_realization(cs, cfg.e_mse, cfg, rng_eval, index=i + 1)
-        for i in range(cfg.heldout)
-    ]
+    heldout = [sample_uncertain_realization(cs, cfg.e_mse, rng_eval) for _ in range(cfg.heldout)]
     st = report.state
     rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
                            pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)

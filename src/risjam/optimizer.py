@@ -3,9 +3,14 @@
 Per outer iteration a fresh channel realization is folded into running SAA
 statistics, the time split is set by the closed-form energy-tight rule, and
 the beamforming blocks are solved as convex subproblems built from
-quadratic-transform surrogates of the sum rate.  One AO loop runs every
-scheme: the active harvesting RIS, and the passive-RIS and no-RIS
-baselines, which skip harvesting and (no RIS) start with an empty theta.
+quadratic-transform surrogates of the sum rate.  Both stages share one
+auxiliary update and one surrogate on the system kernel
+(system.signal_and_power); update_aux_stage1/2 pick each stage's channels
+and SAA-averaged extra term.
+
+One AO loop runs every scheme: the active harvesting RIS, and the
+passive-RIS and no-RIS baselines, which skip harvesting and (no RIS) start
+with an empty theta.
 
 The blocks and their solves in numerics:
 
@@ -43,11 +48,6 @@ class DegenerateTau(Exception):
 
 class EnergyInfeasible(Exception):
     """Harvested energy cannot cover static power plus amplified RIS noise."""
-
-    def __init__(self, msg, iteration=None, best_state=None):
-        super().__init__(msg)
-        self.iteration = iteration
-        self.best_state = best_state
 
 
 @dataclass
@@ -103,46 +103,37 @@ def update_tau(p_r: float, w1: np.ndarray, g_br: np.ndarray, eta1: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# stage-1 surrogate
+# quadratic-transform surrogates
 # ---------------------------------------------------------------------------
 
-def _stage1_gains(w1: np.ndarray, cs: ChannelSet):
-    e = cs.h_bu.conj() @ w1.T  # e[k, j] = h_BU,k^H w1_j
-    return e, np.abs(e) ** 2
+def optimal_aux(h: np.ndarray, w: np.ndarray, c: np.ndarray):
+    """Optimal quadratic-transform auxiliaries of one stage with channels h,
+    beams w and extra term c (system.signal_and_power).
 
-
-def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, sigma1_sq: float):
-    """Optimal quadratic-transform auxiliaries for the harvesting stage.
-
-    omega is the SAA SINR; nu is the ratio form with the sqrt(1+omega)
-    radicand that makes the surrogate identity exact.
+    omega is the SINR; nu is the ratio form with the sqrt(1+omega) radicand
+    that makes the surrogate identity exact.
     """
-    e, g = _stage1_gains(w1, cs)
-    sig = np.diag(g).copy()
-    interf = g.sum(axis=1) - sig
-    base = interf + stats.zbar_i2 + stats.d_abs2 + sigma1_sq
-    omega = sig / base
-    nu = np.sqrt(1.0 + omega) * np.diag(e) / (base + sig)
-    return omega, nu
+    e, p = system.signal_and_power(h, w, c)
+    s = np.abs(e) ** 2
+    omega = s / (p - s)
+    return omega, np.sqrt(1.0 + omega) * e / p
 
 
-def surrogate_stage1(w1: np.ndarray, omega: np.ndarray, nu: np.ndarray,
-                     cs: ChannelSet, stats: SaaStats, sigma1_sq: float) -> float:
-    """f_OF^I in nats at the given beams and auxiliaries."""
-    e, g = _stage1_gains(w1, cs)
-    denom = g.sum(axis=1) + stats.zbar_i2 + stats.d_abs2 + sigma1_sq
+def surrogate(h: np.ndarray, w: np.ndarray, omega: np.ndarray, nu: np.ndarray,
+              c: np.ndarray) -> float:
+    """Quadratic-transform surrogate of one stage's sum rate in nats,
+    sum_k ln(1+omega_k) + 2 sqrt(1+omega_k) Re{nu_k^* h_k^H w_k} - omega_k
+    - |nu_k|^2 (sum_j |h_k^H w_j|^2 + c_k); it equals sum_k ln(1+SINR_k)
+    at the optimal auxiliaries."""
+    e, p = system.signal_and_power(h, w, c)
     val = (
         np.log1p(omega)
-        + 2.0 * np.sqrt(1.0 + omega) * np.real(np.conj(nu) * np.diag(e))
+        + 2.0 * np.sqrt(1.0 + omega) * np.real(np.conj(nu) * e)
         - omega
-        - np.abs(nu) ** 2 * denom
+        - np.abs(nu) ** 2 * p
     )
     return float(np.sum(val))
 
-
-# ---------------------------------------------------------------------------
-# stage-2 surrogate
-# ---------------------------------------------------------------------------
 
 def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) -> np.ndarray:
     """(K,) SAA average of Z_2,k as a function of theta, assembled from the
@@ -155,38 +146,19 @@ def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) 
     return z + 2.0 * np.real(lin) + np.real(quad)
 
 
-def _stage2_gains(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet):
-    h_eff = system.effective_channels(theta, cs)
-    e = h_eff.conj() @ w2.T
-    return h_eff, e, np.abs(e) ** 2
+def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, sigma1_sq: float):
+    """Auxiliaries of the harvesting stage: direct channels, averaged
+    jamming and interference plus the UE noise."""
+    return optimal_aux(cs.h_bu, w1, stats.zbar_i2 + stats.d_abs2 + sigma1_sq)
 
 
 def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: SaaStats,
                       sigma_r_sq: float, sigma2_sq: float):
-    """Optimal auxiliaries for the reflection stage, using the averaged
-    interference built from the running statistics and the current theta."""
-    _, e, g = _stage2_gains(w2, theta, cs)
-    sig = np.diag(g).copy()
-    interf = g.sum(axis=1) - sig
-    base = interf + system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
-    omega = sig / base
-    nu = np.sqrt(1.0 + omega) * np.diag(e) / (base + sig)
-    return omega, nu
-
-
-def surrogate_stage2(w2: np.ndarray, theta: np.ndarray, omega: np.ndarray, nu: np.ndarray,
-                     cs: ChannelSet, stats: SaaStats, sigma_r_sq: float, sigma2_sq: float) -> float:
-    """f_OF^II in nats at the given beams, reflection coefficients, and auxiliaries."""
-    _, e, g = _stage2_gains(w2, theta, cs)
-    denom = (g.sum(axis=1) + system.ris_noise(theta, cs, sigma_r_sq)
-             + stage2_interference_avg(theta, cs, stats) + sigma2_sq)
-    val = (
-        np.log1p(omega)
-        + 2.0 * np.sqrt(1.0 + omega) * np.real(np.conj(nu) * np.diag(e))
-        - omega
-        - np.abs(nu) ** 2 * denom
-    )
-    return float(np.sum(val))
+    """Auxiliaries of the reflection stage: effective channels, amplified
+    RIS noise, the averaged interference built from the running statistics
+    and the current theta, plus the UE noise."""
+    c = system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
+    return optimal_aux(system.effective_channels(theta, cs), w2, c)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +174,19 @@ def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
     tau = state.tau
     p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
     omega, nu = state.omega1, state.nu1
+    c = stats.zbar_i2 + stats.d_abs2 + pm.sigma1_sq
     k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
     a, y = beam_terms(cs.h_bu, omega, nu)
 
     w = state.w1.copy()
-    val = surrogate_stage1(w, omega, nu, cs, stats, pm.sigma1_sq)
+    val = surrogate(cs.h_bu, w, omega, nu, c)
     for _ in range(i_max):
         a_vec = w @ k1.T  # rows: K1 w_k (K1 Hermitian)
         xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float(np.sum(np.real(np.conj(w) * a_vec)))
-        w_new = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1)
-        val_new = surrogate_stage1(w_new, omega, nu, cs, stats, pm.sigma1_sq)
-        w = w_new
-        if abs(val_new - val) <= varsigma1 * max(abs(val_new), 1e-12):
-            val = val_new
+        w = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1)
+        val, prev = surrogate(cs.h_bu, w, omega, nu, c), val
+        if abs(val - prev) <= varsigma1 * max(abs(val), 1e-12):
             break
-        val = val_new
     return w
 
 
@@ -233,28 +203,27 @@ def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
     return a, y
 
 
+def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
+    """Amplifier budget P_E = (E_R - (1-tau) M (P_dc+P_sc)) / ((1-tau) xi):
+    the output power (amplified signal plus amplified RIS noise) that the
+    harvested energy E_R leaves after the static load."""
+    e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
+    one_minus_tau = 1.0 - state.tau
+    return (e_r - one_minus_tau * state.theta.size * (pm.p_dc + pm.p_sc)) / (one_minus_tau * pm.xi)
+
+
 def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
              tol: float = 1e-9) -> np.ndarray:
     """Reflection-stage beams: maximize the stage-2 surrogate under the
     transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams)."""
     theta = state.theta
-    h_eff = system.effective_channels(theta, cs)
-    e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
-    one_minus_tau = 1.0 - state.tau
-    m = theta.size
-    p_e = (
-        e_r
-        - one_minus_tau * m * (pm.p_dc + pm.p_sc)
-        - one_minus_tau * pm.xi * pm.sigma_r_sq * float(np.sum(np.abs(theta) ** 2))
-    ) / (one_minus_tau * pm.xi)
+    p_e = energy_budget(state, cs, pm) - pm.sigma_r_sq * float(np.sum(np.abs(theta) ** 2))
     if p_e < 0:
-        raise EnergyInfeasible(
-            f"harvest {e_r:.3e} W cannot cover static load and RIS noise (P_E = {p_e:.3e})"
-        )
+        raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise (P_E = {p_e:.3e})")
     s_block = numerics.hermitize(
         cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
-    ) if m else None
-    a, y = beam_terms(h_eff, state.omega2, state.nu2)
+    ) if theta.size else None
+    a, y = beam_terms(system.effective_channels(theta, cs), state.omega2, state.nu2)
     return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol)
 
 
@@ -294,13 +263,9 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
     m = state.theta.size
     if m == 0:
         return state.theta.copy()
-    e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
-    one_minus_tau = 1.0 - state.tau
-    p_e = (e_r - one_minus_tau * m * (pm.p_dc + pm.p_sc)) / (one_minus_tau * pm.xi)
+    p_e = energy_budget(state, cs, pm)
     if p_e < 0:
-        raise EnergyInfeasible(
-            f"harvest {e_r:.3e} W cannot cover the static load (P_E_tilde = {p_e:.3e})"
-        )
+        raise EnergyInfeasible(f"the harvest cannot cover the static load (P_E_tilde = {p_e:.3e})")
     gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
     mu = state.w2 @ cs.g_br.T
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq,
@@ -409,7 +374,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     for r in range(1, cfg.r_max + 1):
         with timed("draw"):
             sub = np.random.default_rng(rng.spawn(1)[0])
-            realizations.append(sample_uncertain_realization(cs, cfg.e_mse, cfg, sub, index=r))
+            realizations.append(sample_uncertain_realization(cs, cfg.e_mse, sub))
             update_saa_stats(stats, realizations[-1], cs)
         with timed("objective"):
             v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, realizations,
@@ -433,39 +398,35 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
             break
         prev_v = v
 
-        try:
+        if scheme.harvest:
+            with timed("tau"):
+                p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
+                if p_r > 0:
+                    state.tau = update_tau(p_r, state.w1, cs.g_br, pm.eta1)
+                    e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
+                    gap = e_r - (1.0 - state.tau) * p_r
+                    report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
+            with timed("aux1"):
+                state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
+            with timed("w1"):
+                state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1)
+        with timed("aux2"):
+            state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
+                                                        pm.sigma_r_sq, pm.sigma2_sq)
+        with timed("w2"):
             if scheme.harvest:
-                with timed("tau"):
-                    p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
-                    if p_r > 0:
-                        state.tau = update_tau(p_r, state.w1, cs.g_br, pm.eta1)
-                        e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
-                        gap = e_r - (1.0 - state.tau) * p_r
-                        report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
-                with timed("aux1"):
-                    state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
-                with timed("w1"):
-                    state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1)
-            with timed("aux2"):
-                state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
-                                                            pm.sigma_r_sq, pm.sigma2_sq)
-            with timed("w2"):
-                if scheme.harvest:
-                    state.w2 = solve_w2(state, cs, stats, pm)
-                else:
-                    a, y = beam_terms(system.effective_channels(state.theta, cs),
-                                      state.omega2, state.nu2)
-                    state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
-            with timed("theta"):
-                if state.theta.size and scheme.harvest:
-                    state.theta = solve_theta(state, cs, stats, pm)
-                elif state.theta.size:
-                    state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
-                    report.theta_steps += steps
-                    report.theta_capped += steps >= THETA_MM_MAX_ITER
-        except EnergyInfeasible as exc:
-            raise EnergyInfeasible(str(exc), iteration=r, best_state=best_state) from exc
-        state.iteration = r
+                state.w2 = solve_w2(state, cs, stats, pm)
+            else:
+                a, y = beam_terms(system.effective_channels(state.theta, cs),
+                                  state.omega2, state.nu2)
+                state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
+        with timed("theta"):
+            if state.theta.size and scheme.harvest:
+                state.theta = solve_theta(state, cs, stats, pm)
+            elif state.theta.size:
+                state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
+                report.theta_steps += steps
+                report.theta_capped += steps >= THETA_MM_MAX_ITER
 
     report.state = best_state
     report.feasibility = system.check_feasibility(best_state, cs, pm)

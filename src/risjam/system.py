@@ -1,9 +1,12 @@
 """Two-stage TD-SWIPT system model: SINRs, rates, energy, and feasibility.
 
 Stage 1: direct transmission while the RIS harvests.  Stage 2: transmission
-assisted by the reflecting (amplifying) RIS.  All evaluation here uses the
-actual (estimate + error) channels carried by a Realization; the optimizer
-only ever sees sample averages of these quantities.
+assisted by the reflecting (amplifying) RIS.  Both stages share one SINR
+form, |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + c_k), and differ only in
+the channels h and the extra term c; signal_and_power is its one kernel.
+All evaluation here uses the actual (estimate + error) channels carried by
+a Realization; the optimizer only ever sees sample averages of these
+quantities.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, Realization
+from .channel import ChannelSet
 
 LN2 = float(np.log(2.0))
 
@@ -55,7 +58,6 @@ class SolverState:
     nu1: np.ndarray = None
     omega2: np.ndarray = None
     nu2: np.ndarray = None
-    iteration: int = 0
 
     def copy(self) -> "SolverState":
         return SolverState(
@@ -64,7 +66,6 @@ class SolverState:
             nu1=None if self.nu1 is None else self.nu1.copy(),
             omega2=None if self.omega2 is None else self.omega2.copy(),
             nu2=None if self.nu2 is None else self.nu2.copy(),
-            iteration=self.iteration,
         )
 
 
@@ -111,39 +112,36 @@ def ris_noise(theta: np.ndarray, cs: ChannelSet, sigma_r_sq: float) -> np.ndarra
     return sigma_r_sq * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
 
 
-def _sinr_terms(h: np.ndarray, w: np.ndarray):
-    """(K,) signal |h_k^H w_k|^2 and multiuser interference sum_{j!=k} |h_k^H w_j|^2."""
-    g = np.abs(h.conj() @ w.T) ** 2
-    sig = np.diag(g).copy()
-    return sig, g.sum(axis=1) - sig
+def signal_and_power(h: np.ndarray, w: np.ndarray, c):
+    """Terms of the SINR form both stages share,
+    |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + c_k).
+
+    h (K, N) are the stage's channels, w (K, N) its beams and c the per-user
+    extra term (noise, amplified RIS noise, jamming and interference), with
+    leading draw axes allowed.  Returns the signal amplitudes h_k^H w_k (K,)
+    and the received power sum_j |h_k^H w_j|^2 + c_k, broadcast against c.
+    """
+    e = h.conj() @ w.T  # e[k, j] = h_k^H w_j
+    return np.diagonal(e), np.sum(np.abs(e) ** 2, axis=1) + c
 
 
-def stage1_sinr(k: int, w1: np.ndarray, rlz: Realization, cs: ChannelSet, sigma1_sq: float) -> float:
-    """Received SINR of UE k during the harvesting stage."""
-    sig, interf = _sinr_terms(cs.h_bu, w1)
-    z1, _ = adversary_interference(np.zeros(0, dtype=complex), [rlz], cs)
-    return sig[k] / (interf[k] + z1[0, k] + sigma1_sq)
-
-
-def stage2_sinr(k: int, w2: np.ndarray, theta: np.ndarray, rlz: Realization, cs: ChannelSet,
-                sigma2_sq: float, sigma_r_sq: float) -> float:
-    """Received SINR of UE k during the reflection stage, including the
-    amplified RIS noise term sigma_R^2 ||h_RU,k^H Theta||^2."""
-    sig, interf = _sinr_terms(effective_channels(theta, cs), w2)
-    _, z2 = adversary_interference(theta, [rlz], cs)
-    return sig[k] / (interf[k] + ris_noise(theta, cs, sigma_r_sq)[k] + z2[0, k] + sigma2_sq)
+def sinr(h: np.ndarray, w: np.ndarray, c) -> np.ndarray:
+    """Per-user SINR of one stage (see signal_and_power), broadcast against c."""
+    e, p = signal_and_power(h, w, c)
+    s = np.abs(e) ** 2
+    return s / (p - s)
 
 
 def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
                   realizations, cs: ChannelSet, sigma1_sq: float, sigma2_sq: float,
                   sigma_r_sq: float) -> float:
     """Sample-average sum rate in nats per channel use over the given draws,
-    all draws and users evaluated together."""
-    sig1, int1 = _sinr_terms(cs.h_bu, w1)
-    sig2, int2 = _sinr_terms(effective_channels(theta, cs), w2)
+    all draws and users evaluated together: stage 1 on the direct channels,
+    stage 2 on the effective ones with the amplified RIS noise."""
     z1, z2 = adversary_interference(theta, realizations, cs)
-    r1 = np.log1p(sig1 / (int1 + z1 + sigma1_sq))
-    r2 = np.log1p(sig2 / (int2 + ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
+    r1 = np.log1p(sinr(cs.h_bu, w1, z1 + sigma1_sq))
+    r2 = np.log1p(sinr(effective_channels(theta, cs), w2,
+                       ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
     return float(np.sum(tau * r1 + (1.0 - tau) * r2)) / len(realizations)
 
 

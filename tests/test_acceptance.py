@@ -19,8 +19,6 @@ from risjam.channel import RwpParams, rwp_nakagami_cdf, rwp_nakagami_pdf, sample
 from risjam.optimizer import (
     SaaStats,
     ssca_ao,
-    surrogate_stage1,
-    surrogate_stage2,
     solve_theta,
     solve_w2,
     update_aux_stage1,
@@ -29,7 +27,7 @@ from risjam.optimizer import (
 from risjam.system import SolverState
 
 from oracles import pg_qcqp_max, project_ball, project_caps, project_ellipsoid
-from test_optimizer import make_instance
+from test_optimizer import make_instance, surrogate_stage1, surrogate_stage2
 from test_system import crand, pm_default
 
 
@@ -174,7 +172,7 @@ def test_criterion_5_scheme_ordering(desk_ordering):
     detail = (f"(active-passive {d_ap.mean():+.3f} +/- {se_ap:.3f}, "
               f"passive-noris {d_pn.mean():+.3f} +/- {se_pn:.3f}; "
               "first leg is structurally unattainable with full-period baselines, "
-              "see decisions ledger)")
+              "see ROADMAP.md, Open items)")
     assert _report(5, "scheme ordering active > passive > no-RIS", leg1 and leg2, detail)
 
 
@@ -187,7 +185,7 @@ def test_criterion_6_interior_optimum_in_m():
     ok = 15 <= peak <= 40 and peak not in (values[0], values[-1])
     detail = ("(curve " + ", ".join(f"{v:.2f}" for v in curve) +
               f"; peak at M={peak}; the energy economy scales linearly in M, "
-              "see decisions ledger)")
+              "see ROADMAP.md, Open items)")
     assert _report(6, "interior optimum in the number of elements", ok, detail)
 
 

@@ -1,15 +1,22 @@
-"""The functions the benchmark under perfbench/ wraps must exist in risjam.
+"""The contract between risjam and the benchmark under perfbench/.
 
-perfbench patches risjam functions by module and name; a renamed or deleted
-function would only fail inside a benchmark run.  perfbench/spans.py is read
-as text here, not imported, so this file runs under the plain test suite.
+perfbench patches risjam functions by module and name, and checks each trial
+from what its hooks capture; a renamed or deleted function, or a trial that
+stops calling through the patched names, would only fail inside a benchmark
+run.  perfbench/spans.py is read as text here, not imported, so this file
+runs under the plain test suite.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import risjam
+from risjam import channel, harness, numerics, system
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +41,56 @@ def test_wrapped_function_resolves(module, name):
 
 def test_table_is_not_empty():
     assert len(spanned()) >= 10
+
+
+def patch_everywhere(monkeypatch, module, name, make_wrapper):
+    """Replace module.name at every risjam module global that holds it, the
+    way the benchmark's hooks do, so only calls made through a module
+    global reach the wrapper."""
+    original = getattr(module, name)
+    wrapper = make_wrapper(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "risjam" or mod_name.startswith("risjam.")):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_trial_meets_the_capture_contract(monkeypatch, scheme):
+    # one static channel set and one held-out scoring per trial, held-out
+    # draws that carry every link the checks recompute the rate from, and
+    # reflection problems with their amplitude caps set
+    static, scoring, problems = [], [], []
+
+    def count_static(fn):
+        def sample_static_channels(*args, **kw):
+            static.append(fn(*args, **kw))
+            return static[-1]
+        return sample_static_channels
+
+    def grab_scoring(fn):
+        def sum_rate(tau, w1, w2, theta, realizations, cs, *rest, **kw):
+            scoring.append(list(realizations))
+            return fn(tau, w1, w2, theta, realizations, cs, *rest, **kw)
+        return sum_rate
+
+    def grab_problem(fn):
+        def solve_concave_qcqp(problem, *args, **kw):
+            problems.append(problem)
+            return fn(problem, *args, **kw)
+        return solve_concave_qcqp
+
+    patch_everywhere(monkeypatch, channel, "sample_static_channels", count_static)
+    patch_everywhere(monkeypatch, system, "sum_rate", grab_scoring)
+    patch_everywhere(monkeypatch, numerics, "solve_concave_qcqp", grab_problem)
+    cfg = risjam.desk_profile(r_max=6, heldout=5)
+    harness.run_trial(cfg, scheme, 0)
+
+    assert len(static) == 1
+    assert len(scoring) == 1 and len(scoring[0]) == cfg.heldout
+    for draw in scoring[0]:
+        for link in ("h_ju", "g_jr", "h_iu", "z_j", "z_i"):
+            assert isinstance(getattr(draw, link), np.ndarray)
+    assert all(p.caps is not None for p in problems)
+    assert bool(problems) == (scheme == "active-harvesting")

@@ -210,7 +210,7 @@ class TestRealization:
     def test_zero_error_exact(self):
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(2))
-        rlz = sample_uncertain_realization(cs, 0.0, cfg, np.random.default_rng(3))
+        rlz = sample_uncertain_realization(cs, 0.0, np.random.default_rng(3))
         np.testing.assert_array_equal(rlz.h_ju, cs.h_ju_est)
         np.testing.assert_array_equal(rlz.g_jr, cs.g_jr_est)
         np.testing.assert_array_equal(rlz.h_iu, cs.h_iu_est)
@@ -223,7 +223,7 @@ class TestRealization:
         est = cs.h_ju_est[0, 0]
         diffs = []
         for _ in range(2000):
-            rlz = sample_uncertain_realization(cs, e_mse, cfg, rng)
+            rlz = sample_uncertain_realization(cs, e_mse, rng)
             diffs.append(rlz.h_ju[0, 0] - est)
         diffs = np.array(diffs)  # 2000 x N_jam entries
         ratio = np.mean(np.abs(diffs) ** 2) / np.mean(np.abs(est) ** 2)
@@ -233,7 +233,7 @@ class TestRealization:
         # 10 dBm per jammer
         cfg = risjam.paper_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(6))
-        rlz = sample_uncertain_realization(cs, 0.05, cfg, np.random.default_rng(7))
+        rlz = sample_uncertain_realization(cs, 0.05, np.random.default_rng(7))
         for q in range(cfg.q):
             total = np.sum(np.abs(rlz.z_j[q]) ** 2)
             assert total == pytest.approx(0.01, rel=1e-10)
@@ -244,8 +244,8 @@ class TestRealization:
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(8))
         ss = np.random.SeedSequence(99)
-        r1 = sample_uncertain_realization(cs, 0.1, cfg, np.random.default_rng(ss.spawn(1)[0]), index=1)
-        r2 = sample_uncertain_realization(cs, 0.1, cfg, np.random.default_rng(ss.spawn(1)[0]), index=2)
+        r1 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]))
+        r2 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]))
         assert not np.allclose(r1.h_ju, r2.h_ju)
 
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
@@ -256,7 +256,7 @@ class TestRealization:
         cfg = risjam.paper_profile(e_mse=e_mse, **counts)
         for seed in range(4):
             cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(seed))
-            rlz = sample_uncertain_realization(cs, e_mse, cfg, np.random.default_rng(100 + seed))
+            rlz = sample_uncertain_realization(cs, e_mse, np.random.default_rng(100 + seed))
             ref = uncertain_draw_loops(cs, e_mse, np.random.default_rng(100 + seed))
             for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), ref):
                 assert got.shape == want.shape

@@ -13,10 +13,10 @@ from risjam.optimizer import (
     solve_theta,
     solve_w1,
     solve_w2,
+    optimal_aux,
     ssca_ao,
     stage2_interference_avg,
-    surrogate_stage1,
-    surrogate_stage2,
+    surrogate,
     theta_quadratic_model,
     update_aux_stage1,
     update_aux_stage2,
@@ -28,6 +28,20 @@ from risjam.system import PowerModel, SolverState
 from oracles import pg_qcqp_max, project_ball, saa_means_loops, wmmse_sum_rate
 from test_system import (crand, make_channels, make_realization, permute_realization,
                          permute_users, pm_default)
+
+
+def surrogate_stage1(w1, omega, nu, cs, stats, sigma1_sq):
+    """f_OF^I: the surrogate on the direct channels, with the averaged
+    jamming and interference plus the UE noise as the extra term."""
+    return surrogate(cs.h_bu, w1, omega, nu, stats.zbar_i2 + stats.d_abs2 + sigma1_sq)
+
+
+def surrogate_stage2(w2, theta, omega, nu, cs, stats, sigma_r_sq, sigma2_sq):
+    """f_OF^II: the surrogate on the effective channels, with the amplified
+    RIS noise, the averaged bounced jamming and interference plus the UE
+    noise as the extra term."""
+    c = system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
+    return surrogate(system.effective_channels(theta, cs), w2, omega, nu, c)
 
 
 def make_instance(seed, n=4, m=3, k=2, q=1, b=1, n_jam=2, n_rlz=3, jitter=0.1, scale=1.0):
@@ -101,6 +115,27 @@ class TestAuxStage1:
             f = surrogate_stage1(w, omega, nu, cs, stats, 0.05)
             want = float(np.sum(np.log1p(omega)))
             assert abs(f - want) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestOptimalAux:
+    def test_omega_is_the_sinr(self):
+        rng = np.random.default_rng(30)
+        h, w = crand(rng, 3, 4), crand(rng, 3, 4)
+        c = rng.uniform(0.1, 1.0, 3)
+        omega, _ = optimal_aux(h, w, c)
+        np.testing.assert_allclose(omega, system.sinr(h, w, c), rtol=1e-12)
+
+    def test_surrogate_maximized_at_optimal_aux(self):
+        rng = np.random.default_rng(31)
+        h, w = crand(rng, 3, 4), crand(rng, 3, 4)
+        c = rng.uniform(0.1, 1.0, 3)
+        omega, nu = optimal_aux(h, w, c)
+        best = surrogate(h, w, omega, nu, c)
+        assert best == pytest.approx(float(np.sum(np.log1p(system.sinr(h, w, c)))), rel=1e-12)
+        for _ in range(20):
+            om = omega * rng.uniform(0.5, 1.5, 3)
+            nn = nu * (1.0 + 0.3 * crand(rng, 3))
+            assert surrogate(h, w, om, nn, c) <= best + 1e-12 * abs(best)
 
 
 class TestAuxStage2:
@@ -381,36 +416,6 @@ class TestSolveW1:
         w_ref = x_ref.reshape(k, n)
         f_ref = surrogate_stage1(w_ref, st.omega1, st.nu1, cs, stats, pm.sigma1_sq)
         assert f_solver >= f_ref - 1e-4 * (1.0 + abs(f_ref))
-
-    def test_power_curve_monotone(self):
-        # P(lambda1) with the nested lambda2 rule is strictly decreasing
-        rng, cs, stats, _ = make_instance(16)
-        pm = pm_default()
-        st = self._state(cs, stats, pm, rng, tau=0.5)
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
-        nu2 = np.abs(st.nu1) ** 2
-        a = (cs.h_bu.T * nu2[None, :]) @ cs.h_bu.conj()
-        s, u = np.linalg.eigh(0.5 * (a + a.conj().T))
-        s = np.maximum(s, 0.0)
-        b_half = (np.sqrt(1 + st.omega1) * st.nu1)[:, None] * cs.h_bu
-        bt = b_half @ np.conj(u)
-        k1 = cs.g_br.conj().T @ cs.g_br
-        a_vec = st.w1 @ k1.T
-        p_r = system.ris_power(st.w2, st.theta, cs.g_br, pm)
-        xi1 = (1 - st.tau) * p_r + st.tau * pm.eta1 * float(np.sum(np.real(np.conj(st.w1) * a_vec)))
-        r_vec = (st.tau * pm.eta1) * (a_vec @ np.conj(u))
-
-        def power(lam1):
-            inv = 1.0 / (s + lam1)
-            g0 = 2.0 * float(np.sum(np.real(np.conj(r_vec) * bt) * inv[None, :]))
-            g1 = 2.0 * float(np.sum(np.abs(r_vec) ** 2 * inv[None, :]))
-            lam2 = max(0.0, (xi1 - g0) / g1) if g1 > 0 else 0.0
-            w_hat = (bt + lam2 * r_vec) * inv[None, :]
-            return float(np.sum(np.abs(w_hat) ** 2))
-
-        grid = np.logspace(-3, 3, 100)
-        vals = np.array([power(x) for x in grid])
-        assert np.all(np.diff(vals) < 0)
 
 
 class TestSolveW2:

@@ -7,12 +7,14 @@ from risjam.channel import ChannelSet, Realization
 from risjam.system import (
     PowerModel,
     SolverState,
+    adversary_interference,
     check_feasibility,
     effective_channels,
     harvested_energy,
+    ris_noise,
     ris_power,
-    stage1_sinr,
-    stage2_sinr,
+    signal_and_power,
+    sinr,
     sum_rate,
     sum_rate_nats,
 )
@@ -44,7 +46,6 @@ def make_channels(rng, n=4, m=3, k=2, q=1, b=1, n_jam=2, scale=1.0):
 
 def make_realization(cs, rng, jitter=0.0):
     return Realization(
-        index=1,
         h_ju=cs.h_ju_est + jitter * crand(rng, *cs.h_ju_est.shape),
         g_jr=cs.g_jr_est + jitter * crand(rng, *cs.g_jr_est.shape),
         h_iu=cs.h_iu_est + jitter * crand(rng, *cs.h_iu_est.shape),
@@ -63,6 +64,21 @@ def permute_users(cs, perm):
 def permute_realization(rlz, perm):
     return replace(rlz, h_ju=rlz.h_ju[:, perm], h_iu=rlz.h_iu[:, perm],
                    z_j=rlz.z_j[:, perm], z_i=rlz.z_i[:, perm])
+
+
+def stage1_sinr(w1, rlz, cs, sigma1_sq):
+    """(K,) harvesting-stage SINRs of one draw: direct channels, extra term
+    jamming plus interference plus UE noise."""
+    z1, _ = adversary_interference(np.zeros(0, complex), [rlz], cs)
+    return sinr(cs.h_bu, w1, z1[0] + sigma1_sq)
+
+
+def stage2_sinr(w2, theta, rlz, cs, sigma2_sq, sigma_r_sq):
+    """(K,) reflection-stage SINRs of one draw: effective channels, extra
+    term amplified RIS noise plus bounced jamming, interference and UE noise."""
+    _, z2 = adversary_interference(theta, [rlz], cs)
+    c = ris_noise(theta, cs, sigma_r_sq) + z2[0] + sigma2_sq
+    return sinr(effective_channels(theta, cs), w2, c)
 
 
 def pm_default(**kw):
@@ -111,7 +127,7 @@ class TestStage1Sinr:
         cs.z_int[:] = 0.0
         rlz = make_realization(cs, rng)
         w = crand(rng, 1, 4)
-        got = stage1_sinr(0, w, rlz, cs, sigma1_sq=0.5)
+        got = stage1_sinr(w, rlz, cs, sigma1_sq=0.5)[0]
         want = abs(np.vdot(cs.h_bu[0], w[0])) ** 2 / 0.5
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -122,17 +138,17 @@ class TestStage1Sinr:
         w = crand(rng, 2, 4)
         h = cs.h_bu[0]
         w[0] -= h * (np.vdot(h, w[0]) / np.vdot(h, h))  # project out
-        assert stage1_sinr(0, w, rlz, cs, 1e-3) < 1e-24
+        assert stage1_sinr(w, rlz, cs, 1e-3)[0] < 1e-24
 
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(5)
         cs = make_channels(rng, n=4, k=2, q=1, b=1)
         rlz = make_realization(cs, rng, jitter=0.1)
         w = crand(rng, 2, 4)
+        got = stage1_sinr(w, rlz, cs, 0.01)
         for k in range(2):
-            got = stage1_sinr(k, w, rlz, cs, 0.01)
             ref = stage1_sinr_scalar(k, w, cs.h_bu, rlz.h_ju, rlz.z_j, rlz.h_iu, rlz.z_i, 0.01)
-            assert got == pytest.approx(ref, rel=1e-12)
+            assert got[k] == pytest.approx(ref, rel=1e-12)
 
 
 class TestStage2Sinr:
@@ -143,10 +159,9 @@ class TestStage2Sinr:
         rlz = make_realization(cs, rng, jitter=0.2)
         w = crand(rng, 3, 4)
         theta = np.zeros(5, dtype=complex)
-        for k in range(3):
-            s2 = stage2_sinr(k, w, theta, rlz, cs, sigma2_sq=0.02, sigma_r_sq=0.5)
-            s1 = stage1_sinr(k, w, rlz, cs, sigma1_sq=0.02)
-            assert s2 == pytest.approx(s1, rel=1e-12)
+        s2 = stage2_sinr(w, theta, rlz, cs, sigma2_sq=0.02, sigma_r_sq=0.5)
+        s1 = stage1_sinr(w, rlz, cs, sigma1_sq=0.02)
+        np.testing.assert_allclose(s2, s1, rtol=1e-12)
 
     def test_scalar_hand_expansion(self):
         # M = 1, N = 1, K = 1, Q = 1, B = 0: fully scalar closed form
@@ -162,7 +177,7 @@ class TestStage2Sinr:
         zjam = abs(np.conj(h_jam) * rlz.z_j[0, 0, 0]) ** 2
         ris_noise = 0.3 * abs(cs.h_ru[0, 0]) ** 2 * abs(theta[0]) ** 2
         want = sig / (zjam + ris_noise + 0.07)
-        got = stage2_sinr(0, w, theta, rlz, cs, sigma2_sq=0.07, sigma_r_sq=0.3)
+        got = stage2_sinr(w, theta, rlz, cs, sigma2_sq=0.07, sigma_r_sq=0.3)[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_noise_free_ris_single_user(self):
@@ -175,8 +190,29 @@ class TestStage2Sinr:
         theta = crand(rng, 3)
         h_eff = effective_channels(theta, cs)[0]
         want = abs(np.vdot(h_eff, w[0])) ** 2 / 0.04
-        got = stage2_sinr(0, w, theta, rlz, cs, sigma2_sq=0.04, sigma_r_sq=0.0)
+        got = stage2_sinr(w, theta, rlz, cs, sigma2_sq=0.04, sigma_r_sq=0.0)[0]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestStageKernel:
+    def test_terms_by_loops(self):
+        rng = np.random.default_rng(23)
+        h, w, c = crand(rng, 3, 4), crand(rng, 3, 4), rng.uniform(0.1, 1.0, 3)
+        e, p = signal_and_power(h, w, c)
+        for k in range(3):
+            assert e[k] == pytest.approx(np.vdot(h[k], w[k]), rel=1e-12)
+            power = sum(abs(np.vdot(h[k], w[j])) ** 2 for j in range(3)) + c[k]
+            assert p[k] == pytest.approx(power, rel=1e-12)
+
+    def test_draw_axes_equal_per_draw_calls(self):
+        # an extra term with leading draw axes gives one SINR row per draw
+        rng = np.random.default_rng(24)
+        h, w = crand(rng, 3, 4), crand(rng, 3, 4)
+        c = rng.uniform(0.1, 1.0, (2, 5, 3))
+        got = sinr(h, w, c)
+        assert got.shape == (2, 5, 3)
+        for idx in np.ndindex(2, 5):
+            np.testing.assert_array_equal(got[idx], sinr(h, w, c[idx]))
 
 
 class TestSumRate:
@@ -219,8 +255,8 @@ class TestSumRate:
         w_up[0] += cs.h_bu[0] * 0.5  # strengthen the aligned component
         # stage-1 rate of user 0 strictly grows; others' interference grows too,
         # so compare the single-user rate directly
-        s_before = stage1_sinr(0, w, rlz, cs, 1e-3)
-        s_after = stage1_sinr(0, w_up, rlz, cs, 1e-3)
+        s_before = stage1_sinr(w, rlz, cs, 1e-3)[0]
+        s_after = stage1_sinr(w_up, rlz, cs, 1e-3)[0]
         assert s_after > s_before
 
 
@@ -244,11 +280,10 @@ class TestSumRate:
         perm = np.array([2, 0, 3, 1])
         cs_p = permute_users(cs, perm)
         rlzs_p = [permute_realization(r, perm) for r in rlzs]
-        for k in range(4):
-            assert stage1_sinr(k, w1[perm], rlzs_p[0], cs_p, 0.01) == pytest.approx(
-                stage1_sinr(perm[k], w1, rlzs[0], cs, 0.01), rel=1e-12)
-            assert stage2_sinr(k, w2[perm], th, rlzs_p[0], cs_p, 0.01, 0.02) == pytest.approx(
-                stage2_sinr(perm[k], w2, th, rlzs[0], cs, 0.01, 0.02), rel=1e-12)
+        np.testing.assert_allclose(stage1_sinr(w1[perm], rlzs_p[0], cs_p, 0.01),
+                                   stage1_sinr(w1, rlzs[0], cs, 0.01)[perm], rtol=1e-12)
+        np.testing.assert_allclose(stage2_sinr(w2[perm], th, rlzs_p[0], cs_p, 0.01, 0.02),
+                                   stage2_sinr(w2, th, rlzs[0], cs, 0.01, 0.02)[perm], rtol=1e-12)
         base = sum_rate(0.3, w1, w2, th, rlzs, cs, 0.01, 0.01, 0.02)
         assert sum_rate(0.3, w1[perm], w2[perm], th, rlzs_p, cs_p, 0.01, 0.01, 0.02) == pytest.approx(
             base, rel=1e-12)
