@@ -3,8 +3,9 @@
 Links are distance-based path loss times Nakagami-m small-scale fading with
 uniform phases.  User positions follow the random-waypoint (RWP) stationary
 distance law; jammer/interferer channels are known only through estimates,
-and per-realization draws add circular-Gaussian estimation errors plus fresh
-isotropic transmit vectors.
+and a realization batch adds circular-Gaussian estimation errors to them,
+draw by draw.  The adversaries' isotropic transmit vectors are drawn once
+per trial.
 """
 
 from __future__ import annotations
@@ -222,15 +223,46 @@ class ChannelSet:
         return self.h_iu_est.shape[0]
 
 
-@dataclass
-class Realization:
-    """One draw of the uncertain channels and adversary transmit vectors."""
+@dataclass(frozen=True)
+class Draw:
+    """One draw of a Realization batch: the per-draw shapes, no draw axis."""
 
-    h_ju: np.ndarray  # (Q,K,N_jam) actual = estimate + error
+    h_ju: np.ndarray  # (Q,K,N_jam)
     g_jr: np.ndarray  # (Q,M,N_jam)
     h_iu: np.ndarray  # (B,K,N)
+    z_j: np.ndarray   # (Q,K,N_jam)
+    z_i: np.ndarray   # (B,K,N)
+
+
+@dataclass
+class Realization:
+    """A batch of R draws of the uncertain channels, on a leading axis, with
+    the adversary transmit vectors, which are constants of the trial.
+
+    len() is R.  An integer index gives one Draw, a slice a Realization of
+    those draws (views, no copy), and iteration yields the Draws in order.
+    Assigning a Draw to an integer index writes it into that slot.
+    """
+
+    h_ju: np.ndarray  # (R,Q,K,N_jam) actual = estimate + error
+    g_jr: np.ndarray  # (R,Q,M,N_jam)
+    h_iu: np.ndarray  # (R,B,K,N)
     z_j: np.ndarray   # (Q,K,N_jam), sum_k ||z_j[q,k]||^2 = P_J
     z_i: np.ndarray   # (B,K,N),     sum_k ||z_i[b,k]||^2 = P_I
+
+    def __len__(self) -> int:
+        return self.h_ju.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Realization(self.h_ju[i], self.g_jr[i], self.h_iu[i], self.z_j, self.z_i)
+        return Draw(self.h_ju[i], self.g_jr[i], self.h_iu[i], self.z_j, self.z_i)
+
+    def __setitem__(self, i: int, draw: Draw):
+        self.h_ju[i], self.g_jr[i], self.h_iu[i] = draw.h_ju, draw.g_jr, draw.h_iu
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _uniform_box(rng: Generator, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
@@ -292,16 +324,23 @@ def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
                       ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
 
 
-def _add_estimation_error(est: np.ndarray, e_mse: float, rng: Generator, block_ndim: int) -> np.ndarray:
-    """actual = estimate + CN(0, e_mse * mean|block|^2) per entry, where a
-    block is one trailing (block_ndim-dimensional) estimate; one draw per link
-    fills every block in order, real part before imaginary part."""
-    if e_mse == 0.0 or est.size == 0:
-        return est.copy()
+def _add_estimation_error(est: np.ndarray, e_mse: float, normals: np.ndarray,
+                          block_ndim: int) -> np.ndarray:
+    """(R,) + est.shape: actual = estimate + CN(0, e_mse * mean|block|^2) per
+    entry, where a block is one trailing (block_ndim-dimensional) estimate.
+    Row r of normals (R, 2 * est.size) fills draw r, block by block in order,
+    real part before imaginary part; with no columns every draw is a copy."""
+    count = normals.shape[0]
+    if normals.shape[1] == 0:
+        return np.repeat(est[None], count, axis=0)
     lead = est.ndim - block_ndim
     var = e_mse * np.mean(np.abs(est) ** 2, axis=tuple(range(lead, est.ndim)), keepdims=True)
-    re, im = np.moveaxis(rng.standard_normal(est.shape[:lead] + (2,) + est.shape[lead:]), lead, 0)
-    return est + np.sqrt(var / 2.0) * (re + 1j * im)
+    split = normals.reshape((count,) + est.shape[:lead] + (2,) + est.shape[lead:])
+    out = np.empty((count,) + est.shape, dtype=complex)  # built in place: no batch-sized temporaries
+    out.real, out.imag = np.moveaxis(split, lead + 1, 0)
+    out *= np.sqrt(var / 2.0)
+    out += est
+    return out
 
 
 def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.ndarray:
@@ -314,17 +353,24 @@ def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.nd
     return v * np.sqrt(total_power / norm2)
 
 
-def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator) -> Realization:
-    """Draw one realization of the uncertain channels and adversary signals.
+def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator,
+                                 count: int) -> Realization:
+    """Draw count realizations of the uncertain channels as one batch.
 
     Errors are circular Gaussian with per-entry variance e_mse times the mean
-    squared magnitude of the corresponding estimate block.  The adversary
+    squared magnitude of the corresponding estimate block.  One
+    rng.standard_normal call fills the batch; each draw takes its normals in
+    the order of count sequential draws (jammer-user links, jammer-RIS
+    links, interferer-user links), so the batch equals those draws bitwise.
+    At e_mse = 0, and for an empty link, no normals are drawn.  The adversary
     transmit vectors are the trial constants stored in the ChannelSet; only
     the channels change from draw to draw.
     """
     if e_mse < 0:
         raise BadParams("e_mse must be nonnegative")
-    h_ju = _add_estimation_error(cs.h_ju_est, e_mse, rng, 1)
-    g_jr = _add_estimation_error(cs.g_jr_est, e_mse, rng, 2)
-    h_iu = _add_estimation_error(cs.h_iu_est, e_mse, rng, 1)
+    ests = (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)
+    widths = [2 * est.size if e_mse > 0 else 0 for est in ests]
+    normals = np.split(rng.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    h_ju, g_jr, h_iu = (_add_estimation_error(est, e_mse, n, block_ndim)
+                        for est, n, block_ndim in zip(ests, normals, (1, 2, 1)))
     return Realization(h_ju=h_ju, g_jr=g_jr, h_iu=h_iu, z_j=cs.z_jam, z_i=cs.z_int)

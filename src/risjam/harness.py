@@ -83,7 +83,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
     cs, report, ss_eval = _optimize(cfg, scheme, trial_index)
     pm = cfg.power_model()
     rng_eval = np.random.default_rng(ss_eval)
-    heldout = [sample_uncertain_realization(cs, cfg.e_mse, rng_eval) for _ in range(cfg.heldout)]
+    heldout = sample_uncertain_realization(cs, cfg.e_mse, rng_eval, cfg.heldout)
     st = report.state
     rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
                            pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)

@@ -349,7 +349,8 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000)
     returned when it meets the caps.  Otherwise one accelerated
     projected-gradient ascent in y, started from that ball optimum, with the
     exact projection onto the caps and the ball; its KKT residual ends at
-    most max(tol, 1e-9).
+    most max(tol, 1e-9), and its answer never exceeds the ellipsoid bound
+    in floating point.
     """
     if p.bound < 0:
         raise Infeasible(f"ellipsoid bound {p.bound} < 0")
@@ -360,4 +361,11 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000)
     x = y / s
     if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
         return x
-    return _caps_ball_ascent(a, b, p.caps * s, p.bound, y, max(tol, 1e-9), max_iter) / s
+    x = _caps_ball_ascent(a, b, p.caps * s, p.bound, y, max(tol, 1e-9), max_iter) / s
+    # the projection's last rounding, and the unwhitening, can leave the
+    # energy just above the bound: scale back onto the feasible side
+    energy = float(np.sum(p.weights * np.abs(x) ** 2))
+    while energy > p.bound:
+        x = x * (math.sqrt(p.bound / energy) * (1.0 - 1e-15))
+        energy = float(np.sum(p.weights * np.abs(x) ** 2))
+    return x

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics, system
-from .channel import ChannelSet, Realization, sample_uncertain_realization
+from .channel import ChannelSet, Draw, Realization, sample_uncertain_realization
 from .numerics import QcqpProblem, solve_concave_qcqp
 from .system import LN2, PowerModel, SolverState
 
@@ -58,7 +58,9 @@ class SaaStats:
     Memory is O(K*M^2), independent of the number of realizations and of
     jammers; the stage-2 surrogate matrices are assembled from these means
     rather than by re-looping over stored draws.  M is the number of
-    reflection coefficients being optimized (0 without an RIS).
+    reflection coefficients being optimized (0 without an RIS).  The draws
+    themselves are kept only for the SAA objective, in one batch that the
+    AO loop preallocates: O(r_max) times the size of one draw.
     """
 
     count: int
@@ -78,8 +80,8 @@ class SaaStats:
         )
 
 
-def update_saa_stats(stats: SaaStats, rlz: Realization, cs: ChannelSet) -> SaaStats:
-    """Fold one realization into the running means (Welford-style updates)."""
+def update_saa_stats(stats: SaaStats, rlz: Draw, cs: ChannelSet) -> SaaStats:
+    """Fold one draw into the running means (Welford-style updates)."""
     d = np.sum(np.conj(rlz.h_ju) * rlz.z_j, axis=-1)  # (Q,K)
     zi = np.sum(np.abs(np.sum(np.conj(rlz.h_iu) * rlz.z_i, axis=-1)) ** 2, axis=0)
     r = stats.count + 1
@@ -353,12 +355,15 @@ def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
 def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
                scheme: Scheme) -> AoReport:
     """The SSCA alternating optimization of every scheme.  Each iteration
-    draws a realization, folds it into the SAA statistics, evaluates the SAA
-    objective, applies the stop rule, keeps the best state, then updates the
+    draws a realization into the next slot of a preallocated batch, folds it
+    into the SAA statistics, evaluates the SAA objective on the draws so
+    far, applies the stop rule, keeps the best state, then updates the
     blocks the scheme optimizes."""
     state = initial_state(cs, pm, scheme)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
-    realizations: list[Realization] = []
+    draws = Realization(*(np.empty((cfg.r_max,) + est.shape, dtype=complex)
+                          for est in (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)),
+                        z_j=cs.z_jam, z_i=cs.z_int)
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")})
     best_state = state.copy()
     prev_v = None
@@ -374,10 +379,10 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     for r in range(1, cfg.r_max + 1):
         with timed("draw"):
             sub = np.random.default_rng(rng.spawn(1)[0])
-            realizations.append(sample_uncertain_realization(cs, cfg.e_mse, sub))
-            update_saa_stats(stats, realizations[-1], cs)
+            draws[r - 1] = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)[0]
+            update_saa_stats(stats, draws[r - 1], cs)
         with timed("objective"):
-            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, realizations,
+            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
                                      cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
         report.objective_nats.append(v)
         report.objective_bits.append(v / LN2)

@@ -4,9 +4,9 @@ Stage 1: direct transmission while the RIS harvests.  Stage 2: transmission
 assisted by the reflecting (amplifying) RIS.  Both stages share one SINR
 form, |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + c_k), and differ only in
 the channels h and the extra term c; signal_and_power is its one kernel.
-All evaluation here uses the actual (estimate + error) channels carried by
-a Realization; the optimizer only ever sees sample averages of these
-quantities.
+All evaluation here uses the actual (estimate + error) channels of a
+Realization batch, every draw at once; the optimizer only ever sees sample
+averages of these quantities.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, Realization
 
 LN2 = float(np.log(2.0))
 
@@ -84,23 +84,18 @@ def effective_channels(theta: np.ndarray, cs: ChannelSet) -> np.ndarray:
     return cs.h_bu + casc
 
 
-def adversary_interference(theta: np.ndarray, realizations, cs: ChannelSet):
+def adversary_interference(theta: np.ndarray, draws: Realization, cs: ChannelSet):
     """(R, K) jamming plus co-channel interference power at each UE for each
-    draw: (Z_1, Z_2), stage 1 over the direct jammer links and stage 2 with
-    the jammer paths bounced through the RIS,
+    draw of the batch: (Z_1, Z_2), stage 1 over the direct jammer links and
+    stage 2 with the jammer paths bounced through the RIS,
     h_J,qk^H = h_JU,qk^H + h_RU,k^H Theta G_JR,q.  Without reflection
     coefficients both stages see the same power."""
-    h_ju = np.stack([r.h_ju for r in realizations])  # (R,Q,K,Nj)
-    z_j = np.stack([r.z_j for r in realizations])
-    h_iu = np.stack([r.h_iu for r in realizations])  # (R,B,K,N)
-    z_i = np.stack([r.z_i for r in realizations])
-    direct = np.sum(np.conj(h_ju) * z_j, axis=-1)  # (R,Q,K): h_JU,qk^H z_qk
-    interf = np.sum(np.abs(np.sum(np.conj(h_iu) * z_i, axis=-1)) ** 2, axis=1)
+    direct = np.sum(np.conj(draws.h_ju) * draws.z_j, axis=-1)  # (R,Q,K): h_JU,qk^H z_qk
+    interf = np.sum(np.abs(np.sum(np.conj(draws.h_iu) * draws.z_i, axis=-1)) ** 2, axis=1)
     z1 = np.sum(np.abs(direct) ** 2, axis=1) + interf
-    if theta.size == 0 or h_ju.shape[1] == 0:
+    if theta.size == 0 or draws.h_ju.shape[1] == 0:
         return z1, z1
-    g_jr = np.stack([r.g_jr for r in realizations])  # (R,Q,M,Nj)
-    t = g_jr @ np.swapaxes(z_j, -1, -2)  # (R,Q,M,K): G_JR,q z_qk
+    t = draws.g_jr @ np.swapaxes(draws.z_j, -1, -2)  # (R,Q,M,K): G_JR,q z_qk
     bounced = np.einsum("km,rqmk->rqk", np.conj(cs.h_ru) * theta[None, :], t)
     return z1, np.sum(np.abs(direct + bounced) ** 2, axis=1) + interf
 
@@ -133,7 +128,7 @@ def sinr(h: np.ndarray, w: np.ndarray, c) -> np.ndarray:
 
 
 def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
-                  realizations, cs: ChannelSet, sigma1_sq: float, sigma2_sq: float,
+                  realizations: Realization, cs: ChannelSet, sigma1_sq: float, sigma2_sq: float,
                   sigma_r_sq: float) -> float:
     """Sample-average sum rate in nats per channel use over the given draws,
     all draws and users evaluated together: stage 1 on the direct channels,

@@ -243,30 +243,42 @@ def saa_means_loops(realizations, h_ru):
     return d_abs2 / r, dt / r, mm / r, zi / r
 
 
+def adversary_interference_loops(theta, realizations, h_ru):
+    """(R, K) jamming plus interference power (Z_1, Z_2) per draw and user,
+    one draw, one user and one adversary at a time; stage 2 bounces each
+    jammer path through the RIS, h_JU,qk + G_JR,q^H (conj(theta) o h_RU,k)."""
+    k_users = h_ru.shape[0]
+    z1 = np.zeros((len(realizations), k_users))
+    z2 = np.zeros((len(realizations), k_users))
+    for r, rlz in enumerate(realizations):
+        for k in range(k_users):
+            for iq in range(rlz.h_ju.shape[0]):
+                z1[r, k] += abs(np.sum(np.conj(rlz.h_ju[iq, k]) * rlz.z_j[iq, k])) ** 2
+                hj = rlz.h_ju[iq, k]
+                if theta.size:
+                    hj = hj + rlz.g_jr[iq].conj().T @ (np.conj(theta) * h_ru[k])
+                z2[r, k] += abs(np.sum(np.conj(hj) * rlz.z_j[iq, k])) ** 2
+            for ib in range(rlz.h_iu.shape[0]):
+                zi = abs(np.sum(np.conj(rlz.h_iu[ib, k]) * rlz.z_i[ib, k])) ** 2
+                z1[r, k] += zi
+                z2[r, k] += zi
+    return z1, z2
+
+
 def sum_rate_nats_loops(tau, w1, w2, theta, realizations, h_bu, h_ru, g_br,
                         sigma1_sq, sigma2_sq, sigma_r_sq):
     """Mean over draws of sum_k tau ln(1+SINR1_k) + (1-tau) ln(1+SINR2_k),
     one draw, one user and one adversary at a time."""
     k_users = h_bu.shape[0]
+    z1, z2 = adversary_interference_loops(theta, realizations, h_ru)
     total = 0.0
-    for rlz in realizations:
+    for r in range(len(realizations)):
         for k in range(k_users):
             h2 = h_bu[k] + (g_br.conj().T @ (np.conj(theta) * h_ru[k]) if theta.size else 0.0)
             g1 = [abs(np.sum(np.conj(h_bu[k]) * w1[j])) ** 2 for j in range(k_users)]
             g2 = [abs(np.sum(np.conj(h2) * w2[j])) ** 2 for j in range(k_users)]
-            z1 = z2 = 0.0
-            for iq in range(rlz.h_ju.shape[0]):
-                z1 += abs(np.sum(np.conj(rlz.h_ju[iq, k]) * rlz.z_j[iq, k])) ** 2
-                hj = rlz.h_ju[iq, k]
-                if theta.size:
-                    hj = hj + rlz.g_jr[iq].conj().T @ (np.conj(theta) * h_ru[k])
-                z2 += abs(np.sum(np.conj(hj) * rlz.z_j[iq, k])) ** 2
-            for ib in range(rlz.h_iu.shape[0]):
-                zi = abs(np.sum(np.conj(rlz.h_iu[ib, k]) * rlz.z_i[ib, k])) ** 2
-                z1 += zi
-                z2 += zi
             ris_noise = sigma_r_sq * float(np.sum(np.abs(h_ru[k]) ** 2 * np.abs(theta) ** 2)) if theta.size else 0.0
-            r1 = np.log1p(g1[k] / (sum(g1) - g1[k] + z1 + sigma1_sq))
-            r2 = np.log1p(g2[k] / (sum(g2) - g2[k] + ris_noise + z2 + sigma2_sq))
+            r1 = np.log1p(g1[k] / (sum(g1) - g1[k] + z1[r, k] + sigma1_sq))
+            r2 = np.log1p(g2[k] / (sum(g2) - g2[k] + ris_noise + z2[r, k] + sigma2_sq))
             total += tau * r1 + (1.0 - tau) * r2
     return total / len(realizations)

@@ -59,8 +59,10 @@ def patch_everywhere(monkeypatch, module, name, make_wrapper):
 @pytest.mark.parametrize("scheme", harness.SCHEMES)
 def test_trial_meets_the_capture_contract(monkeypatch, scheme):
     # one static channel set and one held-out scoring per trial, held-out
-    # draws that carry every link the checks recompute the rate from, and
-    # reflection problems with their amplitude caps set
+    # draws that carry every link the checks recompute the rate from, one
+    # draw per item in the per-draw shapes (the checks stack them and read
+    # the adversary vectors off the first), and reflection problems with
+    # their amplitude caps set
     static, scoring, problems = [], [], []
 
     def count_static(fn):
@@ -89,8 +91,12 @@ def test_trial_meets_the_capture_contract(monkeypatch, scheme):
 
     assert len(static) == 1
     assert len(scoring) == 1 and len(scoring[0]) == cfg.heldout
+    cs = static[0]
+    shapes = {"h_ju": cs.h_ju_est.shape, "g_jr": cs.g_jr_est.shape, "h_iu": cs.h_iu_est.shape,
+              "z_j": cs.z_jam.shape, "z_i": cs.z_int.shape}
     for draw in scoring[0]:
-        for link in ("h_ju", "g_jr", "h_iu", "z_j", "z_i"):
+        for link, shape in shapes.items():
             assert isinstance(getattr(draw, link), np.ndarray)
+            assert getattr(draw, link).shape == shape
     assert all(p.caps is not None for p in problems)
     assert bool(problems) == (scheme == "active-harvesting")

@@ -208,24 +208,25 @@ class TestChannelSet:
 
 class TestRealization:
     def test_zero_error_exact(self):
+        # every draw is a copy of the estimates, and no normals are drawn
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(2))
-        rlz = sample_uncertain_realization(cs, 0.0, np.random.default_rng(3))
-        np.testing.assert_array_equal(rlz.h_ju, cs.h_ju_est)
-        np.testing.assert_array_equal(rlz.g_jr, cs.g_jr_est)
-        np.testing.assert_array_equal(rlz.h_iu, cs.h_iu_est)
+        rng = np.random.default_rng(3)
+        rlz = sample_uncertain_realization(cs, 0.0, rng, 4)
+        assert len(rlz) == 4
+        for draw in rlz:
+            np.testing.assert_array_equal(draw.h_ju, cs.h_ju_est)
+            np.testing.assert_array_equal(draw.g_jr, cs.g_jr_est)
+            np.testing.assert_array_equal(draw.h_iu, cs.h_iu_est)
+        assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
     def test_error_variance_ratio(self):
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(4))
         e_mse = 0.1
-        rng = np.random.default_rng(5)
+        rlz = sample_uncertain_realization(cs, e_mse, np.random.default_rng(5), 2000)
         est = cs.h_ju_est[0, 0]
-        diffs = []
-        for _ in range(2000):
-            rlz = sample_uncertain_realization(cs, e_mse, rng)
-            diffs.append(rlz.h_ju[0, 0] - est)
-        diffs = np.array(diffs)  # 2000 x N_jam entries
+        diffs = rlz.h_ju[:, 0, 0] - est  # 2000 x N_jam entries
         ratio = np.mean(np.abs(diffs) ** 2) / np.mean(np.abs(est) ** 2)
         assert ratio == pytest.approx(e_mse, rel=0.02)
 
@@ -233,7 +234,7 @@ class TestRealization:
         # 10 dBm per jammer
         cfg = risjam.paper_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(6))
-        rlz = sample_uncertain_realization(cs, 0.05, np.random.default_rng(7))
+        rlz = sample_uncertain_realization(cs, 0.05, np.random.default_rng(7), 1)
         for q in range(cfg.q):
             total = np.sum(np.abs(rlz.z_j[q]) ** 2)
             assert total == pytest.approx(0.01, rel=1e-10)
@@ -244,20 +245,48 @@ class TestRealization:
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(8))
         ss = np.random.SeedSequence(99)
-        r1 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]))
-        r2 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]))
+        r1 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]), 1)
+        r2 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]), 1)
         assert not np.allclose(r1.h_ju, r2.h_ju)
 
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
     @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"q": 0, "b": 0}])
     def test_one_draw_per_link_equals_per_block_draws(self, e_mse, counts):
-        # the batched draw consumes the stream exactly as block-by-block
-        # draws do, so realizations stay bitwise reproducible
+        # one batch of R draws consumes the stream exactly as R sequential
+        # block-by-block draws on the same generator do, so every draw stays
+        # bitwise reproducible and the generator ends in the same state
         cfg = risjam.paper_profile(e_mse=e_mse, **counts)
         for seed in range(4):
             cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(seed))
-            rlz = sample_uncertain_realization(cs, e_mse, np.random.default_rng(100 + seed))
-            ref = uncertain_draw_loops(cs, e_mse, np.random.default_rng(100 + seed))
-            for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), ref):
-                assert got.shape == want.shape
-                np.testing.assert_array_equal(got, want)
+            rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+            rlz = sample_uncertain_realization(cs, e_mse, rng, 3)
+            assert len(rlz) == 3
+            for draw in rlz:
+                ref = uncertain_draw_loops(cs, e_mse, ref_rng)
+                for got, want in zip((draw.h_ju, draw.g_jr, draw.h_iu), ref):
+                    assert got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_batch_indexing(self):
+        # an index gives one draw in the per-draw shapes, a slice a batch of
+        # views, and assigning a draw writes that slot
+        cfg = risjam.desk_profile()
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(9))
+        rlz = sample_uncertain_realization(cs, 0.1, np.random.default_rng(10), 5)
+        assert rlz.h_ju.shape == (5,) + cs.h_ju_est.shape
+        assert rlz.g_jr.shape == (5,) + cs.g_jr_est.shape
+        assert rlz.h_iu.shape == (5,) + cs.h_iu_est.shape
+        draws = list(rlz)
+        assert len(draws) == 5
+        for i, draw in enumerate(draws):
+            np.testing.assert_array_equal(draw.h_ju, rlz.h_ju[i])
+            assert draw.g_jr.shape == cs.g_jr_est.shape and draw.h_iu.shape == cs.h_iu_est.shape
+            assert draw.z_j is cs.z_jam and draw.z_i is cs.z_int
+        head = rlz[1:3]
+        assert len(head) == 2 and np.shares_memory(head.h_ju, rlz.h_ju)
+        np.testing.assert_array_equal(head[0].g_jr, rlz.g_jr[1])
+        rlz[4] = draws[0]
+        np.testing.assert_array_equal(rlz.h_iu[4], rlz.h_iu[0])
+        np.testing.assert_array_equal(rlz.g_jr[4], rlz.g_jr[0])
+

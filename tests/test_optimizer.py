@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import harness, system
-from risjam.channel import ChannelSet, Realization, sample_static_channels, sample_uncertain_realization
+from risjam import harness, optimizer, system
+from risjam.channel import ChannelSet, sample_static_channels
 from risjam.optimizer import (
     AoReport,
     DegenerateTau,
@@ -25,7 +25,7 @@ from risjam.optimizer import (
 )
 from risjam.system import PowerModel, SolverState
 
-from oracles import pg_qcqp_max, project_ball, saa_means_loops, wmmse_sum_rate
+from oracles import pg_qcqp_max, project_ball, saa_means_loops, uncertain_draw_loops, wmmse_sum_rate
 from test_system import (crand, make_channels, make_realization, permute_realization,
                          permute_users, pm_default)
 
@@ -49,10 +49,8 @@ def make_instance(seed, n=4, m=3, k=2, q=1, b=1, n_jam=2, n_rlz=3, jitter=0.1, s
     rng = np.random.default_rng(seed)
     cs = make_channels(rng, n=n, m=m, k=k, q=q, b=b, n_jam=n_jam, scale=scale)
     stats = SaaStats.empty(k, m)
-    rlzs = []
-    for i in range(n_rlz):
-        rlz = make_realization(cs, rng, jitter=jitter)
-        rlzs.append(rlz)
+    rlzs = make_realization(cs, rng, jitter=jitter, count=n_rlz)
+    for rlz in rlzs:
         update_saa_stats(stats, rlz, cs)
     return rng, cs, stats, rlzs
 
@@ -226,8 +224,8 @@ class TestSaaStats:
         perm = np.array([1, 2, 0])
         cs_p = permute_users(cs, perm)
         stats_p = SaaStats.empty(3, 4)
-        for rlz in rlzs:
-            update_saa_stats(stats_p, permute_realization(rlz, perm), cs_p)
+        for rlz in permute_realization(rlzs, perm):
+            update_saa_stats(stats_p, rlz, cs_p)
         for got, want in ((stats_p.d_abs2, stats.d_abs2), (stats_p.zbar_i2, stats.zbar_i2),
                           (stats_p.dt_conj, stats.dt_conj), (stats_p.m_mat, stats.m_mat)):
             np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=0)
@@ -560,6 +558,31 @@ class TestSscaAo:
         rep = ssca_ao(cs, pm, cfg, np.random.SeedSequence(0))
         _, rate_ref = wmmse_sum_rate(h, pm.p_max, 0.01)
         assert rep.best_objective_bits == pytest.approx(rate_ref, rel=0.02)
+
+    @pytest.mark.parametrize("scheme", [optimizer.ACTIVE, optimizer.PASSIVE, optimizer.NO_RIS])
+    def test_stored_draws_equal_sequential_draws(self, monkeypatch, scheme):
+        # iteration r scores the SAA objective on the first r slots of the
+        # AO's draw batch; slot r-1 holds the draw of the r-th spawned child,
+        # bitwise as one block-by-block draw on that child's generator
+        cfg = risjam.desk_profile(r_max=12, e_mse=0.1)
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(5))
+        seen, real = [], system.sum_rate_nats
+
+        def sum_rate_nats(tau, w1, w2, theta, realizations, *rest):
+            seen.append((len(realizations), realizations,
+                         [np.copy(getattr(realizations[-1], f)) for f in ("h_ju", "g_jr", "h_iu")]))
+            return real(tau, w1, w2, theta, realizations, *rest)
+
+        monkeypatch.setattr(system, "sum_rate_nats", sum_rate_nats)
+        rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), scheme)
+        assert [n for n, _, _ in seen] == list(range(1, rep.iterations + 1))
+        children = np.random.SeedSequence(77).spawn(rep.iterations)
+        final = seen[-1][1]
+        for i, child in enumerate(children):
+            want = uncertain_draw_loops(cs, cfg.e_mse, np.random.default_rng(child))
+            for got_then, got_end, w in zip(seen[i][2], (final.h_ju[i], final.g_jr[i], final.h_iu[i]), want):
+                np.testing.assert_array_equal(got_then, w)
+                np.testing.assert_array_equal(got_end, w)
 
     def test_determinism(self):
         cfg = risjam.desk_profile(r_max=12)

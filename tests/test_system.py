@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risjam.channel import ChannelSet, Realization
+from risjam.channel import ChannelSet, Draw, Realization
 from risjam.system import (
     PowerModel,
     SolverState,
@@ -19,7 +19,7 @@ from risjam.system import (
     sum_rate_nats,
 )
 
-from oracles import stage1_sinr_scalar, sum_rate_nats_loops
+from oracles import adversary_interference_loops, stage1_sinr_scalar, sum_rate_nats_loops
 
 
 def crand(rng, *shape):
@@ -44,14 +44,21 @@ def make_channels(rng, n=4, m=3, k=2, q=1, b=1, n_jam=2, scale=1.0):
     )
 
 
-def make_realization(cs, rng, jitter=0.0):
-    return Realization(
-        h_ju=cs.h_ju_est + jitter * crand(rng, *cs.h_ju_est.shape),
-        g_jr=cs.g_jr_est + jitter * crand(rng, *cs.g_jr_est.shape),
-        h_iu=cs.h_iu_est + jitter * crand(rng, *cs.h_iu_est.shape),
-        z_j=cs.z_jam,
-        z_i=cs.z_int,
-    )
+def make_realization(cs, rng, jitter=0.0, count=1):
+    """A batch of count draws, each the estimates plus jitter times
+    circular Gaussian noise, drawn one draw (h_ju, g_jr, h_iu) at a time."""
+    rlz = Realization(*(np.empty((count,) + est.shape, dtype=complex)
+                        for est in (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)),
+                      z_j=cs.z_jam, z_i=cs.z_int)
+    for i in range(count):
+        rlz[i] = Draw(
+            h_ju=cs.h_ju_est + jitter * crand(rng, *cs.h_ju_est.shape),
+            g_jr=cs.g_jr_est + jitter * crand(rng, *cs.g_jr_est.shape),
+            h_iu=cs.h_iu_est + jitter * crand(rng, *cs.h_iu_est.shape),
+            z_j=cs.z_jam,
+            z_i=cs.z_int,
+        )
+    return rlz
 
 
 def permute_users(cs, perm):
@@ -62,21 +69,22 @@ def permute_users(cs, perm):
 
 
 def permute_realization(rlz, perm):
-    return replace(rlz, h_ju=rlz.h_ju[:, perm], h_iu=rlz.h_iu[:, perm],
+    return replace(rlz, h_ju=rlz.h_ju[:, :, perm], h_iu=rlz.h_iu[:, :, perm],
                    z_j=rlz.z_j[:, perm], z_i=rlz.z_i[:, perm])
 
 
 def stage1_sinr(w1, rlz, cs, sigma1_sq):
-    """(K,) harvesting-stage SINRs of one draw: direct channels, extra term
-    jamming plus interference plus UE noise."""
-    z1, _ = adversary_interference(np.zeros(0, complex), [rlz], cs)
+    """(K,) harvesting-stage SINRs of the first draw of a batch: direct
+    channels, extra term jamming plus interference plus UE noise."""
+    z1, _ = adversary_interference(np.zeros(0, complex), rlz, cs)
     return sinr(cs.h_bu, w1, z1[0] + sigma1_sq)
 
 
 def stage2_sinr(w2, theta, rlz, cs, sigma2_sq, sigma_r_sq):
-    """(K,) reflection-stage SINRs of one draw: effective channels, extra
-    term amplified RIS noise plus bounced jamming, interference and UE noise."""
-    _, z2 = adversary_interference(theta, [rlz], cs)
+    """(K,) reflection-stage SINRs of the first draw of a batch: effective
+    channels, extra term amplified RIS noise plus bounced jamming,
+    interference and UE noise."""
+    _, z2 = adversary_interference(theta, rlz, cs)
     c = ris_noise(theta, cs, sigma_r_sq) + z2[0] + sigma2_sq
     return sinr(effective_channels(theta, cs), w2, c)
 
@@ -147,7 +155,8 @@ class TestStage1Sinr:
         w = crand(rng, 2, 4)
         got = stage1_sinr(w, rlz, cs, 0.01)
         for k in range(2):
-            ref = stage1_sinr_scalar(k, w, cs.h_bu, rlz.h_ju, rlz.z_j, rlz.h_iu, rlz.z_i, 0.01)
+            d = rlz[0]
+            ref = stage1_sinr_scalar(k, w, cs.h_bu, d.h_ju, d.z_j, d.h_iu, d.z_i, 0.01)
             assert got[k] == pytest.approx(ref, rel=1e-12)
 
 
@@ -173,8 +182,9 @@ class TestStage2Sinr:
         theta = crand(rng, 1)
         h_eff = cs.h_bu[0, 0] + np.conj(cs.g_br[0, 0]) * np.conj(theta[0]) * cs.h_ru[0, 0]
         sig = abs(np.conj(h_eff) * w[0, 0]) ** 2
-        h_jam = rlz.h_ju[0, 0, 0] + np.conj(rlz.g_jr[0, 0, 0]) * np.conj(theta[0]) * cs.h_ru[0, 0]
-        zjam = abs(np.conj(h_jam) * rlz.z_j[0, 0, 0]) ** 2
+        d = rlz[0]
+        h_jam = d.h_ju[0, 0, 0] + np.conj(d.g_jr[0, 0, 0]) * np.conj(theta[0]) * cs.h_ru[0, 0]
+        zjam = abs(np.conj(h_jam) * d.z_j[0, 0, 0]) ** 2
         ris_noise = 0.3 * abs(cs.h_ru[0, 0]) ** 2 * abs(theta[0]) ** 2
         want = sig / (zjam + ris_noise + 0.07)
         got = stage2_sinr(w, theta, rlz, cs, sigma2_sq=0.07, sigma_r_sq=0.3)[0]
@@ -215,6 +225,22 @@ class TestStageKernel:
             np.testing.assert_array_equal(got[idx], sinr(h, w, c[idx]))
 
 
+class TestAdversaryInterference:
+    @pytest.mark.parametrize("q, b, m", [(1, 1, 3), (3, 4, 5), (0, 2, 4), (2, 0, 4), (0, 0, 2), (2, 2, 0)])
+    def test_batch_equals_per_draw_loops(self, q, b, m):
+        # the whole batch, and a slice of it (views into the batch), against
+        # one draw, one user and one adversary at a time
+        rng = np.random.default_rng(40 + 7 * q + b + m)
+        cs = make_channels(rng, n=4, m=m, k=3, q=q, b=b, n_jam=3)
+        rlzs = make_realization(cs, rng, jitter=0.4, count=6)
+        for th in (crand(rng, m), np.zeros(0, complex)):
+            for batch in (rlzs, rlzs[2:5]):
+                got = adversary_interference(th, batch, cs)
+                for z, want in zip(got, adversary_interference_loops(th, batch, cs.h_ru)):
+                    assert z.shape == (len(batch), 3)
+                    np.testing.assert_allclose(z, want, rtol=1e-12, atol=1e-300)
+
+
 class TestSumRate:
     def test_tau_one_stage1_only(self):
         rng = np.random.default_rng(9)
@@ -224,8 +250,8 @@ class TestSumRate:
         w2a = crand(rng, 2, 4)
         w2b = crand(rng, 2, 4)
         th = crand(rng, 3)
-        r_a = sum_rate(1.0, w1, w2a, th, [rlz], cs, 1e-3, 1e-3, 1e-3)
-        r_b = sum_rate(1.0, w1, w2b, th, [rlz], cs, 1e-3, 1e-3, 1e-3)
+        r_a = sum_rate(1.0, w1, w2a, th, rlz, cs, 1e-3, 1e-3, 1e-3)
+        r_b = sum_rate(1.0, w1, w2b, th, rlz, cs, 1e-3, 1e-3, 1e-3)
         assert r_a == pytest.approx(r_b, rel=1e-12)
 
     def test_zero_channels_zero_rate(self):
@@ -233,16 +259,16 @@ class TestSumRate:
         cs = make_channels(rng, scale=0.0)
         rlz = make_realization(cs, rng)
         w = crand(rng, 2, 4)
-        assert sum_rate(0.5, w, w, np.zeros(3, complex), [rlz], cs, 1e-3, 1e-3, 1e-3) == 0.0
+        assert sum_rate(0.5, w, w, np.zeros(3, complex), rlz, cs, 1e-3, 1e-3, 1e-3) == 0.0
 
     def test_three_realizations_mean(self):
         rng = np.random.default_rng(11)
         cs = make_channels(rng)
         w1, w2 = crand(rng, 2, 4), crand(rng, 2, 4)
         th = crand(rng, 3)
-        rlzs = [make_realization(cs, rng, jitter=0.3) for _ in range(3)]
+        rlzs = make_realization(cs, rng, jitter=0.3, count=3)
         joint = sum_rate(0.4, w1, w2, th, rlzs, cs, 1e-3, 1e-3, 1e-3)
-        singles = [sum_rate(0.4, w1, w2, th, [r], cs, 1e-3, 1e-3, 1e-3) for r in rlzs]
+        singles = [sum_rate(0.4, w1, w2, th, rlzs[i:i + 1], cs, 1e-3, 1e-3, 1e-3) for i in range(3)]
         assert joint == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_monotone_in_signal_gain(self):
@@ -250,7 +276,7 @@ class TestSumRate:
         cs = make_channels(rng, q=1, b=1)
         rlz = make_realization(cs, rng)
         w = crand(rng, 2, 4)
-        base = sum_rate(1.0, w, w, np.zeros(3, complex), [rlz], cs, 1e-3, 1e-3, 1e-3)
+        base = sum_rate(1.0, w, w, np.zeros(3, complex), rlz, cs, 1e-3, 1e-3, 1e-3)
         w_up = w.copy()
         w_up[0] += cs.h_bu[0] * 0.5  # strengthen the aligned component
         # stage-1 rate of user 0 strictly grows; others' interference grows too,
@@ -264,7 +290,7 @@ class TestSumRate:
     def test_batched_equals_per_draw_per_user_loops(self, q, b, m):
         rng = np.random.default_rng(20 + 7 * q + b + m)
         cs = make_channels(rng, n=4, m=m, k=3, q=q, b=b, n_jam=3)
-        rlzs = [make_realization(cs, rng, jitter=0.4) for _ in range(6)]
+        rlzs = make_realization(cs, rng, jitter=0.4, count=6)
         w1, w2 = crand(rng, 3, 4), crand(rng, 3, 4)
         for th in (crand(rng, m), np.zeros(0, complex)):
             got = sum_rate_nats(0.35, w1, w2, th, rlzs, cs, 0.02, 0.03, 0.01)
@@ -275,15 +301,15 @@ class TestSumRate:
     def test_permuting_users_permutes_sinrs_and_keeps_rate(self):
         rng = np.random.default_rng(21)
         cs = make_channels(rng, m=4, k=4, q=2, b=3)
-        rlzs = [make_realization(cs, rng, jitter=0.3) for _ in range(4)]
+        rlzs = make_realization(cs, rng, jitter=0.3, count=4)
         w1, w2, th = crand(rng, 4, 4), crand(rng, 4, 4), crand(rng, 4)
         perm = np.array([2, 0, 3, 1])
         cs_p = permute_users(cs, perm)
-        rlzs_p = [permute_realization(r, perm) for r in rlzs]
-        np.testing.assert_allclose(stage1_sinr(w1[perm], rlzs_p[0], cs_p, 0.01),
-                                   stage1_sinr(w1, rlzs[0], cs, 0.01)[perm], rtol=1e-12)
-        np.testing.assert_allclose(stage2_sinr(w2[perm], th, rlzs_p[0], cs_p, 0.01, 0.02),
-                                   stage2_sinr(w2, th, rlzs[0], cs, 0.01, 0.02)[perm], rtol=1e-12)
+        rlzs_p = permute_realization(rlzs, perm)
+        np.testing.assert_allclose(stage1_sinr(w1[perm], rlzs_p[:1], cs_p, 0.01),
+                                   stage1_sinr(w1, rlzs[:1], cs, 0.01)[perm], rtol=1e-12)
+        np.testing.assert_allclose(stage2_sinr(w2[perm], th, rlzs_p[:1], cs_p, 0.01, 0.02),
+                                   stage2_sinr(w2, th, rlzs[:1], cs, 0.01, 0.02)[perm], rtol=1e-12)
         base = sum_rate(0.3, w1, w2, th, rlzs, cs, 0.01, 0.01, 0.02)
         assert sum_rate(0.3, w1[perm], w2[perm], th, rlzs_p, cs_p, 0.01, 0.01, 0.02) == pytest.approx(
             base, rel=1e-12)
@@ -295,12 +321,12 @@ class TestSumRate:
         # unit slips between watts and dBm)
         rng = np.random.default_rng(22)
         cs = make_channels(rng, m=5, k=3, q=2, b=2)
-        rlzs = [make_realization(cs, rng, jitter=0.3) for _ in range(5)]
+        rlzs = make_realization(cs, rng, jitter=0.3, count=5)
         w1, w2, th = crand(rng, 3, 4), crand(rng, 3, 4), crand(rng, 5) * 3.0
         base = sum_rate(0.4, w1, w2, th, rlzs, cs, 0.01, 0.02, 0.005)
         sc = np.sqrt(c)
         cs_c = replace(cs, z_jam=cs.z_jam * sc, z_int=cs.z_int * sc)
-        rlzs_c = [replace(r, z_j=r.z_j * sc, z_i=r.z_i * sc) for r in rlzs]
+        rlzs_c = replace(rlzs, z_j=rlzs.z_j * sc, z_i=rlzs.z_i * sc)
         got = sum_rate(0.4, w1 * sc, w2 * sc, th, rlzs_c, cs_c, 0.01 * c, 0.02 * c, 0.005 * c)
         assert got == pytest.approx(base, rel=1e-12)
 
