@@ -2,8 +2,10 @@
 blocks.
 
 Every Lagrange-multiplier search here runs on one engine: the ball step
-(Newton's method on the secular equation) for a power-ball multiplier, and
-one Illinois false-position search for the beam solves' second multiplier.
+(Newton's method on the secular equation, started from a prefix-sum lower
+bound or from a warm multiplier) for a power-ball multiplier, and one
+Illinois false-position search, which takes Newton steps on analytic
+slopes while they converge, for the beam solves' second multiplier.
 Everything here operates on dense complex numpy arrays and is pure: no
 global state, safe to call from concurrent trial workers.
 """
@@ -66,38 +68,56 @@ class QcqpProblem:
             raise ValueError("caps must be nonnegative")
 
 
-def _ball_factors(d, r, cap, tol):
+def _ball_bound(d, cum, cap):
+    """Lower bound max(0, max_j sqrt(cum_j / cap) - d_j) on every lam >= 0
+    with p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, cum the prefix sums of
+    r >= 0: as d is ascending, p(lam) >= cum_j / (d_j + lam)^2 for every j.
+    It is at least both the largest single-term bound sqrt(r_j / cap) - d_j
+    and the total's bound sqrt(cum_N / cap) - d_N."""
+    return max(0.0, float((np.sqrt(cum / cap) - d).max()))
+
+
+def _ball_factors(d, r, cap, tol, lam=0.0):
     """Factors 1/(d_i + lam) for the smallest lam >= 0 with
-    p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, given d >= 0 ascending, r >= 0.
+    p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, given d >= 0 ascending and
+    r >= 0.  Returns (factors, lam).
 
     lam = 0 (pseudo-inverse factors) when r has no weight on the numerical
     null space of d and p(0) fits.  Otherwise lam solves the secular equation
     phi(lam) = 1/sqrt(p(lam)) - 1/sqrt(target) = 0, target = cap (1 - tol/2),
-    by Newton's method from a lower bound of the root.  phi is increasing
-    and concave, so the iterates rise towards the root without passing it
-    (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983); the first one with
-    p <= cap is returned, which leaves p in [cap (1 - tol), cap].
+    by Newton's method.  phi is increasing and concave, so from the left of
+    the root the iterates rise towards it without passing it (More &
+    Sorensen, SIAM J. Sci. Stat. Comput. 1983), and one step from its right
+    lands on its left.  The iteration starts at the given lam, a warm start
+    such as the multiplier of a nearby problem, raised to the prefix-sum
+    lower bound of the root (_ball_bound), and every step is clamped at that
+    bound.  The first iterate with p in [cap (1 - tol), cap] is returned, or
+    the bound itself when p fits there.
     """
     if cap <= 0.0:
-        return np.zeros_like(d)
-    keep = d > 1e-12 * d.max(initial=1e-300)
-    pinv = np.where(keep, 1.0 / np.where(keep, d, 1.0), 0.0)
-    total = float(np.sum(r))
-    if np.sum(r[~keep]) <= 1e-20 * total and float(np.sum(r * pinv * pinv)) <= cap:
-        return pinv
-    on = r > 0
-    d_on, r_on = d[on], r[on]
+        return np.zeros_like(d), math.inf
+    cum = r.cumsum()
+    cut = 1e-12 * max(d[-1], 1e-300)
+    if d[0] <= cut:  # a numerical null space (without one, lam = 0 is a Newton iterate)
+        null = int(np.searchsorted(d, cut, side="right"))
+        if cum[null - 1] <= 1e-20 * cum[-1]:
+            inv = np.concatenate((np.zeros(null), 1.0 / d[null:]))
+            if r @ (inv * inv) <= cap:
+                return inv, 0.0
+    lb = _ball_bound(d, cum, cap)
+    if lb == 0.0 and d[0] == 0.0:
+        # every r_i on d_i = 0 is zero here: give those entries the
+        # pseudo-inverse factor 0, so that lam = 0 can be evaluated
+        d = np.where(d > 0.0, d, math.inf)
     target = cap * (1.0 - 0.5 * tol)
-    # p(lam) >= r_i/(d_i+lam)^2 and p(lam) >= total/(d_max+lam)^2, so both
-    # bounds put the start at or left of the root
-    lam = max(0.0, math.sqrt(total / cap) - d[-1], float(np.max(np.sqrt(r_on / cap) - d_on)))
+    lam = max(lam, lb)
     for _ in range(100):
-        inv = 1.0 / (d_on + lam)
-        q = r_on * inv * inv
-        p = float(np.sum(q))
-        if p <= cap:
-            return 1.0 / (d + lam)
-        lam += p * (math.sqrt(p / target) - 1.0) / float(np.sum(q * inv))
+        inv = 1.0 / (d + lam)
+        q = r * inv * inv
+        p = q.sum()
+        if p <= cap and (p >= cap * (1.0 - tol) or lam == lb):
+            return inv, lam
+        lam = max(lb, lam + p * (math.sqrt(p / target) - 1.0) / (q @ inv))
     raise MaxIterExceeded("power multiplier: Newton iteration did not settle")
 
 
@@ -107,47 +127,59 @@ def _ball_beams(m, y, cap, tol):
     d, u = np.linalg.eigh(m)
     d = np.maximum(d, 0.0)
     c = 0.5 * (y @ u.conj())  # rows: U^H y_k / 2
-    inv = _ball_factors(d, np.sum(np.abs(c) ** 2, axis=0), cap, tol)
-    return (c * inv[None, :]) @ u.T
+    inv, _ = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), cap, tol)
+    return (c * inv) @ u.T
 
 
-def _illinois(at, lo, f_lo, hi, band):
+def _illinois(at, lo, f_lo, df_lo, hi, band):
     """The smallest multiplier at which one constraint holds, by Illinois
-    false position (Dowell & Jarratt, BIT 1971).
+    false position (Dowell & Jarratt, BIT 1971) with Newton proposals.
 
-    at(lam) returns (x, f, slack): the stationary point at lam, a residual
-    that rises with lam and crosses zero inside the stopping band, and the
-    constraint's slack, nonnegative exactly where x is feasible.  lo is an
-    infeasible multiplier with residual f_lo; hi is doubled until feasible.
-    Returns the first feasible x whose slack is at most band, so the answer
-    never leaves the feasible side.
+    at(lam) returns (x, f, slack, slope): the stationary point at lam, a
+    residual that rises with lam and crosses zero inside the stopping band,
+    the constraint's slack, nonnegative exactly where x is feasible, and the
+    residual's derivative.  lo is an infeasible multiplier with residual
+    f_lo and slope df_lo; hi is feasible in exact arithmetic, is evaluated
+    only once a step needs it, and is doubled while rounding leaves it
+    infeasible.  Each step is Newton's step from the latest evaluated point
+    when that point's slope is positive, the step lands strictly inside the
+    bracket and the step before it at least halved |f|; otherwise it is the
+    Illinois step (hi itself while hi is unevaluated).  Returns the first
+    feasible x whose slack is at most band, so the answer never leaves the
+    feasible side.
     """
-    x_hi, f_hi, s_hi = at(hi)
-    for _ in range(200):
-        if s_hi >= 0.0:
-            break
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        x_hi, f_hi, s_hi = at(hi)
-    else:
-        raise MaxIterExceeded("multiplier bracket: no feasible multiplier found")
+    lam, f, df = lo, f_lo, df_lo  # the latest evaluated point
+    x_hi, f_hi = None, 0.0
     side = 0
-    for _ in range(200):
-        if s_hi <= band or hi - lo <= 1e-15 * hi:
-            return x_hi
-        lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        x, f, s = at(lam)
+    progress = True
+    for _ in range(400):
+        step = lam - f / df if progress and df > 0.0 else lo
+        if not lo < step < hi:
+            if x_hi is None:
+                step = hi
+            else:
+                step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+                if not lo < step < hi:
+                    step = 0.5 * (lo + hi)
+        lam, f_prev = step, f
+        x, f, s, df = at(lam)
+        progress = abs(f) <= 0.5 * abs(f_prev)
         if s >= 0.0:
-            hi, x_hi, f_hi, s_hi = lam, x, f, s
+            if s <= band:
+                return x
+            hi, x_hi, f_hi = lam, x, f
             if side > 0:
                 f_lo *= 0.5
             side = 1
+        elif x_hi is None and lam == hi:
+            lo, f_lo, hi = hi, f, 2.0 * hi
         else:
             lo, f_lo = lam, f
             if side < 0:
                 f_hi *= 0.5
             side = -1
+        if x_hi is not None and hi - lo <= 1e-15 * hi:
+            return x_hi
     raise MaxIterExceeded("multiplier: false position did not settle")
 
 
@@ -161,39 +193,57 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     with A, S Hermitian PSD (N x N); without S only the power ball applies.
     The stationary beams (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N
     eigendecomposition of A + lam2 S across the K users.  For each lam2 the
-    power multiplier lam1 is found by Newton's method on the secular
-    equation; lam2 is found by Illinois false position on
-    sqrt(target / energy) - 1.  Both searches stop on the feasible side,
-    with a binding constraint within tol relative of its bound.
+    power multiplier lam1 is the ball step (_ball_factors), warm-started at
+    the lam1 of the search's previous lam2; lam2 is found by the Illinois
+    search with Newton proposals (_illinois) on sqrt(target / energy) - 1,
+    whose slope comes from differentiating the stationary beams with lam1
+    moving to keep a binding power constant.  Both searches stop on the
+    feasible side, with a binding constraint within tol relative of its
+    bound.
     """
     if s is not None and p_e <= 0.0:
         # lam2 -> infinity: the beams are confined to null(S)
         ev, v = np.linalg.eigh(s)
         null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
         return solve_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol=tol) @ null.T
-    w = _ball_beams(a, y, p_max, tol)
     if s is None:
-        return w
-
-    def energy(w):
-        return float(np.sum(np.real(np.conj(w) * (w @ s.T))))
-
-    e0 = energy(w)
-    if e0 <= p_e:
-        return w
+        return _ball_beams(a, y, p_max, tol)
+    s_t = s.T
     target = p_e * (1.0 - 0.5 * tol)
+    half_y = 0.5 * y
+    lam1 = 0.0
 
-    def at(lam2):
-        # inner power band well inside the outer energy band, so the
-        # energy curve is smooth at the scale the outer search resolves
-        w = _ball_beams(a + lam2 * s, y, p_max, 1e-2 * tol)
-        e = energy(w)
-        return w, (math.sqrt(target / e) if e > 0 else math.inf) - 1.0, p_e - e
+    # the inner power band sits well inside the outer energy band, so the
+    # energy curve is smooth at the scale the outer search resolves
+    def at(lam2, ball_tol=1e-2 * tol):
+        nonlocal lam1
+        d, u = np.linalg.eigh(a + lam2 * s)
+        d = np.maximum(d, 0.0)
+        c = half_y @ u.conj()  # rows: U^H y_k / 2
+        inv, lam1 = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), p_max, ball_tol, lam1)
+        wt = c * inv  # the beams in the eigenbasis
+        w = wt @ u.T
+        swt = (w @ s_t) @ u.conj()  # rows: U^H S U wt_k
+        e = float(np.vdot(wt, swt).real)
+        if e <= 0.0:
+            return w, math.inf, p_e - e, 0.0
+        # d wt / d lam2 = -inv (U^H S U wt + lam1' wt), where lam1 moves with
+        # lam2 to hold a binding power constant and stays 0 otherwise
+        wi = wt * inv
+        t1 = np.vdot(wi, swt).real
+        de = -2.0 * np.vdot(swt * inv, swt).real
+        if lam1 > 0.0:
+            de += 2.0 * t1 * t1 / np.vdot(wi, wt).real
+        root = math.sqrt(target / e)
+        return w, root - 1.0, p_e - e, -0.5 * root / e * de
 
+    w, f0, slack, df0 = at(0.0, tol)
+    if slack >= 0.0:
+        return w
     # w(lam2) maximizes f - lam2 * energy over the power ball, which holds
     # w = 0, so energy(w(lam2)) <= f(w(lam2)) / lam2 <= f(w(0)) / lam2
-    f0 = float(np.sum(np.real(np.conj(y) * w)) - np.sum(np.real(np.conj(w) * (w @ a.T))))
-    return _illinois(at, 0.0, math.sqrt(target / e0) - 1.0, f0 / target, tol * p_e)
+    bound = float(np.vdot(w, y).real - np.vdot(w, w @ a.T).real) / target
+    return _illinois(at, 0.0, f0, df0, bound, tol * p_e)
 
 
 def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndarray,
@@ -205,39 +255,59 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
 
     with A Hermitian PSD: the stage-1 beams under the linearized harvest.
     The stationary beams (A + lam1 I) w_k = y_k / 2 + lam2 r_k share one
-    eigendecomposition of A for every lam2.  For each lam2 the power
-    multiplier lam1 is the ball step of solve_beams; lam2 is found by the
-    same Illinois search.  Both stop on the feasible side: the power never
-    exceeds p_max, and a binding half-space holds within tol relative of xi.
-    Raises Infeasible when no beam in the power ball meets the half-space.
+    eigendecomposition A = U diag(d) U^H for every lam2: with c_k = U^H y_k / 2
+    and r~_k = U^H r_k, the beams are (c_k + lam2 r~_k) / (d + lam1) in the
+    eigenbasis.  The search therefore runs on three N-vectors summed over
+    the users, alpha = sum_k |c_k|^2, beta = Re sum_k conj(c_k) r~_k and
+    gamma = sum_k |r~_k|^2: the power is
+    sum (alpha + 2 lam2 beta + lam2^2 gamma) / (d + lam1)^2 and the harvest
+    2 sum (beta + lam2 gamma) / (d + lam1), and the beams are formed once, at
+    the end.  For each lam2 the power multiplier lam1 is the ball step
+    (_ball_factors), warm-started at the search's previous lam1; lam2 is
+    found by the Illinois search with Newton proposals (_illinois).  Both
+    stop on the feasible side: the power never exceeds p_max, and a binding
+    half-space holds within tol relative of xi.  Raises Infeasible when no
+    beam in the power ball meets the half-space.
     """
     d, u = np.linalg.eigh(a)
     d = np.maximum(d, 0.0)
     c, rt = 0.5 * (y @ u.conj()), r @ u.conj()  # rows in the eigenbasis
+    alpha = (np.abs(c) ** 2).sum(axis=0)
+    beta = (c.conj() * rt).real.sum(axis=0)
+    gamma = (np.abs(rt) ** 2).sum(axis=0)
     target = xi + 0.5 * tol * abs(xi)
+    lam1 = 0.0
 
     def at(lam2):
-        rows = c + lam2 * rt
-        w = rows * _ball_factors(d, np.sum(np.abs(rows) ** 2, axis=0), p_max, 1e-2 * tol)
-        g = 2.0 * float(np.sum(np.real(np.conj(rt) * w)))
-        return w, g - target, g - xi
+        nonlocal lam1
+        b = beta + lam2 * gamma
+        power = np.maximum(alpha + lam2 * (beta + b), 0.0)  # rounding can dip below 0
+        inv, lam1 = _ball_factors(d, power, p_max, 1e-2 * tol, lam1)
+        g = 2.0 * float(inv @ b)
+        slope = 2.0 * float(inv @ gamma)
+        if lam1 > 0.0:
+            # lam1 moves with lam2 to hold the binding power constant:
+            # lam1' = sum b inv^2 / sum power inv^3
+            inv2 = inv * inv
+            b2 = b @ inv2
+            slope -= 2.0 * b2 * b2 / (power @ (inv2 * inv))
+        return (lam2, inv), g - target, g - xi, slope
 
-    w, f0, slack = at(0.0)
+    (lam2, inv), f0, slack, df0 = at(0.0)
     if slack < 0.0:
         # w(lam2) maximizes f + lam2 (g - xi) over the ball.  The ball's
         # point of largest g, w_s, has g - xi = delta > 0, so
         # g(w(lam2)) - xi >= delta - (f(w(0)) - f(w_s)) / lam2, which is
         # nonnegative from lam2 = (f(w(0)) - f(w_s)) / delta on.
-        def f(w):
-            return float(np.sum(2.0 * np.real(np.conj(c) * w) - d * np.abs(w) ** 2))
-
-        norm_r = float(np.linalg.norm(rt))
+        norm_r = math.sqrt(float(gamma.sum()))
         delta = 2.0 * math.sqrt(p_max) * norm_r - xi
         if delta <= 0.0:
             raise Infeasible(f"half-space bound {xi:.3e} beyond the power ball's reach")
-        gap = f(w) - f(rt * (math.sqrt(p_max) / norm_r))
-        w = _illinois(at, 0.0, f0, gap / delta, tol * abs(xi))
-    return w @ u.T
+        t = math.sqrt(p_max) / norm_r
+        f_w0 = float(alpha @ (inv * (2.0 - d * inv)))
+        f_ws = 2.0 * t * float(beta.sum()) - t * t * float(d @ gamma)
+        lam2, inv = _illinois(at, 0.0, f0, df0, (f_w0 - f_ws) / delta, tol * abs(xi))
+    return ((c + lam2 * rt) * inv) @ u.T
 
 
 def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,

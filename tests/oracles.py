@@ -126,6 +126,30 @@ def pg_qcqp_max(a, b, projections, iters=20000, step=None, x0=None, tol=1e-12):
     return x, best
 
 
+def ball_multiplier_bisect(d, r, level, iters=200):
+    """Smallest lam >= 0 with sum_i r_i / (d_i + lam)^2 <= level, by
+    bisection on lam with the sum taken term by term (terms with r_i = 0
+    left out)."""
+    def power(lam):
+        return sum(ri / (di + lam) ** 2 if di + lam > 0.0 else np.inf
+                   for di, ri in zip(d, r) if ri > 0.0)
+
+    if power(0.0) <= level:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while power(hi) > level:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if power(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def wmmse_sum_rate(h, p_max, noise, iters=300):
     """Classic WMMSE precoding for the MISO downlink sum rate (independent of
     the quadratic-transform machinery).  h: (K, N) channels.  Returns

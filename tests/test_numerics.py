@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risjam import numerics
 from risjam.numerics import (
     Infeasible,
     MaxIterExceeded,
@@ -14,7 +15,14 @@ from risjam.numerics import (
     unit_modulus_mm,
 )
 
-from oracles import dykstra, pg_qcqp_max, project_ball, project_caps, project_ellipsoid
+from oracles import (
+    ball_multiplier_bisect,
+    dykstra,
+    pg_qcqp_max,
+    project_ball,
+    project_caps,
+    project_ellipsoid,
+)
 
 
 def rand_herm_pd(rng, n, cond=1e3):
@@ -559,3 +567,229 @@ class TestSolveBeamsHalfspace:
         reach = 2.0 * np.sqrt(p_max) * np.linalg.norm(r)
         with pytest.raises(Infeasible):
             solve_beams_halfspace(a, y, p_max, r, 1.01 * reach)
+
+
+def ball_instance(rng, n=8, null=0, null_weight=0.0, zero_null=False):
+    """A binding power ball for _ball_factors: d >= 0 ascending whose first
+    `null` entries are a numerical null space (exact zeros, or rounding-level
+    values 1e-17 of the largest), r >= 0 with null_weight of its total on
+    those entries, and a cap below the power at the pseudo-inverse."""
+    d = np.sort(rng.uniform(0.05, 10.0, n)) * 10.0 ** rng.uniform(-3, 3)
+    d[:null] = 0.0 if zero_null else np.sort(rng.uniform(0.0, 1e-17, null)) * d[-1]
+    r = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
+    if null:
+        r[:null] *= null_weight * r[null:].sum() / r[:null].sum()
+    keep = d > 1e-12 * d[-1]
+    cap = float(rng.uniform(0.01, 0.9)) * float(np.sum(r[keep] / d[keep] ** 2))
+    return d, r, cap
+
+
+def ball_power(d, r, inv):
+    return float(np.sum(r * inv * inv))
+
+
+BALL_CASES = [  # (null entries, their share of r's weight, exact zeros)
+    (0, 0.0, False),
+    (4, 1e-32, False),   # stage-2-shaped: rank K = 4 < N = 8, rounding-level weights
+    (4, 1e-32, True),
+    (4, 1e-12, False),   # weight on the null space above the pseudo-inverse cut
+    (7, 1e-30, True),
+]
+
+
+class TestBallFactors:
+    @pytest.mark.parametrize("null, weight, zero_null", BALL_CASES)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-11])
+    def test_matches_bisection_from_both_sides(self, null, weight, zero_null, tol):
+        rng = np.random.default_rng(61 + null)
+        for _ in range(20):
+            d, r, cap = ball_instance(rng, null=null, null_weight=weight, zero_null=zero_null)
+            # the band [root_cap, root_tol] of multipliers with p in [cap (1 - tol), cap]
+            root_cap = ball_multiplier_bisect(d, r, cap)
+            root_tol = ball_multiplier_bisect(d, r, cap * (1.0 - tol))
+            assert root_cap > 0.0
+            # tight when one entry carries the weight: up to rounding
+            assert numerics._ball_bound(d, np.cumsum(r), cap) <= root_cap * (1 + 1e-14)
+            slack = 1e-12 * root_cap
+            for start in (0.0, 0.5 * root_cap, root_tol * (1 + 1e-3), 2.0 * root_cap, 1e3 * root_cap):
+                inv, lam = numerics._ball_factors(d, r, cap, tol, start)
+                if start > root_tol:  # a warm start on the right of the root
+                    assert ball_power(d, r, 1.0 / (d + start)) < cap * (1.0 - tol)
+                assert cap * (1.0 - tol) <= ball_power(d, r, inv) <= cap
+                assert root_cap - slack <= lam <= root_tol + slack
+                np.testing.assert_allclose(inv, 1.0 / (d + lam), rtol=1e-15)
+            # a start inside the band is kept as it is
+            start = 0.5 * (root_cap + root_tol)
+            if cap * (1.0 - tol) <= ball_power(d, r, 1.0 / (d + start)) <= cap:
+                assert numerics._ball_factors(d, r, cap, tol, start)[1] == start
+
+    def test_bound_dominates_the_single_term_bounds(self):
+        rng = np.random.default_rng(66)
+        for null, weight, zero_null in BALL_CASES:
+            d, r, cap = ball_instance(rng, null=null, null_weight=weight, zero_null=zero_null)
+            bound = numerics._ball_bound(d, np.cumsum(r), cap)
+            assert bound >= np.sqrt(r.sum() / cap) - d[-1]
+            assert bound >= np.max(np.sqrt(r / cap) - d)
+
+    def test_pseudo_inverse_when_null_weightless_and_fits(self):
+        rng = np.random.default_rng(67)
+        for null in (0, 3):
+            d, r, _ = ball_instance(rng, null=null, null_weight=1e-40, zero_null=True)
+            pinv = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
+            cap = 1.5 * ball_power(d, r, pinv)
+            for start in (0.0, 1.0):
+                inv, lam = numerics._ball_factors(d, r, cap, 1e-9, start)
+                assert lam == 0.0
+                np.testing.assert_allclose(inv, pinv, rtol=1e-15)
+
+    def test_zero_weight_on_zero_entries_at_lam_zero(self):
+        # pseudo-inverse power above the cap and a bound of 0: the Newton
+        # iteration starts at lam = 0 with entries d_i = r_i = 0
+        d, r, cap = np.array([0.0, 0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0, 1.0]), 1.0
+        assert numerics._ball_bound(d, np.cumsum(r), cap) == 0.0
+        inv, lam = numerics._ball_factors(d, r, cap, 1e-9)
+        assert np.all(np.isfinite(inv)) and np.all(inv[:2] == 0.0)
+        assert cap * (1.0 - 1e-9) <= ball_power(d, r, inv) <= cap
+        assert ball_multiplier_bisect(d, r, cap) <= lam <= ball_multiplier_bisect(d, r, cap * (1.0 - 1e-9))
+
+
+def unconstrained_power(a, y):
+    """Power of the unconstrained stationary beams A^+ y_k / 2."""
+    return float(np.sum(np.abs(np.linalg.pinv(a) @ (0.5 * y).T) ** 2))
+
+
+def captured_searches(monkeypatch):
+    """Record every residual function the multiplier search is handed, with
+    the start bound, while the search runs as usual."""
+    seen = []
+    search = numerics._illinois
+
+    def spy(at, lo, f_lo, df_lo, hi, band):
+        seen.append((at, hi))
+        return search(at, lo, f_lo, df_lo, hi, band)
+
+    monkeypatch.setattr(numerics, "_illinois", spy)
+    return seen
+
+
+def assert_slopes_match_differences(at, lams, rel_step=1e-5, rtol=1e-4):
+    for lam in lams:
+        slope = at(lam)[3]
+        h = rel_step * lam
+        fd = (at(lam + h)[1] - at(lam - h)[1]) / (2.0 * h)
+        assert slope > 0.0
+        assert slope == pytest.approx(fd, rel=rtol)
+
+
+class TestSearchSlopes:
+    """The analytic slopes the Newton proposals use, against central
+    differences of the residuals: a wrong slope would only cost steps."""
+
+    def test_energy_residual(self, monkeypatch):
+        seen = captured_searches(monkeypatch)
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            a, y, s = beam_instance(rng, 8, 4, s_rank=8)
+            p_max = 0.3 * unconstrained_power(a, y)
+            solve_beams(a, y, p_max, s, 0.05 * p_max * np.linalg.eigvalsh(s)[-1])
+        assert len(seen) == 12
+        for at, hi in seen:
+            assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
+
+    def test_energy_residual_slack_power(self, monkeypatch):
+        # a power budget far above the unconstrained optimum: lam1 = 0
+        seen = captured_searches(monkeypatch)
+        rng = np.random.default_rng(72)
+        for _ in range(6):
+            a, y, s = beam_instance(rng, 6, 3, s_rank=6)
+            p_max = 1e3 * unconstrained_power(a, y)
+            solve_beams(a, y, p_max, s, 1e-4 * p_max * np.linalg.eigvalsh(s)[-1])
+        for at, hi in seen:
+            assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
+
+    def test_halfspace_residual(self, monkeypatch):
+        seen = captured_searches(monkeypatch)
+        rng = np.random.default_rng(73)
+        while len(seen) < 12:
+            a, y, p_max, r, xi = halfspace_instance(rng, 8, 4, share=1.0)
+            solve_beams_halfspace(a, y, p_max, r, xi)
+        for at, hi in seen:
+            assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
+
+
+def paper_shaped_solves(rng, count):
+    """Beam solves of the paper's shape (N = 8, K = 4, A of rank K) under a
+    power ball that binds, as the paper profile's budget does: stage-2
+    solves under a full-rank energy ellipsoid and stage-1 solves under the
+    half-space through their linearization point."""
+    solves = []
+    for _ in range(count):
+        a, y, s = beam_instance(rng, 8, 4, s_rank=8)
+        p_max = float(rng.uniform(0.05, 0.5)) * unconstrained_power(a, y)
+        p_e = float(rng.uniform(0.01, 0.3)) * p_max * np.linalg.eigvalsh(s)[-1]
+        solves.append(lambda a=a, y=y, s=s, p_max=p_max, p_e=p_e: solve_beams(a, y, p_max, s, p_e))
+        a, y, _ = beam_instance(rng, 8, 4)
+        p_max = float(rng.uniform(0.05, 0.5)) * unconstrained_power(a, y)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        w0 = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        w0 *= np.sqrt(p_max * rng.uniform(0.1, 1.0) / np.sum(np.abs(w0) ** 2))
+        r = 10 ** rng.uniform(-2, 1) * (w0 @ (g.conj().T @ g).T)
+        xi = 2.0 * float(np.sum(np.real(np.conj(w0) * r)))
+        solves.append(lambda a=a, y=y, p_max=p_max, r=r, xi=xi: solve_beams_halfspace(a, y, p_max, r, xi))
+    return solves
+
+
+def binding_search_costs(monkeypatch, solves):
+    """Calls that reach numerics._ball_factors in each solve whose
+    multiplier search ran, the lam2 = 0 evaluation included."""
+    calls, searched = [0], [False]
+    ball, search = numerics._ball_factors, numerics._illinois
+
+    def counted(*args):
+        calls[0] += 1
+        return ball(*args)
+
+    def flagged(*args):
+        searched[0] = True
+        return search(*args)
+
+    monkeypatch.setattr(numerics, "_ball_factors", counted)
+    monkeypatch.setattr(numerics, "_illinois", flagged)
+    costs = []
+    for solve in solves:
+        calls[0], searched[0] = 0, False
+        solve()
+        if searched[0]:
+            costs.append(calls[0])
+    return costs
+
+
+def test_ball_steps_per_binding_search(monkeypatch):
+    """Evaluation budget of the two beam searches, without timing.  Before
+    the Newton proposals and the warm power multiplier these solves took a
+    mean of 10.7 ball steps per binding search; they now take 5.7."""
+    costs = binding_search_costs(monkeypatch, paper_shaped_solves(np.random.default_rng(81), 30))
+    assert len(costs) >= 40
+    assert np.mean(costs) <= 6.0
+
+
+def test_searches_warm_start_the_power_multiplier(monkeypatch):
+    """Within a search every ball step after the first starts from the power
+    multiplier of the step before it."""
+    steps = []
+    ball = numerics._ball_factors
+
+    def recorded(d, r, cap, tol, lam=0.0):
+        inv, lam_out = ball(d, r, cap, tol, lam)
+        steps.append((lam, lam_out))
+        return inv, lam_out
+
+    monkeypatch.setattr(numerics, "_ball_factors", recorded)
+    warm = 0
+    for solve in paper_shaped_solves(np.random.default_rng(82), 10):
+        steps.clear()
+        solve()
+        for (_, previous), (start, _) in zip(steps, steps[1:]):
+            assert start == previous
+            warm += start > 0.0
+    assert warm >= 40
