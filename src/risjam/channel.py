@@ -10,13 +10,14 @@ per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
 from scipy.special import gammainc, gammaln
 
 REF_DISTANCE = 1.0  # meters
+NORMALS_CHUNK = 8   # draws whose normals one buffer holds
 
 
 class BadDistance(Exception):
@@ -187,7 +188,9 @@ class ChannelSet:
 
     Shapes: g_br (M,N); h_bu (K,N); h_ru (K,M); h_ju_est (Q,K,N_jam);
     g_jr_est (Q,M,N_jam); h_iu_est (B,K,N).  Vectors are stored untransposed,
-    so h^H w is computed as h.conj() @ w.
+    so h^H w is computed as h.conj() @ w.  The estimates and the adversary
+    vectors are read once per e_mse into an error plan (error_plan), so they
+    must not change after the first draw.
     """
 
     g_br: np.ndarray
@@ -201,6 +204,7 @@ class ChannelSet:
     ue_pos: np.ndarray
     jammer_pos: np.ndarray
     interferer_pos: np.ndarray
+    _error_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m_elements(self) -> int:
@@ -222,6 +226,69 @@ class ChannelSet:
     def n_interferers(self) -> int:
         return self.h_iu_est.shape[0]
 
+    def error_plan(self, e_mse: float) -> "ErrorPlan":
+        """The trial constants of a draw at this e_mse, computed once."""
+        plan = self._error_plans.get(e_mse)
+        if plan is None:
+            plan = self._error_plans[e_mse] = ErrorPlan.of(self, e_mse)
+        return plan
+
+
+@dataclass(frozen=True)
+class ErrorPlan:
+    """How one draw of the uncertain links is built from its normals.
+
+    The draw of all three links is one complex row of n entries (the
+    flattened estimates, concatenated); as floats it is 2n values, real and
+    imaginary parts interleaved.  Value j of that row is
+    est[j] + scale[j] * normals[perm[j]], so a batch is one gather, one
+    multiply and one add.  perm is empty when no normals are drawn (e_mse =
+    0, or no uncertain entries): every draw is then the estimates, and
+    terms holds their adversary terms (see Realization).
+    """
+
+    est: np.ndarray      # (2n,) the estimates as interleaved floats
+    scale: np.ndarray    # (2n,) sqrt(e_mse * mean|block|^2 / 2) of each entry's block
+    perm: np.ndarray     # (2n,) normal column of each value, or (0,)
+    links: tuple         # (start, stop, shape) of each link in the complex row
+    terms: tuple         # adversary terms of the estimates when perm is empty, else ()
+
+    @classmethod
+    def of(cls, cs: ChannelSet, e_mse: float) -> "ErrorPlan":
+        """Each link takes 2 * size normals, block by block in order, a
+        block's real parts before its imaginary parts (a block is one
+        trailing estimate: a vector of a user link, the matrix of a
+        jammer-RIS link); links in order."""
+        ests = (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)
+        links, perm, scale, start = [], [], [], 0
+        for est, block_ndim in zip(ests, (1, 2, 1)):
+            links.append((start, start + est.size, est.shape))
+            if e_mse > 0 and est.size:
+                lead = est.ndim - block_ndim
+                var = e_mse * np.mean(np.abs(est) ** 2, axis=tuple(range(lead, est.ndim)),
+                                      keepdims=True)
+                block = int(np.prod(est.shape[lead:]))
+                i = np.arange(est.size)
+                real = 2 * start + i + (i // block) * block  # real parts of block i // block
+                perm.append(np.stack((real, real + block), axis=1).ravel())
+                scale.append(np.repeat(np.broadcast_to(np.sqrt(var / 2.0), est.shape).ravel(), 2))
+            start += est.size
+        terms = () if perm else _adversary_terms(*ests, cs.z_jam, cs.z_int)
+        return cls(est=np.concatenate([e.ravel() for e in ests]).view(float),
+                   scale=np.concatenate(scale + [np.zeros(0)]),
+                   perm=np.concatenate(perm + [np.zeros(0, dtype=np.intp)]),
+                   links=tuple(links), terms=terms)
+
+
+def _adversary_terms(h_ju, g_jr, h_iu, z_j, z_i):
+    """The adversary terms of draws with any leading axes: the direct jammer
+    amplitudes h_JU,qk^H z_qk (...,Q,K), the interferer power
+    sum_b |h_IU,bk^H z_bk|^2 (...,K) and the jammer paths into the RIS
+    G_JR,q z_qk (...,Q,M,K)."""
+    direct = np.conj(np.einsum("...n,...n->...", h_ju, np.conj(z_j)))
+    interf = np.abs(np.einsum("...n,...n->...", h_iu, np.conj(z_i))) ** 2
+    return direct, np.sum(interf, axis=-2), g_jr @ np.swapaxes(z_j, -1, -2)
+
 
 @dataclass(frozen=True)
 class Draw:
@@ -234,14 +301,28 @@ class Draw:
     z_i: np.ndarray   # (B,K,N)
 
 
+_CHANNELS = ("h_ju", "g_jr", "h_iu")
+_TERMS = ("direct", "interf", "bounce")
+
+
 @dataclass
 class Realization:
     """A batch of R draws of the uncertain channels, on a leading axis, with
     the adversary transmit vectors, which are constants of the trial.
 
+    Each draw also carries its adversary terms, which depend on the draw
+    but not on the optimization state: the direct jammer amplitudes
+    h_JU,qk^H z_qk, the interferer power sum_b |h_IU,bk^H z_bk|^2 at each
+    user and the jammer paths into the RIS G_JR,q z_qk.  They are derived
+    wherever draws are written, so they always match the channels: on
+    construction (dataclasses.replace too) and by every write.  The SAA
+    statistics and the rates read them instead of the channels.
+
     len() is R.  An integer index gives one Draw, a slice a Realization of
     those draws (views, no copy), and iteration yields the Draws in order.
-    Assigning a Draw to an integer index writes it into that slot.
+    Writing a Draw to an integer index stores its channels and derives that
+    slot's terms; writing a batch to a slice copies its channels and its
+    terms, which it derived with the same adversary vectors.
     """
 
     h_ju: np.ndarray  # (R,Q,K,N_jam) actual = estimate + error
@@ -249,17 +330,50 @@ class Realization:
     h_iu: np.ndarray  # (R,B,K,N)
     z_j: np.ndarray   # (Q,K,N_jam), sum_k ||z_j[q,k]||^2 = P_J
     z_i: np.ndarray   # (B,K,N),     sum_k ||z_i[b,k]||^2 = P_I
+    direct: np.ndarray = field(init=False)  # (R,Q,K)
+    interf: np.ndarray = field(init=False)  # (R,K)
+    bounce: np.ndarray = field(init=False)  # (R,Q,M,K)
+
+    def __post_init__(self):
+        self.direct, self.interf, self.bounce = _adversary_terms(
+            self.h_ju, self.g_jr, self.h_iu, self.z_j, self.z_i)
+
+    @classmethod
+    def _of(cls, **fields) -> "Realization":
+        """A batch from all its fields, terms included: nothing is derived."""
+        out = object.__new__(cls)
+        out.__dict__.update(fields)
+        return out
+
+    @classmethod
+    def slots(cls, cs: "ChannelSet", count: int) -> "Realization":
+        """count unwritten slots for draws of cs's uncertain links; a slot
+        holds no draw until one is written to it."""
+        q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
+        shapes = {"h_ju": cs.h_ju_est.shape, "g_jr": cs.g_jr_est.shape, "h_iu": cs.h_iu_est.shape,
+                  "direct": (q, k), "interf": (k,), "bounce": (q, m, k)}
+        return cls._of(z_j=cs.z_jam, z_i=cs.z_int, **{
+            name: np.empty((count,) + shape, dtype=float if name == "interf" else complex)
+            for name, shape in shapes.items()})
 
     def __len__(self) -> int:
         return self.h_ju.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Realization(self.h_ju[i], self.g_jr[i], self.h_iu[i], self.z_j, self.z_i)
+            return Realization._of(z_j=self.z_j, z_i=self.z_i, **{
+                name: getattr(self, name)[i] for name in _CHANNELS + _TERMS})
         return Draw(self.h_ju[i], self.g_jr[i], self.h_iu[i], self.z_j, self.z_i)
 
-    def __setitem__(self, i: int, draw: Draw):
-        self.h_ju[i], self.g_jr[i], self.h_iu[i] = draw.h_ju, draw.g_jr, draw.h_iu
+    def __setitem__(self, i, value):
+        for name in _CHANNELS:
+            getattr(self, name)[i] = getattr(value, name)
+        if isinstance(i, slice):
+            terms = (getattr(value, name) for name in _TERMS)
+        else:
+            terms = _adversary_terms(value.h_ju, value.g_jr, value.h_iu, self.z_j, self.z_i)
+        for name, term in zip(_TERMS, terms):
+            getattr(self, name)[i] = term
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -324,25 +438,6 @@ def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
                       ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
 
 
-def _add_estimation_error(est: np.ndarray, e_mse: float, normals: np.ndarray,
-                          block_ndim: int) -> np.ndarray:
-    """(R,) + est.shape: actual = estimate + CN(0, e_mse * mean|block|^2) per
-    entry, where a block is one trailing (block_ndim-dimensional) estimate.
-    Row r of normals (R, 2 * est.size) fills draw r, block by block in order,
-    real part before imaginary part; with no columns every draw is a copy."""
-    count = normals.shape[0]
-    if normals.shape[1] == 0:
-        return np.repeat(est[None], count, axis=0)
-    lead = est.ndim - block_ndim
-    var = e_mse * np.mean(np.abs(est) ** 2, axis=tuple(range(lead, est.ndim)), keepdims=True)
-    split = normals.reshape((count,) + est.shape[:lead] + (2,) + est.shape[lead:])
-    out = np.empty((count,) + est.shape, dtype=complex)  # built in place: no batch-sized temporaries
-    out.real, out.imag = np.moveaxis(split, lead + 1, 0)
-    out *= np.sqrt(var / 2.0)
-    out += est
-    return out
-
-
 def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.ndarray:
     """(K, N) complex Gaussian directions scaled so sum_k ||v_k||^2 = total_power."""
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -358,19 +453,40 @@ def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator,
     """Draw count realizations of the uncertain channels as one batch.
 
     Errors are circular Gaussian with per-entry variance e_mse times the mean
-    squared magnitude of the corresponding estimate block.  One
-    rng.standard_normal call fills the batch; each draw takes its normals in
-    the order of count sequential draws (jammer-user links, jammer-RIS
-    links, interferer-user links), so the batch equals those draws bitwise.
-    At e_mse = 0, and for an empty link, no normals are drawn.  The adversary
+    squared magnitude of the corresponding estimate block.  Each draw takes
+    its normals in the order of count sequential draws (jammer-user links,
+    jammer-RIS links, interferer-user links), from one stream that
+    rng.standard_normal continues a few draws at a time in one small buffer,
+    so the batch equals those draws bitwise.  The per-entry scales and the
+    normal layout are trial constants (cs.error_plan), and every link of
+    every draw is written straight from the normals into the batch: one
+    gather, one multiply and one add, with no batch-sized temporaries.  At
+    e_mse = 0, and for an empty link, no normals are drawn.  The adversary
     transmit vectors are the trial constants stored in the ChannelSet; only
-    the channels change from draw to draw.
+    the channels change from draw to draw.  The batch derives each draw's
+    adversary terms (Realization); without errors they are the estimates'
+    terms, computed once per trial.
     """
     if e_mse < 0:
         raise BadParams("e_mse must be nonnegative")
-    ests = (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)
-    widths = [2 * est.size if e_mse > 0 else 0 for est in ests]
-    normals = np.split(rng.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
-    h_ju, g_jr, h_iu = (_add_estimation_error(est, e_mse, n, block_ndim)
-                        for est, n, block_ndim in zip(ests, normals, (1, 2, 1)))
-    return Realization(h_ju=h_ju, g_jr=g_jr, h_iu=h_iu, z_j=cs.z_jam, z_i=cs.z_int)
+    plan = cs.error_plan(e_mse)
+    row = np.empty((count, plan.est.size // 2), dtype=complex)
+    parts = row.view(float)  # real and imaginary parts, interleaved
+    links = dict(zip(_CHANNELS, (row[:, start:stop].reshape((count,) + shape)
+                                 for start, stop, shape in plan.links)))
+    if not plan.perm.size:
+        # every draw is the estimates, and its terms are theirs
+        parts[:] = plan.est
+        return Realization._of(z_j=cs.z_jam, z_i=cs.z_int, **links, **{
+            name: np.repeat(term[None], count, axis=0) for name, term in zip(_TERMS, plan.terms)})
+    # consecutive calls continue one normal stream, so a few draws at a
+    # time give the same values from a small buffer
+    normals = rng.standard_normal((min(count, NORMALS_CHUNK), plan.perm.size))
+    for lo in range(0, count, NORMALS_CHUNK):
+        chunk, out = normals[:count - lo], parts[lo:lo + NORMALS_CHUNK]
+        if lo:
+            rng.standard_normal(out=chunk)
+        np.take(chunk, plan.perm, axis=1, out=out, mode="clip")
+        out *= plan.scale
+        out += plan.est
+    return Realization(z_j=cs.z_jam, z_i=cs.z_int, **links)

@@ -205,6 +205,8 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         # lam2 -> infinity: the beams are confined to null(S)
         ev, v = np.linalg.eigh(s)
         null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
+        if not null.shape[1]:  # S full rank: only w = 0 meets the energy bound
+            return np.zeros(y.shape, dtype=complex)
         return solve_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol=tol) @ null.T
     if s is None:
         return _ball_beams(a, y, p_max, tol)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics, system
-from .channel import ChannelSet, Draw, Realization, sample_uncertain_realization
+from .channel import ChannelSet, Realization, sample_uncertain_realization
 from .numerics import QcqpProblem, solve_concave_qcqp
 from .system import LN2, PowerModel, SolverState
 
@@ -58,9 +58,11 @@ class SaaStats:
     Memory is O(K*M^2), independent of the number of realizations and of
     jammers; the stage-2 surrogate matrices are assembled from these means
     rather than by re-looping over stored draws.  M is the number of
-    reflection coefficients being optimized (0 without an RIS).  The draws
-    themselves are kept only for the SAA objective, in one batch that the
-    AO loop preallocates: O(r_max) times the size of one draw.
+    reflection coefficients being optimized (0 without an RIS).  Each mean
+    is folded from the adversary terms a draw carries (channel.Realization), so no
+    channel is read here.  The draws themselves are kept only for the SAA
+    objective, in one batch that the AO loop preallocates: O(r_max) times
+    the size of one draw.
     """
 
     count: int
@@ -80,18 +82,29 @@ class SaaStats:
         )
 
 
-def update_saa_stats(stats: SaaStats, rlz: Draw, cs: ChannelSet) -> SaaStats:
-    """Fold one draw into the running means (Welford-style updates)."""
-    d = np.sum(np.conj(rlz.h_ju) * rlz.z_j, axis=-1)  # (Q,K)
-    zi = np.sum(np.abs(np.sum(np.conj(rlz.h_iu) * rlz.z_i, axis=-1)) ** 2, axis=0)
-    r = stats.count + 1
-    stats.zbar_i2 += (zi - stats.zbar_i2) / r
-    stats.d_abs2 += (np.sum(np.abs(d) ** 2, axis=0) - stats.d_abs2) / r
+def update_saa_stats(stats: SaaStats, draws: Realization, cs: ChannelSet) -> SaaStats:
+    """Fold the draws of a batch into the running means from the adversary
+    terms they carry: each mean becomes (count mean + sum over the draws) /
+    (count + len(draws)), the sums over jammers and draws taken as matrix
+    products, one per user."""
+    r = stats.count + len(draws)
+    keep = stats.count / r
+
+    def fold(mean, total):  # total is a fresh array: scaled in place
+        mean *= keep
+        total /= r
+        mean += total
+
+    fold(stats.zbar_i2, draws.interf.sum(axis=0))
+    fold(stats.d_abs2, (np.abs(draws.direct) ** 2).sum(axis=(0, 1)))
     if stats.dt_conj.shape[1]:
-        t = np.swapaxes(rlz.g_jr @ np.swapaxes(rlz.z_j, 1, 2), 1, 2)  # (Q,K,M)
-        u = np.conj(t) * cs.h_ru[None, :, :]  # diag(t*) h_RU
-        stats.dt_conj += (np.einsum("qk,qkm->km", np.conj(d), t) - stats.dt_conj) / r
-        stats.m_mat += (np.einsum("qkm,qkn->kmn", u, np.conj(u)) - stats.m_mat) / r
+        k, m = stats.dt_conj.shape
+        rq = draws.direct.shape[0] * draws.direct.shape[1]
+        t = draws.bounce.transpose(3, 2, 0, 1).reshape(k, m, rq)  # columns t_qk of every draw
+        d = np.conj(draws.direct).transpose(2, 0, 1).reshape(k, rq, 1)
+        u = np.conj(t) * cs.h_ru[:, :, None]  # columns u_qk
+        fold(stats.dt_conj, (t @ d)[:, :, 0])
+        fold(stats.m_mat, u @ np.conj(np.swapaxes(u, 1, 2)))
     stats.count = r
     return stats
 
@@ -361,9 +374,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     blocks the scheme optimizes."""
     state = initial_state(cs, pm, scheme)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
-    draws = Realization(*(np.empty((cfg.r_max,) + est.shape, dtype=complex)
-                          for est in (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)),
-                        z_j=cs.z_jam, z_i=cs.z_int)
+    draws = Realization.slots(cs, cfg.r_max)
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")})
     best_state = state.copy()
     prev_v = None
@@ -379,8 +390,9 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     for r in range(1, cfg.r_max + 1):
         with timed("draw"):
             sub = np.random.default_rng(rng.spawn(1)[0])
-            draws[r - 1] = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)[0]
-            update_saa_stats(stats, draws[r - 1], cs)
+            draw = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)
+            draws[r - 1:r] = draw
+            update_saa_stats(stats, draw, cs)
         with timed("objective"):
             v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
                                      cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)

@@ -88,16 +88,15 @@ def adversary_interference(theta: np.ndarray, draws: Realization, cs: ChannelSet
     """(R, K) jamming plus co-channel interference power at each UE for each
     draw of the batch: (Z_1, Z_2), stage 1 over the direct jammer links and
     stage 2 with the jammer paths bounced through the RIS,
-    h_J,qk^H = h_JU,qk^H + h_RU,k^H Theta G_JR,q.  Without reflection
-    coefficients both stages see the same power."""
-    direct = np.sum(np.conj(draws.h_ju) * draws.z_j, axis=-1)  # (R,Q,K): h_JU,qk^H z_qk
-    interf = np.sum(np.abs(np.sum(np.conj(draws.h_iu) * draws.z_i, axis=-1)) ** 2, axis=1)
-    z1 = np.sum(np.abs(direct) ** 2, axis=1) + interf
-    if theta.size == 0 or draws.h_ju.shape[1] == 0:
+    h_J,qk^H = h_JU,qk^H + h_RU,k^H Theta G_JR,q.  Reads the batch's
+    adversary terms (Realization), which do not depend on theta, and only
+    combines them with theta.  Without reflection coefficients both stages
+    see the same power."""
+    z1 = np.sum(np.abs(draws.direct) ** 2, axis=1) + draws.interf
+    if theta.size == 0 or draws.direct.shape[1] == 0:
         return z1, z1
-    t = draws.g_jr @ np.swapaxes(draws.z_j, -1, -2)  # (R,Q,M,K): G_JR,q z_qk
-    bounced = np.einsum("km,rqmk->rqk", np.conj(cs.h_ru) * theta[None, :], t)
-    return z1, np.sum(np.abs(direct + bounced) ** 2, axis=1) + interf
+    bounced = np.einsum("km,rqmk->rqk", np.conj(cs.h_ru) * theta[None, :], draws.bounce)
+    return z1, np.sum(np.abs(draws.direct + bounced) ** 2, axis=1) + draws.interf
 
 
 def ris_noise(theta: np.ndarray, cs: ChannelSet, sigma_r_sq: float) -> np.ndarray:
@@ -132,12 +131,14 @@ def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
                   sigma_r_sq: float) -> float:
     """Sample-average sum rate in nats per channel use over the given draws,
     all draws and users evaluated together: stage 1 on the direct channels,
-    stage 2 on the effective ones with the amplified RIS noise."""
+    stage 2 on the effective ones with the amplified RIS noise.  At tau = 0
+    stage 1 has no weight and is not evaluated."""
     z1, z2 = adversary_interference(theta, realizations, cs)
-    r1 = np.log1p(sinr(cs.h_bu, w1, z1 + sigma1_sq))
-    r2 = np.log1p(sinr(effective_channels(theta, cs), w2,
-                       ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
-    return float(np.sum(tau * r1 + (1.0 - tau) * r2)) / len(realizations)
+    rate = (1.0 - tau) * np.log1p(sinr(effective_channels(theta, cs), w2,
+                                       ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
+    if tau:
+        rate += tau * np.log1p(sinr(cs.h_bu, w1, z1 + sigma1_sq))
+    return float(np.sum(rate)) / len(realizations)
 
 
 def sum_rate(tau, w1, w2, theta, realizations, cs, sigma1_sq, sigma2_sq, sigma_r_sq) -> float:

@@ -76,6 +76,35 @@ def project_caps(x, caps):
     return out
 
 
+def project_caps_diag_ellipsoid(z, caps, v, c, tol=1e-15):
+    """Euclidean projection onto {|x_m| <= caps_m} and {sum_m v_m |x_m|^2 <= c}
+    (v > 0), in the unwhitened metric.  Separable: for a multiplier mu >= 0
+    of the ellipsoid, element m solves its own disc problem,
+    x_m = z_m min(1 / (1 + mu v_m), caps_m / |z_m|), and the answer takes
+    the smallest mu whose x fits, found by bisection on the ellipsoid sum
+    (nonincreasing in mu) until the bracket is tol relative wide."""
+    mag = np.abs(z)
+    clip = caps / np.where(mag > 0.0, mag, 1.0)
+
+    def shrink(mu):
+        f = np.minimum(1.0 / (1.0 + mu * v), clip)
+        return f, float(np.sum(v * (f * mag) ** 2))
+
+    f, e = shrink(0.0)
+    if e <= c:
+        return z * f
+    lo, hi = 0.0, 1.0
+    while shrink(hi)[1] > c:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if shrink(mid)[1] > c:
+            lo = mid
+        else:
+            hi = mid
+    return z * shrink(hi)[0]
+
+
 def dykstra(x, projections, iters=200, tol=1e-14):
     """Dykstra's alternating projections onto an intersection of convex sets.
 

@@ -26,7 +26,7 @@ from risjam.optimizer import (
 )
 from risjam.system import SolverState
 
-from oracles import pg_qcqp_max, project_ball, project_caps, project_ellipsoid
+from oracles import pg_qcqp_max, project_ball, project_caps_diag_ellipsoid, project_ellipsoid
 from test_optimizer import make_instance, surrogate_stage1, surrogate_stage2
 from test_system import crand, pm_default
 
@@ -139,11 +139,11 @@ def test_criterion_3_qcqp_oracle_equivalence():
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
         p_e = (e_r - 0.5 * 8 * (pm.p_dc + pm.p_sc)) / (0.5 * pm.xi)
         mu = st.w2 @ cs.g_br.T
-        v_mat = (np.diag(np.sum(np.abs(mu) ** 2, axis=0)) + pm.sigma_r_sq * np.eye(8)).astype(complex)
+        v = np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq
         from risjam.optimizer import theta_quadratic_model
         gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq)
         caps = np.full(8, pm.a_max)
-        projs = [lambda y: project_caps(y, caps), lambda y: project_ellipsoid(y, v_mat, p_e)]
+        projs = [lambda y: project_caps_diag_ellipsoid(y, caps, v, p_e)]
         x_ref, _ = pg_qcqp_max(gamma, lam, projs, iters=30000, x0=th)
         f_ref = surrogate_stage2(st.w2, x_ref, st.omega2, st.nu2, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
         worst = max(worst, (f_ref - f) / (1.0 + abs(f_ref)))

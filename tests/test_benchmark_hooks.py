@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import channel, harness, numerics, system
+from risjam import channel, harness, numerics, optimizer, system
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -100,3 +100,34 @@ def test_trial_meets_the_capture_contract(monkeypatch, scheme):
             assert getattr(draw, link).shape == shape
     assert all(p.caps is not None for p in problems)
     assert bool(problems) == (scheme == "active-harvesting")
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
+    # the traced channel.draw_*, optimizer.saa_s and system.objective_*
+    # figures count per-iteration work: each AO iteration makes exactly one
+    # one-draw sample, one fold of that draw and one SAA objective on the
+    # r draws so far; the held-out scoring adds one sample of cfg.heldout
+    # draws and one rate evaluation on them
+    calls = []
+
+    def record(name, size):
+        def make_wrapper(fn):
+            def wrapper(*args, **kw):
+                calls.append((name, size(args)))
+                return fn(*args, **kw)
+            return wrapper
+        return make_wrapper
+
+    patch_everywhere(monkeypatch, channel, "sample_uncertain_realization",
+                     record("sample", lambda args: args[3]))
+    patch_everywhere(monkeypatch, optimizer, "update_saa_stats", record("fold", lambda args: len(args[1])))
+    patch_everywhere(monkeypatch, system, "sum_rate_nats", record("objective", lambda args: len(args[4])))
+    cfg = risjam.desk_profile(r_max=8, heldout=5, e_mse=0.1)
+    result = harness.run_trial(cfg, scheme, 0)
+
+    iterations = result.iterations
+    assert 1 <= iterations <= cfg.r_max
+    ao = [("sample", 1), ("fold", 1)]
+    want = [c for r in range(1, iterations + 1) for c in ao + [("objective", r)]]
+    assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]

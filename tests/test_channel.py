@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import risjam
 from risjam.channel import (
+    NORMALS_CHUNK,
     BadDistance,
     BadParams,
     RwpParams,
@@ -17,8 +20,9 @@ from risjam.channel import (
     sample_uncertain_realization,
     _link,
 )
+from risjam.system import adversary_interference
 
-from oracles import uncertain_draw_loops
+from oracles import adversary_interference_loops, uncertain_draw_loops
 
 PAPER_B = (735.0 / 72.0, -1190.0 / 72.0, 455.0 / 72.0)
 PAPER_UPS = (1.0, 3.0, 5.0)
@@ -267,6 +271,39 @@ class TestRealization:
                     assert got.shape == want.shape
                     np.testing.assert_array_equal(got, want)
             assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("e_mse", [0.0, 0.1])
+    @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"m": 0}])
+    def test_held_out_batch_terms_match_loops(self, e_mse, counts):
+        # the held-out batch derives every draw's adversary terms as it is
+        # drawn; they give the loops' adversary powers draw by draw
+        cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(11))
+        if "m" in counts:  # no RIS elements (a config needs at least one)
+            cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
+        q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
+        rng = np.random.default_rng(12)
+        batch = sample_uncertain_realization(cs, e_mse, rng, 20)
+        assert batch.direct.shape == (20, q, k)
+        assert batch.interf.shape == (20, k)
+        assert batch.bounce.shape == (20, q, m, k)
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        for th in (theta, np.zeros(0, complex)):
+            for got, want in zip(adversary_interference(th, batch, cs),
+                                 adversary_interference_loops(th, batch, cs.h_ru)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_batches_larger_than_the_normals_buffer(self):
+        # draws past the first buffer of normals continue the same stream
+        cfg = risjam.desk_profile()
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(13))
+        count = 2 * NORMALS_CHUNK + 3
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        batch = sample_uncertain_realization(cs, 0.1, rng, count)
+        for i in range(count):
+            for got, want in zip((batch.h_ju[i], batch.g_jr[i], batch.h_iu[i]),
+                                 uncertain_draw_loops(cs, 0.1, ref_rng)):
+                np.testing.assert_array_equal(got, want)
 
     def test_batch_indexing(self):
         # an index gives one draw in the per-draw shapes, a slice a batch of

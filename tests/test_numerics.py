@@ -21,6 +21,7 @@ from oracles import (
     pg_qcqp_max,
     project_ball,
     project_caps,
+    project_caps_diag_ellipsoid,
     project_ellipsoid,
 )
 
@@ -89,6 +90,57 @@ def caps_ball_instance(rng):
 def caps_ball_dykstra(z, caps, c):
     # sweep cap far above the slowest of these instances
     return dykstra(z, [lambda y: project_caps(y, caps), lambda y: project_ball(y, c)], iters=100000)
+
+
+def caps_diag_ellipsoid_instance(rng):
+    """z, caps, weights v > 0 spread over two decades and a bound c below
+    the weighted sum of the clipped z, so both the caps and the ellipsoid
+    can bind: the shape of criterion 3's reflection instances."""
+    n = int(rng.integers(1, 12))
+    z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    caps = rng.uniform(0.0, 2.0, n)
+    v = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    c = float(rng.uniform(0.05, 1.0)) * np.sum(v * np.minimum(np.abs(z), caps) ** 2)
+    return z, caps, v, c
+
+
+class TestProjectCapsDiagEllipsoid:
+    """The oracle's separable projection onto caps and a diagonal ellipsoid,
+    which criterion 3 uses in place of Dykstra's alternating projections."""
+
+    def test_matches_dykstra(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            z, caps, v, c = caps_diag_ellipsoid_instance(rng)
+            z[rng.uniform(size=z.size) < 0.2] = 0.0
+            p = project_caps_diag_ellipsoid(z, caps, v, c)
+            q = np.diag(v).astype(complex)
+            # sweep cap far above the slowest of these instances
+            ref = dykstra(z, [lambda y: project_caps(y, caps), lambda y: project_ellipsoid(y, q, c)],
+                          iters=100000)
+            assert np.linalg.norm(p - ref) <= 1e-9 * max(1.0, np.linalg.norm(p))
+
+    def test_feasible_and_variational_inequality(self):
+        # Re<z - P(z), x - P(z)> <= 0 for points x sampled in the set
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            z, caps, v, c = caps_diag_ellipsoid_instance(rng)
+            p = project_caps_diag_ellipsoid(z, caps, v, c)
+            assert np.all(np.abs(p) <= caps * (1 + 1e-15))
+            assert np.sum(v * np.abs(p) ** 2) <= c * (1 + 1e-14)
+            x = 3.0 * (rng.standard_normal((200, z.size)) + 1j * rng.standard_normal((200, z.size)))
+            x *= np.minimum(1.0, caps / np.abs(x))
+            x *= np.minimum(1.0, np.sqrt(c / np.sum(v * np.abs(x) ** 2, axis=1)))[:, None]
+            vi = np.real(np.conj(z - p) * (x - p)).sum(axis=1)
+            assert np.all(vi <= 1e-12 * np.linalg.norm(z) ** 2)
+
+    def test_loose_ellipsoid_is_caps_projection(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            z, caps, v, _ = caps_diag_ellipsoid_instance(rng)
+            c = float(np.sum(v * caps ** 2))
+            np.testing.assert_allclose(project_caps_diag_ellipsoid(z, caps, v, c),
+                                       project_caps(z, caps), rtol=1e-15, atol=0)
 
 
 class TestProjectCapsBall:
@@ -446,6 +498,18 @@ class TestSolveBeams:
         w_r = w @ null.conj()  # coordinates in null(S)
         kkt_certificate(null.conj().T @ a @ null, y @ null.conj(), 1.0, None, 0.0, w_r)
         assert np.sum(np.abs(w) ** 2) <= 1.0 * (1 + 1e-12)
+
+    def test_zero_energy_bound_with_full_rank_s_gives_zero_beams(self):
+        # the stage-2 shape: G_BR is 25 x 8 and every |theta_m| > 0, so
+        # S = G_BR^H |Theta|^2 G_BR has full rank, null(S) is empty and only
+        # w = 0 meets P_E = 0
+        rng = np.random.default_rng(47)
+        a, y, _ = beam_instance(rng, 8, 4)
+        g = rng.standard_normal((25, 8)) + 1j * rng.standard_normal((25, 8))
+        s = g.conj().T @ (rng.uniform(0.5, 1.5, 25)[:, None] ** 2 * g)
+        w = solve_beams(a, y, 1.0, s, 0.0)
+        assert w.shape == y.shape and w.dtype == complex
+        np.testing.assert_array_equal(w, 0.0)
 
     def test_energy_slack_and_binding(self):
         rng = np.random.default_rng(44)

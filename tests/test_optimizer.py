@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import risjam
 from risjam import harness, optimizer, system
-from risjam.channel import ChannelSet, sample_static_channels
+from risjam.channel import ChannelSet, Realization, sample_static_channels, sample_uncertain_realization
 from risjam.optimizer import (
     AoReport,
     DegenerateTau,
@@ -25,7 +27,8 @@ from risjam.optimizer import (
 )
 from risjam.system import PowerModel, SolverState
 
-from oracles import pg_qcqp_max, project_ball, saa_means_loops, uncertain_draw_loops, wmmse_sum_rate
+from oracles import (adversary_interference_loops, pg_qcqp_max, project_ball, saa_means_loops,
+                     uncertain_draw_loops, wmmse_sum_rate)
 from test_system import (crand, make_channels, make_realization, permute_realization,
                          permute_users, pm_default)
 
@@ -50,8 +53,8 @@ def make_instance(seed, n=4, m=3, k=2, q=1, b=1, n_jam=2, n_rlz=3, jitter=0.1, s
     cs = make_channels(rng, n=n, m=m, k=k, q=q, b=b, n_jam=n_jam, scale=scale)
     stats = SaaStats.empty(k, m)
     rlzs = make_realization(cs, rng, jitter=jitter, count=n_rlz)
-    for rlz in rlzs:
-        update_saa_stats(stats, rlz, cs)
+    for i in range(n_rlz):  # one draw at a time, as the AO folds them
+        update_saa_stats(stats, rlzs[i:i + 1], cs)
     return rng, cs, stats, rlzs
 
 
@@ -174,7 +177,7 @@ class TestSaaStats:
     def test_first_update_equals_sample(self):
         rng, cs, _, rlzs = make_instance(6, n_rlz=1, jitter=0.2)
         stats = SaaStats.empty(2, 3)
-        update_saa_stats(stats, rlzs[0], cs)
+        update_saa_stats(stats, rlzs[:1], cs)
         d00 = np.vdot(rlzs[0].h_ju[0, 0], rlzs[0].z_j[0, 0])
         assert stats.d_abs2[0] == pytest.approx(abs(d00) ** 2, rel=1e-12)
         t00 = rlzs[0].g_jr[0] @ rlzs[0].z_j[0, 0]
@@ -183,9 +186,9 @@ class TestSaaStats:
     def test_idempotent_on_constants(self):
         rng, cs, _, rlzs = make_instance(7, n_rlz=1)
         stats = SaaStats.empty(2, 3)
-        update_saa_stats(stats, rlzs[0], cs)
+        update_saa_stats(stats, rlzs[:1], cs)
         snap = stats.d_abs2.copy(), stats.zbar_i2.copy(), stats.dt_conj.copy(), stats.m_mat.copy()
-        update_saa_stats(stats, rlzs[0], cs)
+        update_saa_stats(stats, rlzs[:1], cs)
         for got, want in zip((stats.d_abs2, stats.zbar_i2, stats.dt_conj, stats.m_mat), snap):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -212,9 +215,9 @@ class TestSaaStats:
         # statistics sized for an empty theta ignore the RIS channels
         _, cs, _, rlzs = make_instance(9, m=3, q=2, n_rlz=4, jitter=0.3)
         full, bare = SaaStats.empty(2, 3), SaaStats.empty(2, 0)
-        for rlz in rlzs:
-            update_saa_stats(full, rlz, cs)
-            update_saa_stats(bare, rlz, cs)
+        for i in range(len(rlzs)):
+            update_saa_stats(full, rlzs[i:i + 1], cs)
+            update_saa_stats(bare, rlzs[i:i + 1], cs)
         np.testing.assert_array_equal(bare.d_abs2, full.d_abs2)
         np.testing.assert_array_equal(bare.zbar_i2, full.zbar_i2)
         assert bare.m_mat.shape == (2, 0, 0)
@@ -224,11 +227,51 @@ class TestSaaStats:
         perm = np.array([1, 2, 0])
         cs_p = permute_users(cs, perm)
         stats_p = SaaStats.empty(3, 4)
-        for rlz in permute_realization(rlzs, perm):
-            update_saa_stats(stats_p, rlz, cs_p)
+        rlzs_p = permute_realization(rlzs, perm)
+        for i in range(len(rlzs_p)):
+            update_saa_stats(stats_p, rlzs_p[i:i + 1], cs_p)
         for got, want in ((stats_p.d_abs2, stats.d_abs2), (stats_p.zbar_i2, stats.zbar_i2),
                           (stats_p.dt_conj, stats.dt_conj), (stats_p.m_mat, stats.m_mat)):
             np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("q, b, m", [(3, 2, 4), (0, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_whole_batch_fold_equals_draw_by_draw(self, q, b, m):
+        _, cs, stats, rlzs = make_instance(30 + q + b, m=m, q=q, b=b, n_rlz=12, jitter=0.3)
+        whole = update_saa_stats(SaaStats.empty(2, m), rlzs, cs)
+        assert whole.count == stats.count == 12
+        for got, want in ((whole.d_abs2, stats.d_abs2), (whole.zbar_i2, stats.zbar_i2),
+                          (whole.dt_conj, stats.dt_conj), (whole.m_mat, stats.m_mat)):
+            assert_rel(got, want)
+
+    @pytest.mark.parametrize("e_mse", [0.0, 0.1])
+    @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"m": 0}])
+    def test_ao_slots_fold_like_the_loops(self, e_mse, counts):
+        # draws sampled one by one into the slots of a batch, as the AO
+        # does, and folded as they come: the means equal the loops over the
+        # slots' channels; a one-off held-out batch folds to the same means
+        cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
+        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(21))
+        if "m" in counts:  # no RIS elements (a config needs at least one)
+            cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
+        m = cs.m_elements
+        rng = np.random.default_rng(22)
+        draws = Realization.slots(cs, 10)
+        stats = SaaStats.empty(cs.n_users, m)
+        for r in range(8):
+            draw = sample_uncertain_realization(cs, e_mse, rng, 1)
+            draws[r:r + 1] = draw
+            update_saa_stats(stats, draw, cs)
+        want = saa_means_loops(draws[:8], cs.h_ru)
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        for got, ref in zip(system.adversary_interference(theta, draws[:8], cs),
+                            adversary_interference_loops(theta, draws[:8], cs.h_ru)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
+        for got, ref in zip((stats.d_abs2, stats.dt_conj, stats.m_mat, stats.zbar_i2), want):
+            assert_rel(got, ref)
+        held = sample_uncertain_realization(cs, e_mse, np.random.default_rng(22), 8)
+        once = update_saa_stats(SaaStats.empty(cs.n_users, m), held, cs)
+        for got, ref in zip((once.d_abs2, once.dt_conj, once.m_mat, once.zbar_i2), want):
+            assert_rel(got, ref)
 
     def test_m_mat_hermitian_psd(self):
         _, cs, stats, _ = make_instance(9, q=2, n_rlz=7, jitter=0.5)

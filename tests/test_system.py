@@ -47,9 +47,7 @@ def make_channels(rng, n=4, m=3, k=2, q=1, b=1, n_jam=2, scale=1.0):
 def make_realization(cs, rng, jitter=0.0, count=1):
     """A batch of count draws, each the estimates plus jitter times
     circular Gaussian noise, drawn one draw (h_ju, g_jr, h_iu) at a time."""
-    rlz = Realization(*(np.empty((count,) + est.shape, dtype=complex)
-                        for est in (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)),
-                      z_j=cs.z_jam, z_i=cs.z_int)
+    rlz = Realization.slots(cs, count)
     for i in range(count):
         rlz[i] = Draw(
             h_ju=cs.h_ju_est + jitter * crand(rng, *cs.h_ju_est.shape),
@@ -241,6 +239,55 @@ class TestAdversaryInterference:
                     np.testing.assert_allclose(z, want, rtol=1e-12, atol=1e-300)
 
 
+def assert_interference_matches_loops(batch, cs, rng):
+    """Both stages' adversary powers of every draw of the batch, read from
+    its terms, against the loops over its channels, for a random theta and
+    for no reflection coefficients."""
+    for th in (crand(rng, cs.m_elements), np.zeros(0, complex)):
+        for got, want in zip(adversary_interference(th, batch, cs),
+                             adversary_interference_loops(th, batch, cs.h_ru)):
+            assert got.shape == (len(batch), cs.n_users)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+class TestAdversaryTerms:
+    """The per-draw adversary terms a batch carries match its channels
+    wherever draws are written."""
+
+    @pytest.mark.parametrize("q, b, m", [(2, 3, 4), (0, 2, 4), (2, 0, 4), (2, 2, 0), (0, 0, 3)])
+    def test_slot_writes_derive_the_slots_terms(self, q, b, m):
+        # a batch whose slots first held other draws: a written draw
+        # replaces its slot's terms, from a Draw (derived) or from the
+        # slice of another batch (copied)
+        rng = np.random.default_rng(60 + 7 * q + b + m)
+        cs = make_channels(rng, n=4, m=m, k=3, q=q, b=b, n_jam=3)
+        batch = make_realization(cs, rng, jitter=0.4, count=6)
+        other = make_realization(cs, rng, jitter=0.4, count=4)
+        batch[1] = other[3]
+        batch[3:5] = other[:2]
+        np.testing.assert_array_equal(batch.h_ju[1], other.h_ju[3])
+        np.testing.assert_array_equal(batch.g_jr[3:5], other.g_jr[:2])
+        assert_interference_matches_loops(batch, cs, rng)
+
+    def test_slices_carry_their_draws_terms(self):
+        rng = np.random.default_rng(61)
+        cs = make_channels(rng, n=4, m=5, k=3, q=2, b=2, n_jam=3)
+        batch = make_realization(cs, rng, jitter=0.4, count=6)
+        for part in (batch[1:4], batch[5:], batch[::2]):
+            assert np.shares_memory(part.bounce, batch.bounce)
+            assert_interference_matches_loops(part, cs, rng)
+
+    def test_replace_derives_the_terms(self):
+        # dataclasses.replace builds a new batch: its terms come from its
+        # own channels and adversary vectors
+        rng = np.random.default_rng(62)
+        cs = make_channels(rng, n=4, m=5, k=3, q=2, b=2, n_jam=3)
+        batch = make_realization(cs, rng, jitter=0.4, count=4)
+        cs2 = replace(cs, z_jam=crand(rng, *cs.z_jam.shape), z_int=crand(rng, *cs.z_int.shape))
+        moved = replace(batch, h_ju=batch.h_ju[:, :, ::-1], z_j=cs2.z_jam, z_i=cs2.z_int)
+        assert_interference_matches_loops(moved, cs2, rng)
+
+
 class TestSumRate:
     def test_tau_one_stage1_only(self):
         rng = np.random.default_rng(9)
@@ -293,10 +340,11 @@ class TestSumRate:
         rlzs = make_realization(cs, rng, jitter=0.4, count=6)
         w1, w2 = crand(rng, 3, 4), crand(rng, 3, 4)
         for th in (crand(rng, m), np.zeros(0, complex)):
-            got = sum_rate_nats(0.35, w1, w2, th, rlzs, cs, 0.02, 0.03, 0.01)
-            want = sum_rate_nats_loops(0.35, w1, w2, th, rlzs, cs.h_bu, cs.h_ru, cs.g_br,
-                                       0.02, 0.03, 0.01)
-            assert abs(got - want) <= 1e-12 * abs(want)
+            for tau in (0.35, 0.0):  # tau = 0: the baselines' full-period reflection
+                got = sum_rate_nats(tau, w1, w2, th, rlzs, cs, 0.02, 0.03, 0.01)
+                want = sum_rate_nats_loops(tau, w1, w2, th, rlzs, cs.h_bu, cs.h_ru, cs.g_br,
+                                           0.02, 0.03, 0.01)
+                assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_permuting_users_permutes_sinrs_and_keeps_rate(self):
         rng = np.random.default_rng(21)
