@@ -2,7 +2,6 @@
 
 from .channel import (
     ChannelSet,
-    Geometry,
     Realization,
     RwpParams,
     path_loss_linear,

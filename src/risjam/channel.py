@@ -37,33 +37,6 @@ def path_loss_linear(d: float, alpha_pl: float, zeta0_db: float) -> float:
 
 
 @dataclass
-class Geometry:
-    """Node placement in meters: fixed BS/RIS, UE disc, jammer/interferer boxes."""
-
-    bs: np.ndarray
-    ris: np.ndarray
-    ue_center: np.ndarray
-    ue_radius: float
-    jammer_box: tuple
-    interferer_box: tuple
-
-    def __post_init__(self):
-        self.bs = np.asarray(self.bs, dtype=float)
-        self.ris = np.asarray(self.ris, dtype=float)
-        self.ue_center = np.asarray(self.ue_center, dtype=float)
-        self.jammer_box = tuple(np.asarray(c, dtype=float) for c in self.jammer_box)
-        self.interferer_box = tuple(np.asarray(c, dtype=float) for c in self.interferer_box)
-        pts = [self.bs, self.ris, self.ue_center, *self.jammer_box, *self.interferer_box]
-        if not all(np.all(np.isfinite(p)) for p in pts):
-            raise ValueError("geometry coordinates must be finite")
-        if self.ue_radius <= 0:
-            raise ValueError("UE disc radius must be positive")
-        for lo, hi in (self.jammer_box, self.interferer_box):
-            if np.any(hi - lo < 0):
-                raise ValueError("box corners must satisfy max >= min")
-
-
-@dataclass
 class RwpParams:
     """Parameters of the RWP-based Nakagami-m channel-power law.
 
@@ -92,10 +65,6 @@ class RwpParams:
             raise BadParams("Nakagami shape must be >= 0.5")
         if self.alpha <= 0 or self.p_t <= 0 or self.n_f < 1:
             raise BadParams("alpha, p_t must be positive and n_f >= 1")
-
-    @property
-    def n_terms(self) -> int:
-        return self.b_coeffs.size
 
 
 def _distance_norm(p: RwpParams) -> float:
@@ -221,10 +190,6 @@ class ChannelSet:
     @property
     def n_jammers(self) -> int:
         return self.h_ju_est.shape[0]
-
-    @property
-    def n_interferers(self) -> int:
-        return self.h_iu_est.shape[0]
 
     def error_plan(self, e_mse: float) -> "ErrorPlan":
         """The trial constants of a draw at this e_mse, computed once."""
@@ -379,7 +344,8 @@ class Realization:
         return (self[i] for i in range(len(self)))
 
 
-def _uniform_box(rng: Generator, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+def _uniform_box(rng: Generator, lo, hi, n: int) -> np.ndarray:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     return lo + rng.random((n, 3)) * (hi - lo)
 
 
@@ -388,19 +354,22 @@ def _link(rng: Generator, shape, dist: float, alpha: float, zeta0_db: float, m: 
     return np.sqrt(gain) * nakagami_fading(rng, shape, m)
 
 
-def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
+def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
     """Place UEs/jammers/interferers and synthesize every channel of one trial.
 
-    cfg provides counts (n, m, k, q, b, n_jam), path-loss exponents,
-    zeta0_db, m_nakagami, and the RWP polynomial (rwp_b, rwp_upsilon).
+    cfg (a ScenarioConfig) provides the placement (bs_pos, ris_pos, the user
+    disc ue_center/ue_radius, the jammer and interferer boxes), counts (n,
+    m, k, q, b, n_jam), path-loss exponents, zeta0_db, m_nakagami, and the
+    RWP polynomial (rwp_b, rwp_upsilon).
     """
+    bs, ris, ue_center = (np.asarray(p, dtype=float) for p in (cfg.bs_pos, cfg.ris_pos, cfg.ue_center))
     k, q, bq = cfg.k, cfg.q, cfg.b
-    radius = geom.ue_radius
+    radius = cfg.ue_radius
     r_ue = sample_rwp_distance(rng, k, cfg.rwp_b, cfg.rwp_upsilon, 1e-6 * radius, radius)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    ue_pos = geom.ue_center + np.stack([r_ue * np.cos(ang), r_ue * np.sin(ang), np.zeros(k)], axis=1)
-    jam_pos = _uniform_box(rng, *geom.jammer_box, q)
-    int_pos = _uniform_box(rng, *geom.interferer_box, bq)
+    ue_pos = ue_center + np.stack([r_ue * np.cos(ang), r_ue * np.sin(ang), np.zeros(k)], axis=1)
+    jam_pos = _uniform_box(rng, cfg.jammer_box_min, cfg.jammer_box_max, q)
+    int_pos = _uniform_box(rng, cfg.interferer_box_min, cfg.interferer_box_max, bq)
 
     z0, m_f = cfg.zeta0_db, cfg.m_nakagami
 
@@ -419,11 +388,11 @@ def sample_static_channels(geom: Geometry, cfg, rng: Generator) -> ChannelSet:
         return stacked(a.shape[:-1], shape, lambda i: _link(
             rng, shape, float(np.linalg.norm(a[i] - b[i])), alpha, z0, m_f))
 
-    g_br = link(geom.bs, geom.ris, (cfg.m, cfg.n), cfg.alpha_br)
-    h_bu = link(geom.bs, ue_pos, (cfg.n,), cfg.alpha_bu)
-    h_ru = link(geom.ris, ue_pos, (cfg.m,), cfg.alpha_ru)
+    g_br = link(bs, ris, (cfg.m, cfg.n), cfg.alpha_br)
+    h_bu = link(bs, ue_pos, (cfg.n,), cfg.alpha_bu)
+    h_ru = link(ris, ue_pos, (cfg.m,), cfg.alpha_ru)
     h_ju = link(jam_pos[:, None], ue_pos, (cfg.n_jam,), cfg.alpha_ju)
-    g_jr = link(jam_pos, geom.ris, (cfg.m, cfg.n_jam), cfg.alpha_jr)
+    g_jr = link(jam_pos, ris, (cfg.m, cfg.n_jam), cfg.alpha_jr)
     h_iu = link(int_pos[:, None], ue_pos, (cfg.n,), cfg.alpha_iu)
 
     # adversary transmit vectors are constants of the trial (realizations

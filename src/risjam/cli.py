@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
-from .harness import INTEGER_AXES, SCHEMES, SWEEP_AXES, run_sweep
+from .harness import SCHEMES, SWEEP_AXES, _apply_axis, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,6 +33,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    values = []
+    if args.sweep not in (None, "iterations"):
+        if not args.values:
+            parser.error("--values is required for this sweep axis")
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError:
+            parser.error(f"--values must be comma-separated numbers, got {args.values}")
     try:
         if args.scenario:
             cfg = load_scenario(args.scenario, profile=args.profile)
@@ -42,27 +50,16 @@ def main(argv=None) -> int:
             cfg = replace(cfg, trials=args.trials)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        if args.sweep is None:
+            # single point: reuse the sweep machinery on the B axis at its configured value
+            args.sweep, values = "B", [cfg.b]
+        for value in values:  # every sweep value must make a valid scenario
+            _apply_axis(cfg, args.sweep, value)
     except (OSError, ParseError, ValidationError) as exc:
         parser.error(str(exc))
 
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-    if args.sweep:
-        if args.sweep == "iterations":
-            values = []
-        elif not args.values:
-            print("--values is required for this sweep axis", file=sys.stderr)
-            return 2
-        else:
-            try:
-                values = [float(v) for v in args.values.split(",")]
-            except ValueError:
-                parser.error(f"--values must be comma-separated numbers, got {args.values}")
-            if args.sweep in INTEGER_AXES and not all(v.is_integer() for v in values):
-                parser.error(f"--values for {args.sweep} must be integers, got {args.values}")
-        result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
-    else:
-        # single point: reuse the sweep machinery on the B axis at its configured value
-        result = run_sweep(cfg, "B", [cfg.b], schemes=schemes, jobs=args.jobs, out=args.out)
+    result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
     for row in result.rows():
         axis, value, scheme, mean_rate, stderr, trials, seed, objective = row
         print(f"{axis}={value:g} {scheme}: rate={mean_rate:.4f} bits (+/- {stderr:.4f}), "

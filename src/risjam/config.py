@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import Geometry, RwpParams
+from .channel import RwpParams
 from .system import PowerModel
 
 
@@ -19,7 +19,7 @@ class ParseError(Exception):
     """Scenario file syntax or schema problem; message carries the line number."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """A configuration invariant is violated; message names the invariant."""
 
 
@@ -94,12 +94,30 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        """Reject counts that are not integers, numbers (tuple entries
+        included) that are not finite, points without 3 coordinates, boxes
+        whose max lies below their min, and out-of-range values."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if not isinstance(v, (int, np.integer)):
+                    raise ValidationError(f"{f.name} must be an integer, got {v!r}")
+            elif not np.all(np.isfinite(v)):
+                raise ValidationError(f"{f.name} must be finite, got {v!r}")
         for name in ("n", "m", "k", "n_jam"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValidationError(f"count {name} must be positive")
         for name in ("q", "b"):
-            if int(getattr(self, name)) < 0:
+            if getattr(self, name) < 0:
                 raise ValidationError(f"count {name} must be nonnegative")
+        for name in ("bs_pos", "ris_pos", "ue_center", "jammer_box_min", "jammer_box_max",
+                     "interferer_box_min", "interferer_box_max"):
+            if np.shape(getattr(self, name)) != (3,):
+                raise ValidationError(f"{name} must have 3 coordinates, got {getattr(self, name)!r}")
+        for box in ("jammer_box", "interferer_box"):
+            lo, hi = getattr(self, f"{box}_min"), getattr(self, f"{box}_max")
+            if any(b < a for a, b in zip(lo, hi)):
+                raise ValidationError(f"{box}_max {hi} lies below {box}_min {lo}")
         for name in ("alpha_bu", "alpha_br", "alpha_ru", "alpha_ju", "alpha_jr", "alpha_iu"):
             v = getattr(self, name)
             if not (1.5 <= v <= 6.0):
@@ -146,14 +164,6 @@ class ScenarioConfig:
     def a_max(self) -> float:
         return float(np.sqrt(db_to_linear(self.a_max_db)))
 
-    def geometry(self) -> Geometry:
-        return Geometry(
-            bs=np.array(self.bs_pos), ris=np.array(self.ris_pos),
-            ue_center=np.array(self.ue_center), ue_radius=self.ue_radius,
-            jammer_box=(np.array(self.jammer_box_min), np.array(self.jammer_box_max)),
-            interferer_box=(np.array(self.interferer_box_min), np.array(self.interferer_box_max)),
-        )
-
     def power_model(self) -> PowerModel:
         return PowerModel(
             p_max=self.p_max_w, eta1=self.eta1, xi=self.xi,
@@ -164,9 +174,9 @@ class ScenarioConfig:
 
     def rwp_params(self) -> RwpParams:
         """Theorem-style power-law parameters for the BS-to-UE-disc link."""
-        geom = self.geometry()
-        d_xy = float(np.linalg.norm((geom.bs - geom.ue_center)[:2]))
-        dz = abs(float(geom.bs[2] - geom.ue_center[2]))
+        bs, center = np.asarray(self.bs_pos, dtype=float), np.asarray(self.ue_center, dtype=float)
+        d_xy = float(np.linalg.norm((bs - center)[:2]))
+        dz = abs(float(bs[2] - center[2]))
         d_lo = float(np.hypot(max(d_xy - self.ue_radius, 0.0), dz))
         d_hi = float(np.hypot(d_xy + self.ue_radius, dz))
         return RwpParams(
@@ -188,26 +198,16 @@ def desk_profile(**overrides) -> ScenarioConfig:
     return replace(ScenarioConfig(), **base)
 
 
-_TUPLE_FIELDS = {
-    "bs_pos", "ris_pos", "ue_center", "jammer_box_min", "jammer_box_max",
-    "interferer_box_min", "interferer_box_max", "rwp_b", "rwp_upsilon",
-}
-_INT_FIELDS = {"n", "m", "k", "q", "b", "n_jam", "r_max", "i_max", "trials", "seed", "heldout"}
-
-
-def _field_map():
-    return {f.name.lower(): f.name for f in fields(ScenarioConfig)}
-
-
 def load_scenario(path: str, profile: str = "paper") -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file over the named profile.
 
-    Keys are case-insensitive and match the ScenarioConfig field names;
-    comma-separated values populate tuple fields.  '#' starts a comment.
+    Keys are case-insensitive and match the ScenarioConfig field names; a
+    value is read as the type of its field's default (comma-separated floats
+    for tuple fields).  '#' starts a comment.
     Raises ParseError (with line number) on syntax/unknown keys and
     ValidationError when a resulting invariant is violated.
     """
-    names = _field_map()
+    schema = {f.name.lower(): f for f in fields(ScenarioConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -219,16 +219,14 @@ def load_scenario(path: str, profile: str = "paper") -> ScenarioConfig:
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
-            if key not in names:
+            if key not in schema:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
-            name = names[key]
+            name, kind = schema[key].name, type(schema[key].default)
             try:
-                if name in _TUPLE_FIELDS:
+                if kind is tuple:
                     overrides[name] = tuple(float(v) for v in value.split(","))
-                elif name in _INT_FIELDS:
-                    overrides[name] = int(value)
                 else:
-                    overrides[name] = float(value)
+                    overrides[name] = kind(value)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad value for {name!r}: {value!r}") from exc
     maker = desk_profile if profile == "desk" else paper_profile

@@ -20,8 +20,10 @@ from .config import ScenarioConfig
 from .optimizer import AoReport, ssca_ao
 
 SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
-SWEEP_AXES = ("M", "e_mse", "P_max", "alpha_r", "B", "iterations")
-INTEGER_AXES = ("M", "B")  # element and interferer counts
+# the config fields each sweep axis sets to its value
+AXIS_FIELDS = {"M": ("m",), "e_mse": ("e_mse",), "P_max": ("p_max_dbm",),
+               "alpha_r": ("alpha_br", "alpha_ru"), "B": ("b",)}
+SWEEP_AXES = (*AXIS_FIELDS, "iterations")
 
 
 class UnknownAxis(Exception):
@@ -63,7 +65,7 @@ def _optimize(cfg: ScenarioConfig, scheme: str, trial_index: int):
     """Sample the trial's channels and run the scheme's optimizer on them.
     Returns the channels, the AO report and the held-out seed."""
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
-    cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+    cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
     try:
         if scheme == "active-harvesting":
             report = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
@@ -96,19 +98,15 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    if axis in INTEGER_AXES and not float(value).is_integer():
-        raise ValueError(f"axis {axis} takes integer values, got {value!r}")
-    if axis == "M":
-        return replace(cfg, m=int(value))
-    if axis == "e_mse":
-        return replace(cfg, e_mse=float(value))
-    if axis == "P_max":
-        return replace(cfg, p_max_dbm=float(value))
-    if axis == "alpha_r":
-        return replace(cfg, alpha_br=float(value), alpha_ru=float(value))
-    if axis == "B":
-        return replace(cfg, b=int(value))
-    raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """cfg with the axis's fields set to value; the new config validates it.
+    An integral value of a count field is set as an int."""
+    if axis not in AXIS_FIELDS:
+        raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    names = AXIS_FIELDS[axis]
+    value = float(value)
+    if isinstance(getattr(ScenarioConfig, names[0]), int) and value.is_integer():
+        value = int(value)
+    return replace(cfg, **dict.fromkeys(names, value))
 
 
 @dataclass
@@ -158,8 +156,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     """Paired Monte-Carlo sweep over one axis; optionally writes the CSV.
 
     Trials may execute in separate processes (jobs > 1): one pool runs every
-    (value, scheme, trial) task of the sweep, and results are merged by
-    value, scheme and trial index so the output is deterministic either way.
+    (value, scheme, trial) task of the sweep.  The pool and the serial loop
+    both return results in task order, so results are merged by position
+    and the output is deterministic either way.
     """
     if isinstance(schemes, str):
         schemes = [schemes]
@@ -183,18 +182,14 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     else:
         outputs = [_run_point(t) for t in tasks]
     result.wall_clock = time.perf_counter() - t0
-    per_value = len(schemes) * cfg.trials
-    for i, value in enumerate(values):
-        chunk = outputs[i * per_value:(i + 1) * per_value]
-        by_scheme = {s: sorted((r for r in chunk if r.scheme == s), key=lambda r: r.trial_index)
-                     for s in schemes}
-        for scheme in schemes:
-            rates = np.array([r.rate_bits for r in by_scheme[scheme]])
-            objs = np.array([r.objective_bits for r in by_scheme[scheme]])
-            key = (value, scheme)
-            result.mean_rate[key] = float(rates.mean())
-            result.stderr[key] = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-            result.mean_objective[key] = float(objs.mean())
+    keys = [(value, scheme) for value in values for scheme in schemes]
+    for i, key in enumerate(keys):
+        chunk = outputs[i * cfg.trials:(i + 1) * cfg.trials]
+        rates = np.array([r.rate_bits for r in chunk])
+        objs = np.array([r.objective_bits for r in chunk])
+        result.mean_rate[key] = float(rates.mean())
+        result.stderr[key] = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+        result.mean_objective[key] = float(objs.mean())
     if out:
         write_csv(result, out)
     return result

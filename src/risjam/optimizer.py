@@ -304,7 +304,6 @@ class AoReport:
     step counts of the unit-modulus theta solves."""
 
     objective_nats: list = field(default_factory=list)
-    objective_bits: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     state: SolverState = None
     converged: bool = False
@@ -315,6 +314,10 @@ class AoReport:
     best_objective_nats: float = -np.inf
     theta_steps: int = 0    # MM steps summed over the unit-modulus theta solves
     theta_capped: int = 0   # unit-modulus theta solves stopped by THETA_MM_MAX_ITER
+
+    @property
+    def objective_bits(self) -> list:
+        return [v / LN2 for v in self.objective_nats]
 
     @property
     def best_objective_bits(self) -> float:
@@ -397,7 +400,6 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
             v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
                                      cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
         report.objective_nats.append(v)
-        report.objective_bits.append(v / LN2)
         report.iterations = r
         if v > report.best_objective_nats:
             report.best_objective_nats = v

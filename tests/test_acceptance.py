@@ -48,7 +48,7 @@ def paper_runs():
     t0 = time.perf_counter()
     for trial in range(20):
         ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+        cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
         reports.append(ssca_ao(cs, cfg.power_model(), cfg, ss_opt))
     return reports, time.perf_counter() - t0
 
@@ -88,7 +88,7 @@ def test_criterion_2_tau_tightness():
     count = 0
     for trial in range(3):
         ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+        cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
         rep = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
         assert rep.tau_tightness
         worst = max(worst, max(rep.tau_tightness))

@@ -183,7 +183,7 @@ class TestFading:
 class TestChannelSet:
     def test_paper_dimensions(self):
         cfg = risjam.paper_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(0))
+        cs = sample_static_channels(cfg, np.random.default_rng(0))
         assert cs.g_br.shape == (25, 8)
         assert cs.h_bu.shape == (4, 8)
         assert cs.h_ru.shape == (4, 25)
@@ -195,18 +195,17 @@ class TestChannelSet:
 
     def test_entries_finite_nonzero(self):
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(1))
+        cs = sample_static_channels(cfg, np.random.default_rng(1))
         for arr in (cs.g_br, cs.h_bu, cs.h_ru, cs.h_ju_est, cs.g_jr_est, cs.h_iu_est):
             assert np.all(np.isfinite(arr))
             assert np.all(arr != 0)
 
     def test_ue_positions_inside_disc(self):
         cfg = risjam.paper_profile()
-        geom = cfg.geometry()
         for seed in range(20):
-            cs = sample_static_channels(geom, cfg, np.random.default_rng(seed))
-            d = np.linalg.norm(cs.ue_pos - geom.ue_center, axis=1)
-            assert np.all(d <= geom.ue_radius + 1e-9)
+            cs = sample_static_channels(cfg, np.random.default_rng(seed))
+            d = np.linalg.norm(cs.ue_pos - np.asarray(cfg.ue_center), axis=1)
+            assert np.all(d <= cfg.ue_radius + 1e-9)
             assert np.all(cs.ue_pos[:, 2] == 0.0)
 
 
@@ -214,7 +213,7 @@ class TestRealization:
     def test_zero_error_exact(self):
         # every draw is a copy of the estimates, and no normals are drawn
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(2))
+        cs = sample_static_channels(cfg, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         rlz = sample_uncertain_realization(cs, 0.0, rng, 4)
         assert len(rlz) == 4
@@ -226,7 +225,7 @@ class TestRealization:
 
     def test_error_variance_ratio(self):
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(4))
+        cs = sample_static_channels(cfg, np.random.default_rng(4))
         e_mse = 0.1
         rlz = sample_uncertain_realization(cs, e_mse, np.random.default_rng(5), 2000)
         est = cs.h_ju_est[0, 0]
@@ -237,7 +236,7 @@ class TestRealization:
     def test_jammer_power_budget(self):
         # 10 dBm per jammer
         cfg = risjam.paper_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(6))
+        cs = sample_static_channels(cfg, np.random.default_rng(6))
         rlz = sample_uncertain_realization(cs, 0.05, np.random.default_rng(7), 1)
         for q in range(cfg.q):
             total = np.sum(np.abs(rlz.z_j[q]) ** 2)
@@ -247,7 +246,7 @@ class TestRealization:
 
     def test_distinct_indices_independent_streams(self):
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(8))
+        cs = sample_static_channels(cfg, np.random.default_rng(8))
         ss = np.random.SeedSequence(99)
         r1 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]), 1)
         r2 = sample_uncertain_realization(cs, 0.1, np.random.default_rng(ss.spawn(1)[0]), 1)
@@ -261,7 +260,7 @@ class TestRealization:
         # bitwise reproducible and the generator ends in the same state
         cfg = risjam.paper_profile(e_mse=e_mse, **counts)
         for seed in range(4):
-            cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(seed))
+            cs = sample_static_channels(cfg, np.random.default_rng(seed))
             rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
             rlz = sample_uncertain_realization(cs, e_mse, rng, 3)
             assert len(rlz) == 3
@@ -278,7 +277,7 @@ class TestRealization:
         # the held-out batch derives every draw's adversary terms as it is
         # drawn; they give the loops' adversary powers draw by draw
         cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(11))
+        cs = sample_static_channels(cfg, np.random.default_rng(11))
         if "m" in counts:  # no RIS elements (a config needs at least one)
             cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
         q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
@@ -296,7 +295,7 @@ class TestRealization:
     def test_batches_larger_than_the_normals_buffer(self):
         # draws past the first buffer of normals continue the same stream
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(13))
+        cs = sample_static_channels(cfg, np.random.default_rng(13))
         count = 2 * NORMALS_CHUNK + 3
         rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         batch = sample_uncertain_realization(cs, 0.1, rng, count)
@@ -309,7 +308,7 @@ class TestRealization:
         # an index gives one draw in the per-draw shapes, a slice a batch of
         # views, and assigning a draw writes that slot
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(9))
+        cs = sample_static_channels(cfg, np.random.default_rng(9))
         rlz = sample_uncertain_realization(cs, 0.1, np.random.default_rng(10), 5)
         assert rlz.h_ju.shape == (5,) + cs.h_ju_est.shape
         assert rlz.g_jr.shape == (5,) + cs.g_jr_est.shape

@@ -1,3 +1,6 @@
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,6 @@ from risjam.harness import (
     run_trial,
 )
 from risjam.channel import sample_static_channels
-from dataclasses import replace
 
 from oracles import wmmse_sum_rate
 
@@ -83,6 +85,54 @@ class TestLoadScenario:
         assert cfg.rwp_upsilon == (2.0, 4.0, 6.0)
         assert cfg.ue_radius == 10.0
 
+    @pytest.mark.parametrize("line", [
+        "varsigma = nan", "noise_dbm = inf", "p_max_dbm = nan", "ue_radius = inf",
+        "e_mse = nan", "p_j_dbm = -inf", "rwp_b = 1, nan, 2", "bs_pos = 30, inf, 5",
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, line):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match="finite"):
+            load_scenario(str(path))
+
+    @pytest.mark.parametrize("line, message", [
+        ("ue_center = 30, 150", "3 coordinates"),
+        ("ris_pos = 0, 40, 10, 5", "3 coordinates"),
+        ("jammer_box_min = 40, 80", "3 coordinates"),
+        ("jammer_box_max = 30, 100, 0", "below"),
+        ("interferer_box_min = -50, 230, 0", "below"),
+    ])
+    def test_malformed_coordinates_rejected(self, tmp_path, line, message):
+        path = tmp_path / "coords.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match=message):
+            load_scenario(str(path))
+
+    def test_values_parse_as_their_field_type(self, tmp_path):
+        path = tmp_path / "types.cfg"
+        path.write_text("M = 12\ne_mse = 0\nue_center = 30, 150, 0\n")
+        cfg = load_scenario(str(path))
+        assert type(cfg.m) is int and type(cfg.e_mse) is float
+        assert cfg.ue_center == (30.0, 150.0, 0.0)
+        path.write_text("M = 12.5\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_scenario(str(path))
+
+    def test_counts_must_be_integers(self):
+        assert issubclass(ValidationError, ValueError)
+        for name in ("m", "b", "trials"):
+            with pytest.raises(ValidationError, match="integer"):
+                ScenarioConfig(**{name: 3.0})
+
+    def test_readme_table_names_every_field(self):
+        # the README's scenario table and the ScenarioConfig schema stay in step
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        keys = {key.strip().strip("`").lower()
+                for row in section.splitlines() if row.startswith("| `")
+                for key in row.split("|")[1].split(",")}
+        assert keys == {f.name for f in fields(ScenarioConfig)}
+
     def test_desk_profile_counts(self):
         cfg = risjam.desk_profile()
         assert (cfg.n, cfg.k, cfg.q, cfg.b, cfg.m, cfg.trials) == (4, 2, 1, 2, 8, 50)
@@ -104,8 +154,8 @@ class TestRunTrial:
         cfg = micro_cfg()
         ss1, _, ev1 = harness._trial_seeds(cfg, 5)
         ss2, _, ev2 = harness._trial_seeds(cfg, 5)
-        cs1 = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss1))
-        cs2 = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss2))
+        cs1 = sample_static_channels(cfg, np.random.default_rng(ss1))
+        cs2 = sample_static_channels(cfg, np.random.default_rng(ss2))
         np.testing.assert_array_equal(cs1.g_br, cs2.g_br)
         np.testing.assert_array_equal(cs1.z_jam, cs2.z_jam)
 
@@ -114,7 +164,7 @@ class TestRunTrial:
         cfg = micro_cfg(n=4, k=2, q=0, b=0, r_max=40, heldout=4, noise_dbm=-60.0)
         res = run_trial(cfg, "no-ris", 1)
         ss_chan, _, _ = harness._trial_seeds(cfg, 1)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+        cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
         _, rate_ref = wmmse_sum_rate(cs.h_bu, cfg.p_max_w, cfg.noise_w)
         assert res.rate_bits == pytest.approx(rate_ref, rel=0.02)
 
@@ -148,7 +198,7 @@ class TestRunTrial:
 class TestBaselines:
     def _setup(self, seed=0, **kw):
         cfg = micro_cfg(**kw)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(seed))
+        cs = sample_static_channels(cfg, np.random.default_rng(seed))
         return cfg, cs
 
     def test_passive_unit_modulus_output(self):
@@ -204,7 +254,7 @@ class TestBaselines:
         cfg = profile(r_max=15, **kw)
         for trial in range(2):
             ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
-            cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+            cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
             rep_a = risjam.ssca_ao(m0_view(cs), cfg.power_model(), cfg, ss_opt)
             rep_n = baseline_noris(cs, cfg, harness._trial_seeds(cfg, trial)[1])
             assert rep_a.objective_nats == rep_n.objective_nats
@@ -226,7 +276,7 @@ class TestBaselines:
         assert calls["n"] > 0  # the AO loop looks the block up at call time
         calls["n"] = 0
         ss_chan, ss_opt, _ = harness._trial_seeds(cfg, 0)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(ss_chan))
+        cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
         rep = baseline_noris(cs, cfg, ss_opt)
         assert calls["n"] == 0
         assert rep.state.tau == 0.0
@@ -343,10 +393,21 @@ class TestCli:
         ["--scenario", "{tmp}/negative_seed.cfg"],
         ["--scenario", "{tmp}/unparsable.cfg"],
         ["--scenario", "{tmp}/missing.cfg"],
+        ["--profile", "desk", "--sweep", "M", "--values", "0", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "alpha_r", "--values", "10", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "e_mse", "--values", "-0.1", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "e_mse", "--values", "nan", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "B", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/nan_e_mse.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/short_center.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/inverted_box.cfg", "--scheme", "no-ris"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")
         (tmp_path / "unparsable.cfg").write_text("this is not a pair\n")
+        (tmp_path / "nan_e_mse.cfg").write_text("e_mse = nan\n")
+        (tmp_path / "short_center.cfg").write_text("ue_center = 30, 150\n")
+        (tmp_path / "inverted_box.cfg").write_text("jammer_box_max = 30, 100, 0\n")
         out = tmp_path / "never.csv"
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--trials" not in argv:

@@ -250,7 +250,7 @@ class TestSaaStats:
         # does, and folded as they come: the means equal the loops over the
         # slots' channels; a one-off held-out batch folds to the same means
         cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(21))
+        cs = sample_static_channels(cfg, np.random.default_rng(21))
         if "m" in counts:  # no RIS elements (a config needs at least one)
             cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
         m = cs.m_elements
@@ -608,7 +608,7 @@ class TestSscaAo:
         # AO's draw batch; slot r-1 holds the draw of the r-th spawned child,
         # bitwise as one block-by-block draw on that child's generator
         cfg = risjam.desk_profile(r_max=12, e_mse=0.1)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(5))
+        cs = sample_static_channels(cfg, np.random.default_rng(5))
         seen, real = [], system.sum_rate_nats
 
         def sum_rate_nats(tau, w1, w2, theta, realizations, *rest):
@@ -629,7 +629,7 @@ class TestSscaAo:
 
     def test_determinism(self):
         cfg = risjam.desk_profile(r_max=12)
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(5))
+        cs = sample_static_channels(cfg, np.random.default_rng(5))
         rep1 = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
         rep2 = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
         assert rep1.objective_nats == rep2.objective_nats
@@ -638,7 +638,7 @@ class TestSscaAo:
 
     def test_tau_tightness_and_feasibility(self):
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(6))
+        cs = sample_static_channels(cfg, np.random.default_rng(6))
         rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(8))
         assert rep.tau_tightness and max(rep.tau_tightness) < 1e-12
         assert rep.feasibility.all_ok
@@ -648,7 +648,7 @@ class TestSscaAo:
     def test_objective_monotone_no_uncertainty(self):
         # e_mse = 0 keeps realizations identical: pure block ascent
         cfg = risjam.desk_profile()
-        cs = sample_static_channels(cfg.geometry(), cfg, np.random.default_rng(7))
+        cs = sample_static_channels(cfg, np.random.default_rng(7))
         rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(9))
         v = np.array(rep.objective_nats)
         assert np.all(np.diff(v) >= -1e-3 * np.abs(v[1:]))
