@@ -130,16 +130,30 @@ def rwp_nakagami_cdf(x, p: RwpParams, nodes: int = 240):
     return cdf if cdf.size > 1 else float(cdf[0])
 
 
-def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float,
-                        grid_points: int = 10000) -> np.ndarray:
-    """Draw distances from the polynomial RWP density by inverse CDF on a grid."""
+def rwp_distance_grid(b_coeffs, upsilon, d_lo: float, d_hi: float, grid_points: int = 10000):
+    """The grid on [d_lo, d_hi] that sample_rwp_distance inverts on, and the
+    integral of the polynomial RWP density from d_lo to each grid point (the
+    CDF before normalization)."""
     b = np.asarray(b_coeffs, dtype=float)
     ups = np.asarray(upsilon, dtype=float)
     grid = np.linspace(d_lo, d_hi, grid_points + 1)
     up1 = ups[:, None] + 1.0
     anti = np.sum(b[:, None] * (grid[None, :] ** up1 - d_lo ** up1) / (up1 * d_hi ** up1), axis=0)
+    return grid, anti
+
+
+def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float,
+                        grid_points: int = 10000) -> np.ndarray:
+    """Draw distances from the polynomial RWP density by inverse CDF on a grid."""
+    grid, anti = rwp_distance_grid(b_coeffs, upsilon, d_lo, d_hi, grid_points)
     cdf = anti / anti[-1]
     return np.interp(rng.random(n), cdf, grid)
+
+
+def ue_radius_range(radius: float):
+    """The range of user distances from the disc centre that
+    sample_static_channels draws from."""
+    return 1e-6 * radius, radius
 
 
 def nakagami_fading(rng: Generator, shape, m: float) -> np.ndarray:
@@ -364,8 +378,7 @@ def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
     """
     bs, ris, ue_center = (np.asarray(p, dtype=float) for p in (cfg.bs_pos, cfg.ris_pos, cfg.ue_center))
     k, q, bq = cfg.k, cfg.q, cfg.b
-    radius = cfg.ue_radius
-    r_ue = sample_rwp_distance(rng, k, cfg.rwp_b, cfg.rwp_upsilon, 1e-6 * radius, radius)
+    r_ue = sample_rwp_distance(rng, k, cfg.rwp_b, cfg.rwp_upsilon, *ue_radius_range(cfg.ue_radius))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
     ue_pos = ue_center + np.stack([r_ue * np.cos(ang), r_ue * np.sin(ang), np.zeros(k)], axis=1)
     jam_pos = _uniform_box(rng, cfg.jammer_box_min, cfg.jammer_box_max, q)

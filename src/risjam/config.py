@@ -7,11 +7,12 @@ text file can override any default, see load_scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import RwpParams
+from .channel import REF_DISTANCE, RwpParams, rwp_distance_grid, ue_radius_range
 from .system import PowerModel
 
 
@@ -29,6 +30,17 @@ def dbm_to_watts(v: float) -> float:
 
 def db_to_linear(v: float) -> float:
     return 10.0 ** (v / 10.0)
+
+
+def _least_distance(a, b) -> float:
+    """Least distance between two placement regions, each (lo, hi, radius):
+    the points whose z lies in [lo_z, hi_z] and whose (x, y) lies within
+    radius of the rectangle [lo, hi] in x and y.  A node is a point (lo =
+    hi, radius 0), the user disc its centre with the disc radius, a
+    placement box its corners with radius 0."""
+    (lo_a, hi_a, r_a), (lo_b, hi_b, r_b) = a, b
+    gap = np.maximum(np.maximum(np.subtract(lo_a, hi_b), np.subtract(lo_b, hi_a)), 0.0)  # per axis
+    return math.hypot(max(math.hypot(gap[0], gap[1]) - r_a - r_b, 0.0), gap[2])
 
 
 @dataclass
@@ -96,7 +108,9 @@ class ScenarioConfig:
     def validate(self):
         """Reject counts that are not integers, numbers (tuple entries
         included) that are not finite, points without 3 coordinates, boxes
-        whose max lies below their min, and out-of-range values."""
+        whose max lies below their min, out-of-range values, a user-distance
+        density the sampler cannot invert, and linked nodes that can come
+        closer than the path-loss reference distance."""
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(f.default, int):
@@ -142,6 +156,27 @@ class ScenarioConfig:
             raise ValidationError("convergence tolerances must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
+        # the CDF that sample_rwp_distance inverts on its grid must reach a
+        # positive mass and never fall: no negative density between points
+        mass = rwp_distance_grid(self.rwp_b, self.rwp_upsilon, *ue_radius_range(self.ue_radius))[1]
+        if not (mass[-1] > 0.0 and np.all(np.diff(mass) >= 0.0)):
+            raise ValidationError("rwp_b, rwp_upsilon: the user-distance density must have positive "
+                                  "mass on the user disc and no negative value on the sampler's grid")
+        # every link's path loss needs its two ends at least REF_DISTANCE apart
+        regions = {"bs_pos": (self.bs_pos, self.bs_pos, 0.0), "ris_pos": (self.ris_pos, self.ris_pos, 0.0),
+                   "user disc": (self.ue_center, self.ue_center, self.ue_radius),
+                   "jammer box": (self.jammer_box_min, self.jammer_box_max, 0.0),
+                   "interferer box": (self.interferer_box_min, self.interferer_box_max, 0.0)}
+        links = [("bs_pos", "ris_pos"), ("bs_pos", "user disc"), ("ris_pos", "user disc")]
+        if self.q:
+            links += [("jammer box", "user disc"), ("jammer box", "ris_pos")]
+        if self.b:
+            links.append(("interferer box", "user disc"))
+        for a, b in links:
+            gap = _least_distance(regions[a], regions[b])
+            if gap < REF_DISTANCE:
+                raise ValidationError(f"{a} and {b} can come {gap:.3g} m close, below the "
+                                      f"{REF_DISTANCE:g} m path-loss reference distance")
 
     # derived quantities -------------------------------------------------
     @property

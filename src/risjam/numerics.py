@@ -6,8 +6,10 @@ Every Lagrange-multiplier search here runs on one engine: the ball step
 bound or from a warm multiplier) for a power-ball multiplier, and one
 Illinois false-position search, which takes Newton steps on analytic
 slopes while they converge, for the beam solves' second multiplier.
-Everything here operates on dense complex numpy arrays and is pure: no
-global state, safe to call from concurrent trial workers.
+A solve can carry its multipliers over from the solve before it in a
+Multipliers record, which also counts the solves' work.  Everything here
+operates on dense complex numpy arrays and is pure: no global state, safe
+to call from concurrent trial workers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,38 @@ class MaxIterExceeded(Exception):
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H)/2; guards against accumulation drift."""
     return 0.5 * (a + a.conj().T)
+
+
+def psd_eigh(a: np.ndarray):
+    """Eigendecomposition (d, U) of a Hermitian PSD matrix, d ascending, with
+    the negative eigenvalues that rounding leaves clipped to 0."""
+    d, u = np.linalg.eigh(a)
+    return np.maximum(d, 0.0), u
+
+
+@dataclass
+class Multipliers:
+    """One block's multipliers, carried from one solve to the next, and the
+    work its solves took.
+
+    A solve given a record starts its searches from lam1, the power ball's
+    multiplier, and lam2, the second constraint's, then overwrites them
+    with the multipliers it ends on and adds its work to the counters: ball
+    steps (_ball_factors calls) and lam2 evaluations (ball steps at a
+    positive lam2).  A fresh record starts cold.
+    """
+
+    lam1: float = 0.0
+    lam2: float = 0.0
+    solves: int = 0
+    ball_steps: int = 0
+    evaluations: int = 0
+
+    def ended(self, lam1, lam2, steps, evaluations):
+        self.lam1, self.lam2 = lam1, lam2
+        self.solves += 1
+        self.ball_steps += steps
+        self.evaluations += evaluations
 
 
 @dataclass
@@ -89,10 +123,11 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     the root the iterates rise towards it without passing it (More &
     Sorensen, SIAM J. Sci. Stat. Comput. 1983), and one step from its right
     lands on its left.  The iteration starts at the given lam, a warm start
-    such as the multiplier of a nearby problem, raised to the prefix-sum
-    lower bound of the root (_ball_bound), and every step is clamped at that
-    bound.  The first iterate with p in [cap (1 - tol), cap] is returned, or
-    the bound itself when p fits there.
+    such as the multiplier of a nearby problem (one that is not finite
+    starts cold), raised to the prefix-sum lower bound of the root
+    (_ball_bound), and every step is clamped at that bound.  The first
+    iterate with p in [cap (1 - tol), cap] is returned, or the bound itself
+    when p fits there.
     """
     if cap <= 0.0:
         return np.zeros_like(d), math.inf
@@ -110,7 +145,7 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
         # pseudo-inverse factor 0, so that lam = 0 can be evaluated
         d = np.where(d > 0.0, d, math.inf)
     target = cap * (1.0 - 0.5 * tol)
-    lam = max(lam, lb)
+    lam = max(lam, lb) if lam < math.inf else lb
     for _ in range(100):
         inv = 1.0 / (d + lam)
         q = r * inv * inv
@@ -121,13 +156,14 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     raise MaxIterExceeded("power multiplier: Newton iteration did not settle")
 
 
-def _ball_beams(m, y, cap, tol):
+def _ball_beams(m, y, cap, tol, record):
     """Rows w_k = (M + lam I)^+ y_k / 2 with the smallest lam >= 0 that keeps
-    sum_k ||w_k||^2 <= cap; one eigendecomposition of M serves every row."""
-    d, u = np.linalg.eigh(m)
-    d = np.maximum(d, 0.0)
+    sum_k ||w_k||^2 <= cap; one eigendecomposition of M serves every row.
+    The ball step starts from the record's lam1."""
+    d, u = psd_eigh(m)
     c = 0.5 * (y @ u.conj())  # rows: U^H y_k / 2
-    inv, _ = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), cap, tol)
+    inv, lam = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), cap, tol, record.lam1)
+    record.ended(lam, record.lam2, 1, 0)
     return (c * inv) @ u.T
 
 
@@ -183,8 +219,40 @@ def _illinois(at, lo, f_lo, df_lo, hi, band):
     raise MaxIterExceeded("multiplier: false position did not settle")
 
 
+def _search(at, warm, band, bound, at_zero):
+    """The point at the smallest multiplier lam2 >= 0 at which the second
+    constraint of a beam solve holds, with at and band as in _illinois.
+
+    at_zero() evaluates lam2 = 0, which is the answer when it is feasible.
+    bound(x0) is a multiplier that is feasible in exact arithmetic, from the
+    point x0 at lam2 = 0, or without it when x0 is None.  Cold (warm = 0,
+    or not finite), the Illinois search brackets from lam2 = 0.  A warm lam2
+    is evaluated first.  Infeasible, it is the search's lower end, and lam2
+    = 0 is never evaluated.  Feasible within band, it is the answer.
+    Feasible beyond the band, it is the upper end, and Newton steps go down
+    from it while they keep halving the residual: the first infeasible one
+    is the lower end, and a step that would leave (0, upper end) hands over
+    to the search from lam2 = 0.
+    """
+    lam = warm if 0.0 < warm < math.inf else 0.0
+    hi, f = 0.0, math.inf
+    while lam:
+        f_prev = f
+        x, f, s, df = at(lam)
+        if s < 0.0:
+            return _illinois(at, lam, f, df, hi or max(bound(None), 2.0 * lam), band)
+        if s <= band:
+            return x
+        step = lam - f / df if df > 0.0 and abs(f) <= 0.5 * abs(f_prev) else 0.0
+        hi, lam = lam, (step if 0.0 < step < lam else 0.0)
+    x, f, s, df = at_zero()
+    if s >= 0.0:
+        return x
+    return _illinois(at, 0.0, f, df, hi or bound(x), band)
+
+
 def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None = None,
-                p_e: float = 0.0, tol: float = 1e-9) -> np.ndarray:
+                p_e: float = 0.0, tol: float = 1e-9, record: Multipliers | None = None) -> np.ndarray:
     """Concave QCQP over the rows w_k of a K x N beam matrix:
 
         maximize    sum_k Re{y_k^H w_k} - w_k^H A w_k
@@ -195,40 +263,45 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     eigendecomposition of A + lam2 S across the K users.  For each lam2 the
     power multiplier lam1 is the ball step (_ball_factors), warm-started at
     the lam1 of the search's previous lam2; lam2 is found by the Illinois
-    search with Newton proposals (_illinois) on sqrt(target / energy) - 1,
-    whose slope comes from differentiating the stationary beams with lam1
-    moving to keep a binding power constant.  Both searches stop on the
-    feasible side, with a binding constraint within tol relative of its
-    bound.
+    search with Newton proposals (_search, _illinois) on
+    sqrt(target / energy) - 1, whose slope comes from differentiating the
+    stationary beams with lam1 moving to keep a binding power constant.
+    Both searches stop on the feasible side, with a binding constraint
+    within tol relative of its bound.  With a record, both searches start
+    from its multipliers (see Multipliers).
     """
+    rec = Multipliers() if record is None else record
     if s is not None and p_e <= 0.0:
         # lam2 -> infinity: the beams are confined to null(S)
         ev, v = np.linalg.eigh(s)
         null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
         if not null.shape[1]:  # S full rank: only w = 0 meets the energy bound
             return np.zeros(y.shape, dtype=complex)
-        return solve_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol=tol) @ null.T
+        return _ball_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol, rec) @ null.T
     if s is None:
-        return _ball_beams(a, y, p_max, tol)
+        return _ball_beams(a, y, p_max, tol, rec)
     s_t = s.T
     target = p_e * (1.0 - 0.5 * tol)
     half_y = 0.5 * y
-    lam1 = 0.0
+    lam1 = rec.lam1
+    steps = evaluations = 0
 
     # the inner power band sits well inside the outer energy band, so the
     # energy curve is smooth at the scale the outer search resolves
     def at(lam2, ball_tol=1e-2 * tol):
-        nonlocal lam1
-        d, u = np.linalg.eigh(a + lam2 * s)
-        d = np.maximum(d, 0.0)
+        nonlocal lam1, steps, evaluations
+        d, u = psd_eigh(a + lam2 * s)
         c = half_y @ u.conj()  # rows: U^H y_k / 2
         inv, lam1 = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), p_max, ball_tol, lam1)
+        steps += 1
+        evaluations += lam2 > 0.0
         wt = c * inv  # the beams in the eigenbasis
         w = wt @ u.T
+        x = (w, lam1, lam2)
         swt = (w @ s_t) @ u.conj()  # rows: U^H S U wt_k
         e = float(np.vdot(wt, swt).real)
         if e <= 0.0:
-            return w, math.inf, p_e - e, 0.0
+            return x, math.inf, p_e - e, 0.0
         # d wt / d lam2 = -inv (U^H S U wt + lam1' wt), where lam1 moves with
         # lam2 to hold a binding power constant and stays 0 otherwise
         wi = wt * inv
@@ -237,19 +310,25 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         if lam1 > 0.0:
             de += 2.0 * t1 * t1 / np.vdot(wi, wt).real
         root = math.sqrt(target / e)
-        return w, root - 1.0, p_e - e, -0.5 * root / e * de
+        return x, root - 1.0, p_e - e, -0.5 * root / e * de
 
-    w, f0, slack, df0 = at(0.0, tol)
-    if slack >= 0.0:
-        return w
-    # w(lam2) maximizes f - lam2 * energy over the power ball, which holds
-    # w = 0, so energy(w(lam2)) <= f(w(lam2)) / lam2 <= f(w(0)) / lam2
-    bound = float(np.vdot(w, y).real - np.vdot(w, w @ a.T).real) / target
-    return _illinois(at, 0.0, f0, df0, bound, tol * p_e)
+    def bound(x0):
+        # w(lam2) maximizes f - lam2 * energy over the power ball, which holds
+        # w = 0, so energy(w(lam2)) <= f(w(lam2)) / lam2 <= f_top / lam2 for
+        # any f_top >= f over the ball: f(w(0)), or ||Y|| sqrt(p_max)
+        if x0 is None:
+            return float(np.linalg.norm(y)) * math.sqrt(p_max) / target
+        w = x0[0]
+        return float(np.vdot(w, y).real - np.vdot(w, w @ a.T).real) / target
+
+    w, lam1, lam2 = _search(at, rec.lam2, tol * p_e, bound, lambda: at(0.0, tol))
+    rec.ended(lam1, lam2, steps, evaluations)
+    return w
 
 
 def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndarray,
-                          xi: float, tol: float = 1e-9) -> np.ndarray:
+                          xi: float, tol: float = 1e-9, record: Multipliers | None = None,
+                          eig=None) -> np.ndarray:
     """Concave QCQP over the rows w_k of a K x N beam matrix:
 
         maximize    sum_k Re{y_k^H w_k} - w_k^H A w_k
@@ -257,34 +336,39 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
 
     with A Hermitian PSD: the stage-1 beams under the linearized harvest.
     The stationary beams (A + lam1 I) w_k = y_k / 2 + lam2 r_k share one
-    eigendecomposition A = U diag(d) U^H for every lam2: with c_k = U^H y_k / 2
-    and r~_k = U^H r_k, the beams are (c_k + lam2 r~_k) / (d + lam1) in the
-    eigenbasis.  The search therefore runs on three N-vectors summed over
-    the users, alpha = sum_k |c_k|^2, beta = Re sum_k conj(c_k) r~_k and
+    eigendecomposition A = U diag(d) U^H for every lam2 (eig = psd_eigh(A)
+    when the caller has it): with c_k = U^H y_k / 2 and r~_k = U^H r_k, the
+    beams are (c_k + lam2 r~_k) / (d + lam1) in the eigenbasis.  The search
+    therefore runs on three N-vectors summed over the users,
+    alpha = sum_k |c_k|^2, beta = Re sum_k conj(c_k) r~_k and
     gamma = sum_k |r~_k|^2: the power is
     sum (alpha + 2 lam2 beta + lam2^2 gamma) / (d + lam1)^2 and the harvest
     2 sum (beta + lam2 gamma) / (d + lam1), and the beams are formed once, at
     the end.  For each lam2 the power multiplier lam1 is the ball step
     (_ball_factors), warm-started at the search's previous lam1; lam2 is
-    found by the Illinois search with Newton proposals (_illinois).  Both
-    stop on the feasible side: the power never exceeds p_max, and a binding
-    half-space holds within tol relative of xi.  Raises Infeasible when no
-    beam in the power ball meets the half-space.
+    found by the Illinois search with Newton proposals (_search, _illinois).
+    Both stop on the feasible side: the power never exceeds p_max, and a
+    binding half-space holds within tol relative of xi.  With a record,
+    both searches start from its multipliers (see Multipliers).  Raises
+    Infeasible when no beam in the power ball meets the half-space.
     """
-    d, u = np.linalg.eigh(a)
-    d = np.maximum(d, 0.0)
+    rec = Multipliers() if record is None else record
+    d, u = psd_eigh(a) if eig is None else eig
     c, rt = 0.5 * (y @ u.conj()), r @ u.conj()  # rows in the eigenbasis
     alpha = (np.abs(c) ** 2).sum(axis=0)
     beta = (c.conj() * rt).real.sum(axis=0)
     gamma = (np.abs(rt) ** 2).sum(axis=0)
     target = xi + 0.5 * tol * abs(xi)
-    lam1 = 0.0
+    lam1 = rec.lam1
+    steps = evaluations = 0
 
     def at(lam2):
-        nonlocal lam1
+        nonlocal lam1, steps, evaluations
         b = beta + lam2 * gamma
         power = np.maximum(alpha + lam2 * (beta + b), 0.0)  # rounding can dip below 0
         inv, lam1 = _ball_factors(d, power, p_max, 1e-2 * tol, lam1)
+        steps += 1
+        evaluations += lam2 > 0.0
         g = 2.0 * float(inv @ b)
         slope = 2.0 * float(inv @ gamma)
         if lam1 > 0.0:
@@ -293,22 +377,28 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
             inv2 = inv * inv
             b2 = b @ inv2
             slope -= 2.0 * b2 * b2 / (power @ (inv2 * inv))
-        return (lam2, inv), g - target, g - xi, slope
+        return (inv, lam1, lam2), g - target, g - xi, slope
 
-    (lam2, inv), f0, slack, df0 = at(0.0)
-    if slack < 0.0:
+    def bound(x0):
         # w(lam2) maximizes f + lam2 (g - xi) over the ball.  The ball's
         # point of largest g, w_s, has g - xi = delta > 0, so
-        # g(w(lam2)) - xi >= delta - (f(w(0)) - f(w_s)) / lam2, which is
-        # nonnegative from lam2 = (f(w(0)) - f(w_s)) / delta on.
+        # g(w(lam2)) - xi >= delta - (f_top - f(w_s)) / lam2 for any f_top
+        # >= f over the ball, f(w(0)) or ||Y|| sqrt(p_max), which is
+        # nonnegative from lam2 = (f_top - f(w_s)) / delta on.
         norm_r = math.sqrt(float(gamma.sum()))
         delta = 2.0 * math.sqrt(p_max) * norm_r - xi
         if delta <= 0.0:
             raise Infeasible(f"half-space bound {xi:.3e} beyond the power ball's reach")
         t = math.sqrt(p_max) / norm_r
-        f_w0 = float(alpha @ (inv * (2.0 - d * inv)))
+        if x0 is None:
+            f_top = 2.0 * math.sqrt(float(alpha.sum()) * p_max)
+        else:
+            f_top = float(alpha @ (x0[0] * (2.0 - d * x0[0])))
         f_ws = 2.0 * t * float(beta.sum()) - t * t * float(d @ gamma)
-        lam2, inv = _illinois(at, 0.0, f0, df0, (f_w0 - f_ws) / delta, tol * abs(xi))
+        return (f_top - f_ws) / delta
+
+    inv, lam1, lam2 = _search(at, rec.lam2, tol * abs(xi), bound, lambda: at(0.0))
+    rec.ended(lam1, lam2, steps, evaluations)
     return ((c + lam2 * rt) * inv) @ u.T
 
 
@@ -410,7 +500,8 @@ def _caps_ball_ascent(a, b, caps, c, y, tol, max_iter):
     raise MaxIterExceeded(f"caps and ball: KKT residual {res:.3e} > {tol:.1e}")
 
 
-def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000) -> np.ndarray:
+def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
+                       record: Multipliers | None = None) -> np.ndarray:
     """Maximize Re{b^H x} - x^H A x under the diagonal ellipsoid
     sum_m v_m |x_m|^2 <= c and per-element magnitude caps: the active
     reflection solve.
@@ -418,7 +509,8 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000)
     Whitening y_m = sqrt(v_m) x_m turns the ellipsoid into the ball
     ||y||^2 <= c and the caps into |y_m| <= caps_m sqrt(v_m).  The ball's
     optimum without the caps is one ball step of the beam solves, and is
-    returned when it meets the caps.  Otherwise one accelerated
+    returned when it meets the caps; with a record it starts from the
+    record's lam1 (see Multipliers).  Otherwise one accelerated
     projected-gradient ascent in y, started from that ball optimum, with the
     exact projection onto the caps and the ball; its KKT residual ends at
     most max(tol, 1e-9), and its answer never exceeds the ellipsoid bound
@@ -429,7 +521,7 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000)
     s = np.sqrt(p.weights)
     a = p.quad / np.outer(s, s)
     b = p.lin / s
-    y = _ball_beams(a, b[None, :], p.bound, tol)[0]
+    y = _ball_beams(a, b[None, :], p.bound, tol, Multipliers() if record is None else record)[0]
     x = y / s
     if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
         return x

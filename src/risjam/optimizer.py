@@ -25,7 +25,9 @@ The blocks and their solves in numerics:
 
 The beam solves and the reflection's cap-free step share one multiplier
 engine: Newton's method on the secular equation for a ball, and one Illinois
-search for a second constraint.
+search for a second constraint.  Each of these blocks keeps one multiplier
+record (numerics.Multipliers) across the AO iterations, so its solves start
+from the multipliers its previous solve ended on.
 """
 
 from __future__ import annotations
@@ -181,24 +183,30 @@ def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: 
 # ---------------------------------------------------------------------------
 
 def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-             i_max: int = 15, varsigma1: float = 1e-3) -> np.ndarray:
+             i_max: int = 15, varsigma1: float = 1e-3,
+             record: numerics.Multipliers | None = None) -> np.ndarray:
     """SCA loop for the stage-1 beams: the nonconvex energy-supply constraint
     is linearized at the current iterate into a half-space, and each step
     solves the beam QCQP under that half-space and the power ball
-    (numerics.solve_beams_halfspace)."""
+    (numerics.solve_beams_halfspace).  A and y stay fixed over the loop, so
+    one eigendecomposition of A serves every step, and each step starts
+    from the multipliers of the step before it (the record's, when given)."""
     tau = state.tau
     p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
     omega, nu = state.omega1, state.nu1
     c = stats.zbar_i2 + stats.d_abs2 + pm.sigma1_sq
     k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
     a, y = beam_terms(cs.h_bu, omega, nu)
+    eig = numerics.psd_eigh(a)
+    record = numerics.Multipliers() if record is None else record
 
     w = state.w1.copy()
     val = surrogate(cs.h_bu, w, omega, nu, c)
     for _ in range(i_max):
         a_vec = w @ k1.T  # rows: K1 w_k (K1 Hermitian)
         xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float(np.sum(np.real(np.conj(w) * a_vec)))
-        w = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1)
+        w = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1,
+                                           record=record, eig=eig)
         val, prev = surrogate(cs.h_bu, w, omega, nu, c), val
         if abs(val - prev) <= varsigma1 * max(abs(val), 1e-12):
             break
@@ -228,9 +236,10 @@ def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
 
 
 def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-             tol: float = 1e-9) -> np.ndarray:
+             tol: float = 1e-9, record: numerics.Multipliers | None = None) -> np.ndarray:
     """Reflection-stage beams: maximize the stage-2 surrogate under the
-    transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams)."""
+    transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams,
+    warm-started from the record when given)."""
     theta = state.theta
     p_e = energy_budget(state, cs, pm) - pm.sigma_r_sq * float(np.sum(np.abs(theta) ** 2))
     if p_e < 0:
@@ -239,7 +248,7 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
         cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
     ) if theta.size else None
     a, y = beam_terms(system.effective_channels(theta, cs), state.omega2, state.nu2)
-    return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol)
+    return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +280,11 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
 
 
 def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-                tol: float = 1e-8) -> np.ndarray:
+                tol: float = 1e-8, record: numerics.Multipliers | None = None) -> np.ndarray:
     """Reflection coefficients: maximize the averaged quadratic model under
     the output-power ellipsoid, diagonal with weights sum_k |mu_km|^2 +
-    sigma_R^2, and per-element amplitude caps (numerics.solve_concave_qcqp)."""
+    sigma_R^2, and per-element amplitude caps (numerics.solve_concave_qcqp,
+    its ball step warm-started from the record when given)."""
     m = state.theta.size
     if m == 0:
         return state.theta.copy()
@@ -285,7 +295,7 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
     mu = state.w2 @ cs.g_br.T
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq,
                        bound=p_e, caps=np.full(m, pm.a_max))
-    return solve_concave_qcqp(prob, tol=tol)
+    return solve_concave_qcqp(prob, tol=tol, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +310,9 @@ THETA_MM_MAX_ITER = 10000
 
 @dataclass
 class AoReport:
-    """Objective trace, timings, final (best-so-far) state, slacks, and the
-    step counts of the unit-modulus theta solves."""
+    """Objective trace, timings, final (best-so-far) state, slacks, the
+    step counts of the unit-modulus theta solves, and the multiplier record
+    of each QCQP block (w1, w2, theta) with its counters."""
 
     objective_nats: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -314,6 +325,15 @@ class AoReport:
     best_objective_nats: float = -np.inf
     theta_steps: int = 0    # MM steps summed over the unit-modulus theta solves
     theta_capped: int = 0   # unit-modulus theta solves stopped by THETA_MM_MAX_ITER
+    multipliers: dict = field(default_factory=dict)  # block -> numerics.Multipliers
+
+    @property
+    def ball_steps(self) -> int:
+        return sum(rec.ball_steps for rec in self.multipliers.values())
+
+    @property
+    def lam2_evaluations(self) -> int:
+        return sum(rec.evaluations for rec in self.multipliers.values())
 
     @property
     def objective_bits(self) -> list:
@@ -374,11 +394,17 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     draws a realization into the next slot of a preallocated batch, folds it
     into the SAA statistics, evaluates the SAA objective on the draws so
     far, applies the stop rule, keeps the best state, then updates the
-    blocks the scheme optimizes."""
+    blocks the scheme optimizes.  With ideal CSI (e_mse = 0) every draw is
+    the estimates, so the batch has one slot: it is drawn and folded once,
+    and every objective is evaluated on that one draw.  Each QCQP block
+    keeps one multiplier record across the iterations, so its solves start
+    from the multipliers of its previous solve."""
     state = initial_state(cs, pm, scheme)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
-    draws = Realization.slots(cs, cfg.r_max)
-    report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")})
+    draws = Realization.slots(cs, 1 if cfg.e_mse == 0 else cfg.r_max)
+    records = {block: numerics.Multipliers() for block in ("w1", "w2", "theta")}
+    report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")},
+                      multipliers=records)
     best_state = state.copy()
     prev_v = None
     warmup = 5
@@ -391,11 +417,12 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
         report.timings[block] += time.perf_counter() - t0
 
     for r in range(1, cfg.r_max + 1):
-        with timed("draw"):
-            sub = np.random.default_rng(rng.spawn(1)[0])
-            draw = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)
-            draws[r - 1:r] = draw
-            update_saa_stats(stats, draw, cs)
+        if r <= len(draws):
+            with timed("draw"):
+                sub = np.random.default_rng(rng.spawn(1)[0])
+                draw = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)
+                draws[r - 1:r] = draw
+                update_saa_stats(stats, draw, cs)
         with timed("objective"):
             v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
                                      cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
@@ -428,20 +455,22 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
             with timed("aux1"):
                 state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
             with timed("w1"):
-                state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1)
+                state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1,
+                                    record=records["w1"])
         with timed("aux2"):
             state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
                                                         pm.sigma_r_sq, pm.sigma2_sq)
         with timed("w2"):
             if scheme.harvest:
-                state.w2 = solve_w2(state, cs, stats, pm)
+                state.w2 = solve_w2(state, cs, stats, pm, record=records["w2"])
             else:
                 a, y = beam_terms(system.effective_channels(state.theta, cs),
                                   state.omega2, state.nu2)
-                state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9)
+                state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9,
+                                                           record=records["w2"])
         with timed("theta"):
             if state.theta.size and scheme.harvest:
-                state.theta = solve_theta(state, cs, stats, pm)
+                state.theta = solve_theta(state, cs, stats, pm, record=records["theta"])
             elif state.theta.size:
                 state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
                 report.theta_steps += steps

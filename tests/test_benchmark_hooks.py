@@ -131,3 +131,27 @@ def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
     ao = [("sample", 1), ("fold", 1)]
     want = [c for r in range(1, iterations + 1) for c in ao + [("objective", r)]]
     assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_one_draw_for_every_iteration_at_ideal_csi(monkeypatch, scheme):
+    # at e_mse = 0 every draw is the estimates: the AO samples and folds
+    # one draw, once, and scores the SAA objective of every iteration on
+    # that one draw; the held-out scoring still samples cfg.heldout draws
+    calls = []
+    sizes = [(channel, "sample_uncertain_realization", "sample", lambda args: args[3]),
+             (optimizer, "update_saa_stats", "fold", lambda args: len(args[1])),
+             (system, "sum_rate_nats", "objective", lambda args: len(args[4]))]
+    for module, fn_name, name, size in sizes:
+        def make_wrapper(fn, name=name, size=size):
+            def wrapper(*args, **kw):
+                calls.append((name, size(args)))
+                return fn(*args, **kw)
+            return wrapper
+        patch_everywhere(monkeypatch, module, fn_name, make_wrapper)
+    cfg = risjam.desk_profile(r_max=8, heldout=5, e_mse=0.0)
+    result = harness.run_trial(cfg, scheme, 0)
+
+    assert 2 <= result.iterations <= cfg.r_max
+    want = [("sample", 1), ("fold", 1)] + [("objective", 1)] * result.iterations
+    assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]

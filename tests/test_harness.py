@@ -101,12 +101,36 @@ class TestLoadScenario:
         ("jammer_box_min = 40, 80", "3 coordinates"),
         ("jammer_box_max = 30, 100, 0", "below"),
         ("interferer_box_min = -50, 230, 0", "below"),
+        # linked nodes that can come within the 1 m path-loss reference
+        ("jammer_box_min = 0, 40, 10\njammer_box_max = 0, 40, 10", "jammer box and ris_pos"),
+        ("bs_pos = 30, 160, 0", "bs_pos and user disc"),
+        ("ris_pos = 30, 0, 5.5", "bs_pos and ris_pos"),
+        ("interferer_box_min = -50, 170.5, 0", "interferer box and user disc"),
+        ("jammer_box_max = 60, 135, 0", "jammer box and user disc"),
     ])
     def test_malformed_coordinates_rejected(self, tmp_path, line, message):
         path = tmp_path / "coords.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ValidationError, match=message):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("line", [
+        "rwp_b = 0, 0, 0",        # no mass: the sampler would divide by zero
+        "rwp_b = -1, 0, 0",       # negative everywhere
+        "rwp_b = 1, -1.5, 0",     # positive mass, negative near the disc's rim
+    ])
+    def test_user_density_must_be_a_density(self, tmp_path, line):
+        path = tmp_path / "rwp.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match="density"):
+            load_scenario(str(path))
+
+    def test_unlinked_or_distant_nodes_accepted(self):
+        # without jammers the jammer box joins no link; boxes exactly 1 m
+        # from the user disc's rim are at the reference distance
+        ScenarioConfig(q=0, jammer_box_min=(0.0, 40.0, 10.0), jammer_box_max=(0.0, 40.0, 10.0))
+        ScenarioConfig(jammer_box_min=(20.0, 80.0, 0.0), jammer_box_max=(40.0, 129.0, 0.0),
+                       interferer_box_min=(-50.0, 171.0, 0.0))
 
     def test_values_parse_as_their_field_type(self, tmp_path):
         path = tmp_path / "types.cfg"
@@ -401,6 +425,8 @@ class TestCli:
         ["--profile", "desk", "--scenario", "{tmp}/nan_e_mse.cfg", "--scheme", "no-ris"],
         ["--profile", "desk", "--scenario", "{tmp}/short_center.cfg", "--scheme", "no-ris"],
         ["--profile", "desk", "--scenario", "{tmp}/inverted_box.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/jammer_on_ris.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/no_user_density.cfg", "--scheme", "no-ris"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")
@@ -408,6 +434,8 @@ class TestCli:
         (tmp_path / "nan_e_mse.cfg").write_text("e_mse = nan\n")
         (tmp_path / "short_center.cfg").write_text("ue_center = 30, 150\n")
         (tmp_path / "inverted_box.cfg").write_text("jammer_box_max = 30, 100, 0\n")
+        (tmp_path / "jammer_on_ris.cfg").write_text("jammer_box_min = 0, 40, 10\njammer_box_max = 0, 40, 10\n")
+        (tmp_path / "no_user_density.cfg").write_text("rwp_b = 0, 0, 0\n")
         out = tmp_path / "never.csv"
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--trials" not in argv:

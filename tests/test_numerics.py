@@ -279,6 +279,35 @@ class TestSolveConcaveQcqp:
             both += capped.any() and energy >= c * (1 - 1e-9)
         assert both >= 10  # caps and ellipsoid binding together occurred
 
+    def test_warm_ball_step_stays_in_band(self):
+        # the cap-free route from stale power multipliers: the ellipsoid
+        # binds within the band of the cold solve, at the same objective up
+        # to that band, and the record holds the multiplier it ended on
+        rng = np.random.default_rng(15)
+        binding = 0
+        for _ in range(20):
+            n = 8
+            a = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+            b = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            v = rng.uniform(0.1, 1.0, n)
+            p = QcqpProblem(quad=a, lin=b, weights=v, bound=float(rng.uniform(0.01, 0.1)),
+                            caps=np.full(n, 1e6))
+            cold = numerics.Multipliers()
+            x0 = solve_concave_qcqp(p, tol=1e-9, record=cold)
+            f0 = float(np.real(np.vdot(b, x0)) - np.vdot(x0, a @ x0).real)
+            binding += cold.lam1 > 0.0
+            for start in (0.0, 1e-6 * cold.lam1, 1e6 * cold.lam1, np.inf):
+                record = numerics.Multipliers(lam1=start)
+                x = solve_concave_qcqp(p, tol=1e-9, record=record)
+                energy = float(np.sum(v * np.abs(x) ** 2))
+                assert energy <= p.bound
+                if cold.lam1 > 0.0:
+                    assert energy >= p.bound * (1.0 - 1e-9) and record.lam1 > 0.0
+                f = float(np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real)
+                assert f == pytest.approx(f0, rel=1e-8)
+                assert record.solves == record.ball_steps == 1
+        assert binding >= 15
+
     def test_cap_clip_scalar(self):
         # cap-free optimum b/2 inside the loose ellipsoid but beyond the cap:
         # the caps route puts the solution on the cap at the phase of b
@@ -706,6 +735,16 @@ class TestBallFactors:
                 assert lam == 0.0
                 np.testing.assert_allclose(inv, pinv, rtol=1e-15)
 
+    def test_start_that_is_not_finite_starts_cold(self):
+        rng = np.random.default_rng(68)
+        for _ in range(10):
+            d, r, cap = ball_instance(rng)
+            inv0, lam0 = numerics._ball_factors(d, r, cap, 1e-9)
+            for start in (np.inf, np.nan):
+                inv, lam = numerics._ball_factors(d, r, cap, 1e-9, start)
+                assert lam == lam0
+                np.testing.assert_array_equal(inv, inv0)
+
     def test_zero_weight_on_zero_entries_at_lam_zero(self):
         # pseudo-inverse power above the cap and a bound of 0: the Newton
         # iteration starts at lam = 0 with entries d_i = r_i = 0
@@ -781,17 +820,18 @@ class TestSearchSlopes:
             assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
 
 
-def paper_shaped_solves(rng, count):
-    """Beam solves of the paper's shape (N = 8, K = 4, A of rank K) under a
-    power ball that binds, as the paper profile's budget does: stage-2
-    solves under a full-rank energy ellipsoid and stage-1 solves under the
-    half-space through their linearization point."""
-    solves = []
+def paper_shaped_instances(rng, count):
+    """Beam problems of the paper's shape (N = 8, K = 4, A of rank K) under
+    a power ball that binds, as the paper profile's budget does: stage-2
+    problems under a full-rank energy ellipsoid and stage-1 problems under
+    the half-space through their linearization point.  Each is (solver,
+    arguments)."""
+    instances = []
     for _ in range(count):
         a, y, s = beam_instance(rng, 8, 4, s_rank=8)
         p_max = float(rng.uniform(0.05, 0.5)) * unconstrained_power(a, y)
         p_e = float(rng.uniform(0.01, 0.3)) * p_max * np.linalg.eigvalsh(s)[-1]
-        solves.append(lambda a=a, y=y, s=s, p_max=p_max, p_e=p_e: solve_beams(a, y, p_max, s, p_e))
+        instances.append((solve_beams, (a, y, p_max, s, p_e)))
         a, y, _ = beam_instance(rng, 8, 4)
         p_max = float(rng.uniform(0.05, 0.5)) * unconstrained_power(a, y)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -799,8 +839,13 @@ def paper_shaped_solves(rng, count):
         w0 *= np.sqrt(p_max * rng.uniform(0.1, 1.0) / np.sum(np.abs(w0) ** 2))
         r = 10 ** rng.uniform(-2, 1) * (w0 @ (g.conj().T @ g).T)
         xi = 2.0 * float(np.sum(np.real(np.conj(w0) * r)))
-        solves.append(lambda a=a, y=y, p_max=p_max, r=r, xi=xi: solve_beams_halfspace(a, y, p_max, r, xi))
-    return solves
+        instances.append((solve_beams_halfspace, (a, y, p_max, r, xi)))
+    return instances
+
+
+def paper_shaped_solves(rng, count):
+    """The solves of paper_shaped_instances, cold, as calls without arguments."""
+    return [lambda solve=solve, args=args: solve(*args) for solve, args in paper_shaped_instances(rng, count)]
 
 
 def binding_search_costs(monkeypatch, solves):
@@ -857,3 +902,75 @@ def test_searches_warm_start_the_power_multiplier(monkeypatch):
             assert start == previous
             warm += start > 0.0
     assert warm >= 40
+
+
+def certify_in_band(solve, args, w, record, tol=1e-9):
+    """The KKT certificate of a beam answer, and each constraint whose
+    multiplier in the record is positive binding within its search's band:
+    the power within tol of p_max, the second constraint within tol of its
+    bound, both from the feasible side."""
+    a, y, p_max, *rest = args
+    power = float(np.sum(np.abs(w) ** 2))
+    if solve is solve_beams:
+        s, p_e = rest
+        kkt_certificate(a, y, p_max, s, p_e, w)
+        slack = p_e - float(np.sum(np.real(np.conj(w) * (w @ s.T))))
+        band = tol * p_e
+    else:
+        r, xi = rest
+        halfspace_certificate(a, y, p_max, r, xi, w, tol)
+        slack = 2.0 * float(np.sum(np.real(np.conj(r) * w))) - xi
+        band = tol * abs(xi)
+    assert power <= p_max and slack >= 0.0
+    if record.lam1 > 0.0:
+        assert power >= p_max * (1.0 - tol)
+    if record.lam2 > 0.0:
+        assert slack <= band
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-6, 1e6, np.inf])
+def test_stale_warm_starts_keep_the_answer_in_band(scale):
+    """Searches started from multipliers far from the problem's own (scale
+    times them, with inf * 0 = nan also stale) still end on certified
+    answers inside the bands of a cold solve."""
+    for solve, args in paper_shaped_instances(np.random.default_rng(83), 20):
+        cold = numerics.Multipliers()
+        solve(*args, record=cold)
+        record = numerics.Multipliers(lam1=scale * cold.lam1, lam2=scale * cold.lam2)
+        w = solve(*args, record=record)
+        certify_in_band(solve, args, w, record)
+        assert record.solves == 1 and record.ball_steps >= 1
+
+
+def test_warm_start_at_the_own_multipliers_takes_at_most_two_ball_steps():
+    searched = 0
+    for solve, args in paper_shaped_instances(np.random.default_rng(84), 20):
+        record = numerics.Multipliers()
+        solve(*args, record=record)
+        steps, searched = record.ball_steps, searched + (record.lam2 > 0.0)
+        w = solve(*args, record=record)
+        assert record.ball_steps - steps <= 2
+        certify_in_band(solve, args, w, record)
+    assert searched >= 20
+
+
+def test_record_counts_the_work_of_cold_solves(monkeypatch):
+    """A fresh record starts cold: the same answer as a solve without one,
+    with the ball steps and the positive-lam2 evaluations it counted."""
+    steps, evaluations = [0], [0]
+    ball = numerics._ball_factors
+
+    def counted(*args):
+        steps[0] += 1
+        return ball(*args)
+
+    monkeypatch.setattr(numerics, "_ball_factors", counted)
+    for solve, args in paper_shaped_instances(np.random.default_rng(85), 10):
+        w_cold = solve(*args)
+        steps[0] = 0
+        record = numerics.Multipliers()
+        np.testing.assert_array_equal(solve(*args, record=record), w_cold)
+        assert record.ball_steps == steps[0] and record.solves == 1
+        assert record.evaluations == steps[0] - 1  # every step but the one at lam2 = 0
+        evaluations[0] += record.evaluations
+    assert evaluations[0] > 0

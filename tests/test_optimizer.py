@@ -653,3 +653,40 @@ class TestSscaAo:
         v = np.array(rep.objective_nats)
         assert np.all(np.diff(v) >= -1e-3 * np.abs(v[1:]))
         assert rep.monotone_after_warmup
+
+
+class TestMultiplierRecords:
+    def test_report_sums_the_block_records(self):
+        cfg = risjam.desk_profile(r_max=12)
+        cs = sample_static_channels(cfg, np.random.default_rng(5))
+        rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
+        records = rep.multipliers
+        assert set(records) == {"w1", "w2", "theta"}
+        assert rep.ball_steps == sum(r.ball_steps for r in records.values())
+        assert rep.lam2_evaluations == sum(r.evaluations for r in records.values())
+        # the blocks run in every iteration but a converged last one; the
+        # stage-1 SCA loop solves at least once per run, every theta solve
+        # takes one ball step, and the beam searches evaluate lam2 > 0
+        runs = rep.iterations - rep.converged
+        assert records["w2"].solves == records["theta"].solves == runs
+        assert records["w1"].solves >= runs
+        assert records["theta"].ball_steps == runs and records["theta"].evaluations == 0
+        assert records["w2"].ball_steps >= runs and records["w2"].evaluations > 0
+
+    def test_baselines_carry_the_ball_multiplier(self):
+        cfg = risjam.desk_profile(r_max=12)
+        cs = sample_static_channels(cfg, np.random.default_rng(5))
+        for scheme in (optimizer.PASSIVE, optimizer.NO_RIS):
+            rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), scheme)
+            runs = rep.iterations - rep.converged
+            assert rep.multipliers["w2"].solves == rep.multipliers["w2"].ball_steps == runs
+            assert rep.multipliers["w1"].solves == rep.multipliers["theta"].solves == 0
+
+    def test_ball_step_budget_of_paper_trials(self):
+        """Evaluation budget of the active AO, without timing: five seeded
+        paper-profile trials.  Every solve starting cold, they took 90.2
+        ball steps per trial; with the multipliers carried across solves,
+        74.0."""
+        cfg = risjam.paper_profile()
+        steps = [harness._optimize(cfg, "active-harvesting", i)[1].ball_steps for i in range(5)]
+        assert np.mean(steps) <= 80.0
