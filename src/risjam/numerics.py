@@ -4,8 +4,8 @@ blocks.
 Every Lagrange-multiplier search here runs on one engine: the ball step
 (Newton's method on the secular equation, started from a prefix-sum lower
 bound or from a warm multiplier) for a power-ball multiplier, and one
-Illinois false-position search, which takes Newton steps on analytic
-slopes while they converge, for the beam solves' second multiplier.
+search for the beam solves' second multiplier, Newton inside the bracket,
+bisection otherwise.
 A solve can carry its multipliers over from the solve before it in a
 Multipliers record, which also counts the solves' work.  Everything here
 operates on dense complex numpy arrays and is pure: no global state, safe
@@ -167,88 +167,60 @@ def _ball_beams(m, y, cap, tol, record):
     return (c * inv) @ u.T
 
 
-def _illinois(at, lo, f_lo, df_lo, hi, band):
-    """The smallest multiplier at which one constraint holds, by Illinois
-    false position (Dowell & Jarratt, BIT 1971) with Newton proposals.
-
-    at(lam) returns (x, f, slack, slope): the stationary point at lam, a
-    residual that rises with lam and crosses zero inside the stopping band,
-    the constraint's slack, nonnegative exactly where x is feasible, and the
-    residual's derivative.  lo is an infeasible multiplier with residual
-    f_lo and slope df_lo; hi is feasible in exact arithmetic, is evaluated
-    only once a step needs it, and is doubled while rounding leaves it
-    infeasible.  Each step is Newton's step from the latest evaluated point
-    when that point's slope is positive, the step lands strictly inside the
-    bracket and the step before it at least halved |f|; otherwise it is the
-    Illinois step (hi itself while hi is unevaluated).  Returns the first
-    feasible x whose slack is at most band, so the answer never leaves the
-    feasible side.
-    """
-    lam, f, df = lo, f_lo, df_lo  # the latest evaluated point
-    x_hi, f_hi = None, 0.0
-    side = 0
-    progress = True
-    for _ in range(400):
-        step = lam - f / df if progress and df > 0.0 else lo
-        if not lo < step < hi:
-            if x_hi is None:
-                step = hi
-            else:
-                step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-                if not lo < step < hi:
-                    step = 0.5 * (lo + hi)
-        lam, f_prev = step, f
-        x, f, s, df = at(lam)
-        progress = abs(f) <= 0.5 * abs(f_prev)
-        if s >= 0.0:
-            if s <= band:
-                return x
-            hi, x_hi, f_hi = lam, x, f
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        elif x_hi is None and lam == hi:
-            lo, f_lo, hi = hi, f, 2.0 * hi
-        else:
-            lo, f_lo = lam, f
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        if x_hi is not None and hi - lo <= 1e-15 * hi:
-            return x_hi
-    raise MaxIterExceeded("multiplier: false position did not settle")
-
-
 def _search(at, warm, band, bound, at_zero):
     """The point at the smallest multiplier lam2 >= 0 at which the second
-    constraint of a beam solve holds, with at and band as in _illinois.
+    constraint of a beam solve holds, by Newton steps inside a bracket and
+    bisection otherwise.  Returns (x, ball steps, lam2 > 0 evaluations).
 
-    at_zero() evaluates lam2 = 0, which is the answer when it is feasible.
-    bound(x0) is a multiplier that is feasible in exact arithmetic, from the
-    point x0 at lam2 = 0, or without it when x0 is None.  Cold (warm = 0,
-    or not finite), the Illinois search brackets from lam2 = 0.  A warm lam2
-    is evaluated first.  Infeasible, it is the search's lower end, and lam2
-    = 0 is never evaluated.  Feasible within band, it is the answer.
-    Feasible beyond the band, it is the upper end, and Newton steps go down
-    from it while they keep halving the residual: the first infeasible one
-    is the lower end, and a step that would leave (0, upper end) hands over
-    to the search from lam2 = 0.
+    at(lam2) returns (x, f, slack, slope) at lam2 > 0: the stationary point,
+    a residual that rises with lam2 and crosses zero inside the band, the
+    constraint's slack, nonnegative exactly where x is feasible, and the
+    residual's derivative; at_zero() does the same at lam2 = 0.  bound(x0)
+    is a multiplier feasible in exact arithmetic, given the point x0 at
+    lam2 = 0 or None.  The search starts at the warm lam2 (at 0 when it is
+    0 or not finite).  The bracket runs from the largest infeasible lam2
+    (0 before one is known) to the smallest feasible one (the bound before
+    one is known).  A step is Newton's from the latest point when its slope
+    is positive, it at least halved |f| and the step lands strictly inside
+    the bracket.  Otherwise it evaluates an end not yet evaluated: lam2 = 0,
+    after which the Newton gate restarts, or the bound, doubled while
+    rounding leaves it infeasible; once both ends are known it bisects, in
+    log lam2 when the lower end is positive.  Returns the first feasible x
+    with slack at most band, so the answer never leaves the feasible side.
     """
     lam = warm if 0.0 < warm < math.inf else 0.0
-    hi, f = 0.0, math.inf
-    while lam:
-        f_prev = f
-        x, f, s, df = at(lam)
-        if s < 0.0:
-            return _illinois(at, lam, f, df, hi or max(bound(None), 2.0 * lam), band)
-        if s <= band:
-            return x
-        step = lam - f / df if df > 0.0 and abs(f) <= 0.5 * abs(f_prev) else 0.0
-        hi, lam = lam, (step if 0.0 < step < lam else 0.0)
-    x, f, s, df = at_zero()
-    if s >= 0.0:
-        return x
-    return _illinois(at, 0.0, f, df, hi or bound(x), band)
+    lo, hi, x_hi = None, math.inf, None  # hi is the bound while x_hi is None
+    f, evaluations = math.inf, 0
+    for steps in range(1, 401):
+        if lam:
+            f_prev = f
+            x, f, s, df = at(lam)
+            evaluations += 1
+        else:
+            x, f, s, df = at_zero()
+            f_prev = math.inf
+        if s >= 0.0:
+            if s <= band or not lam:
+                return x, steps, evaluations
+            hi, x_hi = lam, x
+        else:
+            if lo is None and x_hi is None:
+                hi = max(bound(None), 2.0 * lam) if lam else bound(x)
+            elif x_hi is None and lam == hi:
+                hi = 2.0 * hi
+            lo = lam
+        if x_hi is not None and lo is not None and hi - lo <= 1e-15 * hi:
+            return x_hi, steps, evaluations
+        step = lam - f / df if df > 0.0 and abs(f) <= 0.5 * abs(f_prev) else -1.0
+        if (lo or 0.0) < step < hi:
+            lam = step
+        elif lo is None:
+            lam = 0.0
+        elif x_hi is None:
+            lam = hi
+        else:  # bisection, in log lam2 once the lower end is positive
+            lam = math.sqrt(lo) * math.sqrt(hi) if lo else 0.5 * hi
+    raise MaxIterExceeded("multiplier: search did not settle")
 
 
 def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None = None,
@@ -262,8 +234,7 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     The stationary beams (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N
     eigendecomposition of A + lam2 S across the K users.  For each lam2 the
     power multiplier lam1 is the ball step (_ball_factors), warm-started at
-    the lam1 of the search's previous lam2; lam2 is found by the Illinois
-    search with Newton proposals (_search, _illinois) on
+    the lam1 of the search's previous lam2; lam2 is found by _search on
     sqrt(target / energy) - 1, whose slope comes from differentiating the
     stationary beams with lam1 moving to keep a binding power constant.
     Both searches stop on the feasible side, with a binding constraint
@@ -284,17 +255,14 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     target = p_e * (1.0 - 0.5 * tol)
     half_y = 0.5 * y
     lam1 = rec.lam1
-    steps = evaluations = 0
 
     # the inner power band sits well inside the outer energy band, so the
     # energy curve is smooth at the scale the outer search resolves
     def at(lam2, ball_tol=1e-2 * tol):
-        nonlocal lam1, steps, evaluations
+        nonlocal lam1
         d, u = psd_eigh(a + lam2 * s)
         c = half_y @ u.conj()  # rows: U^H y_k / 2
         inv, lam1 = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), p_max, ball_tol, lam1)
-        steps += 1
-        evaluations += lam2 > 0.0
         wt = c * inv  # the beams in the eigenbasis
         w = wt @ u.T
         x = (w, lam1, lam2)
@@ -321,7 +289,7 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         w = x0[0]
         return float(np.vdot(w, y).real - np.vdot(w, w @ a.T).real) / target
 
-    w, lam1, lam2 = _search(at, rec.lam2, tol * p_e, bound, lambda: at(0.0, tol))
+    (w, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * p_e, bound, lambda: at(0.0, tol))
     rec.ended(lam1, lam2, steps, evaluations)
     return w
 
@@ -346,11 +314,11 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     2 sum (beta + lam2 gamma) / (d + lam1), and the beams are formed once, at
     the end.  For each lam2 the power multiplier lam1 is the ball step
     (_ball_factors), warm-started at the search's previous lam1; lam2 is
-    found by the Illinois search with Newton proposals (_search, _illinois).
-    Both stop on the feasible side: the power never exceeds p_max, and a
-    binding half-space holds within tol relative of xi.  With a record,
-    both searches start from its multipliers (see Multipliers).  Raises
-    Infeasible when no beam in the power ball meets the half-space.
+    found by _search.  Both stop on the feasible side: the power never
+    exceeds p_max, and a binding half-space holds within tol relative of
+    xi.  With a record, both searches start from its multipliers (see
+    Multipliers).  Raises Infeasible when no beam in the power ball meets
+    the half-space.
     """
     rec = Multipliers() if record is None else record
     d, u = psd_eigh(a) if eig is None else eig
@@ -360,15 +328,12 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     gamma = (np.abs(rt) ** 2).sum(axis=0)
     target = xi + 0.5 * tol * abs(xi)
     lam1 = rec.lam1
-    steps = evaluations = 0
 
     def at(lam2):
-        nonlocal lam1, steps, evaluations
+        nonlocal lam1
         b = beta + lam2 * gamma
         power = np.maximum(alpha + lam2 * (beta + b), 0.0)  # rounding can dip below 0
         inv, lam1 = _ball_factors(d, power, p_max, 1e-2 * tol, lam1)
-        steps += 1
-        evaluations += lam2 > 0.0
         g = 2.0 * float(inv @ b)
         slope = 2.0 * float(inv @ gamma)
         if lam1 > 0.0:
@@ -397,7 +362,7 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
         f_ws = 2.0 * t * float(beta.sum()) - t * t * float(d @ gamma)
         return (f_top - f_ws) / delta
 
-    inv, lam1, lam2 = _search(at, rec.lam2, tol * abs(xi), bound, lambda: at(0.0))
+    (inv, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * abs(xi), bound, lambda: at(0.0))
     rec.ended(lam1, lam2, steps, evaluations)
     return ((c + lam2 * rt) * inv) @ u.T
 

@@ -24,10 +24,11 @@ The blocks and their solves in numerics:
   steps (unit_modulus_mm).
 
 The beam solves and the reflection's cap-free step share one multiplier
-engine: Newton's method on the secular equation for a ball, and one Illinois
-search for a second constraint.  Each of these blocks keeps one multiplier
-record (numerics.Multipliers) across the AO iterations, so its solves start
-from the multipliers its previous solve ended on.
+engine: Newton's method on the secular equation for a ball, and for a
+second constraint one search, Newton inside the bracket, bisection
+otherwise.  Each of these blocks keeps one multiplier record
+(numerics.Multipliers) across the AO iterations, so its solves start from
+the multipliers its previous solve ended on.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -762,17 +764,46 @@ def unconstrained_power(a, y):
 
 
 def captured_searches(monkeypatch):
-    """Record every residual function the multiplier search is handed, with
-    the start bound, while the search runs as usual."""
+    """Record every multiplier search while it runs as usual: its residual
+    function, the multipliers it evaluated with their slacks (lam2 = 0
+    included), and the start bounds it drew."""
     seen = []
-    search = numerics._illinois
+    search = numerics._search
 
-    def spy(at, lo, f_lo, df_lo, hi, band):
-        seen.append((at, hi))
-        return search(at, lo, f_lo, df_lo, hi, band)
+    def spy(at, warm, band, bound, at_zero):
+        rec = SimpleNamespace(at=at, points=[], bounds=[])
+        seen.append(rec)
 
-    monkeypatch.setattr(numerics, "_illinois", spy)
+        def at_seen(lam, *args):
+            out = at(lam, *args)
+            rec.points.append((lam, out[2]))
+            return out
+
+        def zero_seen():
+            out = at_zero()
+            rec.points.append((0.0, out[2]))
+            return out
+
+        def bound_seen(x0):
+            rec.bounds.append(bound(x0))
+            return rec.bounds[-1]
+
+        return search(at_seen, warm, band, bound_seen, zero_seen)
+
+    monkeypatch.setattr(numerics, "_search", spy)
     return seen
+
+
+def brackets(search):
+    """Whether a recorded search met an infeasible multiplier."""
+    return any(slack < 0.0 for _, slack in search.points)
+
+
+def bracketing(seen):
+    """(residual function, upper end) of every recorded search that met an
+    infeasible multiplier; the upper end is the largest multiplier the
+    search evaluated or drew as its bound."""
+    return [(rec.at, max([lam for lam, _ in rec.points] + rec.bounds)) for rec in seen if brackets(rec)]
 
 
 def assert_slopes_match_differences(at, lams, rel_step=1e-5, rtol=1e-4):
@@ -795,8 +826,8 @@ class TestSearchSlopes:
             a, y, s = beam_instance(rng, 8, 4, s_rank=8)
             p_max = 0.3 * unconstrained_power(a, y)
             solve_beams(a, y, p_max, s, 0.05 * p_max * np.linalg.eigvalsh(s)[-1])
-        assert len(seen) == 12
-        for at, hi in seen:
+        assert len(bracketing(seen)) == 12
+        for at, hi in bracketing(seen):
             assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
 
     def test_energy_residual_slack_power(self, monkeypatch):
@@ -807,16 +838,16 @@ class TestSearchSlopes:
             a, y, s = beam_instance(rng, 6, 3, s_rank=6)
             p_max = 1e3 * unconstrained_power(a, y)
             solve_beams(a, y, p_max, s, 1e-4 * p_max * np.linalg.eigvalsh(s)[-1])
-        for at, hi in seen:
+        for at, hi in bracketing(seen):
             assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
 
     def test_halfspace_residual(self, monkeypatch):
         seen = captured_searches(monkeypatch)
         rng = np.random.default_rng(73)
-        while len(seen) < 12:
+        while len(bracketing(seen)) < 12:
             a, y, p_max, r, xi = halfspace_instance(rng, 8, 4, share=1.0)
             solve_beams_halfspace(a, y, p_max, r, xi)
-        for at, hi in seen:
+        for at, hi in bracketing(seen):
             assert_slopes_match_differences(at, hi * np.logspace(-4, 0, 5))
 
 
@@ -850,25 +881,23 @@ def paper_shaped_solves(rng, count):
 
 def binding_search_costs(monkeypatch, solves):
     """Calls that reach numerics._ball_factors in each solve whose
-    multiplier search ran, the lam2 = 0 evaluation included."""
-    calls, searched = [0], [False]
-    ball, search = numerics._ball_factors, numerics._illinois
+    multiplier search met an infeasible multiplier, the lam2 = 0 evaluation
+    included."""
+    calls = [0]
+    ball = numerics._ball_factors
 
     def counted(*args):
         calls[0] += 1
         return ball(*args)
 
-    def flagged(*args):
-        searched[0] = True
-        return search(*args)
-
     monkeypatch.setattr(numerics, "_ball_factors", counted)
-    monkeypatch.setattr(numerics, "_illinois", flagged)
+    seen = captured_searches(monkeypatch)
     costs = []
     for solve in solves:
-        calls[0], searched[0] = 0, False
+        calls[0] = 0
+        seen.clear()
         solve()
-        if searched[0]:
+        if any(brackets(rec) for rec in seen):
             costs.append(calls[0])
     return costs
 
@@ -876,10 +905,27 @@ def binding_search_costs(monkeypatch, solves):
 def test_ball_steps_per_binding_search(monkeypatch):
     """Evaluation budget of the two beam searches, without timing.  Before
     the Newton proposals and the warm power multiplier these solves took a
-    mean of 10.7 ball steps per binding search; they now take 5.7."""
+    mean of 10.7 ball steps per binding search; they now take 5.8, at most
+    8."""
     costs = binding_search_costs(monkeypatch, paper_shaped_solves(np.random.default_rng(81), 30))
     assert len(costs) >= 40
     assert np.mean(costs) <= 6.0
+    assert max(costs) <= 10
+
+
+def test_ball_steps_of_halfspace_searches_across_a_residual_jump():
+    """Stage-1 instances whose harvest residual jumps where lam2^2 gamma on
+    the null space of a rank-deficient A crosses the ball step's
+    pseudo-inverse cut: the search meets the jump by bisection, not by
+    false-position steps that creep along it (up to 138 ball steps)."""
+    rng = np.random.default_rng(81)
+    costs = []
+    for _ in range(30):
+        record = numerics.Multipliers()
+        solve_beams_halfspace(*halfspace_instance(rng, 8, 4, share=1.0), record=record)
+        costs.append(record.ball_steps)
+    assert max(costs) <= 90
+    assert sorted(costs)[-3] >= 60  # the jumps occurred
 
 
 def test_searches_warm_start_the_power_multiplier(monkeypatch):
@@ -940,6 +986,22 @@ def test_stale_warm_starts_keep_the_answer_in_band(scale):
         w = solve(*args, record=record)
         certify_in_band(solve, args, w, record)
         assert record.solves == 1 and record.ball_steps >= 1
+
+
+def test_no_search_evaluates_a_multiplier_twice(monkeypatch):
+    """The stale warm starts of the test above, each search's evaluated
+    multipliers recorded: none is evaluated twice, neither the feasible
+    upper end after a fall back to lam2 = 0 nor lam2 = 0 itself."""
+    seen = captured_searches(monkeypatch)
+    for scale in (0.0, 1e-6, 1e6, np.inf):
+        for solve, args in paper_shaped_instances(np.random.default_rng(83), 20):
+            cold = numerics.Multipliers()
+            solve(*args, record=cold)
+            solve(*args, record=numerics.Multipliers(lam1=scale * cold.lam1, lam2=scale * cold.lam2))
+    assert len(seen) >= 100
+    for rec in seen:
+        lams = [lam for lam, _ in rec.points]
+        assert len(set(lams)) == len(lams)
 
 
 def test_warm_start_at_the_own_multipliers_takes_at_most_two_ball_steps():

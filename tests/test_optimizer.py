@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import harness, optimizer, system
+from risjam import harness, numerics, optimizer, system
 from risjam.channel import ChannelSet, Realization, sample_static_channels, sample_uncertain_realization
 from risjam.optimizer import (
     AoReport,
@@ -690,3 +690,25 @@ class TestMultiplierRecords:
         cfg = risjam.paper_profile()
         steps = [harness._optimize(cfg, "active-harvesting", i)[1].ball_steps for i in range(5)]
         assert np.mean(steps) <= 80.0
+
+    def test_stage2_ball_steps_without_adversaries(self, monkeypatch):
+        """The hard case of the stage-2 search, without timing: at Q = B = 0
+        the energy residual jumps where A + lam2 S leaves the ball step's
+        null-space cut.  Each solve's ball steps, read from the block's
+        record, stay within 100 (false-position steps creeping along the
+        jump took up to 263 on these trials)."""
+        per_solve = []
+        solve = numerics.solve_beams
+
+        def counted(*args, record, **kwargs):
+            before = record.ball_steps
+            w = solve(*args, record=record, **kwargs)
+            per_solve.append(record.ball_steps - before)
+            return w
+
+        monkeypatch.setattr(numerics, "solve_beams", counted)
+        cfg = risjam.paper_profile(q=0, b=0)
+        for i in (1, 2, 3):
+            harness._optimize(cfg, "active-harvesting", i)
+        assert len(per_solve) >= 30
+        assert max(per_solve) <= 100
