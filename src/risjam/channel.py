@@ -4,8 +4,9 @@ Links are distance-based path loss times Nakagami-m small-scale fading with
 uniform phases.  User positions follow the random-waypoint (RWP) stationary
 distance law; jammer/interferer channels are known only through estimates,
 and a realization batch adds circular-Gaussian estimation errors to them,
-draw by draw.  The adversaries' isotropic transmit vectors are drawn once
-per trial.
+one draw per link for the whole batch.  The adversaries' isotropic transmit
+vectors are drawn once per trial.  Every link family (all jammer-user links,
+say) is one vectorized draw, in static synthesis and in a batch alike.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from numpy.random import Generator
 from scipy.special import gammainc, gammaln
 
 REF_DISTANCE = 1.0  # meters
-NORMALS_CHUNK = 8   # draws whose normals one buffer holds
 
 
 class BadDistance(Exception):
@@ -28,12 +28,14 @@ class BadParams(Exception):
     """RWP/Nakagami parameter invariants violated."""
 
 
-def path_loss_linear(d: float, alpha_pl: float, zeta0_db: float) -> float:
-    """Linear power gain 10^(-PL/10) with PL = zeta0 + 10*alpha*log10(d/d0), d0 = 1 m."""
-    if d < REF_DISTANCE:
-        raise BadDistance(f"d = {d} m below reference distance {REF_DISTANCE} m")
+def path_loss_linear(d, alpha_pl: float, zeta0_db: float):
+    """Linear power gain 10^(-PL/10) with PL = zeta0 + 10*alpha*log10(d/d0),
+    d0 = 1 m, of a distance or of an array of distances."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < REF_DISTANCE):
+        raise BadDistance(f"d = {np.min(d)} m below reference distance {REF_DISTANCE} m")
     pl_db = zeta0_db + 10.0 * alpha_pl * np.log10(d / REF_DISTANCE)
-    return float(10.0 ** (-pl_db / 10.0))
+    return 10.0 ** (-pl_db / 10.0)
 
 
 @dataclass
@@ -171,9 +173,7 @@ class ChannelSet:
 
     Shapes: g_br (M,N); h_bu (K,N); h_ru (K,M); h_ju_est (Q,K,N_jam);
     g_jr_est (Q,M,N_jam); h_iu_est (B,K,N).  Vectors are stored untransposed,
-    so h^H w is computed as h.conj() @ w.  The estimates and the adversary
-    vectors are read once per e_mse into an error plan (error_plan), so they
-    must not change after the first draw.
+    so h^H w is computed as h.conj() @ w.
     """
 
     g_br: np.ndarray
@@ -187,7 +187,6 @@ class ChannelSet:
     ue_pos: np.ndarray
     jammer_pos: np.ndarray
     interferer_pos: np.ndarray
-    _error_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m_elements(self) -> int:
@@ -204,59 +203,6 @@ class ChannelSet:
     @property
     def n_jammers(self) -> int:
         return self.h_ju_est.shape[0]
-
-    def error_plan(self, e_mse: float) -> "ErrorPlan":
-        """The trial constants of a draw at this e_mse, computed once."""
-        plan = self._error_plans.get(e_mse)
-        if plan is None:
-            plan = self._error_plans[e_mse] = ErrorPlan.of(self, e_mse)
-        return plan
-
-
-@dataclass(frozen=True)
-class ErrorPlan:
-    """How one draw of the uncertain links is built from its normals.
-
-    The draw of all three links is one complex row of n entries (the
-    flattened estimates, concatenated); as floats it is 2n values, real and
-    imaginary parts interleaved.  Value j of that row is
-    est[j] + scale[j] * normals[perm[j]], so a batch is one gather, one
-    multiply and one add.  perm is empty when no normals are drawn (e_mse =
-    0, or no uncertain entries): every draw is then the estimates, and
-    terms holds their adversary terms (see Realization).
-    """
-
-    est: np.ndarray      # (2n,) the estimates as interleaved floats
-    scale: np.ndarray    # (2n,) sqrt(e_mse * mean|block|^2 / 2) of each entry's block
-    perm: np.ndarray     # (2n,) normal column of each value, or (0,)
-    links: tuple         # (start, stop, shape) of each link in the complex row
-    terms: tuple         # adversary terms of the estimates when perm is empty, else ()
-
-    @classmethod
-    def of(cls, cs: ChannelSet, e_mse: float) -> "ErrorPlan":
-        """Each link takes 2 * size normals, block by block in order, a
-        block's real parts before its imaginary parts (a block is one
-        trailing estimate: a vector of a user link, the matrix of a
-        jammer-RIS link); links in order."""
-        ests = (cs.h_ju_est, cs.g_jr_est, cs.h_iu_est)
-        links, perm, scale, start = [], [], [], 0
-        for est, block_ndim in zip(ests, (1, 2, 1)):
-            links.append((start, start + est.size, est.shape))
-            if e_mse > 0 and est.size:
-                lead = est.ndim - block_ndim
-                var = e_mse * np.mean(np.abs(est) ** 2, axis=tuple(range(lead, est.ndim)),
-                                      keepdims=True)
-                block = int(np.prod(est.shape[lead:]))
-                i = np.arange(est.size)
-                real = 2 * start + i + (i // block) * block  # real parts of block i // block
-                perm.append(np.stack((real, real + block), axis=1).ravel())
-                scale.append(np.repeat(np.broadcast_to(np.sqrt(var / 2.0), est.shape).ravel(), 2))
-            start += est.size
-        terms = () if perm else _adversary_terms(*ests, cs.z_jam, cs.z_int)
-        return cls(est=np.concatenate([e.ravel() for e in ests]).view(float),
-                   scale=np.concatenate(scale + [np.zeros(0)]),
-                   perm=np.concatenate(perm + [np.zeros(0, dtype=np.intp)]),
-                   links=tuple(links), terms=terms)
 
 
 def _adversary_terms(h_ju, g_jr, h_iu, z_j, z_i):
@@ -293,15 +239,12 @@ class Realization:
     but not on the optimization state: the direct jammer amplitudes
     h_JU,qk^H z_qk, the interferer power sum_b |h_IU,bk^H z_bk|^2 at each
     user and the jammer paths into the RIS G_JR,q z_qk.  They are derived
-    wherever draws are written, so they always match the channels: on
-    construction (dataclasses.replace too) and by every write.  The SAA
-    statistics and the rates read them instead of the channels.
+    on construction (dataclasses.replace too), so they always match the
+    channels.  The SAA statistics and the rates read them instead of the
+    channels.
 
     len() is R.  An integer index gives one Draw, a slice a Realization of
     those draws (views, no copy), and iteration yields the Draws in order.
-    Writing a Draw to an integer index stores its channels and derives that
-    slot's terms; writing a batch to a slice copies its channels and its
-    terms, which it derived with the same adversary vectors.
     """
 
     h_ju: np.ndarray  # (R,Q,K,N_jam) actual = estimate + error
@@ -324,17 +267,6 @@ class Realization:
         out.__dict__.update(fields)
         return out
 
-    @classmethod
-    def slots(cls, cs: "ChannelSet", count: int) -> "Realization":
-        """count unwritten slots for draws of cs's uncertain links; a slot
-        holds no draw until one is written to it."""
-        q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
-        shapes = {"h_ju": cs.h_ju_est.shape, "g_jr": cs.g_jr_est.shape, "h_iu": cs.h_iu_est.shape,
-                  "direct": (q, k), "interf": (k,), "bounce": (q, m, k)}
-        return cls._of(z_j=cs.z_jam, z_i=cs.z_int, **{
-            name: np.empty((count,) + shape, dtype=float if name == "interf" else complex)
-            for name, shape in shapes.items()})
-
     def __len__(self) -> int:
         return self.h_ju.shape[0]
 
@@ -343,16 +275,6 @@ class Realization:
             return Realization._of(z_j=self.z_j, z_i=self.z_i, **{
                 name: getattr(self, name)[i] for name in _CHANNELS + _TERMS})
         return Draw(self.h_ju[i], self.g_jr[i], self.h_iu[i], self.z_j, self.z_i)
-
-    def __setitem__(self, i, value):
-        for name in _CHANNELS:
-            getattr(self, name)[i] = getattr(value, name)
-        if isinstance(i, slice):
-            terms = (getattr(value, name) for name in _TERMS)
-        else:
-            terms = _adversary_terms(value.h_ju, value.g_jr, value.h_iu, self.z_j, self.z_i)
-        for name, term in zip(_TERMS, terms):
-            getattr(self, name)[i] = term
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -363,9 +285,14 @@ def _uniform_box(rng: Generator, lo, hi, n: int) -> np.ndarray:
     return lo + rng.random((n, 3)) * (hi - lo)
 
 
-def _link(rng: Generator, shape, dist: float, alpha: float, zeta0_db: float, m: float) -> np.ndarray:
+def _links(rng: Generator, a, b, shape, alpha: float, zeta0_db: float, m: float) -> np.ndarray:
+    """One link of the given shape per pair of points of a and b (broadcast),
+    each scaled by the path loss of its distance |a - b|: one fading draw
+    for the whole family, of shape lead + shape."""
+    dist = np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)
     gain = path_loss_linear(dist, alpha, zeta0_db)
-    return np.sqrt(gain) * nakagami_fading(rng, shape, m)
+    return np.reshape(np.sqrt(gain), dist.shape + (1,) * len(shape)) * nakagami_fading(
+        rng, dist.shape + tuple(shape), m)
 
 
 def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
@@ -384,49 +311,41 @@ def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
     jam_pos = _uniform_box(rng, cfg.jammer_box_min, cfg.jammer_box_max, q)
     int_pos = _uniform_box(rng, cfg.interferer_box_min, cfg.interferer_box_max, bq)
 
-    z0, m_f = cfg.zeta0_db, cfg.m_nakagami
+    def links(a, b, shape, alpha):
+        return _links(rng, a, b, shape, alpha, cfg.zeta0_db, cfg.m_nakagami)
 
-    def stacked(lead, shape, draw):
-        """draw(index) for every index of the lead shape, in row-major
-        order, stacked to lead + shape."""
-        out = np.empty(lead + shape, dtype=complex)
-        for idx in np.ndindex(lead):
-            out[idx] = draw(idx)
-        return out
-
-    def link(a, b, shape, alpha):
-        """One link of the given shape per pair of points of a and b
-        (broadcast), each from its distance |a - b|."""
-        a, b = np.broadcast_arrays(a, b)
-        return stacked(a.shape[:-1], shape, lambda i: _link(
-            rng, shape, float(np.linalg.norm(a[i] - b[i])), alpha, z0, m_f))
-
-    g_br = link(bs, ris, (cfg.m, cfg.n), cfg.alpha_br)
-    h_bu = link(bs, ue_pos, (cfg.n,), cfg.alpha_bu)
-    h_ru = link(ris, ue_pos, (cfg.m,), cfg.alpha_ru)
-    h_ju = link(jam_pos[:, None], ue_pos, (cfg.n_jam,), cfg.alpha_ju)
-    g_jr = link(jam_pos, ris, (cfg.m, cfg.n_jam), cfg.alpha_jr)
-    h_iu = link(int_pos[:, None], ue_pos, (cfg.n,), cfg.alpha_iu)
+    g_br = links(bs, ris, (cfg.m, cfg.n), cfg.alpha_br)
+    h_bu = links(bs, ue_pos, (cfg.n,), cfg.alpha_bu)
+    h_ru = links(ris, ue_pos, (cfg.m,), cfg.alpha_ru)
+    h_ju = links(jam_pos[:, None], ue_pos, (cfg.n_jam,), cfg.alpha_ju)
+    g_jr = links(jam_pos, ris, (cfg.m, cfg.n_jam), cfg.alpha_jr)
+    h_iu = links(int_pos[:, None], ue_pos, (cfg.n,), cfg.alpha_iu)
 
     # adversary transmit vectors are constants of the trial (realizations
     # redraw the channels only); each transmitter meets its budget
-    z_jam = stacked((q,), (k, cfg.n_jam),
-                    lambda _: _isotropic_power_vectors(rng, (k, cfg.n_jam), cfg.p_jam_w))
-    z_int = stacked((bq,), (k, cfg.n),
-                    lambda _: _isotropic_power_vectors(rng, (k, cfg.n), cfg.p_int_w))
+    z_jam = _isotropic_power_vectors(rng, (q, k, cfg.n_jam), cfg.p_jam_w)
+    z_int = _isotropic_power_vectors(rng, (bq, k, cfg.n), cfg.p_int_w)
 
     return ChannelSet(g_br=g_br, h_bu=h_bu, h_ru=h_ru, h_ju_est=h_ju, g_jr_est=g_jr,
                       h_iu_est=h_iu, z_jam=z_jam, z_int=z_int,
                       ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
 
 
+def _complex_normals(rng: Generator, shape) -> np.ndarray:
+    """Complex normals with independent standard normal real and imaginary
+    parts, from one normal draw: each entry's real part, then its imaginary
+    part."""
+    return rng.standard_normal(tuple(shape) + (2,)).view(complex)[..., 0]
+
+
 def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.ndarray:
-    """(K, N) complex Gaussian directions scaled so sum_k ||v_k||^2 = total_power."""
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    norm2 = float(np.sum(np.abs(v) ** 2))
-    while norm2 == 0.0:
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        norm2 = float(np.sum(np.abs(v) ** 2))
+    """(T, K, N) complex Gaussian directions, one (K, N) set per transmitter,
+    each scaled so that sum_k ||v_k||^2 = total_power."""
+    v = _complex_normals(rng, shape)
+    norm2 = np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True)
+    while np.any(norm2 == 0.0):
+        v = np.where(norm2 == 0.0, _complex_normals(rng, shape), v)
+        norm2 = np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True)
     return v * np.sqrt(total_power / norm2)
 
 
@@ -435,40 +354,29 @@ def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator,
     """Draw count realizations of the uncertain channels as one batch.
 
     Errors are circular Gaussian with per-entry variance e_mse times the mean
-    squared magnitude of the corresponding estimate block.  Each draw takes
-    its normals in the order of count sequential draws (jammer-user links,
-    jammer-RIS links, interferer-user links), from one stream that
-    rng.standard_normal continues a few draws at a time in one small buffer,
-    so the batch equals those draws bitwise.  The per-entry scales and the
-    normal layout are trial constants (cs.error_plan), and every link of
-    every draw is written straight from the normals into the batch: one
-    gather, one multiply and one add, with no batch-sized temporaries.  At
-    e_mse = 0, and for an empty link, no normals are drawn.  The adversary
-    transmit vectors are the trial constants stored in the ChannelSet; only
-    the channels change from draw to draw.  The batch derives each draw's
-    adversary terms (Realization); without errors they are the estimates'
-    terms, computed once per trial.
+    squared magnitude of the corresponding estimate block (a vector of a
+    user link, the matrix of a jammer-RIS link).  Each link takes one normal
+    draw for the whole batch, in the order jammer-user, interferer-user,
+    jammer-RIS, so that channels without RIS elements consume the same
+    jammer and interferer errors; the normals are scaled and added to the
+    estimates in place.  At e_mse = 0 no normals are drawn: every draw is
+    the estimates, broadcast (read-only views), and takes their adversary
+    terms, computed once per call.  The adversary transmit vectors are the
+    trial constants stored in the ChannelSet; only the channels change from
+    draw to draw.
     """
     if e_mse < 0:
         raise BadParams("e_mse must be nonnegative")
-    plan = cs.error_plan(e_mse)
-    row = np.empty((count, plan.est.size // 2), dtype=complex)
-    parts = row.view(float)  # real and imaginary parts, interleaved
-    links = dict(zip(_CHANNELS, (row[:, start:stop].reshape((count,) + shape)
-                                 for start, stop, shape in plan.links)))
-    if not plan.perm.size:
-        # every draw is the estimates, and its terms are theirs
-        parts[:] = plan.est
-        return Realization._of(z_j=cs.z_jam, z_i=cs.z_int, **links, **{
-            name: np.repeat(term[None], count, axis=0) for name, term in zip(_TERMS, plan.terms)})
-    # consecutive calls continue one normal stream, so a few draws at a
-    # time give the same values from a small buffer
-    normals = rng.standard_normal((min(count, NORMALS_CHUNK), plan.perm.size))
-    for lo in range(0, count, NORMALS_CHUNK):
-        chunk, out = normals[:count - lo], parts[lo:lo + NORMALS_CHUNK]
-        if lo:
-            rng.standard_normal(out=chunk)
-        np.take(chunk, plan.perm, axis=1, out=out, mode="clip")
-        out *= plan.scale
-        out += plan.est
+    ests = {"h_ju": cs.h_ju_est, "h_iu": cs.h_iu_est, "g_jr": cs.g_jr_est}  # drawing order
+    if e_mse == 0:
+        terms = dict(zip(_TERMS, _adversary_terms(**ests, z_j=cs.z_jam, z_i=cs.z_int)))
+        return Realization._of(z_j=cs.z_jam, z_i=cs.z_int, **{
+            name: np.broadcast_to(a, (count,) + a.shape) for name, a in {**ests, **terms}.items()})
+    links = {}
+    for name, est in ests.items():
+        draw = links[name] = _complex_normals(rng, (count,) + est.shape)
+        if est.size:  # an empty link has no block to average
+            block = (-2, -1) if name == "g_jr" else (-1,)
+            draw *= np.sqrt(e_mse * np.mean(np.abs(est) ** 2, axis=block, keepdims=True) / 2.0)
+            draw += est
     return Realization(z_j=cs.z_jam, z_i=cs.z_int, **links)

@@ -33,7 +33,9 @@ class UnknownAxis(Exception):
 def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
     """Independent streams for channels, optimization draws, and held-out
     evaluation, all derived from (master seed, trial index) and shared by
-    every scheme so trials stay paired."""
+    every scheme so trials stay paired.  The channel stream feeds
+    sample_static_channels; each of the other two seeds one generator that
+    draws one batch (the AO's r_max draws, or the heldout draws)."""
     root = np.random.SeedSequence(entropy=(int(cfg.seed), int(trial_index)))
     return root.spawn(3)
 

@@ -64,8 +64,8 @@ class SaaStats:
     reflection coefficients being optimized (0 without an RIS).  Each mean
     is folded from the adversary terms a draw carries (channel.Realization), so no
     channel is read here.  The draws themselves are kept only for the SAA
-    objective, in one batch that the AO loop preallocates: O(r_max) times
-    the size of one draw.
+    objective, in the one batch the AO loop draws before its first
+    iteration: O(r_max) times the size of one draw.
     """
 
     count: int
@@ -257,15 +257,16 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
 # ---------------------------------------------------------------------------
 
 def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
-                          sigma_r_sq: float):
+                          sigma_r_sq: float, mu: np.ndarray):
     """Averaged quadratic model of the stage-2 surrogate in theta.
 
     Returns (gamma_bar, lambda_bar) with the surrogate equal (up to a
     theta-independent constant) to Re{theta^H lambda_bar} - theta^H gamma_bar theta.
     Both are assembled from the SaaStats means, never by looping over draws.
+    mu (K, M) holds the rows mu_j = G_BR w2_j, which the caller computes once
+    per reflection solve.
     """
     w2, omega, nu = state.w2, state.omega2, state.nu2
-    mu = w2 @ cs.g_br.T  # rows: mu_j = G_BR w2_j  (K, M)
     e_dir = cs.h_bu.conj() @ w2.T  # e[k, j] = h_BU,k^H w2_j
     nu2 = np.abs(nu) ** 2
     # sum_k |nu_k|^2 sum_j v_kj v_kj^H with v_kj = conj(mu_j) o h_RU,k
@@ -292,8 +293,8 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
     p_e = energy_budget(state, cs, pm)
     if p_e < 0:
         raise EnergyInfeasible(f"the harvest cannot cover the static load (P_E_tilde = {p_e:.3e})")
-    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
     mu = state.w2 @ cs.g_br.T
+    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, mu)
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq,
                        bound=p_e, caps=np.full(m, pm.a_max))
     return solve_concave_qcqp(prob, tol=tol, record=record)
@@ -385,31 +386,27 @@ def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
     """Passive reflection: maximize the averaged theta model over
     |theta_m| = 1 by MM steps warm-started at the current theta.
     Returns (theta, steps)."""
-    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq)
+    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, state.w2 @ cs.g_br.T)
     return numerics.unit_modulus_mm(gamma, lam, state.theta, max_iter=THETA_MM_MAX_ITER)
 
 
 def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
                scheme: Scheme) -> AoReport:
-    """The SSCA alternating optimization of every scheme.  Each iteration
-    draws a realization into the next slot of a preallocated batch, folds it
-    into the SAA statistics, evaluates the SAA objective on the draws so
-    far, applies the stop rule, keeps the best state, then updates the
-    blocks the scheme optimizes.  With ideal CSI (e_mse = 0) every draw is
-    the estimates, so the batch has one slot: it is drawn and folded once,
-    and every objective is evaluated on that one draw.  Each QCQP block
-    keeps one multiplier record across the iterations, so its solves start
-    from the multipliers of its previous solve."""
+    """The SSCA alternating optimization of every scheme.  Before the loop
+    one generator on the seed draws the whole batch of r_max realizations
+    (one sample call).  Iteration r folds draw r into the SAA statistics,
+    evaluates the SAA objective on the first r draws, applies the stop
+    rule, keeps the best state, then updates the blocks the scheme
+    optimizes.  With ideal CSI (e_mse = 0) every draw is the estimates, so
+    the batch holds one draw: it is folded once, and every objective is
+    evaluated on that one draw.  Each QCQP block keeps one multiplier record
+    across the iterations, so its solves start from the multipliers of its
+    previous solve."""
     state = initial_state(cs, pm, scheme)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
-    draws = Realization.slots(cs, 1 if cfg.e_mse == 0 else cfg.r_max)
     records = {block: numerics.Multipliers() for block in ("w1", "w2", "theta")}
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")},
                       multipliers=records)
-    best_state = state.copy()
-    prev_v = None
-    warmup = 5
-    flat_streak = 0
 
     @contextmanager
     def timed(block):
@@ -417,13 +414,18 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
         yield
         report.timings[block] += time.perf_counter() - t0
 
+    with timed("draw"):
+        draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng),
+                                             1 if cfg.e_mse == 0 else cfg.r_max)
+    best_state = state.copy()
+    prev_v = None
+    warmup = 5
+    flat_streak = 0
+
     for r in range(1, cfg.r_max + 1):
         if r <= len(draws):
             with timed("draw"):
-                sub = np.random.default_rng(rng.spawn(1)[0])
-                draw = sample_uncertain_realization(cs, cfg.e_mse, sub, 1)
-                draws[r - 1:r] = draw
-                update_saa_stats(stats, draw, cs)
+                update_saa_stats(stats, draws[r - 1:r], cs)
         with timed("objective"):
             v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
                                      cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)

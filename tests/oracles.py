@@ -245,31 +245,31 @@ def stage1_sinr_scalar(k, w1, h_bu, h_ju, z_j, h_iu, z_i, sigma_sq):
 # per-block / per-draw / per-user loop references for the batched model code
 # ---------------------------------------------------------------------------
 
-def _block_error(est, e_mse, rng):
-    """One estimate block plus CN(0, e_mse * mean|block|^2) per entry:
-    real part drawn first, then imaginary part."""
-    if e_mse == 0.0 or est.size == 0:
-        return est.copy()
-    var = e_mse * float(np.mean(np.abs(est) ** 2))
-    return est + np.sqrt(var / 2.0) * (rng.standard_normal(est.shape) + 1j * rng.standard_normal(est.shape))
-
-
-def uncertain_draw_loops(cs, e_mse, rng):
-    """(h_ju, g_jr, h_iu) drawn block by block: every (jammer, user) direct
-    link, then every jammer-RIS matrix, then every (interferer, user) link."""
-    q, k, b = cs.h_ju_est.shape[0], cs.h_bu.shape[0], cs.h_iu_est.shape[0]
-    h_ju = cs.h_ju_est.copy()
-    for iq in range(q):
-        for ik in range(k):
-            h_ju[iq, ik] = _block_error(cs.h_ju_est[iq, ik], e_mse, rng)
-    g_jr = cs.g_jr_est.copy()
-    for iq in range(q):
-        g_jr[iq] = _block_error(cs.g_jr_est[iq], e_mse, rng)
-    h_iu = cs.h_iu_est.copy()
-    for ib in range(b):
-        for ik in range(k):
-            h_iu[ib, ik] = _block_error(cs.h_iu_est[ib, ik], e_mse, rng)
-    return h_ju, g_jr, h_iu
+def uncertain_draw_loops(cs, e_mse, rng, count):
+    """(h_ju, g_jr, h_iu), count draws of each, one scalar normal at a time:
+    link by link (jammer-user, interferer-user, jammer-RIS), within a link
+    draw by draw and block by block (a vector of a user link, the matrix of
+    a jammer-RIS link), each entry's real part before its imaginary part.
+    An entry is its estimate plus sqrt(e_mse * mean|block|^2 / 2) times
+    that complex normal; at e_mse = 0 every draw is the estimates."""
+    out = {}
+    for name, est, block_ndim in (("h_ju", cs.h_ju_est, 1), ("h_iu", cs.h_iu_est, 1),
+                                  ("g_jr", cs.g_jr_est, 2)):
+        draws = np.empty((count,) + est.shape, dtype=complex)
+        lead = est.shape[:est.ndim - block_ndim]
+        for r in range(count):
+            for idx in np.ndindex(lead):
+                block = est[idx]
+                if e_mse == 0.0 or block.size == 0:
+                    draws[(r,) + idx] = block
+                    continue
+                scale = np.sqrt(e_mse * float(np.mean(np.abs(block) ** 2)) / 2.0)
+                for entry in np.ndindex(block.shape):
+                    re = rng.standard_normal()
+                    im = rng.standard_normal()
+                    draws[(r,) + idx + entry] = block[entry] + scale * complex(re, im)
+        out[name] = draws
+    return out["h_ju"], out["g_jr"], out["h_iu"]
 
 
 def saa_means_loops(realizations, h_ru):

@@ -141,7 +141,7 @@ def test_criterion_3_qcqp_oracle_equivalence():
         mu = st.w2 @ cs.g_br.T
         v = np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq
         from risjam.optimizer import theta_quadratic_model
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq)
+        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq, mu)
         caps = np.full(8, pm.a_max)
         projs = [lambda y: project_caps_diag_ellipsoid(y, caps, v, p_e)]
         x_ref, _ = pg_qcqp_max(gamma, lam, projs, iters=30000, x0=th)

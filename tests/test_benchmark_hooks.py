@@ -9,6 +9,8 @@ runs under the plain test suite.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import risjam
 from risjam import channel, harness, numerics, optimizer, system
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def spanned():
@@ -41,6 +44,25 @@ def test_wrapped_function_resolves(module, name):
 
 def test_table_is_not_empty():
     assert len(spanned()) >= 10
+
+
+def test_package_import_loads_every_module_binding_a_captured_name():
+    # a hook replaces a function at the module globals that hold it when
+    # the hook starts; a module first imported while a hook is on binds the
+    # wrapper, keeps it after the hook is undone, and a later hook misses
+    # it.  The benchmark imports only the package before its capture hooks
+    # start (the tracer imports risjam.cli itself), so `import risjam` must
+    # load every module that binds a captured function by name
+    binders = set()
+    for path in (SRC / "risjam").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and any(
+                    (node.module, alias.name) in CAPTURED for alias in node.names):
+                binders.add("risjam" if path.stem == "__init__" else "risjam." + path.stem)
+    code = "import sys, risjam; print(' '.join(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.split()
+    assert binders and binders <= set(loaded)
 
 
 def patch_everywhere(monkeypatch, module, name, make_wrapper):
@@ -105,10 +127,10 @@ def test_trial_meets_the_capture_contract(monkeypatch, scheme):
 @pytest.mark.parametrize("scheme", harness.SCHEMES)
 def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
     # the traced channel.draw_*, optimizer.saa_s and system.objective_*
-    # figures count per-iteration work: each AO iteration makes exactly one
-    # one-draw sample, one fold of that draw and one SAA objective on the
-    # r draws so far; the held-out scoring adds one sample of cfg.heldout
-    # draws and one rate evaluation on them
+    # figures count the AO's work: one sample of r_max draws before the
+    # loop, then in each iteration exactly one fold of one draw and one SAA
+    # objective on the r draws so far; the held-out scoring adds one sample
+    # of cfg.heldout draws and one rate evaluation on them
     calls = []
 
     def record(name, size):
@@ -128,8 +150,8 @@ def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
 
     iterations = result.iterations
     assert 1 <= iterations <= cfg.r_max
-    ao = [("sample", 1), ("fold", 1)]
-    want = [c for r in range(1, iterations + 1) for c in ao + [("objective", r)]]
+    want = [("sample", cfg.r_max)] + [
+        c for r in range(1, iterations + 1) for c in (("fold", 1), ("objective", r))]
     assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]
 
 

@@ -6,7 +6,6 @@ from scipy import integrate, stats
 
 import risjam
 from risjam.channel import (
-    NORMALS_CHUNK,
     BadDistance,
     BadParams,
     RwpParams,
@@ -18,7 +17,7 @@ from risjam.channel import (
     sample_rwp_distance,
     sample_static_channels,
     sample_uncertain_realization,
-    _link,
+    _links,
 )
 from risjam.system import adversary_interference
 
@@ -59,6 +58,15 @@ class TestPathLoss:
     def test_below_reference(self):
         with pytest.raises(BadDistance):
             path_loss_linear(0.5, 2.0, 30.0)
+
+    def test_arrays_of_distances(self):
+        # entry by entry as the scalar law, and one distance below the
+        # reference rejects the whole array
+        d = np.array([[1.0, 10.0], [37.4, 150.0]])
+        want = [[path_loss_linear(float(x), 2.0, 30.0) for x in row] for row in d]
+        np.testing.assert_allclose(path_loss_linear(d, 2.0, 30.0), want, rtol=1e-14)
+        with pytest.raises(BadDistance):
+            path_loss_linear(np.array([2.0, 0.5]), 2.0, 30.0)
 
 
 class TestRwpParams:
@@ -171,13 +179,28 @@ class TestFading:
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_link_budget(self):
-        # mean received power over 1e4 draws matches the path-loss prediction
+        # mean received power over 1e4 links of one family at a common
+        # distance matches the path-loss prediction
         rng = np.random.default_rng(11)
         n_f, d, alpha, z0 = 8, 150.0, 2.75, 30.0
         gain = path_loss_linear(d, alpha, z0)
-        draws = np.array([np.sum(np.abs(_link(rng, (n_f,), d, alpha, z0, 1.0)) ** 2)
-                          for _ in range(10_000)])
+        ends = np.zeros((10_000, 3))
+        ends[:, 0] = d
+        links = _links(rng, np.zeros(3), ends, (n_f,), alpha, z0, 1.0)
+        assert links.shape == (10_000, n_f)
+        draws = np.sum(np.abs(links) ** 2, axis=1)
         assert draws.mean() == pytest.approx(n_f * gain, rel=0.03)
+
+    def test_family_takes_each_pair_distance(self):
+        # a (2, 3) family of pairs at different distances: each link's mean
+        # power over its entries follows its own pair's path loss
+        rng = np.random.default_rng(12)
+        starts = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, 0.0]])[:, None]
+        ends = np.array([[20.0, 0.0, 0.0], [0.0, 60.0, 0.0], [30.0, 40.0, 0.0]])
+        links = _links(rng, starts, ends, (20_000,), 2.5, 0.0, 2.0)
+        assert links.shape == (2, 3, 20_000)
+        gain = path_loss_linear(np.linalg.norm(starts - ends, axis=-1), 2.5, 0.0)
+        np.testing.assert_allclose(np.mean(np.abs(links) ** 2, axis=-1), gain, rtol=0.03)
 
 
 class TestChannelSet:
@@ -221,6 +244,10 @@ class TestRealization:
             np.testing.assert_array_equal(draw.h_ju, cs.h_ju_est)
             np.testing.assert_array_equal(draw.g_jr, cs.g_jr_est)
             np.testing.assert_array_equal(draw.h_iu, cs.h_iu_est)
+        # the batch is read-only views of the estimates, not copies
+        for link, est in ((rlz.h_ju, cs.h_ju_est), (rlz.g_jr, cs.g_jr_est), (rlz.bounce, None)):
+            assert not link.flags.writeable
+            assert est is None or np.shares_memory(link, est)
         assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
     def test_error_variance_ratio(self):
@@ -255,20 +282,18 @@ class TestRealization:
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
     @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"q": 0, "b": 0}])
     def test_one_draw_per_link_equals_per_block_draws(self, e_mse, counts):
-        # one batch of R draws consumes the stream exactly as R sequential
-        # block-by-block draws on the same generator do, so every draw stays
-        # bitwise reproducible and the generator ends in the same state
+        # a batch of R draws consumes the stream exactly as the loop oracle
+        # does one scalar normal at a time, link by link, so every draw
+        # stays bitwise reproducible and the generator ends in the same state
         cfg = risjam.paper_profile(e_mse=e_mse, **counts)
         for seed in range(4):
             cs = sample_static_channels(cfg, np.random.default_rng(seed))
             rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
             rlz = sample_uncertain_realization(cs, e_mse, rng, 3)
             assert len(rlz) == 3
-            for draw in rlz:
-                ref = uncertain_draw_loops(cs, e_mse, ref_rng)
-                for got, want in zip((draw.h_ju, draw.g_jr, draw.h_iu), ref):
-                    assert got.shape == want.shape
-                    np.testing.assert_array_equal(got, want)
+            for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), uncertain_draw_loops(cs, e_mse, ref_rng, 3)):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
             assert rng.standard_normal() == ref_rng.standard_normal()
 
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
@@ -292,21 +317,22 @@ class TestRealization:
                                  adversary_interference_loops(th, batch, cs.h_ru)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
-    def test_batches_larger_than_the_normals_buffer(self):
-        # draws past the first buffer of normals continue the same stream
+    def test_batches_of_any_size_equal_the_link_loops(self):
+        # empty, one-draw and larger batches, each against the loop oracle
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg, np.random.default_rng(13))
-        count = 2 * NORMALS_CHUNK + 3
-        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
-        batch = sample_uncertain_realization(cs, 0.1, rng, count)
-        for i in range(count):
-            for got, want in zip((batch.h_ju[i], batch.g_jr[i], batch.h_iu[i]),
-                                 uncertain_draw_loops(cs, 0.1, ref_rng)):
+        for count in (0, 1, 19):
+            rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+            batch = sample_uncertain_realization(cs, 0.1, rng, count)
+            assert len(batch) == count and batch.bounce.shape[0] == count
+            for got, want in zip((batch.h_ju, batch.g_jr, batch.h_iu),
+                                 uncertain_draw_loops(cs, 0.1, ref_rng, count)):
                 np.testing.assert_array_equal(got, want)
+            assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_batch_indexing(self):
         # an index gives one draw in the per-draw shapes, a slice a batch of
-        # views, and assigning a draw writes that slot
+        # views
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg, np.random.default_rng(9))
         rlz = sample_uncertain_realization(cs, 0.1, np.random.default_rng(10), 5)
@@ -322,7 +348,5 @@ class TestRealization:
         head = rlz[1:3]
         assert len(head) == 2 and np.shares_memory(head.h_ju, rlz.h_ju)
         np.testing.assert_array_equal(head[0].g_jr, rlz.g_jr[1])
-        rlz[4] = draws[0]
-        np.testing.assert_array_equal(rlz.h_iu[4], rlz.h_iu[0])
-        np.testing.assert_array_equal(rlz.g_jr[4], rlz.g_jr[0])
+        assert np.shares_memory(head.bounce, rlz.bounce)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import cli, harness, optimizer
+from risjam import cli, harness, optimizer, system
 from risjam.config import ParseError, ScenarioConfig, ValidationError, load_scenario
 from risjam.harness import (
     SCHEMES,
@@ -15,7 +15,7 @@ from risjam.harness import (
     run_sweep,
     run_trial,
 )
-from risjam.channel import sample_static_channels
+from risjam.channel import sample_static_channels, sample_uncertain_realization
 
 from oracles import wmmse_sum_rate
 
@@ -270,11 +270,13 @@ class TestBaselines:
         (risjam.desk_profile, {}),
         (risjam.desk_profile, {"e_mse": 0.1, "b": 0}),
         (risjam.paper_profile, {}),
+        (risjam.desk_profile, {"e_mse": 0.1}),
+        (risjam.paper_profile, {"e_mse": 0.1}),
     ])
     def test_active_on_m0_view_reproduces_noris_trace(self, profile, kw):
         # without elements the active scheme has tau = 0 and an empty theta;
-        # with interferers and e_mse > 0 the view would skip the G_JR error
-        # draws and shift the interferer draws, so those cases are left out
+        # the jammer-RIS links are drawn last, so the view takes the same
+        # jammer and interferer draws as the full channels
         cfg = profile(r_max=15, **kw)
         for trial in range(2):
             ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
@@ -320,6 +322,40 @@ class TestBaselines:
         for fn in (baseline_passive, baseline_noris):
             rep = fn(cs, cfg, np.random.SeedSequence(4))
             assert rep.feasibility.all_ok
+
+
+# paper-profile scenarios at the edges of the parameter space
+EDGES = {
+    "M=1": {"m": 1},
+    "Q=B=0": {"q": 0, "b": 0},
+    "P_max=10dBm": {"p_max_dbm": 10.0},
+    "M=100": {"m": 100},
+    "e_mse=0.5": {"e_mse": 0.5},
+    "A_max=0dB": {"a_max_db": 0.0},
+    "noise=-80dBm": {"noise_dbm": -80.0},
+    "A_max=3dB,e_mse=0.1": {"a_max_db": 3.0, "e_mse": 0.1},
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("edge", EDGES)
+def test_edge_scenarios_keep_the_invariants(edge, scheme):
+    """One seeded trial per edge and scheme, with no timing assertion: it
+    runs without an exception, and its report has every slack within
+    -1e-8, an energy-tight tau in every iteration, no theta solve stopped
+    by the step cap, and a finite held-out rate."""
+    cfg = risjam.paper_profile(**EDGES[edge])
+    cs, report, ss_eval = harness._optimize(cfg, scheme, 0)
+    feas = report.feasibility
+    slacks = (feas.power1_slack, feas.power2_slack, feas.energy_slack, feas.amplitude_slack)
+    assert min(slacks) >= -1e-8
+    assert max(report.tau_tightness, default=0.0) <= 1e-12
+    assert report.theta_capped == 0
+    st, pm = report.state, cfg.power_model()
+    heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
+    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
+                           pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
+    assert np.isfinite(rate)
 
 
 class TestRunSweep:

@@ -5,7 +5,7 @@ import pytest
 
 import risjam
 from risjam import harness, numerics, optimizer, system
-from risjam.channel import ChannelSet, Realization, sample_static_channels, sample_uncertain_realization
+from risjam.channel import ChannelSet, sample_static_channels, sample_uncertain_realization
 from risjam.optimizer import (
     AoReport,
     DegenerateTau,
@@ -246,21 +246,20 @@ class TestSaaStats:
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
     @pytest.mark.parametrize("counts", [{}, {"q": 0}, {"b": 0}, {"m": 0}])
     def test_ao_slots_fold_like_the_loops(self, e_mse, counts):
-        # draws sampled one by one into the slots of a batch, as the AO
-        # does, and folded as they come: the means equal the loops over the
-        # slots' channels; a one-off held-out batch folds to the same means
+        # one batch sampled up front and folded one draw (one slot of the
+        # batch) at a time, as the AO does: the means equal the loops over
+        # the draws' channels, and folding the whole batch at once gives
+        # the same means
         cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
         cs = sample_static_channels(cfg, np.random.default_rng(21))
         if "m" in counts:  # no RIS elements (a config needs at least one)
             cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
         m = cs.m_elements
         rng = np.random.default_rng(22)
-        draws = Realization.slots(cs, 10)
+        draws = sample_uncertain_realization(cs, e_mse, rng, 10)
         stats = SaaStats.empty(cs.n_users, m)
         for r in range(8):
-            draw = sample_uncertain_realization(cs, e_mse, rng, 1)
-            draws[r:r + 1] = draw
-            update_saa_stats(stats, draw, cs)
+            update_saa_stats(stats, draws[r:r + 1], cs)
         want = saa_means_loops(draws[:8], cs.h_ru)
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
         for got, ref in zip(system.adversary_interference(theta, draws[:8], cs),
@@ -268,8 +267,7 @@ class TestSaaStats:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
         for got, ref in zip((stats.d_abs2, stats.dt_conj, stats.m_mat, stats.zbar_i2), want):
             assert_rel(got, ref)
-        held = sample_uncertain_realization(cs, e_mse, np.random.default_rng(22), 8)
-        once = update_saa_stats(SaaStats.empty(cs.n_users, m), held, cs)
+        once = update_saa_stats(SaaStats.empty(cs.n_users, m), draws[:8], cs)
         for got, ref in zip((once.d_abs2, once.dt_conj, once.m_mat, once.zbar_i2), want):
             assert_rel(got, ref)
 
@@ -290,7 +288,7 @@ class TestThetaModel:
             omega, nu = update_aux_stage2(w2, th0, cs, stats, 0.03, 0.07)
             st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th0,
                              omega2=omega, nu2=nu)
-            gamma, lam = theta_quadratic_model(st, cs, stats, 0.03)
+            gamma, lam = theta_quadratic_model(st, cs, stats, 0.03, w2 @ cs.g_br.T)
 
             def f(th):
                 return surrogate_stage2(w2, th, omega, nu, cs, stats, 0.03, 0.07)
@@ -310,11 +308,11 @@ class TestThetaModel:
         th = crand(rng, 4)
         omega, nu = update_aux_stage2(w2, th, cs, stats, 0.02, 0.05)
         st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th, omega2=omega, nu2=nu)
-        gamma, lam = theta_quadratic_model(st, cs, stats, 0.02)
+        mu = w2 @ cs.g_br.T
+        gamma, lam = theta_quadratic_model(st, cs, stats, 0.02, mu)
 
         # re-loop over stored realizations with the per-draw d/t definitions
         k, m = 2, 4
-        mu = w2 @ cs.g_br.T
         e_dir = cs.h_bu.conj() @ w2.T
         nu2 = np.abs(nu) ** 2
         gamma_ref = np.zeros((m, m), dtype=complex)
@@ -521,7 +519,7 @@ class TestSolveTheta:
                          theta=np.array([0.5 + 0.1j]))
         st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
         st.nu2 = st.nu2 * 0.05  # weak curvature: unconstrained magnitude beyond the cap
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq)
+        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq, st.w2 @ cs.g_br.T)
         uncon = abs(lam[0]) / (2 * np.real(gamma[0, 0]))
         assert uncon > pm.a_max  # the cap must actually bind in this instance
         th = solve_theta(st, cs, stats, pm)
@@ -604,9 +602,9 @@ class TestSscaAo:
 
     @pytest.mark.parametrize("scheme", [optimizer.ACTIVE, optimizer.PASSIVE, optimizer.NO_RIS])
     def test_stored_draws_equal_sequential_draws(self, monkeypatch, scheme):
-        # iteration r scores the SAA objective on the first r slots of the
-        # AO's draw batch; slot r-1 holds the draw of the r-th spawned child,
-        # bitwise as one block-by-block draw on that child's generator
+        # iteration r scores the SAA objective on the first r draws of the
+        # one batch of r_max draws the AO samples before its loop, from one
+        # generator on its seed: bitwise the loop oracle's draws
         cfg = risjam.desk_profile(r_max=12, e_mse=0.1)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
         seen, real = [], system.sum_rate_nats
@@ -619,11 +617,12 @@ class TestSscaAo:
         monkeypatch.setattr(system, "sum_rate_nats", sum_rate_nats)
         rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), scheme)
         assert [n for n, _, _ in seen] == list(range(1, rep.iterations + 1))
-        children = np.random.SeedSequence(77).spawn(rep.iterations)
+        want = uncertain_draw_loops(cs, cfg.e_mse, np.random.default_rng(np.random.SeedSequence(77)),
+                                    cfg.r_max)
         final = seen[-1][1]
-        for i, child in enumerate(children):
-            want = uncertain_draw_loops(cs, cfg.e_mse, np.random.default_rng(child))
-            for got_then, got_end, w in zip(seen[i][2], (final.h_ju[i], final.g_jr[i], final.h_iu[i]), want):
+        for i in range(rep.iterations):
+            for got_then, got_end, w in zip(seen[i][2], (final.h_ju[i], final.g_jr[i], final.h_iu[i]),
+                                            (link[i] for link in want)):
                 np.testing.assert_array_equal(got_then, w)
                 np.testing.assert_array_equal(got_end, w)
 
