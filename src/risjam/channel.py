@@ -11,7 +11,8 @@ say) is one vectorized draw, in static synthesis and in a batch alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator
@@ -144,11 +145,23 @@ def rwp_distance_grid(b_coeffs, upsilon, d_lo: float, d_hi: float, grid_points: 
     return grid, anti
 
 
-def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float,
-                        grid_points: int = 10000) -> np.ndarray:
-    """Draw distances from the polynomial RWP density by inverse CDF on a grid."""
+@functools.lru_cache(maxsize=16)
+def _rwp_inverse_cdf(b_coeffs: tuple, upsilon: tuple, d_lo: float, d_hi: float, grid_points: int):
+    """The normalized CDF on rwp_distance_grid's grid, and the grid, built
+    once per polynomial and range; read-only, as every caller shares them."""
     grid, anti = rwp_distance_grid(b_coeffs, upsilon, d_lo, d_hi, grid_points)
     cdf = anti / anti[-1]
+    cdf.flags.writeable = grid.flags.writeable = False
+    return cdf, grid
+
+
+def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float,
+                        grid_points: int = 10000) -> np.ndarray:
+    """Draw distances from the polynomial RWP density by inverse CDF on a
+    grid (cached per polynomial and range)."""
+    cdf, grid = _rwp_inverse_cdf(tuple(np.asarray(b_coeffs, dtype=float).ravel()),
+                                 tuple(np.asarray(upsilon, dtype=float).ravel()),
+                                 float(d_lo), float(d_hi), int(grid_points))
     return np.interp(rng.random(n), cdf, grid)
 
 
@@ -203,6 +216,13 @@ class ChannelSet:
     @property
     def n_jammers(self) -> int:
         return self.h_ju_est.shape[0]
+
+    def without_ris(self) -> "ChannelSet":
+        """The same channels with no RIS elements (M = 0 views): the no-RIS
+        baseline's channels.  A realization batch drawn on them takes the
+        same jammer and interferer errors as one on the full channels, as
+        the jammer-RIS link is drawn last."""
+        return replace(self, g_br=self.g_br[:0], h_ru=self.h_ru[:, :0], g_jr_est=self.g_jr_est[:, :0])
 
 
 def _adversary_terms(h_ju, g_jr, h_iu, z_j, z_i):

@@ -48,8 +48,9 @@ def baseline_passive(cs, cfg, rng) -> AoReport:
 
 def baseline_noris(cs, cfg, rng) -> AoReport:
     """Transmit beamforming without any RIS (empty theta) against the
-    SAA-averaged jamming and interference."""
-    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, optimizer.NO_RIS)
+    SAA-averaged jamming and interference: the passive AO on the channels'
+    view without RIS elements."""
+    return optimizer._alternate(cs.without_ris(), cfg.power_model(), cfg, rng, optimizer.PASSIVE)
 
 
 @dataclass
@@ -65,9 +66,13 @@ class TrialResult:
 
 def _optimize(cfg: ScenarioConfig, scheme: str, trial_index: int):
     """Sample the trial's channels and run the scheme's optimizer on them.
-    Returns the channels, the AO report and the held-out seed."""
+    Returns the channels the scheme sees (no-RIS: the view without RIS
+    elements, so neither its AO nor its held-out batch draws or derives the
+    jammer-RIS links), the AO report and the held-out seed."""
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
     cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
+    if scheme == "no-ris":
+        cs = cs.without_ris()
     try:
         if scheme == "active-harvesting":
             report = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)

@@ -371,31 +371,73 @@ def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
                     max_iter: int, tol: float = 1e-8) -> tuple[np.ndarray, int]:
     """Maximize f(theta) = Re{theta^H lam} - theta^H Gamma theta over the
     unit-modulus set |theta_m| = 1 (Gamma Hermitian PSD) by
-    majorization-minimization, from a unit-modulus start theta0.
+    majorization-minimization maps accelerated by SQUAREM, from a
+    unit-modulus start theta0.
 
-    With lam_max the largest eigenvalue of Gamma, lam_max I - Gamma is PSD
-    and theta^H theta = M on the set, so f is minorized at theta_t by a
-    linear function whose maximizer over the set is
-    theta = exp(j arg(2 (lam_max I - Gamma) theta_t + lam))
-    (Sun, Babu & Palomar, IEEE TSP 2017).  Each step raises f, so the result
-    is never worse than theta0.  Elements whose update direction vanishes
-    keep their phase.  Stops after the first step that raises f by at most
-    tol relative, or after max_iter steps.  Returns (theta, steps).
+    With lam_max the largest eigenvalue of Gamma, B = 2 (lam_max I - Gamma)
+    is PSD and theta^H theta = M on the set, so f is minorized at theta_t by
+    a linear function whose maximizer over the set is the map
+    theta = exp(j arg(B theta_t + lam)) (Sun, Babu & Palomar, IEEE TSP
+    2017).  B is formed once per solve; v = B theta + lam also gives
+    f(theta) = Re{theta^H (v + lam)} / 2 - lam_max M.  Elements where v
+    vanishes keep their phase.
+
+    SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008): each cycle takes two
+    maps, theta1 and theta2 from theta0, and extrapolates along
+    r = theta1 - theta0 and d = theta2 - 2 theta1 + theta0 to
+    theta0 - 2 alpha r + alpha^2 d with alpha = -||r|| / ||d|| clamped to at
+    most -1 (alpha = -1 gives theta2), projected back onto |theta_m| = 1.
+    One more map from there stabilizes it; when that lands below theta2's
+    objective the cycle falls back to theta2.  So the accepted iterates
+    never descend and the result is never worse than theta0.
+
+    Every map carries the stop test: the solve returns the map's result
+    after the first map that raises f by at most tol relative (so a solve
+    warm-started at its own answer stops after one map), or after max_iter
+    maps (max_iter=1 is one plain MM map).  Returns (theta, maps).
     """
     lam_max = float(np.linalg.eigvalsh(gamma)[-1])
-    theta = np.asarray(theta0, dtype=complex)
-    g_theta = gamma @ theta
-    f = float(np.real(np.vdot(theta, lam - g_theta)))
-    for step in range(1, max_iter + 1):
-        v = 2.0 * (lam_max * theta - g_theta) + lam
-        mag = np.abs(v)
-        theta = np.where(mag > 0.0, v / np.where(mag > 0.0, mag, 1.0), theta)
-        g_theta = gamma @ theta
-        f_new = float(np.real(np.vdot(theta, lam - g_theta)))
-        rise, f = f_new - f, f_new
-        if rise <= tol * abs(f):
-            break
-    return theta, step
+    b = -2.0 * gamma
+    b[np.diag_indices_from(b)] += 2.0 * lam_max
+    shift = lam_max * lam.size
+
+    def at(theta):  # (theta, B theta + lam, f(theta))
+        v = b @ theta + lam
+        return theta, v, 0.5 * float(np.vdot(theta, v + lam).real) - shift
+
+    def phases(z, keep):  # z / |z|, keeping keep's element where z = 0
+        mag = np.abs(z)
+        if mag.all():
+            return z / mag
+        return np.where(mag > 0.0, z / np.where(mag > 0.0, mag, 1.0), keep)
+
+    def done(f_in, f_out):
+        return f_out - f_in <= tol * abs(f_out)
+
+    theta, v, f = at(np.asarray(theta0, dtype=complex))
+    maps = 0
+    while True:
+        theta1, v1, f1 = at(phases(v, theta))
+        maps += 1
+        if done(f, f1) or maps >= max_iter:
+            return theta1, maps
+        theta2, v2, f2 = at(phases(v1, theta1))
+        maps += 1
+        if done(f1, f2) or maps >= max_iter:
+            return theta2, maps
+        r = theta1 - theta
+        d = (theta2 - theta1) - r
+        norm_d = float(np.linalg.norm(d))
+        alpha = min(-float(np.linalg.norm(r)) / norm_d, -1.0) if norm_d > 0.0 else -1.0
+        x, vx, fx = at(phases(theta - (2.0 * alpha) * r + (alpha * alpha) * d, theta2))
+        theta, v, f = at(phases(vx, x))
+        maps += 1
+        if f < f2:  # the extrapolation lost ground: back to the plain iterate
+            theta, v, f = theta2, v2, f2
+        elif done(fx, f):
+            return theta, maps
+        if maps >= max_iter:
+            return theta, maps
 
 
 def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:

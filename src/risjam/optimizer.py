@@ -9,8 +9,9 @@ auxiliary update and one surrogate on the system kernel
 and SAA-averaged extra term.
 
 One AO loop runs every scheme: the active harvesting RIS, and the
-passive-RIS and no-RIS baselines, which skip harvesting and (no RIS) start
-with an empty theta.
+passive-RIS and no-RIS baselines, which skip harvesting; the no-RIS
+baseline is the passive scheme on channels without RIS elements
+(ChannelSet.without_ris), so its theta is empty.
 
 The blocks and their solves in numerics:
 
@@ -21,7 +22,8 @@ The blocks and their solves in numerics:
 - active reflection: the diagonal output-power ellipsoid and the amplitude
   caps (solve_concave_qcqp);
 - passive reflection: the unit-modulus set, by majorization-minimization
-  steps (unit_modulus_mm).
+  maps accelerated by SQUAREM extrapolation, each map carrying the stop
+  test (unit_modulus_mm).
 
 The beam solves and the reflection's cap-free step share one multiplier
 engine: Newton's method on the secular equation for a ball, and for a
@@ -304,16 +306,16 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
 # outer loop
 # ---------------------------------------------------------------------------
 
-# Step cap of one unit-modulus theta solve, far above the largest count seen
-# on the paper and desk profiles.  A capped solve is kept, not raised: every
-# MM step ascends, so it still improves on its warm start.
+# Map cap of one unit-modulus theta solve, far above the largest count seen
+# on the paper and desk profiles.  A capped solve is kept, not raised: its
+# accepted iterates never descend, so it still improves on its warm start.
 THETA_MM_MAX_ITER = 10000
 
 
 @dataclass
 class AoReport:
     """Objective trace, timings, final (best-so-far) state, slacks, the
-    step counts of the unit-modulus theta solves, and the multiplier record
+    map counts of the unit-modulus theta solves, and the multiplier record
     of each QCQP block (w1, w2, theta) with its counters."""
 
     objective_nats: list = field(default_factory=list)
@@ -325,7 +327,7 @@ class AoReport:
     tau_tightness: list = field(default_factory=list)
     monotone_after_warmup: bool = True
     best_objective_nats: float = -np.inf
-    theta_steps: int = 0    # MM steps summed over the unit-modulus theta solves
+    theta_steps: int = 0    # MM maps summed over the unit-modulus theta solves
     theta_capped: int = 0   # unit-modulus theta solves stopped by THETA_MM_MAX_ITER
     multipliers: dict = field(default_factory=dict)  # block -> numerics.Multipliers
 
@@ -353,17 +355,15 @@ class Scheme:
     harvest=True is the TD-SWIPT active RIS: energy-tight tau, stage-1
     beams, and the energy terms of the w2 and theta solves.  Otherwise the
     whole period is the reflection stage: tau = 0, w1 = w2, beams over the
-    power ball only, and unit-modulus theta.  ris=False starts theta empty,
-    so every RIS term drops out.
+    power ball only, and unit-modulus theta.  On channels without RIS
+    elements theta starts empty, so every RIS term drops out.
     """
 
     harvest: bool
-    ris: bool = True
 
 
 ACTIVE = Scheme(harvest=True)
 PASSIVE = Scheme(harvest=False)
-NO_RIS = Scheme(harvest=False, ris=False)
 
 
 def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState:
@@ -373,7 +373,7 @@ def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState
     norms = np.linalg.norm(cs.h_bu, axis=1)
     w = np.sqrt(pm.p_max / cs.n_users) * cs.h_bu / norms[:, None]
     theta = np.zeros(0, dtype=complex)
-    if scheme.ris and cs.m_elements:
+    if cs.m_elements:
         theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
     tau = 0.0
     if scheme.harvest and theta.size:
@@ -384,8 +384,8 @@ def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState
 def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
                         pm: PowerModel) -> tuple[np.ndarray, int]:
     """Passive reflection: maximize the averaged theta model over
-    |theta_m| = 1 by MM steps warm-started at the current theta.
-    Returns (theta, steps)."""
+    |theta_m| = 1 by accelerated MM maps warm-started at the current theta.
+    Returns (theta, maps)."""
     gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, state.w2 @ cs.g_br.T)
     return numerics.unit_modulus_mm(gamma, lam, state.theta, max_iter=THETA_MM_MAX_ITER)
 

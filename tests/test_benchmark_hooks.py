@@ -114,7 +114,10 @@ def test_trial_meets_the_capture_contract(monkeypatch, scheme):
     assert len(static) == 1
     assert len(scoring) == 1 and len(scoring[0]) == cfg.heldout
     cs = static[0]
-    shapes = {"h_ju": cs.h_ju_est.shape, "g_jr": cs.g_jr_est.shape, "h_iu": cs.h_iu_est.shape,
+    # a no-RIS trial draws on the view without RIS elements: its g_jr has no
+    # RIS rows, which the checks do not read when theta is empty
+    g_jr = cs.without_ris().g_jr_est if scheme == "no-ris" else cs.g_jr_est
+    shapes = {"h_ju": cs.h_ju_est.shape, "g_jr": g_jr.shape, "h_iu": cs.h_iu_est.shape,
               "z_j": cs.z_jam.shape, "z_i": cs.z_int.shape}
     for draw in scoring[0]:
         for link, shape in shapes.items():

@@ -1,22 +1,26 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import risjam
+from risjam import channel
 from risjam.channel import (
     BadDistance,
     BadParams,
+    ChannelSet,
     RwpParams,
     nakagami_fading,
     path_loss_linear,
+    rwp_distance_grid,
     rwp_distance_pdf,
     rwp_nakagami_cdf,
     rwp_nakagami_pdf,
     sample_rwp_distance,
     sample_static_channels,
     sample_uncertain_realization,
+    ue_radius_range,
     _links,
 )
 from risjam.system import adversary_interference
@@ -163,6 +167,23 @@ class TestRwpDistance:
         centers = 0.5 * (edges[1:] + edges[:-1])
         np.testing.assert_allclose(hist, rwp_distance_pdf(centers, p), atol=0.012)
 
+    def test_cached_grid_synthesis_equals_a_fresh_grid(self):
+        # the inverse-CDF grid is built once per polynomial and range: a
+        # synthesis from the cached grid equals the one that built it, and
+        # the distances equal an inversion on a grid built here
+        cfg = risjam.paper_profile()
+        channel._rwp_inverse_cdf.cache_clear()
+        fresh = sample_static_channels(cfg, np.random.default_rng(3))
+        cached = sample_static_channels(cfg, np.random.default_rng(3))
+        assert channel._rwp_inverse_cdf.cache_info().hits == 1
+        for f in fields(ChannelSet):
+            np.testing.assert_array_equal(getattr(cached, f.name), getattr(fresh, f.name))
+        span = ue_radius_range(cfg.ue_radius)
+        grid, anti = rwp_distance_grid(cfg.rwp_b, cfg.rwp_upsilon, *span)
+        want = np.interp(np.random.default_rng(4).random(50), anti / anti[-1], grid)
+        got = sample_rwp_distance(np.random.default_rng(4), 50, cfg.rwp_b, cfg.rwp_upsilon, *span)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestFading:
     def test_rayleigh_degeneracy(self):
@@ -304,7 +325,7 @@ class TestRealization:
         cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
         cs = sample_static_channels(cfg, np.random.default_rng(11))
         if "m" in counts:  # no RIS elements (a config needs at least one)
-            cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
+            cs = cs.without_ris()
         q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
         rng = np.random.default_rng(12)
         batch = sample_uncertain_realization(cs, e_mse, rng, 20)

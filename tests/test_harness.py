@@ -20,11 +20,6 @@ from risjam.channel import sample_static_channels, sample_uncertain_realization
 from oracles import wmmse_sum_rate
 
 
-def m0_view(cs):
-    """The same channels with zero reflecting elements."""
-    return replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
-
-
 def micro_cfg(**kw):
     """Tiny configuration for harness-machinery tests."""
     base = dict(n=2, k=2, q=1, b=1, m=2, n_jam=2, r_max=6, heldout=8, trials=4, seed=7)
@@ -192,6 +187,26 @@ class TestRunTrial:
         _, rate_ref = wmmse_sum_rate(cs.h_bu, cfg.p_max_w, cfg.noise_w)
         assert res.rate_bits == pytest.approx(rate_ref, rel=0.02)
 
+    @pytest.mark.parametrize("e_mse", [0.0, 0.1])
+    def test_noris_view_keeps_the_full_channel_rate(self, monkeypatch, e_mse):
+        # a no-RIS trial runs on the view without RIS elements; the same AO
+        # (theta empty from the start) and held-out scoring on the full
+        # channels, which also draw the jammer-RIS links, give bitwise the
+        # same rate, as those links are drawn last
+        cfg = risjam.paper_profile(e_mse=e_mse, r_max=15, heldout=20)
+        pm, start = cfg.power_model(), optimizer.initial_state
+        monkeypatch.setattr(optimizer, "initial_state",
+                            lambda cs, pm, scheme: start(cs.without_ris(), pm, scheme))
+        for trial in range(2):
+            ss_chan, ss_opt, ss_eval = harness._trial_seeds(cfg, trial)
+            cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
+            st = optimizer._alternate(cs, pm, cfg, ss_opt, optimizer.PASSIVE).state
+            heldout = sample_uncertain_realization(cs, e_mse, np.random.default_rng(ss_eval), cfg.heldout)
+            assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
+            want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
+                                   pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
+            assert run_trial(cfg, "no-ris", trial).rate_bits == want
+
     def test_feasible_and_converged_flags(self):
         cfg = micro_cfg(r_max=30)
         for scheme in SCHEMES:
@@ -262,7 +277,7 @@ class TestBaselines:
         # no-RIS is the passive scheme with an empty theta (e_mse = 0: the
         # M = 0 view consumes no draws, so both see the same realizations)
         cfg, cs = self._setup()
-        rep_p = baseline_passive(m0_view(cs), cfg, np.random.SeedSequence(2))
+        rep_p = baseline_passive(cs.without_ris(), cfg, np.random.SeedSequence(2))
         rep_n = baseline_noris(cs, cfg, np.random.SeedSequence(2))
         assert rep_p.objective_bits == rep_n.objective_bits
 
@@ -281,7 +296,7 @@ class TestBaselines:
         for trial in range(2):
             ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
             cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-            rep_a = risjam.ssca_ao(m0_view(cs), cfg.power_model(), cfg, ss_opt)
+            rep_a = risjam.ssca_ao(cs.without_ris(), cfg.power_model(), cfg, ss_opt)
             rep_n = baseline_noris(cs, cfg, harness._trial_seeds(cfg, trial)[1])
             assert rep_a.objective_nats == rep_n.objective_nats
             assert rep_a.state.tau == 0.0

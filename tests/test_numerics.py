@@ -380,6 +380,15 @@ class TestUnitModulusMm:
         assert steps == 1
         np.testing.assert_allclose(again, theta, atol=1e-3)
 
+    def test_map_counts_in_the_paper_band(self):
+        """Maps per solve on the 50 instances in the paper's ratio band,
+        without timing.  With SQUAREM the median is 9 and the largest 67;
+        plain MM steps took a median of 18.5 and up to 296."""
+        maps = [unit_modulus_mm(*mm_instance(np.random.default_rng(seed), m, log_ratio=(-0.5, 1.0)),
+                                MM_MAX_ITER)[1] for seed, m in enumerate(MM_SIZES)]
+        assert np.median(maps) <= 10
+        assert max(maps) <= 80
+
     def test_zero_quadratic_aligns_with_linear_term(self):
         lam = np.array([1.0 + 1.0j, -2.0, 3.0j])
         theta, steps = unit_modulus_mm(np.zeros((3, 3)), lam, np.ones(3, dtype=complex),

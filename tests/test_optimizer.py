@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -253,7 +251,7 @@ class TestSaaStats:
         cfg = risjam.paper_profile(e_mse=e_mse, **{k: v for k, v in counts.items() if k != "m"})
         cs = sample_static_channels(cfg, np.random.default_rng(21))
         if "m" in counts:  # no RIS elements (a config needs at least one)
-            cs = replace(cs, g_br=cs.g_br[:0], h_ru=cs.h_ru[:, :0], g_jr_est=cs.g_jr_est[:, :0])
+            cs = cs.without_ris()
         m = cs.m_elements
         rng = np.random.default_rng(22)
         draws = sample_uncertain_realization(cs, e_mse, rng, 10)
@@ -600,13 +598,18 @@ class TestSscaAo:
         _, rate_ref = wmmse_sum_rate(h, pm.p_max, 0.01)
         assert rep.best_objective_bits == pytest.approx(rate_ref, rel=0.02)
 
-    @pytest.mark.parametrize("scheme", [optimizer.ACTIVE, optimizer.PASSIVE, optimizer.NO_RIS])
+    # (scheme, on the view without RIS elements): active, passive, no-RIS
+    @pytest.mark.parametrize("scheme", [(optimizer.ACTIVE, False), (optimizer.PASSIVE, False),
+                                        (optimizer.PASSIVE, True)])
     def test_stored_draws_equal_sequential_draws(self, monkeypatch, scheme):
         # iteration r scores the SAA objective on the first r draws of the
         # one batch of r_max draws the AO samples before its loop, from one
         # generator on its seed: bitwise the loop oracle's draws
+        scheme, no_ris = scheme
         cfg = risjam.desk_profile(r_max=12, e_mse=0.1)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
+        if no_ris:
+            cs = cs.without_ris()
         seen, real = [], system.sum_rate_nats
 
         def sum_rate_nats(tau, w1, w2, theta, realizations, *rest):
@@ -675,8 +678,9 @@ class TestMultiplierRecords:
     def test_baselines_carry_the_ball_multiplier(self):
         cfg = risjam.desk_profile(r_max=12)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
-        for scheme in (optimizer.PASSIVE, optimizer.NO_RIS):
-            rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), scheme)
+        for view in (cs, cs.without_ris()):  # passive and no-RIS
+            rep = optimizer._alternate(view, cfg.power_model(), cfg, np.random.SeedSequence(77),
+                                       optimizer.PASSIVE)
             runs = rep.iterations - rep.converged
             assert rep.multipliers["w2"].solves == rep.multipliers["w2"].ball_steps == runs
             assert rep.multipliers["w1"].solves == rep.multipliers["theta"].solves == 0
