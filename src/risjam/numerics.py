@@ -7,7 +7,10 @@ bound or from a warm multiplier) for a power-ball multiplier, and one
 search for the beam solves' second multiplier, Newton inside the bracket,
 bisection otherwise.
 A solve can carry its multipliers over from the solve before it in a
-Multipliers record, which also counts the solves' work.  Everything here
+Multipliers record, which also counts the solves' work.  Both reflection
+solves, the unit-modulus one and the capped one past its ball step, run
+one engine of SQUAREM-accelerated majorization-minimization maps, each
+with its set's projection and its stop test.  Everything here
 operates on dense complex numpy arrays and is pure: no global state, safe
 to call from concurrent trial workers.
 """
@@ -84,7 +87,7 @@ class QcqpProblem:
     caps: np.ndarray
 
     def __post_init__(self):
-        self.quad = hermitize(np.asarray(self.quad, dtype=complex))
+        self.quad = np.asarray(self.quad, dtype=complex)
         self.lin = np.asarray(self.lin, dtype=complex).ravel()
         n = self.lin.size
         if self.quad.shape != (n, n):
@@ -156,11 +159,11 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     raise MaxIterExceeded("power multiplier: Newton iteration did not settle")
 
 
-def _ball_beams(m, y, cap, tol, record):
+def _ball_beams(eig, y, cap, tol, record):
     """Rows w_k = (M + lam I)^+ y_k / 2 with the smallest lam >= 0 that keeps
-    sum_k ||w_k||^2 <= cap; one eigendecomposition of M serves every row.
-    The ball step starts from the record's lam1."""
-    d, u = psd_eigh(m)
+    sum_k ||w_k||^2 <= cap; one eigendecomposition eig = psd_eigh(M) serves
+    every row.  The ball step starts from the record's lam1."""
+    d, u = eig
     c = 0.5 * (y @ u.conj())  # rows: U^H y_k / 2
     inv, lam = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), cap, tol, record.lam1)
     record.ended(lam, record.lam2, 1, 0)
@@ -248,9 +251,9 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
         if not null.shape[1]:  # S full rank: only w = 0 meets the energy bound
             return np.zeros(y.shape, dtype=complex)
-        return _ball_beams(null.conj().T @ a @ null, y @ null.conj(), p_max, tol, rec) @ null.T
+        return _ball_beams(psd_eigh(null.conj().T @ a @ null), y @ null.conj(), p_max, tol, rec) @ null.T
     if s is None:
-        return _ball_beams(a, y, p_max, tol, rec)
+        return _ball_beams(psd_eigh(a), y, p_max, tol, rec)
     s_t = s.T
     target = p_e * (1.0 - 0.5 * tol)
     half_y = 0.5 * y
@@ -367,77 +370,100 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     return ((c + lam2 * rt) * inv) @ u.T
 
 
+def _phases(z, keep):
+    """Euclidean projection onto |x_m| = 1: z / |z|, keeping keep's element
+    where z = 0."""
+    mag = np.abs(z)
+    if mag.all():
+        return z / mag
+    return np.where(mag > 0.0, z / np.where(mag > 0.0, mag, 1.0), keep)
+
+
+def _squarem(gamma, lin, x0, lam_max, project, done, max_iter):
+    """Maximize f(x) = Re{x^H lin} - x^H Gamma x over a set C, given its
+    Euclidean projection project(z, keep) (keep breaks ties), by
+    majorization-minimization maps accelerated by SQUAREM, from x0 in C.
+    Returns (x, maps).
+
+    With lam_max >= the largest eigenvalue of Gamma (PSD), B = 2 (lam_max I
+    - Gamma) is PSD and f(y) >= f(x) + Re{(y - x)^H g} - lam_max ||y - x||^2
+    with g = lin - 2 Gamma x, so the map x -> P_C((B x + lin) / (2 lam_max))
+    never lowers f: a projected-gradient step of length h = 1 / (2 lam_max)
+    (Sun, Babu & Palomar, IEEE TSP 2017).  h B is formed once per solve;
+    z = h (B x + lin) also gives F(x) = 2 h f(x) = Re{x^H (z + h lin)}
+    - 2 h lam_max ||x||^2, the objective the engine compares.  lam_max = 0
+    (Gamma = 0) leaves f linear, and the map takes h = 1, which serves a
+    set whose projection ignores scale, such as |x_m| = 1.
+
+    SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008): each cycle takes two
+    maps, x1 and x2 from x, and extrapolates along r = x1 - x and
+    d = x2 - 2 x1 + x to x - 2 alpha r + alpha^2 d, projected onto C, with
+    alpha = -||r|| / ||d|| clamped to [-step, -1] (alpha = -1 gives x2).
+    One more map from there stabilizes it; when that lands below x2's
+    objective the cycle falls back to x2.  So the accepted iterates never
+    descend.  step starts at 1, grows 4x after each accepted cycle and
+    shrinks 4x, not below 1, after a rejected one, so a bad extrapolation
+    is not retried at full length.
+
+    Every map carries the stop test done(x, F(x), y, F(y)), y the map of x:
+    the solve returns y after the first map that passes it, or after
+    max_iter maps (max_iter=1 is one plain map).
+    """
+    h = 0.5 / lam_max if lam_max > 0.0 else 1.0
+    b = (-2.0 * h) * gamma  # h B, so that z = h (B x + lin) is one matvec
+    b[np.diag_indices_from(b)] += 2.0 * h * lam_max
+    lin = h * lin
+    c = 2.0 * h * lam_max
+
+    def at(x):  # (x, z, F(x))
+        z = b @ x + lin
+        return x, z, float(np.vdot(x, z + lin).real) - c * float(np.vdot(x, x).real)
+
+    x, z, f = at(np.asarray(x0, dtype=complex))
+    maps, step = 0, 1.0
+    while maps < max_iter:
+        x1, z1, f1 = at(project(z, x))
+        maps += 1
+        if done(x, f, x1, f1) or maps >= max_iter:
+            return x1, maps
+        x2, z2, f2 = at(project(z1, x1))
+        maps += 1
+        if done(x1, f1, x2, f2) or maps >= max_iter:
+            return x2, maps
+        r = x1 - x
+        d = (x2 - x1) - r
+        dd = np.vdot(d, d).real
+        alpha = max(min(-math.sqrt(np.vdot(r, r).real / dd), -1.0), -step) if dd > 0.0 else -1.0
+        if alpha == -1.0:  # the extrapolation is x2 itself
+            xe, ze, fe = x2, z2, f2
+        else:
+            xe, ze, fe = at(project(x - (2.0 * alpha) * r + (alpha * alpha) * d, x2))
+        x, z, f = at(project(ze, xe))
+        maps += 1
+        if f < f2:  # the extrapolation lost ground: back to the plain iterate
+            x, z, f = x2, z2, f2
+            step = max(1.0, 0.25 * step)
+        elif done(xe, fe, x, f):
+            return x, maps
+        else:
+            step *= 4.0
+    return x, maps
+
+
 def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
                     max_iter: int, tol: float = 1e-8) -> tuple[np.ndarray, int]:
     """Maximize f(theta) = Re{theta^H lam} - theta^H Gamma theta over the
-    unit-modulus set |theta_m| = 1 (Gamma Hermitian PSD) by
-    majorization-minimization maps accelerated by SQUAREM, from a
-    unit-modulus start theta0.
-
-    With lam_max the largest eigenvalue of Gamma, B = 2 (lam_max I - Gamma)
-    is PSD and theta^H theta = M on the set, so f is minorized at theta_t by
-    a linear function whose maximizer over the set is the map
-    theta = exp(j arg(B theta_t + lam)) (Sun, Babu & Palomar, IEEE TSP
-    2017).  B is formed once per solve; v = B theta + lam also gives
-    f(theta) = Re{theta^H (v + lam)} / 2 - lam_max M.  Elements where v
-    vanishes keep their phase.
-
-    SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008): each cycle takes two
-    maps, theta1 and theta2 from theta0, and extrapolates along
-    r = theta1 - theta0 and d = theta2 - 2 theta1 + theta0 to
-    theta0 - 2 alpha r + alpha^2 d with alpha = -||r|| / ||d|| clamped to at
-    most -1 (alpha = -1 gives theta2), projected back onto |theta_m| = 1.
-    One more map from there stabilizes it; when that lands below theta2's
-    objective the cycle falls back to theta2.  So the accepted iterates
-    never descend and the result is never worse than theta0.
-
-    Every map carries the stop test: the solve returns the map's result
-    after the first map that raises f by at most tol relative (so a solve
+    unit-modulus set |theta_m| = 1 (Gamma Hermitian PSD) from a
+    unit-modulus start theta0: the accelerated MM engine (_squarem) with
+    lam_max the largest eigenvalue of Gamma and the projection v / |v|
+    (elements where v vanishes keep their phase).  It stops after the
+    first map that raises f by at most tol relative (so a solve
     warm-started at its own answer stops after one map), or after max_iter
-    maps (max_iter=1 is one plain MM map).  Returns (theta, maps).
+    maps (max_iter=1 is one plain MM map).  Returns (theta, maps), theta
+    never worse than theta0.
     """
-    lam_max = float(np.linalg.eigvalsh(gamma)[-1])
-    b = -2.0 * gamma
-    b[np.diag_indices_from(b)] += 2.0 * lam_max
-    shift = lam_max * lam.size
-
-    def at(theta):  # (theta, B theta + lam, f(theta))
-        v = b @ theta + lam
-        return theta, v, 0.5 * float(np.vdot(theta, v + lam).real) - shift
-
-    def phases(z, keep):  # z / |z|, keeping keep's element where z = 0
-        mag = np.abs(z)
-        if mag.all():
-            return z / mag
-        return np.where(mag > 0.0, z / np.where(mag > 0.0, mag, 1.0), keep)
-
-    def done(f_in, f_out):
-        return f_out - f_in <= tol * abs(f_out)
-
-    theta, v, f = at(np.asarray(theta0, dtype=complex))
-    maps = 0
-    while True:
-        theta1, v1, f1 = at(phases(v, theta))
-        maps += 1
-        if done(f, f1) or maps >= max_iter:
-            return theta1, maps
-        theta2, v2, f2 = at(phases(v1, theta1))
-        maps += 1
-        if done(f1, f2) or maps >= max_iter:
-            return theta2, maps
-        r = theta1 - theta
-        d = (theta2 - theta1) - r
-        norm_d = float(np.linalg.norm(d))
-        alpha = min(-float(np.linalg.norm(r)) / norm_d, -1.0) if norm_d > 0.0 else -1.0
-        x, vx, fx = at(phases(theta - (2.0 * alpha) * r + (alpha * alpha) * d, theta2))
-        theta, v, f = at(phases(vx, x))
-        maps += 1
-        if f < f2:  # the extrapolation lost ground: back to the plain iterate
-            theta, v, f = theta2, v2, f2
-        elif done(fx, f):
-            return theta, maps
-        if maps >= max_iter:
-            return theta, maps
+    return _squarem(gamma, lam, theta0, float(np.linalg.eigvalsh(gamma)[-1]), _phases,
+                    lambda x, f, y, f_y: f_y - f <= tol * abs(f_y), max_iter)
 
 
 def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
@@ -462,51 +488,6 @@ def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
     return z * np.minimum(t, caps / np.where(mag > 0.0, mag, 1.0))
 
 
-def _caps_ball_ascent(a, b, caps, c, y, tol, max_iter):
-    """Accelerated projected gradient ascent of Re{b^H y} - y^H a y over
-    {|y_m| <= caps_m} and {||y||^2 <= c}, from the projection of y.
-
-    The projection is exact (project_caps_ball).  When a is strongly convex
-    the constant heavy-ball momentum is used, otherwise FISTA weights with
-    monotone restarts.  Stops once the KKT residual, the projected-gradient
-    step relative to the gradient scale over the set, is at most tol.
-    """
-    eigs = np.linalg.eigvalsh(a)
-    lmax = max(float(eigs[-1]), 1e-300)
-    lmin = max(float(eigs[0]), 0.0)
-    step = 1.0 / (2.0 * lmax)
-    strong = lmin / lmax > 1e-10
-    beta_sc = ((math.sqrt(lmax) - math.sqrt(lmin)) / (math.sqrt(lmax) + math.sqrt(lmin))) if strong else 0.0
-    radius = min(math.sqrt(c), float(np.linalg.norm(caps)))
-    gscale = max(float(np.linalg.norm(b)), 2.0 * lmax * radius, 1e-300)
-    x = project_caps_ball(y, caps, c)
-    y = x.copy()
-    t = 1.0
-    fx = -np.inf
-    res = np.inf
-    check_every = 8
-    for it in range(1, max_iter + 1):
-        x_new = project_caps_ball(y + step * (b - 2.0 * (a @ y)), caps, c)
-        if strong:
-            y = x_new + beta_sc * (x_new - x)
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            t = t_new
-        x = x_new
-        if it % check_every == 0:
-            f_new = np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real
-            if f_new < fx - 1e-15 * abs(fx):  # momentum overshoot: restart
-                y = x.copy()
-                t = 1.0
-            fx = f_new
-            g = b - 2.0 * (a @ x)
-            res = np.linalg.norm(x - project_caps_ball(x + step * g, caps, c)) / (step * gscale)
-            if res <= tol:
-                return x
-    raise MaxIterExceeded(f"caps and ball: KKT residual {res:.3e} > {tol:.1e}")
-
-
 def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
                        record: Multipliers | None = None) -> np.ndarray:
     """Maximize Re{b^H x} - x^H A x under the diagonal ellipsoid
@@ -517,22 +498,36 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
     ||y||^2 <= c and the caps into |y_m| <= caps_m sqrt(v_m).  The ball's
     optimum without the caps is one ball step of the beam solves, and is
     returned when it meets the caps; with a record it starts from the
-    record's lam1 (see Multipliers).  Otherwise one accelerated
-    projected-gradient ascent in y, started from that ball optimum, with the
-    exact projection onto the caps and the ball; its KKT residual ends at
-    most max(tol, 1e-9), and its answer never exceeds the ellipsoid bound
-    in floating point.
+    record's lam1 (see Multipliers).  Otherwise the accelerated MM engine
+    (_squarem) runs in y from the projection of that ball optimum, with
+    lam_max from the ball step's eigendecomposition and the exact
+    projection onto the caps and the ball (project_caps_ball).  It stops on
+    the KKT residual that each map gives, the projected-gradient step
+    2 lam_max ||map(y) - y|| relative to the gradient scale over the set,
+    at most max(tol, 1e-9); MaxIterExceeded after max_iter maps.  The
+    answer never exceeds the ellipsoid bound in floating point.
     """
     if p.bound < 0:
         raise Infeasible(f"ellipsoid bound {p.bound} < 0")
     s = np.sqrt(p.weights)
     a = p.quad / np.outer(s, s)
     b = p.lin / s
-    y = _ball_beams(a, b[None, :], p.bound, tol, Multipliers() if record is None else record)[0]
+    eig = psd_eigh(a)
+    y = _ball_beams(eig, b[None, :], p.bound, tol, Multipliers() if record is None else record)[0]
     x = y / s
     if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
         return x
-    x = _caps_ball_ascent(a, b, p.caps * s, p.bound, y, max(tol, 1e-9), max_iter) / s
+    caps, c = p.caps * s, p.bound
+    lam_max = max(float(eig[0][-1]), 1e-300)
+    gscale = max(float(np.linalg.norm(b)), 2.0 * lam_max * min(math.sqrt(c), float(np.linalg.norm(caps))),
+                 1e-300)
+    band = (max(tol, 1e-9) * gscale / (2.0 * lam_max)) ** 2
+    y, maps = _squarem(a, b, project_caps_ball(y, caps, c), lam_max,
+                       lambda z, keep: project_caps_ball(z, caps, c),
+                       lambda y0, f0, y1, f1: np.vdot(y1 - y0, y1 - y0).real <= band, max_iter)
+    if maps >= max_iter:
+        raise MaxIterExceeded(f"caps and ball: KKT residual above {max(tol, 1e-9):.1e} after {maps} maps")
+    x = y / s
     # the projection's last rounding, and the unwhitening, can leave the
     # energy just above the bound: scale back onto the feasible side
     energy = float(np.sum(p.weights * np.abs(x) ** 2))

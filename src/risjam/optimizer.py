@@ -20,10 +20,11 @@ The blocks and their solves in numerics:
 - stage-2 beams: the power ball and the harvested-energy ellipsoid
   (solve_beams);
 - active reflection: the diagonal output-power ellipsoid and the amplitude
-  caps (solve_concave_qcqp);
-- passive reflection: the unit-modulus set, by majorization-minimization
-  maps accelerated by SQUAREM extrapolation, each map carrying the stop
-  test (unit_modulus_mm).
+  caps (solve_concave_qcqp): one ball step when the caps are slack, else
+  the reflection MM engine, stopped on its KKT residual;
+- passive reflection: the unit-modulus set, by the same engine of
+  SQUAREM-accelerated majorization-minimization maps, stopped on a small
+  rise of the objective (unit_modulus_mm).
 
 The beam solves and the reflection's cap-free step share one multiplier
 engine: Newton's method on the secular equation for a ball, and for a

@@ -224,7 +224,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("profile", [risjam.desk_profile, risjam.paper_profile])
     def test_binding_amplitude_caps(self, profile):
         # A_max = 3 dB: the reflection caps bind, so the active theta solve
-        # leaves its cap-free fast path for projected gradient ascent
+        # leaves its cap-free fast path for the accelerated MM route
         cfg = profile(a_max_db=3.0)
         for trial in range(4):
             _, report, _ = harness._optimize(cfg, "active-harvesting", trial)
