@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import gammainc, gammaln
 
 REF_DISTANCE = 1.0  # meters
+RWP_GRID_POINTS = 10000  # intervals of the grid sample_rwp_distance inverts on
 
 
 class BadDistance(Exception):
@@ -92,6 +92,10 @@ def rwp_nakagami_pdf(x, p: RwpParams):
     the stationary distance density; the incomplete-Gamma difference is the
     closed form of the distance integral from d_lower to d_upper.
     """
+    # imported here, not with the module: the trial path never evaluates
+    # this law, so importing risjam need not load scipy
+    from scipy.special import gammainc, gammaln
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise BadParams("channel power must be positive")
@@ -118,13 +122,14 @@ def rwp_nakagami_pdf(x, p: RwpParams):
     return out if out.size > 1 else float(out[0])
 
 
-def rwp_nakagami_cdf(x, p: RwpParams, nodes: int = 240):
+def rwp_nakagami_cdf(x, p: RwpParams):
     """CDF of the channel power via Gauss-Legendre quadrature over distance.
 
     Independent of the closed-form PDF route; used for distribution checks.
     """
+    from scipy.special import gammainc  # imported here, as in rwp_nakagami_pdf
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = np.polynomial.legendre.leggauss(240)
     r = 0.5 * (p.d_upper - p.d_lower) * t + 0.5 * (p.d_upper + p.d_lower)
     wr = 0.5 * (p.d_upper - p.d_lower) * w * rwp_distance_pdf(r, p)
     shape0 = p.n_f * p.m_nakagami
@@ -133,35 +138,34 @@ def rwp_nakagami_cdf(x, p: RwpParams, nodes: int = 240):
     return cdf if cdf.size > 1 else float(cdf[0])
 
 
-def rwp_distance_grid(b_coeffs, upsilon, d_lo: float, d_hi: float, grid_points: int = 10000):
+def rwp_distance_grid(b_coeffs, upsilon, d_lo: float, d_hi: float):
     """The grid on [d_lo, d_hi] that sample_rwp_distance inverts on, and the
     integral of the polynomial RWP density from d_lo to each grid point (the
     CDF before normalization)."""
     b = np.asarray(b_coeffs, dtype=float)
     ups = np.asarray(upsilon, dtype=float)
-    grid = np.linspace(d_lo, d_hi, grid_points + 1)
+    grid = np.linspace(d_lo, d_hi, RWP_GRID_POINTS + 1)
     up1 = ups[:, None] + 1.0
     anti = np.sum(b[:, None] * (grid[None, :] ** up1 - d_lo ** up1) / (up1 * d_hi ** up1), axis=0)
     return grid, anti
 
 
 @functools.lru_cache(maxsize=16)
-def _rwp_inverse_cdf(b_coeffs: tuple, upsilon: tuple, d_lo: float, d_hi: float, grid_points: int):
+def _rwp_inverse_cdf(b_coeffs: tuple, upsilon: tuple, d_lo: float, d_hi: float):
     """The normalized CDF on rwp_distance_grid's grid, and the grid, built
     once per polynomial and range; read-only, as every caller shares them."""
-    grid, anti = rwp_distance_grid(b_coeffs, upsilon, d_lo, d_hi, grid_points)
+    grid, anti = rwp_distance_grid(b_coeffs, upsilon, d_lo, d_hi)
     cdf = anti / anti[-1]
     cdf.flags.writeable = grid.flags.writeable = False
     return cdf, grid
 
 
-def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float,
-                        grid_points: int = 10000) -> np.ndarray:
-    """Draw distances from the polynomial RWP density by inverse CDF on a
-    grid (cached per polynomial and range)."""
+def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float) -> np.ndarray:
+    """Draw distances from the polynomial RWP density by inverse CDF on
+    rwp_distance_grid's grid (cached per polynomial and range)."""
     cdf, grid = _rwp_inverse_cdf(tuple(np.asarray(b_coeffs, dtype=float).ravel()),
                                  tuple(np.asarray(upsilon, dtype=float).ravel()),
-                                 float(d_lo), float(d_hi), int(grid_points))
+                                 float(d_lo), float(d_hi))
     return np.interp(rng.random(n), cdf, grid)
 
 

@@ -43,14 +43,14 @@ def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
 def baseline_passive(cs, cfg, rng) -> AoReport:
     """Conventional passive-RIS AO: unit-modulus reflection (amplitudes fixed
     at one), full period for data, no harvesting or RIS power draw."""
-    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, optimizer.PASSIVE)
+    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, harvest=False)
 
 
 def baseline_noris(cs, cfg, rng) -> AoReport:
     """Transmit beamforming without any RIS (empty theta) against the
     SAA-averaged jamming and interference: the passive AO on the channels'
     view without RIS elements."""
-    return optimizer._alternate(cs.without_ris(), cfg.power_model(), cfg, rng, optimizer.PASSIVE)
+    return optimizer._alternate(cs.without_ris(), cfg.power_model(), cfg, rng, harvest=False)
 
 
 @dataclass

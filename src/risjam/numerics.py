@@ -451,19 +451,19 @@ def _squarem(gamma, lin, x0, lam_max, project, done, max_iter):
 
 
 def unit_modulus_mm(gamma: np.ndarray, lam: np.ndarray, theta0: np.ndarray,
-                    max_iter: int, tol: float = 1e-8) -> tuple[np.ndarray, int]:
+                    max_iter: int) -> tuple[np.ndarray, int]:
     """Maximize f(theta) = Re{theta^H lam} - theta^H Gamma theta over the
     unit-modulus set |theta_m| = 1 (Gamma Hermitian PSD) from a
     unit-modulus start theta0: the accelerated MM engine (_squarem) with
     lam_max the largest eigenvalue of Gamma and the projection v / |v|
     (elements where v vanishes keep their phase).  It stops after the
-    first map that raises f by at most tol relative (so a solve
+    first map that raises f by at most 1e-8 relative (so a solve
     warm-started at its own answer stops after one map), or after max_iter
     maps (max_iter=1 is one plain MM map).  Returns (theta, maps), theta
     never worse than theta0.
     """
     return _squarem(gamma, lam, theta0, float(np.linalg.eigvalsh(gamma)[-1]), _phases,
-                    lambda x, f, y, f_y: f_y - f <= tol * abs(f_y), max_iter)
+                    lambda x, f, y, f_y: f_y - f <= 1e-8 * abs(f_y), max_iter)
 
 
 def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
@@ -488,7 +488,7 @@ def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
     return z * np.minimum(t, caps / np.where(mag > 0.0, mag, 1.0))
 
 
-def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
+def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7,
                        record: Multipliers | None = None) -> np.ndarray:
     """Maximize Re{b^H x} - x^H A x under the diagonal ellipsoid
     sum_m v_m |x_m|^2 <= c and per-element magnitude caps: the active
@@ -504,7 +504,7 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
     projection onto the caps and the ball (project_caps_ball).  It stops on
     the KKT residual that each map gives, the projected-gradient step
     2 lam_max ||map(y) - y|| relative to the gradient scale over the set,
-    at most max(tol, 1e-9); MaxIterExceeded after max_iter maps.  The
+    at most max(tol, 1e-9); MaxIterExceeded after 20,000 maps.  The
     answer never exceeds the ellipsoid bound in floating point.
     """
     if p.bound < 0:
@@ -517,15 +517,15 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7, max_iter: int = 20000,
     x = y / s
     if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
         return x
-    caps, c = p.caps * s, p.bound
+    caps, c, max_maps = p.caps * s, p.bound, 20000
     lam_max = max(float(eig[0][-1]), 1e-300)
     gscale = max(float(np.linalg.norm(b)), 2.0 * lam_max * min(math.sqrt(c), float(np.linalg.norm(caps))),
                  1e-300)
     band = (max(tol, 1e-9) * gscale / (2.0 * lam_max)) ** 2
     y, maps = _squarem(a, b, project_caps_ball(y, caps, c), lam_max,
                        lambda z, keep: project_caps_ball(z, caps, c),
-                       lambda y0, f0, y1, f1: np.vdot(y1 - y0, y1 - y0).real <= band, max_iter)
-    if maps >= max_iter:
+                       lambda y0, f0, y1, f1: np.vdot(y1 - y0, y1 - y0).real <= band, max_maps)
+    if maps >= max_maps:
         raise MaxIterExceeded(f"caps and ball: KKT residual above {max(tol, 1e-9):.1e} after {maps} maps")
     x = y / s
     # the projection's last rounding, and the unwhitening, can leave the

@@ -6,7 +6,9 @@ the beamforming blocks are solved as convex subproblems built from
 quadratic-transform surrogates of the sum rate.  Both stages share one
 auxiliary update and one surrogate on the system kernel
 (system.signal_and_power); update_aux_stage1/2 pick each stage's channels
-and SAA-averaged extra term.
+and SAA-averaged extra term for the auxiliaries.  The beam blocks pick
+them again: solve_w1 rebuilds stage 1's extra term, and solve_w2 and the
+baselines' w2 block rebuild stage 2's effective channels.
 
 One AO loop runs every scheme: the active harvesting RIS, and the
 passive-RIS and no-RIS baselines, which skip harvesting; the no-RIS
@@ -349,25 +351,7 @@ class AoReport:
         return self.best_objective_nats / LN2
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """How a scheme enters the AO loop.
-
-    harvest=True is the TD-SWIPT active RIS: energy-tight tau, stage-1
-    beams, and the energy terms of the w2 and theta solves.  Otherwise the
-    whole period is the reflection stage: tau = 0, w1 = w2, beams over the
-    power ball only, and unit-modulus theta.  On channels without RIS
-    elements theta starts empty, so every RIS term drops out.
-    """
-
-    harvest: bool
-
-
-ACTIVE = Scheme(harvest=True)
-PASSIVE = Scheme(harvest=False)
-
-
-def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState:
+def initial_state(cs: ChannelSet, pm: PowerModel, harvest: bool) -> SolverState:
     """Deterministic feasible start: equal-power matched filters, reflection
     phases aligned to the first user's cascade, energy-tight tau (0 without
     harvesting)."""
@@ -377,33 +361,32 @@ def initial_state(cs: ChannelSet, pm: PowerModel, scheme: Scheme) -> SolverState
     if cs.m_elements:
         theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
     tau = 0.0
-    if scheme.harvest and theta.size:
+    if harvest and theta.size:
         tau = update_tau(system.ris_power(w, theta, cs.g_br, pm), w, cs.g_br, pm.eta1)
     return SolverState(tau=tau, w1=w.copy(), w2=w.copy(), theta=theta)
 
 
-def _unit_modulus_theta(state: SolverState, cs: ChannelSet, stats: SaaStats,
-                        pm: PowerModel) -> tuple[np.ndarray, int]:
-    """Passive reflection: maximize the averaged theta model over
-    |theta_m| = 1 by accelerated MM maps warm-started at the current theta.
-    Returns (theta, maps)."""
-    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, state.w2 @ cs.g_br.T)
-    return numerics.unit_modulus_mm(gamma, lam, state.theta, max_iter=THETA_MM_MAX_ITER)
-
-
 def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
-               scheme: Scheme) -> AoReport:
-    """The SSCA alternating optimization of every scheme.  Before the loop
-    one generator on the seed draws the whole batch of r_max realizations
-    (one sample call).  Iteration r folds draw r into the SAA statistics,
-    evaluates the SAA objective on the first r draws, applies the stop
-    rule, keeps the best state, then updates the blocks the scheme
-    optimizes.  With ideal CSI (e_mse = 0) every draw is the estimates, so
-    the batch holds one draw: it is folded once, and every objective is
-    evaluated on that one draw.  Each QCQP block keeps one multiplier record
-    across the iterations, so its solves start from the multipliers of its
-    previous solve."""
-    state = initial_state(cs, pm, scheme)
+               harvest: bool) -> AoReport:
+    """The SSCA alternating optimization of every scheme.
+
+    harvest=True is the TD-SWIPT active RIS: energy-tight tau, stage-1
+    beams, and the energy terms of the w2 and theta solves.  Otherwise the
+    whole period is the reflection stage: tau = 0, w1 = w2, beams over the
+    power ball only, and unit-modulus theta by accelerated MM maps
+    warm-started at the current theta.  On channels without RIS elements
+    theta starts empty, so every RIS term drops out.
+
+    Before the loop one generator on the seed draws the whole batch of
+    r_max realizations (one sample call).  Iteration r folds draw r into the
+    SAA statistics, evaluates the SAA objective on the first r draws,
+    applies the stop rule, keeps the best state, then updates the blocks
+    the scheme optimizes.  With ideal CSI (e_mse = 0) every draw is the
+    estimates, so the batch holds one draw: it is folded once, and every
+    objective is evaluated on that one draw.  Each QCQP block keeps one
+    multiplier record across the iterations, so its solves start from the
+    multipliers of its previous solve."""
+    state = initial_state(cs, pm, harvest)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
     records = {block: numerics.Multipliers() for block in ("w1", "w2", "theta")}
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")},
@@ -448,7 +431,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
             break
         prev_v = v
 
-        if scheme.harvest:
+        if harvest:
             with timed("tau"):
                 p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
                 if p_r > 0:
@@ -465,7 +448,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
             state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
                                                         pm.sigma_r_sq, pm.sigma2_sq)
         with timed("w2"):
-            if scheme.harvest:
+            if harvest:
                 state.w2 = solve_w2(state, cs, stats, pm, record=records["w2"])
             else:
                 a, y = beam_terms(system.effective_channels(state.theta, cs),
@@ -473,16 +456,17 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
                 state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9,
                                                            record=records["w2"])
         with timed("theta"):
-            if state.theta.size and scheme.harvest:
+            if state.theta.size and harvest:
                 state.theta = solve_theta(state, cs, stats, pm, record=records["theta"])
             elif state.theta.size:
-                state.theta, steps = _unit_modulus_theta(state, cs, stats, pm)
+                gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, state.w2 @ cs.g_br.T)
+                state.theta, steps = numerics.unit_modulus_mm(gamma, lam, state.theta, THETA_MM_MAX_ITER)
                 report.theta_steps += steps
                 report.theta_capped += steps >= THETA_MM_MAX_ITER
 
     report.state = best_state
     report.feasibility = system.check_feasibility(best_state, cs, pm)
-    if not scheme.harvest:
+    if not harvest:
         # no harvesting stage and no amplification draw: no energy-supply constraint
         report.feasibility = replace(report.feasibility, energy_slack=0.0)
     return report
@@ -493,4 +477,4 @@ def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) ->
     (realization draw, tau, stage-1 beams, stage-2 beams, reflection
     coefficients) until the SAA objective changes by less than varsigma
     relative or r_max iterations elapse."""
-    return _alternate(cs, pm, cfg, rng, ACTIVE)
+    return _alternate(cs, pm, cfg, rng, harvest=True)

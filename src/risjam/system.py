@@ -167,15 +167,15 @@ class FeasibilityReport:
     power2_slack: float
     energy_slack: float
     amplitude_slack: float
-    tol: float = 1e-8
     checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        tol = 1e-8  # a slack this far below zero still counts as met
         self.checks = {
-            "power_stage1": self.power1_slack >= -self.tol,
-            "power_stage2": self.power2_slack >= -self.tol,
-            "energy_supply": self.energy_slack >= -self.tol,
-            "amplitude": self.amplitude_slack >= -self.tol,
+            "power_stage1": self.power1_slack >= -tol,
+            "power_stage2": self.power2_slack >= -tol,
+            "energy_supply": self.energy_slack >= -tol,
+            "amplitude": self.amplitude_slack >= -tol,
         }
 
     @property
@@ -183,8 +183,7 @@ class FeasibilityReport:
         return all(self.checks.values())
 
 
-def check_feasibility(state: SolverState, cs: ChannelSet, pm: PowerModel,
-                      tol: float = 1e-8) -> FeasibilityReport:
+def check_feasibility(state: SolverState, cs: ChannelSet, pm: PowerModel) -> FeasibilityReport:
     """Slacks for both transmit-power caps, the energy-supply inequality, and
     the per-element amplitude bound."""
     p1 = float(np.sum(np.abs(state.w1) ** 2))
@@ -197,5 +196,4 @@ def check_feasibility(state: SolverState, cs: ChannelSet, pm: PowerModel,
         power2_slack=pm.p_max - p2,
         energy_slack=e_r - (1.0 - state.tau) * p_r,
         amplitude_slack=pm.a_max - amp,
-        tol=tol,
     )

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +376,30 @@ class TestRealization:
         np.testing.assert_array_equal(head[0].g_jr, rlz.g_jr[1])
         assert np.shares_memory(head.bounce, rlz.bounce)
 
+
+TRIALS_THEN_DENSITY = """
+import json, sys
+import risjam.cli
+from risjam import channel, desk_profile, harness, paper_profile
+paper_profile()
+cfg = desk_profile(r_max=3, heldout=5)
+for scheme in harness.SCHEMES:
+    harness.run_trial(cfg, scheme, 0)
+loaded = "scipy.special" in sys.modules
+p = channel.RwpParams(b_coeffs={b}, upsilon={ups}, m_nakagami=1.0, alpha=2.75,
+                      d_lower=130.0, d_upper=170.0, p_t=1.0, n_f=8)
+print(json.dumps([loaded, channel.rwp_nakagami_pdf(8.0 * 150.0 ** -2.75, p)]))
+"""
+
+
+def test_trials_load_no_scipy_special():
+    # the trial path needs only numpy: scipy.special, which costs every
+    # fresh interpreter (CLI run, pool worker) about 0.2 s and 17 MB, is
+    # loaded only when the closed-form channel-power law is evaluated
+    code = TRIALS_THEN_DENSITY.format(b=list(PAPER_B), ups=list(PAPER_UPS))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    loaded, density = json.loads(out)
+    assert not loaded
+    assert np.isfinite(density) and density > 0.0

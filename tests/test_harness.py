@@ -196,11 +196,11 @@ class TestRunTrial:
         cfg = risjam.paper_profile(e_mse=e_mse, r_max=15, heldout=20)
         pm, start = cfg.power_model(), optimizer.initial_state
         monkeypatch.setattr(optimizer, "initial_state",
-                            lambda cs, pm, scheme: start(cs.without_ris(), pm, scheme))
+                            lambda cs, pm, harvest: start(cs.without_ris(), pm, harvest))
         for trial in range(2):
             ss_chan, ss_opt, ss_eval = harness._trial_seeds(cfg, trial)
             cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-            st = optimizer._alternate(cs, pm, cfg, ss_opt, optimizer.PASSIVE).state
+            st = optimizer._alternate(cs, pm, cfg, ss_opt, harvest=False).state
             heldout = sample_uncertain_realization(cs, e_mse, np.random.default_rng(ss_eval), cfg.heldout)
             assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
             want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
@@ -262,7 +262,7 @@ class TestBaselines:
         assert steps and rep.theta_steps == sum(steps)
         assert rep.theta_capped == 0
         # each solve is warm-started where the previous one ended
-        start = optimizer.initial_state(cs, cfg.power_model(), optimizer.PASSIVE).theta
+        start = optimizer.initial_state(cs, cfg.power_model(), harvest=False).theta
         for theta0, theta in zip(starts, ends):
             np.testing.assert_array_equal(theta0, start)
             start = theta

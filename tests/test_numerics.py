@@ -256,8 +256,7 @@ class TestSolveConcaveQcqp:
             x = solve_concave_qcqp(p, tol=1e-8)
             assert np.sum(v * np.abs(x) ** 2) <= c * (1 + 1e-7)
             assert np.all(np.abs(x) <= caps * (1 + 1e-7))
-            q = np.diag(v).astype(complex)
-            projs = [lambda y, cp=caps: project_caps(y, cp), lambda y, qq=q: project_ellipsoid(y, qq, c)]
+            projs = [lambda y: project_caps_diag_ellipsoid(y, caps, v, c)]
             x_ref, f_ref = pg_qcqp_max(a, b, projs, iters=40000)
             f = float(np.real(np.vdot(b, x)) - np.vdot(x, a @ x).real)
             assert f >= f_ref - 1e-5 * (1.0 + abs(f_ref))

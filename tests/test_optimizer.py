@@ -627,14 +627,13 @@ class TestSscaAo:
         _, rate_ref = wmmse_sum_rate(h, pm.p_max, 0.01)
         assert rep.best_objective_bits == pytest.approx(rate_ref, rel=0.02)
 
-    # (scheme, on the view without RIS elements): active, passive, no-RIS
-    @pytest.mark.parametrize("scheme", [(optimizer.ACTIVE, False), (optimizer.PASSIVE, False),
-                                        (optimizer.PASSIVE, True)])
+    # (harvest, on the view without RIS elements): active, passive, no-RIS
+    @pytest.mark.parametrize("scheme", [(True, False), (False, False), (False, True)])
     def test_stored_draws_equal_sequential_draws(self, monkeypatch, scheme):
         # iteration r scores the SAA objective on the first r draws of the
         # one batch of r_max draws the AO samples before its loop, from one
         # generator on its seed: bitwise the loop oracle's draws
-        scheme, no_ris = scheme
+        harvest, no_ris = scheme
         cfg = risjam.desk_profile(r_max=12, e_mse=0.1)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
         if no_ris:
@@ -647,7 +646,7 @@ class TestSscaAo:
             return real(tau, w1, w2, theta, realizations, *rest)
 
         monkeypatch.setattr(system, "sum_rate_nats", sum_rate_nats)
-        rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), scheme)
+        rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), harvest)
         assert [n for n, _, _ in seen] == list(range(1, rep.iterations + 1))
         want = uncertain_draw_loops(cs, cfg.e_mse, np.random.default_rng(np.random.SeedSequence(77)),
                                     cfg.r_max)
@@ -709,7 +708,7 @@ class TestMultiplierRecords:
         cs = sample_static_channels(cfg, np.random.default_rng(5))
         for view in (cs, cs.without_ris()):  # passive and no-RIS
             rep = optimizer._alternate(view, cfg.power_model(), cfg, np.random.SeedSequence(77),
-                                       optimizer.PASSIVE)
+                                       harvest=False)
             runs = rep.iterations - rep.converged
             assert rep.multipliers["w2"].solves == rep.multipliers["w2"].ball_steps == runs
             assert rep.multipliers["w1"].solves == rep.multipliers["theta"].solves == 0
