@@ -2,14 +2,14 @@
 
 A trial samples one ChannelSet, runs the requested scheme's optimizer, and
 scores the final state on a fresh held-out batch of realizations so reported
-rates are not biased by the optimization draws.  Trials are paired: every
-scheme at a given (config, trial index) consumes identical channel draws.
+rates are not biased by the optimization draws; it returns that rate with the
+optimizer's report.  Trials are paired: every scheme at a given (config,
+trial index) consumes identical channel draws.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,65 +43,50 @@ def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
 def baseline_passive(cs, cfg, rng) -> AoReport:
     """Conventional passive-RIS AO: unit-modulus reflection (amplitudes fixed
     at one), full period for data, no harvesting or RIS power draw."""
-    return optimizer._alternate(cs, cfg.power_model(), cfg, rng, harvest=False)
+    return optimizer._alternate(cs, cfg, rng, harvest=False)
 
 
 def baseline_noris(cs, cfg, rng) -> AoReport:
     """Transmit beamforming without any RIS (empty theta) against the
     SAA-averaged jamming and interference: the passive AO on the channels'
     view without RIS elements."""
-    return optimizer._alternate(cs.without_ris(), cfg.power_model(), cfg, rng, harvest=False)
+    return optimizer._alternate(cs.without_ris(), cfg, rng, harvest=False)
 
 
 @dataclass
 class TrialResult:
+    """A trial's held-out rate and the AO report of the state it scored."""
+
     scheme: str
     trial_index: int
     rate_bits: float        # held-out evaluation
-    objective_bits: float   # training objective at the reported state
-    feasible: bool
-    converged: bool
-    iterations: int
-
-
-def _optimize(cfg: ScenarioConfig, scheme: str, trial_index: int):
-    """Sample the trial's channels and run the scheme's optimizer on them.
-    Returns the channels the scheme sees (no-RIS: the view without RIS
-    elements, so neither its AO nor its held-out batch draws or derives the
-    jammer-RIS links), the AO report and the held-out seed."""
-    ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
-    cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-    if scheme == "no-ris":
-        cs = cs.without_ris()
-    try:
-        if scheme == "active-harvesting":
-            report = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
-        elif scheme == "passive-ris":
-            report = baseline_passive(cs, cfg, ss_opt)
-        else:
-            report = baseline_noris(cs, cfg, ss_opt)
-    except optimizer.EnergyInfeasible as exc:
-        raise optimizer.EnergyInfeasible(f"trial {trial_index}: {exc}") from exc
-    return cs, report, ss_eval
+    report: AoReport
 
 
 def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult:
-    """One seeded trial: sample channels, optimize, score on held-out draws."""
+    """One seeded trial: sample channels, run the scheme's optimizer (looked
+    up in this module's globals at call time) and score its state on
+    held-out draws; no-RIS draws and scores on the view without RIS elements."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    cs, report, ss_eval = _optimize(cfg, scheme, trial_index)
+    ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
+    cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
+    if scheme == "active-harvesting":
+        optimize = ssca_ao
+    elif scheme == "passive-ris":
+        optimize = baseline_passive
+    else:
+        optimize, cs = baseline_noris, cs.without_ris()
+    try:
+        report = optimize(cs, cfg, ss_opt)
+    except optimizer.EnergyInfeasible as exc:
+        raise optimizer.EnergyInfeasible(f"trial {trial_index}: {exc}") from exc
     pm = cfg.power_model()
-    rng_eval = np.random.default_rng(ss_eval)
-    heldout = sample_uncertain_realization(cs, cfg.e_mse, rng_eval, cfg.heldout)
+    heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
     st = report.state
     rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
                            pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
-    return TrialResult(
-        scheme=scheme, trial_index=trial_index, rate_bits=rate,
-        objective_bits=report.best_objective_bits,
-        feasible=report.feasibility.all_ok, converged=report.converged,
-        iterations=report.iterations,
-    )
+    return TrialResult(scheme, trial_index, rate, report)
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -154,8 +139,10 @@ def write_csv(result: SweepResult, path: str):
 
 
 def _run_point(args):
+    """A pool task's (held-out rate, best training objective), in bits."""
     cfg, scheme, idx = args
-    return run_trial(cfg, scheme, idx)
+    res = run_trial(cfg, scheme, idx)
+    return res.rate_bits, res.report.best_objective_bits
 
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int = 1,
@@ -167,8 +154,6 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     both return results in task order, so results are merged by position
     and the output is deterministic either way.
     """
-    if isinstance(schemes, str):
-        schemes = [schemes]
     schemes = list(schemes)
     for s in schemes:
         if s not in SCHEMES:
@@ -184,6 +169,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
     t0 = time.perf_counter()
     if jobs and jobs > 1:
+        # imported here: loading the process pool costs every `import risjam`
+        # (CLI run, pool worker) about 14 ms, and only parallel sweeps use it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_run_point, tasks, chunksize=4))
     else:
@@ -192,8 +180,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     keys = [(value, scheme) for value in values for scheme in schemes]
     for i, key in enumerate(keys):
         chunk = outputs[i * cfg.trials:(i + 1) * cfg.trials]
-        rates = np.array([r.rate_bits for r in chunk])
-        objs = np.array([r.objective_bits for r in chunk])
+        rates, objs = map(np.array, zip(*chunk))
         result.mean_rate[key] = float(rates.mean())
         result.stderr[key] = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
         result.mean_objective[key] = float(objs.mean())
@@ -204,7 +191,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
 
 def _iteration_trace(cfg: ScenarioConfig, schemes, out):
     """Per-iteration objective trace of a single trial (convergence curve)."""
-    traces = {scheme: _optimize(cfg, scheme, 0)[1].objective_bits for scheme in schemes}
+    traces = {scheme: run_trial(cfg, scheme, 0).report.objective_bits for scheme in schemes}
     length = max(len(t) for t in traces.values())
     values = list(range(1, length + 1))
     result = SweepResult(axis="iterations", values=values, schemes=list(schemes),

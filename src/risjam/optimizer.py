@@ -366,8 +366,7 @@ def initial_state(cs: ChannelSet, pm: PowerModel, harvest: bool) -> SolverState:
     return SolverState(tau=tau, w1=w.copy(), w2=w.copy(), theta=theta)
 
 
-def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
-               harvest: bool) -> AoReport:
+def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) -> AoReport:
     """The SSCA alternating optimization of every scheme.
 
     harvest=True is the TD-SWIPT active RIS: energy-tight tau, stage-1
@@ -386,6 +385,7 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     objective is evaluated on that one draw.  Each QCQP block keeps one
     multiplier record across the iterations, so its solves start from the
     multipliers of its previous solve."""
+    pm = cfg.power_model()
     state = initial_state(cs, pm, harvest)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
     records = {block: numerics.Multipliers() for block in ("w1", "w2", "theta")}
@@ -472,9 +472,9 @@ def _alternate(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence,
     return report
 
 
-def ssca_ao(cs: ChannelSet, pm: PowerModel, cfg, rng: np.random.SeedSequence) -> AoReport:
+def ssca_ao(cs: ChannelSet, cfg, rng: np.random.SeedSequence) -> AoReport:
     """SSCA-based alternating optimization of the active harvesting scheme
     (realization draw, tau, stage-1 beams, stage-2 beams, reflection
     coefficients) until the SAA objective changes by less than varsigma
     relative or r_max iterations elapse."""
-    return _alternate(cs, pm, cfg, rng, harvest=True)
+    return _alternate(cs, cfg, rng, harvest=True)

@@ -49,7 +49,7 @@ def paper_runs():
     for trial in range(20):
         ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
         cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-        reports.append(ssca_ao(cs, cfg.power_model(), cfg, ss_opt))
+        reports.append(ssca_ao(cs, cfg, ss_opt))
     return reports, time.perf_counter() - t0
 
 
@@ -89,7 +89,7 @@ def test_criterion_2_tau_tightness():
     for trial in range(3):
         ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
         cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-        rep = ssca_ao(cs, cfg.power_model(), cfg, ss_opt)
+        rep = ssca_ao(cs, cfg, ss_opt)
         assert rep.tau_tightness
         worst = max(worst, max(rep.tau_tightness))
         count += len(rep.tau_tightness)
@@ -248,7 +248,7 @@ def test_criterion_9_feasibility_everywhere(paper_runs, desk_ordering):
     reports, _ = paper_runs
     bad = sum(1 for r in reports if not r.feasibility.all_ok)
     for scheme in harness.SCHEMES:
-        bad += sum(1 for r in desk_ordering[scheme] if not r.feasible)
+        bad += sum(1 for r in desk_ordering[scheme] if not r.report.feasibility.all_ok)
     ok = bad == 0
     total = len(reports) + sum(len(v) for v in desk_ordering.values())
     assert _report(9, "all reported solver states feasible (slack >= -1e-8)",

@@ -151,7 +151,7 @@ def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
     cfg = risjam.desk_profile(r_max=8, heldout=5, e_mse=0.1)
     result = harness.run_trial(cfg, scheme, 0)
 
-    iterations = result.iterations
+    iterations = result.report.iterations
     assert 1 <= iterations <= cfg.r_max
     want = [("sample", cfg.r_max)] + [
         c for r in range(1, iterations + 1) for c in (("fold", 1), ("objective", r))]
@@ -177,6 +177,6 @@ def test_one_draw_for_every_iteration_at_ideal_csi(monkeypatch, scheme):
     cfg = risjam.desk_profile(r_max=8, heldout=5, e_mse=0.0)
     result = harness.run_trial(cfg, scheme, 0)
 
-    assert 2 <= result.iterations <= cfg.r_max
-    want = [("sample", 1), ("fold", 1)] + [("objective", 1)] * result.iterations
+    assert 2 <= result.report.iterations <= cfg.r_max
+    want = [("sample", 1), ("fold", 1)] + [("objective", 1)] * result.report.iterations
     assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]

@@ -386,20 +386,23 @@ cfg = desk_profile(r_max=3, heldout=5)
 for scheme in harness.SCHEMES:
     harness.run_trial(cfg, scheme, 0)
 loaded = "scipy.special" in sys.modules
+pool = "concurrent.futures.process" in sys.modules
 p = channel.RwpParams(b_coeffs={b}, upsilon={ups}, m_nakagami=1.0, alpha=2.75,
                       d_lower=130.0, d_upper=170.0, p_t=1.0, n_f=8)
-print(json.dumps([loaded, channel.rwp_nakagami_pdf(8.0 * 150.0 ** -2.75, p)]))
+print(json.dumps([loaded, pool, channel.rwp_nakagami_pdf(8.0 * 150.0 ** -2.75, p)]))
 """
 
 
 def test_trials_load_no_scipy_special():
     # the trial path needs only numpy: scipy.special, which costs every
     # fresh interpreter (CLI run, pool worker) about 0.2 s and 17 MB, is
-    # loaded only when the closed-form channel-power law is evaluated
+    # loaded only when the closed-form channel-power law is evaluated; nor
+    # do serial trials load the process pool, which only --jobs > 1 uses
     code = TRIALS_THEN_DENSITY.format(b=list(PAPER_B), ups=list(PAPER_UPS))
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    loaded, density = json.loads(out)
+    loaded, pool, density = json.loads(out)
     assert not loaded
+    assert not pool
     assert np.isfinite(density) and density > 0.0

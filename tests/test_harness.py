@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -163,7 +164,7 @@ class TestRunTrial:
         r1 = run_trial(cfg, "active-harvesting", 3)
         r2 = run_trial(cfg, "active-harvesting", 3)
         assert r1.rate_bits == r2.rate_bits
-        assert r1.objective_bits == r2.objective_bits
+        assert r1.report.best_objective_bits == r2.report.best_objective_bits
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -200,7 +201,7 @@ class TestRunTrial:
         for trial in range(2):
             ss_chan, ss_opt, ss_eval = harness._trial_seeds(cfg, trial)
             cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-            st = optimizer._alternate(cs, pm, cfg, ss_opt, harvest=False).state
+            st = optimizer._alternate(cs, cfg, ss_opt, harvest=False).state
             heldout = sample_uncertain_realization(cs, e_mse, np.random.default_rng(ss_eval), cfg.heldout)
             assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
             want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
@@ -211,15 +212,15 @@ class TestRunTrial:
         cfg = micro_cfg(r_max=30)
         for scheme in SCHEMES:
             res = run_trial(cfg, scheme, 0)
-            assert res.feasible
-            assert res.iterations <= cfg.r_max
+            assert res.report.feasibility.all_ok
+            assert res.report.iterations <= cfg.r_max
 
 
     def test_stage1_power_within_cap(self):
         # desk profile, seed 44, trial 12: the stage-1 power multiplier once
         # landed 1e-7 relative above P_max, past the feasibility tolerance
         res = run_trial(risjam.desk_profile(seed=44), "active-harvesting", 12)
-        assert res.feasible
+        assert res.report.feasibility.all_ok
 
     @pytest.mark.parametrize("profile", [risjam.desk_profile, risjam.paper_profile])
     def test_binding_amplitude_caps(self, profile):
@@ -227,7 +228,7 @@ class TestRunTrial:
         # leaves its cap-free fast path for the accelerated MM route
         cfg = profile(a_max_db=3.0)
         for trial in range(4):
-            _, report, _ = harness._optimize(cfg, "active-harvesting", trial)
+            report = run_trial(cfg, "active-harvesting", trial).report
             amp = np.abs(report.state.theta)
             assert report.feasibility.all_ok
             assert amp.max() <= cfg.a_max * (1 + 1e-9)
@@ -296,7 +297,7 @@ class TestBaselines:
         for trial in range(2):
             ss_chan, ss_opt, _ = harness._trial_seeds(cfg, trial)
             cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-            rep_a = risjam.ssca_ao(cs.without_ris(), cfg.power_model(), cfg, ss_opt)
+            rep_a = risjam.ssca_ao(cs.without_ris(), cfg, ss_opt)
             rep_n = baseline_noris(cs, cfg, harness._trial_seeds(cfg, trial)[1])
             assert rep_a.objective_nats == rep_n.objective_nats
             assert rep_a.state.tau == 0.0
@@ -360,17 +361,35 @@ def test_edge_scenarios_keep_the_invariants(edge, scheme):
     -1e-8, an energy-tight tau in every iteration, no theta solve stopped
     by the step cap, and a finite held-out rate."""
     cfg = risjam.paper_profile(**EDGES[edge])
-    cs, report, ss_eval = harness._optimize(cfg, scheme, 0)
+    res = run_trial(cfg, scheme, 0)
+    report = res.report
     feas = report.feasibility
     slacks = (feas.power1_slack, feas.power2_slack, feas.energy_slack, feas.amplitude_slack)
     assert min(slacks) >= -1e-8
     assert max(report.tau_tightness, default=0.0) <= 1e-12
     assert report.theta_capped == 0
-    st, pm = report.state, cfg.power_model()
-    heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
-    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
-                           pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
-    assert np.isfinite(rate)
+    assert np.isfinite(res.rate_bits)
+
+
+# every power of a scenario in dBm: the BS budget, the jamming and
+# interference powers, the noise level and the RIS's static load per element
+DBM_FIELDS = ("p_max_dbm", "p_j_dbm", "p_i_dbm", "noise_dbm", "p_dc_dbm", "p_sc_dbm")
+
+
+@pytest.mark.parametrize("profile", [risjam.desk_profile, risjam.paper_profile])
+def test_trials_keep_their_rates_when_every_power_shifts(profile):
+    """Metamorphic test at config level: the rates are ratios of powers and
+    the energy constraints are linear in them, so shifting every dBm power
+    of the scenario by the same amount scales the whole problem, and each
+    trial keeps its held-out rate and its AO iteration count."""
+    cfg = profile(e_mse=0.1)
+    want = {(scheme, trial): run_trial(cfg, scheme, trial) for scheme in SCHEMES for trial in range(2)}
+    for shift in (7.0, -13.0):
+        moved = replace(cfg, **{f: getattr(cfg, f) + shift for f in DBM_FIELDS})
+        for (scheme, trial), res in want.items():
+            got = run_trial(moved, scheme, trial)
+            assert got.rate_bits == pytest.approx(res.rate_bits, rel=1e-12, abs=0.0)
+            assert got.report.iterations == res.report.iterations
 
 
 class TestRunSweep:
@@ -441,12 +460,12 @@ class TestRunSweep:
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
 
-        class CountedPool(harness.ProcessPoolExecutor):
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kw):
                 pools.append(self)
                 super().__init__(*args, **kw)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         res = run_sweep(micro_cfg(trials=2), "B", [1, 2, 3], schemes=["no-ris"], jobs=2)
         assert len(pools) == 1
         assert len(res.mean_rate) == 3

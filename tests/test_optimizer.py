@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import harness, numerics, optimizer, system
+from risjam import numerics, optimizer, system
 from risjam.channel import ChannelSet, sample_static_channels, sample_uncertain_realization
+from risjam.harness import run_trial
 from risjam.optimizer import (
     AoReport,
     DegenerateTau,
@@ -587,7 +588,7 @@ class TestSolveTheta:
         monkeypatch.setattr(optimizer, "solve_concave_qcqp", counted_solve)
         cfg = risjam.paper_profile(a_max_db=3.0, e_mse=0.1)
         for i in range(4):
-            harness._optimize(cfg, "active-harvesting", i)
+            run_trial(cfg, "active-harvesting", i)
         assert len(per_solve) >= 40
         assert np.median(per_solve) <= 50
 
@@ -621,10 +622,9 @@ class TestSscaAo:
             z_int=np.zeros((0, k, n), complex), ue_pos=np.zeros((k, 3)),
             jammer_pos=np.zeros((0, 3)), interferer_pos=np.zeros((0, 3)),
         )
-        pm = pm_default(p_max=1.0, sigma1_sq=0.01, sigma2_sq=0.01, sigma_r_sq=0.01)
-        cfg = risjam.desk_profile(r_max=30)
-        rep = ssca_ao(cs, pm, cfg, np.random.SeedSequence(0))
-        _, rate_ref = wmmse_sum_rate(h, pm.p_max, 0.01)
+        cfg = risjam.desk_profile(r_max=30, p_max_dbm=30.0, noise_dbm=10.0)
+        rep = ssca_ao(cs, cfg, np.random.SeedSequence(0))
+        _, rate_ref = wmmse_sum_rate(h, cfg.p_max_w, 0.01)
         assert rep.best_objective_bits == pytest.approx(rate_ref, rel=0.02)
 
     # (harvest, on the view without RIS elements): active, passive, no-RIS
@@ -646,7 +646,7 @@ class TestSscaAo:
             return real(tau, w1, w2, theta, realizations, *rest)
 
         monkeypatch.setattr(system, "sum_rate_nats", sum_rate_nats)
-        rep = optimizer._alternate(cs, cfg.power_model(), cfg, np.random.SeedSequence(77), harvest)
+        rep = optimizer._alternate(cs, cfg, np.random.SeedSequence(77), harvest)
         assert [n for n, _, _ in seen] == list(range(1, rep.iterations + 1))
         want = uncertain_draw_loops(cs, cfg.e_mse, np.random.default_rng(np.random.SeedSequence(77)),
                                     cfg.r_max)
@@ -660,8 +660,8 @@ class TestSscaAo:
     def test_determinism(self):
         cfg = risjam.desk_profile(r_max=12)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
-        rep1 = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
-        rep2 = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
+        rep1 = ssca_ao(cs, cfg, np.random.SeedSequence(77))
+        rep2 = ssca_ao(cs, cfg, np.random.SeedSequence(77))
         assert rep1.objective_nats == rep2.objective_nats
         np.testing.assert_array_equal(rep1.state.w1, rep2.state.w1)
         np.testing.assert_array_equal(rep1.state.theta, rep2.state.theta)
@@ -669,7 +669,7 @@ class TestSscaAo:
     def test_tau_tightness_and_feasibility(self):
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg, np.random.default_rng(6))
-        rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(8))
+        rep = ssca_ao(cs, cfg, np.random.SeedSequence(8))
         assert rep.tau_tightness and max(rep.tau_tightness) < 1e-12
         assert rep.feasibility.all_ok
         assert rep.converged
@@ -679,7 +679,7 @@ class TestSscaAo:
         # e_mse = 0 keeps realizations identical: pure block ascent
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg, np.random.default_rng(7))
-        rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(9))
+        rep = ssca_ao(cs, cfg, np.random.SeedSequence(9))
         v = np.array(rep.objective_nats)
         assert np.all(np.diff(v) >= -1e-3 * np.abs(v[1:]))
         assert rep.monotone_after_warmup
@@ -689,7 +689,7 @@ class TestMultiplierRecords:
     def test_report_sums_the_block_records(self):
         cfg = risjam.desk_profile(r_max=12)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
-        rep = ssca_ao(cs, cfg.power_model(), cfg, np.random.SeedSequence(77))
+        rep = ssca_ao(cs, cfg, np.random.SeedSequence(77))
         records = rep.multipliers
         assert set(records) == {"w1", "w2", "theta"}
         assert rep.ball_steps == sum(r.ball_steps for r in records.values())
@@ -707,8 +707,7 @@ class TestMultiplierRecords:
         cfg = risjam.desk_profile(r_max=12)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
         for view in (cs, cs.without_ris()):  # passive and no-RIS
-            rep = optimizer._alternate(view, cfg.power_model(), cfg, np.random.SeedSequence(77),
-                                       harvest=False)
+            rep = optimizer._alternate(view, cfg, np.random.SeedSequence(77), harvest=False)
             runs = rep.iterations - rep.converged
             assert rep.multipliers["w2"].solves == rep.multipliers["w2"].ball_steps == runs
             assert rep.multipliers["w1"].solves == rep.multipliers["theta"].solves == 0
@@ -719,7 +718,7 @@ class TestMultiplierRecords:
         ball steps per trial; with the multipliers carried across solves,
         74.0."""
         cfg = risjam.paper_profile()
-        steps = [harness._optimize(cfg, "active-harvesting", i)[1].ball_steps for i in range(5)]
+        steps = [run_trial(cfg, "active-harvesting", i).report.ball_steps for i in range(5)]
         assert np.mean(steps) <= 80.0
 
     def test_stage2_ball_steps_without_adversaries(self, monkeypatch):
@@ -740,6 +739,6 @@ class TestMultiplierRecords:
         monkeypatch.setattr(numerics, "solve_beams", counted)
         cfg = risjam.paper_profile(q=0, b=0)
         for i in (1, 2, 3):
-            harness._optimize(cfg, "active-harvesting", i)
+            run_trial(cfg, "active-harvesting", i)
         assert len(per_solve) >= 30
         assert max(per_solve) <= 100
