@@ -144,6 +144,9 @@ class ScenarioConfig:
             raise ValidationError("xi must be >= 1")
         if self.a_max_db < 0:
             raise ValidationError("a_max_db must be nonnegative (A_max >= 1)")
+        for name in ("p_max_dbm", "noise_dbm", "p_dc_dbm", "p_sc_dbm"):
+            if dbm_to_watts(getattr(self, name)) <= 0.0:
+                raise ValidationError(f"{name} = {getattr(self, name)} is 0 W in floating point")
         if len(self.rwp_b) != len(self.rwp_upsilon):
             raise ValidationError("rwp_b and rwp_upsilon must have equal length")
         if self.m_nakagami < 0.5:
@@ -202,9 +205,8 @@ class ScenarioConfig:
     def power_model(self) -> PowerModel:
         return PowerModel(
             p_max=self.p_max_w, eta1=self.eta1, xi=self.xi,
-            p_dc=dbm_to_watts(self.p_dc_dbm), p_sc=dbm_to_watts(self.p_sc_dbm),
-            a_max=self.a_max, sigma1_sq=self.noise_w, sigma2_sq=self.noise_w,
-            sigma_r_sq=self.noise_w,
+            p_static=dbm_to_watts(self.p_dc_dbm) + dbm_to_watts(self.p_sc_dbm),
+            a_max=self.a_max, noise=self.noise_w,
         )
 
     def rwp_params(self) -> RwpParams:

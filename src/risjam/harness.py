@@ -81,11 +81,9 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
         report = optimize(cs, cfg, ss_opt)
     except optimizer.EnergyInfeasible as exc:
         raise optimizer.EnergyInfeasible(f"trial {trial_index}: {exc}") from exc
-    pm = cfg.power_model()
     heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
     st = report.state
-    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
-                           pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
+    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.noise_w)
     return TrialResult(scheme, trial_index, rate, report)
 
 

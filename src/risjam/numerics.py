@@ -320,7 +320,12 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     found by _search.  Both stop on the feasible side: the power never
     exceeds p_max, and a binding half-space holds within tol relative of
     xi.  With a record, both searches start from its multipliers (see
-    Multipliers).  Raises Infeasible when no beam in the power ball meets
+    Multipliers).  A half-space that only touches the ball (the ball's
+    largest harvest is xi within tol relative) leaves one feasible point,
+    the ball's point of largest harvest sqrt(p_max) r / ||r||, returned
+    without a search: at a single BS antenna every r_k is parallel to w_k,
+    so at a binding power the linearized harvest touches the ball at the
+    current beams.  Raises Infeasible when no beam in the power ball meets
     the half-space.
     """
     rec = Multipliers() if record is None else record
@@ -330,6 +335,12 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     beta = (c.conj() * rt).real.sum(axis=0)
     gamma = (np.abs(rt) ** 2).sum(axis=0)
     target = xi + 0.5 * tol * abs(xi)
+    norm_r = math.sqrt(float(gamma.sum()))
+    delta = 2.0 * math.sqrt(p_max) * norm_r - xi  # the largest harvest in the ball, less xi
+    if norm_r and abs(delta) <= tol * abs(xi):
+        # the half-space only touches the ball: its one feasible point
+        rec.ended(rec.lam1, rec.lam2, 0, 0)
+        return (math.sqrt(p_max) / norm_r) * r
     lam1 = rec.lam1
 
     def at(lam2):
@@ -353,8 +364,6 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
         # g(w(lam2)) - xi >= delta - (f_top - f(w_s)) / lam2 for any f_top
         # >= f over the ball, f(w(0)) or ||Y|| sqrt(p_max), which is
         # nonnegative from lam2 = (f_top - f(w_s)) / delta on.
-        norm_r = math.sqrt(float(gamma.sum()))
-        delta = 2.0 * math.sqrt(p_max) * norm_r - xi
         if delta <= 0.0:
             raise Infeasible(f"half-space bound {xi:.3e} beyond the power ball's reach")
         t = math.sqrt(p_max) / norm_r

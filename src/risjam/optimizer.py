@@ -119,7 +119,7 @@ def update_saa_stats(stats: SaaStats, draws: Realization, cs: ChannelSet) -> Saa
 
 def update_tau(p_r: float, w1: np.ndarray, g_br: np.ndarray, eta1: float) -> float:
     """Energy-tight time split tau = P_R / (P_R + eta1 sum_k ||G_BR w1_k||^2)."""
-    harvest = eta1 * float(np.sum(np.abs(g_br @ w1.T) ** 2))
+    harvest = system.harvested_energy(w1, 1.0, g_br, eta1)
     if p_r <= 0.0 and harvest <= 0.0:
         raise DegenerateTau("both the power draw and the harvest term vanish")
     return p_r / (p_r + harvest)
@@ -169,18 +169,18 @@ def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) 
     return z + 2.0 * np.real(lin) + np.real(quad)
 
 
-def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, sigma1_sq: float):
+def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, noise: float):
     """Auxiliaries of the harvesting stage: direct channels, averaged
     jamming and interference plus the UE noise."""
-    return optimal_aux(cs.h_bu, w1, stats.zbar_i2 + stats.d_abs2 + sigma1_sq)
+    return optimal_aux(cs.h_bu, w1, stats.zbar_i2 + stats.d_abs2 + noise)
 
 
 def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: SaaStats,
-                      sigma_r_sq: float, sigma2_sq: float):
+                      noise: float):
     """Auxiliaries of the reflection stage: effective channels, amplified
     RIS noise, the averaged interference built from the running statistics
     and the current theta, plus the UE noise."""
-    c = system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
+    c = system.ris_noise(theta, cs, noise) + stage2_interference_avg(theta, cs, stats) + noise
     return optimal_aux(system.effective_channels(theta, cs), w2, c)
 
 
@@ -200,7 +200,7 @@ def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
     tau = state.tau
     p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
     omega, nu = state.omega1, state.nu1
-    c = stats.zbar_i2 + stats.d_abs2 + pm.sigma1_sq
+    c = stats.zbar_i2 + stats.d_abs2 + pm.noise
     k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
     a, y = beam_terms(cs.h_bu, omega, nu)
     eig = numerics.psd_eigh(a)
@@ -233,12 +233,13 @@ def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
 
 
 def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
-    """Amplifier budget P_E = (E_R - (1-tau) M (P_dc+P_sc)) / ((1-tau) xi):
+    """Amplifier budget P_E = (E_R - (1-tau) M P_static) / ((1-tau) xi):
     the output power (amplified signal plus amplified RIS noise) that the
-    harvested energy E_R leaves after the static load."""
+    harvested energy E_R leaves after the static load, P_static = P_dc + P_sc
+    per element."""
     e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
     one_minus_tau = 1.0 - state.tau
-    return (e_r - one_minus_tau * state.theta.size * (pm.p_dc + pm.p_sc)) / (one_minus_tau * pm.xi)
+    return (e_r - one_minus_tau * state.theta.size * pm.p_static) / (one_minus_tau * pm.xi)
 
 
 def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
@@ -247,7 +248,7 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
     transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams,
     warm-started from the record when given)."""
     theta = state.theta
-    p_e = energy_budget(state, cs, pm) - pm.sigma_r_sq * float(np.sum(np.abs(theta) ** 2))
+    p_e = energy_budget(state, cs, pm) - pm.noise * float(np.sum(np.abs(theta) ** 2))
     if p_e < 0:
         raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise (P_E = {p_e:.3e})")
     s_block = numerics.hermitize(
@@ -262,7 +263,7 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
 # ---------------------------------------------------------------------------
 
 def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
-                          sigma_r_sq: float, mu: np.ndarray):
+                          noise: float, mu: np.ndarray):
     """Averaged quadratic model of the stage-2 surrogate in theta.
 
     Returns (gamma_bar, lambda_bar) with the surrogate equal (up to a
@@ -277,7 +278,7 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
     # sum_k |nu_k|^2 sum_j v_kj v_kj^H with v_kj = conj(mu_j) o h_RU,k
     h_w = cs.h_ru.T @ (nu2[:, None] * np.conj(cs.h_ru))  # sum_k |nu_k|^2 h_RU,k h_RU,k^H
     gamma = (mu.conj().T @ mu) * h_w
-    gamma += np.diag(sigma_r_sq * (nu2 @ np.abs(cs.h_ru) ** 2))
+    gamma += np.diag(noise * (nu2 @ np.abs(cs.h_ru) ** 2))
     gamma += np.einsum("k,kmn->mn", nu2, stats.m_mat)
     coef = ((np.sqrt(1.0 + omega) * nu)[:, None] * np.conj(mu)
             - nu2[:, None] * (e_dir @ np.conj(mu))
@@ -290,7 +291,7 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
                 tol: float = 1e-8, record: numerics.Multipliers | None = None) -> np.ndarray:
     """Reflection coefficients: maximize the averaged quadratic model under
     the output-power ellipsoid, diagonal with weights sum_k |mu_km|^2 +
-    sigma_R^2, and per-element amplitude caps (numerics.solve_concave_qcqp,
+    sigma^2, and per-element amplitude caps (numerics.solve_concave_qcqp,
     its ball step warm-started from the record when given)."""
     m = state.theta.size
     if m == 0:
@@ -299,8 +300,8 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
     if p_e < 0:
         raise EnergyInfeasible(f"the harvest cannot cover the static load (P_E_tilde = {p_e:.3e})")
     mu = state.w2 @ cs.g_br.T
-    gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, mu)
-    prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq,
+    gamma, lam = theta_quadratic_model(state, cs, stats, pm.noise, mu)
+    prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.noise,
                        bound=p_e, caps=np.full(m, pm.a_max))
     return solve_concave_qcqp(prob, tol=tol, record=record)
 
@@ -411,8 +412,7 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
             with timed("draw"):
                 update_saa_stats(stats, draws[r - 1:r], cs)
         with timed("objective"):
-            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r],
-                                     cs, pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
+            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r], cs, pm.noise)
         report.objective_nats.append(v)
         report.iterations = r
         if v > report.best_objective_nats:
@@ -440,13 +440,12 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
                     gap = e_r - (1.0 - state.tau) * p_r
                     report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
             with timed("aux1"):
-                state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.sigma1_sq)
+                state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.noise)
             with timed("w1"):
                 state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1,
                                     record=records["w1"])
         with timed("aux2"):
-            state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats,
-                                                        pm.sigma_r_sq, pm.sigma2_sq)
+            state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats, pm.noise)
         with timed("w2"):
             if harvest:
                 state.w2 = solve_w2(state, cs, stats, pm, record=records["w2"])
@@ -459,7 +458,7 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
             if state.theta.size and harvest:
                 state.theta = solve_theta(state, cs, stats, pm, record=records["theta"])
             elif state.theta.size:
-                gamma, lam = theta_quadratic_model(state, cs, stats, pm.sigma_r_sq, state.w2 @ cs.g_br.T)
+                gamma, lam = theta_quadratic_model(state, cs, stats, pm.noise, state.w2 @ cs.g_br.T)
                 state.theta, steps = numerics.unit_modulus_mm(gamma, lam, state.theta, THETA_MM_MAX_ITER)
                 report.theta_steps += steps
                 report.theta_capped += steps >= THETA_MM_MAX_ITER

@@ -22,28 +22,18 @@ LN2 = float(np.log(2.0))
 
 @dataclass
 class PowerModel:
-    """Amplifier/energy bookkeeping of the active RIS plus noise powers (watts)."""
+    """The model's constants in watts: the BS power cap, the harvesting
+    efficiency eta1, the amplifier's reciprocal efficiency xi, the static
+    power P_dc + P_sc of one element, the amplitude cap A_max and the one
+    noise power of the UEs and the RIS amplifier.  Built by
+    ScenarioConfig.power_model from a validated config."""
 
     p_max: float
     eta1: float
     xi: float
-    p_dc: float
-    p_sc: float
+    p_static: float
     a_max: float
-    sigma1_sq: float
-    sigma2_sq: float
-    sigma_r_sq: float
-
-    def __post_init__(self):
-        if not (0 < self.eta1 <= 1):
-            raise ValueError("eta1 must lie in (0, 1]")
-        if self.xi < 1:
-            raise ValueError("xi must be >= 1")
-        if self.a_max < 1:
-            raise ValueError("a_max must be >= 1")
-        for name in ("p_max", "p_dc", "p_sc", "sigma1_sq", "sigma2_sq", "sigma_r_sq"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    noise: float
 
 
 @dataclass
@@ -99,11 +89,11 @@ def adversary_interference(theta: np.ndarray, draws: Realization, cs: ChannelSet
     return z1, np.sum(np.abs(draws.direct + bounced) ** 2, axis=1) + draws.interf
 
 
-def ris_noise(theta: np.ndarray, cs: ChannelSet, sigma_r_sq: float) -> np.ndarray:
-    """(K,) amplified RIS noise at each UE, sigma_R^2 ||h_RU,k^H Theta||^2."""
+def ris_noise(theta: np.ndarray, cs: ChannelSet, noise: float) -> np.ndarray:
+    """(K,) amplified RIS noise at each UE, sigma^2 ||h_RU,k^H Theta||^2."""
     if theta.size == 0:
         return np.zeros(cs.n_users)
-    return sigma_r_sq * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
+    return noise * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
 
 
 def signal_and_power(h: np.ndarray, w: np.ndarray, c):
@@ -127,36 +117,36 @@ def sinr(h: np.ndarray, w: np.ndarray, c) -> np.ndarray:
 
 
 def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
-                  realizations: Realization, cs: ChannelSet, sigma1_sq: float, sigma2_sq: float,
-                  sigma_r_sq: float) -> float:
+                  realizations: Realization, cs: ChannelSet, noise: float) -> float:
     """Sample-average sum rate in nats per channel use over the given draws,
     all draws and users evaluated together: stage 1 on the direct channels,
-    stage 2 on the effective ones with the amplified RIS noise.  At tau = 0
-    stage 1 has no weight and is not evaluated."""
+    stage 2 on the effective ones with the amplified RIS noise.  One noise
+    power sigma^2 serves the UEs of both stages and the RIS amplifier.  At
+    tau = 0 stage 1 has no weight and is not evaluated."""
     z1, z2 = adversary_interference(theta, realizations, cs)
     rate = (1.0 - tau) * np.log1p(sinr(effective_channels(theta, cs), w2,
-                                       ris_noise(theta, cs, sigma_r_sq) + z2 + sigma2_sq))
+                                       ris_noise(theta, cs, noise) + z2 + noise))
     if tau:
-        rate += tau * np.log1p(sinr(cs.h_bu, w1, z1 + sigma1_sq))
+        rate += tau * np.log1p(sinr(cs.h_bu, w1, z1 + noise))
     return float(np.sum(rate)) / len(realizations)
 
 
-def sum_rate(tau, w1, w2, theta, realizations, cs, sigma1_sq, sigma2_sq, sigma_r_sq) -> float:
+def sum_rate(tau, w1, w2, theta, realizations, cs, noise) -> float:
     """Sample-average achievable rate in bits per channel use (unit period)."""
-    return sum_rate_nats(tau, w1, w2, theta, realizations, cs,
-                         sigma1_sq, sigma2_sq, sigma_r_sq) / LN2
+    return sum_rate_nats(tau, w1, w2, theta, realizations, cs, noise) / LN2
 
 
 def ris_power(w2: np.ndarray, theta: np.ndarray, g_br: np.ndarray, pm: PowerModel) -> float:
     """Total RIS power draw during reflection:
-    xi * (sum_k ||Theta G_BR w2_k||^2 + sigma_R^2 sum_m |theta_m|^2) + M (P_dc + P_sc)."""
+    xi * (sum_k ||Theta G_BR w2_k||^2 + sigma^2 sum_m |theta_m|^2) + M P_static,
+    with P_static = P_dc + P_sc per element."""
     m = theta.size
     if m == 0:
         return 0.0
     incident = g_br @ w2.T  # (M, K)
     amp_out = float(np.sum(np.abs(theta[:, None] * incident) ** 2))
-    amp_noise = pm.sigma_r_sq * float(np.sum(np.abs(theta) ** 2))
-    return pm.xi * (amp_out + amp_noise) + m * (pm.p_dc + pm.p_sc)
+    amp_noise = pm.noise * float(np.sum(np.abs(theta) ** 2))
+    return pm.xi * (amp_out + amp_noise) + m * pm.p_static
 
 
 @dataclass

@@ -73,8 +73,8 @@ def test_criterion_1_quadratic_transform_identities():
         f1 = surrogate_stage1(w, omega, nu, cs, stats, 0.05)
         worst = max(worst, abs(f1 - np.sum(np.log1p(omega))) / max(1.0, abs(f1)))
         theta = crand(rng, 4)
-        omega2, nu2 = update_aux_stage2(w, theta, cs, stats, 0.02, 0.05)
-        f2 = surrogate_stage2(w, theta, omega2, nu2, cs, stats, 0.02, 0.05)
+        omega2, nu2 = update_aux_stage2(w, theta, cs, stats, 0.05)
+        f2 = surrogate_stage2(w, theta, omega2, nu2, cs, stats, 0.05)
         worst = max(worst, abs(f2 - np.sum(np.log1p(omega2))) / max(1.0, abs(f2)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
@@ -108,9 +108,9 @@ def test_criterion_3_qcqp_oracle_equivalence():
         w = crand(rng, 2, 4)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=0.5, w1=w * 2.0, w2=w, theta=crand(rng, 8) * 0.4)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         w2 = solve_w2(st, cs, stats, pm, tol=1e-10)
-        f = surrogate_stage2(w2, st.theta, st.omega2, st.nu2, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        f = surrogate_stage2(w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
         # oracle on the stacked problem
         h_eff = system.effective_channels(st.theta, cs)
         nu2v = np.abs(st.nu2) ** 2
@@ -118,14 +118,13 @@ def test_criterion_3_qcqp_oracle_equivalence():
         a_full = np.kron(np.eye(2), a_blk)
         b_full = ((2.0 * np.sqrt(1.0 + st.omega2) * st.nu2)[:, None] * h_eff).ravel()
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
-        p_e = (e_r - 0.5 * 8 * (pm.p_dc + pm.p_sc)
-               - 0.5 * pm.xi * pm.sigma_r_sq * np.sum(np.abs(st.theta) ** 2)) / (0.5 * pm.xi)
+        p_e = (e_r - 0.5 * 8 * pm.p_static
+               - 0.5 * pm.xi * pm.noise * np.sum(np.abs(st.theta) ** 2)) / (0.5 * pm.xi)
         s_blk = cs.g_br.conj().T @ (np.abs(st.theta)[:, None] ** 2 * cs.g_br)
         s_full = np.kron(np.eye(2), s_blk)
         projs = [lambda y: project_ball(y, pm.p_max), lambda y: project_ellipsoid(y, s_full, p_e)]
         x_ref, _ = pg_qcqp_max(a_full, b_full, projs, iters=30000, x0=w2.ravel())
-        f_ref = surrogate_stage2(x_ref.reshape(2, 4), st.theta, st.omega2, st.nu2, cs, stats,
-                                 pm.sigma_r_sq, pm.sigma2_sq)
+        f_ref = surrogate_stage2(x_ref.reshape(2, 4), st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
         worst = max(worst, (f_ref - f) / (1.0 + abs(f_ref)))
     # 50 reflection subproblems
     for seed in range(50):
@@ -133,19 +132,19 @@ def test_criterion_3_qcqp_oracle_equivalence():
         pm = pm_default(p_max=1.0, a_max=4.0)
         w = crand(rng, 2, 4) * 0.5
         st = SolverState(tau=0.5, w1=crand(rng, 2, 4) * 2.0, w2=w, theta=crand(rng, 8) * 0.5)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         th = solve_theta(st, cs, stats, pm, tol=1e-9)
-        f = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        f = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats, pm.noise)
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
-        p_e = (e_r - 0.5 * 8 * (pm.p_dc + pm.p_sc)) / (0.5 * pm.xi)
+        p_e = (e_r - 0.5 * 8 * pm.p_static) / (0.5 * pm.xi)
         mu = st.w2 @ cs.g_br.T
-        v = np.sum(np.abs(mu) ** 2, axis=0) + pm.sigma_r_sq
+        v = np.sum(np.abs(mu) ** 2, axis=0) + pm.noise
         from risjam.optimizer import theta_quadratic_model
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq, mu)
+        gamma, lam = theta_quadratic_model(st, cs, stats, pm.noise, mu)
         caps = np.full(8, pm.a_max)
         projs = [lambda y: project_caps_diag_ellipsoid(y, caps, v, p_e)]
         x_ref, _ = pg_qcqp_max(gamma, lam, projs, iters=30000, x0=th)
-        f_ref = surrogate_stage2(st.w2, x_ref, st.omega2, st.nu2, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        f_ref = surrogate_stage2(st.w2, x_ref, st.omega2, st.nu2, cs, stats, pm.noise)
         worst = max(worst, (f_ref - f) / (1.0 + abs(f_ref)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0

@@ -138,6 +138,15 @@ class TestLoadScenario:
         with pytest.raises(ParseError, match="line 1"):
             load_scenario(str(path))
 
+    def test_power_constants_out_of_range_rejected(self):
+        # the one check of the power model's constants: eta1 in (0, 1],
+        # xi >= 1, A_max >= 1, and powers that are positive in watts
+        for name, value in (("eta1", 1.5), ("eta1", 0.0), ("xi", 0.5), ("a_max_db", -1.0),
+                            ("p_max_dbm", -3300.0), ("noise_dbm", -3300.0),
+                            ("p_dc_dbm", -3300.0), ("p_sc_dbm", -3300.0)):
+            with pytest.raises(ValidationError, match=name):
+                ScenarioConfig(**{name: value})
+
     def test_counts_must_be_integers(self):
         assert issubclass(ValidationError, ValueError)
         for name in ("m", "b", "trials"):
@@ -195,7 +204,7 @@ class TestRunTrial:
         # channels, which also draw the jammer-RIS links, give bitwise the
         # same rate, as those links are drawn last
         cfg = risjam.paper_profile(e_mse=e_mse, r_max=15, heldout=20)
-        pm, start = cfg.power_model(), optimizer.initial_state
+        start = optimizer.initial_state
         monkeypatch.setattr(optimizer, "initial_state",
                             lambda cs, pm, harvest: start(cs.without_ris(), pm, harvest))
         for trial in range(2):
@@ -204,8 +213,7 @@ class TestRunTrial:
             st = optimizer._alternate(cs, cfg, ss_opt, harvest=False).state
             heldout = sample_uncertain_realization(cs, e_mse, np.random.default_rng(ss_eval), cfg.heldout)
             assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
-            want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs,
-                                   pm.sigma1_sq, pm.sigma2_sq, pm.sigma_r_sq)
+            want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.noise_w)
             assert run_trial(cfg, "no-ris", trial).rate_bits == want
 
     def test_feasible_and_converged_flags(self):
@@ -369,6 +377,20 @@ def test_edge_scenarios_keep_the_invariants(edge, scheme):
     assert max(report.tau_tightness, default=0.0) <= 1e-12
     assert report.theta_capped == 0
     assert np.isfinite(res.rate_bits)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e_mse", [0.0, 0.1])
+@pytest.mark.parametrize("profile", [risjam.desk_profile, risjam.paper_profile])
+def test_single_antenna_active_trials_run(profile, e_mse):
+    """A single-antenna BS (N = 1): the stage-1 half-space touches the power
+    ball at the current beams, and every active trial still ends feasible
+    with a finite held-out rate."""
+    cfg = profile(n=1, e_mse=e_mse)
+    for trial in range(10):
+        res = run_trial(cfg, "active-harvesting", trial)
+        assert np.isfinite(res.rate_bits)
+        assert res.report.feasibility.all_ok
 
 
 # every power of a scenario in dBm: the BS budget, the jamming and

@@ -711,6 +711,30 @@ class TestSolveBeamsHalfspace:
         with pytest.raises(Infeasible):
             solve_beams_halfspace(a, y, p_max, r, 1.01 * reach)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_antenna_tangent_halfspace(self):
+        # N = 1: r_k = c |g|^2 w0_k is parallel to w0_k, and with the power
+        # binding at w0 and the energy-tight share the half-space touches
+        # the ball only at w0 (its largest harvest equals xi up to rounding),
+        # so w0 is the one feasible point
+        rng = np.random.default_rng(56)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            a, y, _ = beam_instance(rng, 1, k)
+            p_max = 10 ** rng.uniform(-3, 1)
+            w0 = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
+            w0 *= np.sqrt(p_max / np.sum(np.abs(w0) ** 2))
+            r = 10 ** rng.uniform(-2, 1) * abs(complex(*rng.standard_normal(2))) ** 2 * w0
+            xi = 2.0 * float(np.sum(np.real(np.conj(r) * w0)))
+            record = numerics.Multipliers()
+            w = solve_beams_halfspace(a, y, p_max, r, xi, record=record)
+            np.testing.assert_allclose(w, w0, rtol=1e-12)
+            assert np.sum(np.abs(w) ** 2) <= p_max * (1 + 1e-15)
+            assert 2.0 * np.sum(np.real(np.conj(r) * w)) >= xi * (1 - 1e-9)
+            assert (record.solves, record.ball_steps) == (1, 0)
+            with pytest.raises(Infeasible):  # beyond the band the ball cannot reach
+                solve_beams_halfspace(a, y, p_max, r, xi * (1 + 1e-6))
+
 
 def ball_instance(rng, n=8, null=0, null_weight=0.0, zero_null=False):
     """A binding power ball for _ball_factors: d >= 0 ascending whose first

@@ -24,7 +24,7 @@ from risjam.optimizer import (
     update_saa_stats,
     update_tau,
 )
-from risjam.system import PowerModel, SolverState
+from risjam.system import SolverState
 
 from oracles import (adversary_interference_loops, pg_qcqp_max, project_ball, saa_means_loops,
                      uncertain_draw_loops, wmmse_sum_rate)
@@ -32,17 +32,17 @@ from test_system import (crand, make_channels, make_realization, permute_realiza
                          permute_users, pm_default)
 
 
-def surrogate_stage1(w1, omega, nu, cs, stats, sigma1_sq):
+def surrogate_stage1(w1, omega, nu, cs, stats, noise):
     """f_OF^I: the surrogate on the direct channels, with the averaged
     jamming and interference plus the UE noise as the extra term."""
-    return surrogate(cs.h_bu, w1, omega, nu, stats.zbar_i2 + stats.d_abs2 + sigma1_sq)
+    return surrogate(cs.h_bu, w1, omega, nu, stats.zbar_i2 + stats.d_abs2 + noise)
 
 
-def surrogate_stage2(w2, theta, omega, nu, cs, stats, sigma_r_sq, sigma2_sq):
+def surrogate_stage2(w2, theta, omega, nu, cs, stats, noise):
     """f_OF^II: the surrogate on the effective channels, with the amplified
     RIS noise, the averaged bounced jamming and interference plus the UE
     noise as the extra term."""
-    c = system.ris_noise(theta, cs, sigma_r_sq) + stage2_interference_avg(theta, cs, stats) + sigma2_sq
+    c = system.ris_noise(theta, cs, noise) + stage2_interference_avg(theta, cs, stats) + noise
     return surrogate(system.effective_channels(theta, cs), w2, omega, nu, c)
 
 
@@ -146,14 +146,14 @@ class TestAuxStage2:
         stats.dt_conj[:] = 0.0
         stats.m_mat[:] = 0.0
         w = crand(rng, 1, 4)
-        omega, _ = update_aux_stage2(w, np.zeros(3, complex), cs, stats, 0.0, 0.4)
+        omega, _ = update_aux_stage2(w, np.zeros(3, complex), cs, stats, 0.4)
         want = abs(np.vdot(cs.h_bu[0], w[0])) ** 2 / 0.4
         assert omega[0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_beam(self):
         rng, cs, stats, _ = make_instance(5)
         theta = crand(rng, 3)
-        omega, nu = update_aux_stage2(np.zeros((2, 4), complex), theta, cs, stats, 0.01, 0.1)
+        omega, nu = update_aux_stage2(np.zeros((2, 4), complex), theta, cs, stats, 0.1)
         np.testing.assert_array_equal(omega, 0.0)
         np.testing.assert_array_equal(nu, 0.0)
 
@@ -162,8 +162,8 @@ class TestAuxStage2:
             rng, cs, stats, _ = make_instance(200 + seed)
             w = crand(rng, 2, 4)
             theta = crand(rng, 3)
-            omega, nu = update_aux_stage2(w, theta, cs, stats, 0.02, 0.05)
-            f = surrogate_stage2(w, theta, omega, nu, cs, stats, 0.02, 0.05)
+            omega, nu = update_aux_stage2(w, theta, cs, stats, 0.05)
+            f = surrogate_stage2(w, theta, omega, nu, cs, stats, 0.05)
             want = float(np.sum(np.log1p(omega)))
             assert abs(f - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -284,13 +284,13 @@ class TestThetaModel:
             rng, cs, stats, _ = make_instance(300 + seed, m=4, q=2, b=2, n_rlz=4, jitter=0.3)
             w2 = crand(rng, 2, 4)
             th0 = crand(rng, 4)
-            omega, nu = update_aux_stage2(w2, th0, cs, stats, 0.03, 0.07)
+            omega, nu = update_aux_stage2(w2, th0, cs, stats, 0.07)
             st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th0,
                              omega2=omega, nu2=nu)
-            gamma, lam = theta_quadratic_model(st, cs, stats, 0.03, w2 @ cs.g_br.T)
+            gamma, lam = theta_quadratic_model(st, cs, stats, 0.07, w2 @ cs.g_br.T)
 
             def f(th):
-                return surrogate_stage2(w2, th, omega, nu, cs, stats, 0.03, 0.07)
+                return surrogate_stage2(w2, th, omega, nu, cs, stats, 0.07)
 
             def model(th):
                 return np.real(np.vdot(lam, th)) - np.real(np.vdot(th, gamma @ th))
@@ -305,10 +305,10 @@ class TestThetaModel:
         rng, cs, stats, rlzs = make_instance(10, m=4, q=2, b=2, n_rlz=9, jitter=0.4)
         w2 = crand(rng, 2, 4)
         th = crand(rng, 4)
-        omega, nu = update_aux_stage2(w2, th, cs, stats, 0.02, 0.05)
+        omega, nu = update_aux_stage2(w2, th, cs, stats, 0.05)
         st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th, omega2=omega, nu2=nu)
         mu = w2 @ cs.g_br.T
-        gamma, lam = theta_quadratic_model(st, cs, stats, 0.02, mu)
+        gamma, lam = theta_quadratic_model(st, cs, stats, 0.05, mu)
 
         # re-loop over stored realizations with the per-draw d/t definitions
         k, m = 2, 4
@@ -319,7 +319,7 @@ class TestThetaModel:
         for ik in range(k):
             v = np.conj(mu) * cs.h_ru[ik][None, :]
             gamma_ref += nu2[ik] * (v.T @ v.conj())
-            gamma_ref += nu2[ik] * 0.02 * np.diag(np.abs(cs.h_ru[ik]) ** 2)
+            gamma_ref += nu2[ik] * 0.05 * np.diag(np.abs(cs.h_ru[ik]) ** 2)
             lam_ref += 2 * np.sqrt(1 + omega[ik]) * nu[ik] * (cs.h_ru[ik] * np.conj(mu[ik]))
             lam_ref -= 2 * nu2[ik] * np.einsum("j,jm->m", e_dir[ik], np.conj(mu)) * cs.h_ru[ik]
         for ik in range(k):
@@ -343,7 +343,7 @@ class TestSolveW1:
         w = crand(rng, cs.n_users, cs.n_antennas)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=tau, w1=w, w2=w.copy(), theta=np.zeros(cs.m_elements, complex))
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         return st
 
     def test_single_user_mrt(self):
@@ -352,11 +352,11 @@ class TestSolveW1:
         stats.d_abs2[:] = 0.0
         # noise comparable to the signal so the QT fixed-point iteration
         # reaches the power boundary in a handful of rounds
-        pm = pm_default(sigma1_sq=0.5)
+        pm = pm_default(noise=0.5)
         st = self._state(cs, stats, pm, rng)
         st.theta[:] = 0.0  # p_r = static only, zero elements -> 0
         for _ in range(40):  # alternate aux and solve to the QT fixed point
-            st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+            st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
             st.w1 = solve_w1(st, cs, stats, pm)
         mrt = np.sqrt(pm.p_max) * cs.h_bu[0] / np.linalg.norm(cs.h_bu[0])
         align = abs(np.vdot(st.w1[0], mrt)) / (np.linalg.norm(st.w1[0]) * np.linalg.norm(mrt))
@@ -368,10 +368,10 @@ class TestSolveW1:
         # the unconstrained stationary beams sit inside the ball, lambda1 = 0
         rng, cs, stats, _ = make_instance(12, m=1)
         cs.g_br[:] = 0.0  # K1 = 0: the harvest linearization never binds
-        pm = pm_default(p_max=50.0, sigma1_sq=0.2)
+        pm = pm_default(p_max=50.0, noise=0.2)
         st = self._state(cs, stats, pm, rng)
         st.theta = np.zeros(0, dtype=complex)  # drops the static draw entirely
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         st.nu1 = st.nu1 * 4.0  # strong quadratic term: small interior optimum
         w = solve_w1(st, cs, stats, pm, i_max=1)
         assert np.sum(np.abs(w) ** 2) < pm.p_max * (1 - 1e-6)
@@ -385,7 +385,7 @@ class TestSolveW1:
         rng, cs, stats, _ = make_instance(13, scale=3.0)
         pm = pm_default(p_max=0.5)
         st = self._state(cs, stats, pm, rng)
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         # strong auxiliaries: optimum wants more power than allowed
         st.nu1 = st.nu1 * 50.0
         w = solve_w1(st, cs, stats, pm, i_max=1)
@@ -410,13 +410,13 @@ class TestSolveW1:
         pm = pm_default()
         st = self._state(cs, stats, pm, rng, tau=0.6)
         st.theta = crand(rng, 4)
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         vals = []
         w = st.w1.copy()
         for _ in range(6):
             st.w1 = w
             w = solve_w1(st, cs, stats, pm, i_max=1)
-            vals.append(surrogate_stage1(w, st.omega1, st.nu1, cs, stats, pm.sigma1_sq))
+            vals.append(surrogate_stage1(w, st.omega1, st.nu1, cs, stats, pm.noise))
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(vals[1:])))
 
@@ -426,9 +426,9 @@ class TestSolveW1:
         pm = pm_default(p_max=0.8)
         st = self._state(cs, stats, pm, rng, tau=0.55)
         st.theta = crand(rng, 3) * 0.2
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.sigma1_sq)
+        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         w_new = solve_w1(st, cs, stats, pm, i_max=1)
-        f_solver = surrogate_stage1(w_new, st.omega1, st.nu1, cs, stats, pm.sigma1_sq)
+        f_solver = surrogate_stage1(w_new, st.omega1, st.nu1, cs, stats, pm.noise)
 
         # oracle: stacked PG over {power ball} cap {linearized energy halfspace}
         k, n = st.w1.shape
@@ -452,7 +452,7 @@ class TestSolveW1:
         x0 = st.w1.ravel().copy()
         x_ref, _ = pg_qcqp_max(a_full, b_full, projs, iters=60000, x0=x0)
         w_ref = x_ref.reshape(k, n)
-        f_ref = surrogate_stage1(w_ref, st.omega1, st.nu1, cs, stats, pm.sigma1_sq)
+        f_ref = surrogate_stage1(w_ref, st.omega1, st.nu1, cs, stats, pm.noise)
         assert f_solver >= f_ref - 1e-4 * (1.0 + abs(f_ref))
 
 
@@ -463,7 +463,7 @@ class TestSolveW2:
         w = crand(rng, cs.n_users, cs.n_antennas)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=0.5, w1=w, w2=w.copy(), theta=crand(rng, cs.m_elements) * 0.3)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         return rng, cs, stats, pm, st
 
     def test_identity_blocks_clip(self):
@@ -487,7 +487,7 @@ class TestSolveW2:
     def test_theta_zero_degeneracy(self):
         rng, cs, stats, pm, st = self._prep(18)
         st.theta = np.zeros(cs.m_elements, dtype=complex)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         w = solve_w2(st, cs, stats, pm)  # S = 0: only the power ball binds
         assert np.sum(np.abs(w) ** 2) <= pm.p_max * (1 + 1e-8)
 
@@ -501,10 +501,8 @@ class TestSolveW2:
         for seed in (20, 21, 22):
             rng, cs, stats, pm, st = self._prep(seed)
             w = solve_w2(st, cs, stats, pm)
-            f = surrogate_stage2(w, st.theta, st.omega2, st.nu2, cs, stats,
-                                 pm.sigma_r_sq, pm.sigma2_sq)
-            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats,
-                                     pm.sigma_r_sq, pm.sigma2_sq)
+            f = surrogate_stage2(w, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
+            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
             assert f >= f_old - 1e-9 * max(1.0, abs(f_old))
 
 
@@ -516,9 +514,9 @@ class TestSolveTheta:
         w = crand(rng, 2, 4)
         st = SolverState(tau=0.5, w1=np.full((2, 4), 30.0, complex), w2=w,
                          theta=np.array([0.5 + 0.1j]))
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         st.nu2 = st.nu2 * 0.05  # weak curvature: unconstrained magnitude beyond the cap
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.sigma_r_sq, st.w2 @ cs.g_br.T)
+        gamma, lam = theta_quadratic_model(st, cs, stats, pm.noise, st.w2 @ cs.g_br.T)
         uncon = abs(lam[0]) / (2 * np.real(gamma[0, 0]))
         assert uncon > pm.a_max  # the cap must actually bind in this instance
         th = solve_theta(st, cs, stats, pm)
@@ -530,13 +528,13 @@ class TestSolveTheta:
         pm = pm_default(a_max=5.0)
         w = crand(rng, 2, 4) * 0.3
         st = SolverState(tau=0.4, w1=crand(rng, 2, 4), w2=w, theta=crand(rng, 5) * 0.5)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         th = solve_theta(st, cs, stats, pm)
         assert np.all(np.abs(th) <= pm.a_max * (1 + 1e-8))
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
-        p_e = (e_r - 0.6 * 5 * (pm.p_dc + pm.p_sc)) / (0.6 * pm.xi)
+        p_e = (e_r - 0.6 * 5 * pm.p_static) / (0.6 * pm.xi)
         mu = st.w2 @ cs.g_br.T
-        v = np.diag(np.sum(np.abs(mu) ** 2, axis=0)) + pm.sigma_r_sq * np.eye(5)
+        v = np.diag(np.sum(np.abs(mu) ** 2, axis=0)) + pm.noise * np.eye(5)
         assert np.vdot(th, v @ th).real <= p_e * (1 + 1e-7)
 
     def test_energy_infeasible(self):
@@ -544,7 +542,7 @@ class TestSolveTheta:
         pm = pm_default()
         st = SolverState(tau=0.5, w1=np.zeros((2, 4), complex), w2=crand(rng, 2, 4),
                          theta=crand(rng, 4))
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.sigma_r_sq, pm.sigma2_sq)
+        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         with pytest.raises(EnergyInfeasible):
             solve_theta(st, cs, stats, pm)
 
@@ -554,13 +552,10 @@ class TestSolveTheta:
             pm = pm_default(a_max=8.0)
             st = SolverState(tau=0.5, w1=crand(rng, 2, 4) * 2.0, w2=crand(rng, 2, 4) * 0.5,
                              theta=crand(rng, 6) * 0.4)
-            st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats,
-                                                  pm.sigma_r_sq, pm.sigma2_sq)
-            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats,
-                                     pm.sigma_r_sq, pm.sigma2_sq)
+            st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
             th = solve_theta(st, cs, stats, pm)
-            f_new = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats,
-                                     pm.sigma_r_sq, pm.sigma2_sq)
+            f_new = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats, pm.noise)
             assert f_new >= f_old - 1e-8 * max(1.0, abs(f_old))
 
     def test_projections_of_capped_paper_solves(self, monkeypatch):

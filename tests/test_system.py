@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from risjam.channel import ChannelSet, Realization
+from risjam.config import paper_profile
 from risjam.system import (
     PowerModel,
     SolverState,
@@ -82,8 +83,7 @@ def stage2_sinr(w2, theta, rlz, cs, sigma2_sq, sigma_r_sq):
 
 
 def pm_default(**kw):
-    args = dict(p_max=1.0, eta1=0.9, xi=1.1, p_dc=1e-5, p_sc=1e-5, a_max=100.0,
-                sigma1_sq=1e-3, sigma2_sq=1e-3, sigma_r_sq=1e-3)
+    args = dict(p_max=1.0, eta1=0.9, xi=1.1, p_static=2e-5, a_max=100.0, noise=1e-3)
     args.update(kw)
     return PowerModel(**args)
 
@@ -276,8 +276,8 @@ class TestSumRate:
         w2a = crand(rng, 2, 4)
         w2b = crand(rng, 2, 4)
         th = crand(rng, 3)
-        r_a = sum_rate(1.0, w1, w2a, th, rlz, cs, 1e-3, 1e-3, 1e-3)
-        r_b = sum_rate(1.0, w1, w2b, th, rlz, cs, 1e-3, 1e-3, 1e-3)
+        r_a = sum_rate(1.0, w1, w2a, th, rlz, cs, 1e-3)
+        r_b = sum_rate(1.0, w1, w2b, th, rlz, cs, 1e-3)
         assert r_a == pytest.approx(r_b, rel=1e-12)
 
     def test_zero_channels_zero_rate(self):
@@ -285,7 +285,7 @@ class TestSumRate:
         cs = make_channels(rng, scale=0.0)
         rlz = make_realization(cs, rng)
         w = crand(rng, 2, 4)
-        assert sum_rate(0.5, w, w, np.zeros(3, complex), rlz, cs, 1e-3, 1e-3, 1e-3) == 0.0
+        assert sum_rate(0.5, w, w, np.zeros(3, complex), rlz, cs, 1e-3) == 0.0
 
     def test_three_realizations_mean(self):
         rng = np.random.default_rng(11)
@@ -293,8 +293,8 @@ class TestSumRate:
         w1, w2 = crand(rng, 2, 4), crand(rng, 2, 4)
         th = crand(rng, 3)
         rlzs = make_realization(cs, rng, jitter=0.3, count=3)
-        joint = sum_rate(0.4, w1, w2, th, rlzs, cs, 1e-3, 1e-3, 1e-3)
-        singles = [sum_rate(0.4, w1, w2, th, rlzs[i:i + 1], cs, 1e-3, 1e-3, 1e-3) for i in range(3)]
+        joint = sum_rate(0.4, w1, w2, th, rlzs, cs, 1e-3)
+        singles = [sum_rate(0.4, w1, w2, th, rlzs[i:i + 1], cs, 1e-3) for i in range(3)]
         assert joint == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_monotone_in_signal_gain(self):
@@ -302,7 +302,7 @@ class TestSumRate:
         cs = make_channels(rng, q=1, b=1)
         rlz = make_realization(cs, rng)
         w = crand(rng, 2, 4)
-        base = sum_rate(1.0, w, w, np.zeros(3, complex), rlz, cs, 1e-3, 1e-3, 1e-3)
+        base = sum_rate(1.0, w, w, np.zeros(3, complex), rlz, cs, 1e-3)
         w_up = w.copy()
         w_up[0] += cs.h_bu[0] * 0.5  # strengthen the aligned component
         # stage-1 rate of user 0 strictly grows; others' interference grows too,
@@ -320,9 +320,9 @@ class TestSumRate:
         w1, w2 = crand(rng, 3, 4), crand(rng, 3, 4)
         for th in (crand(rng, m), np.zeros(0, complex)):
             for tau in (0.35, 0.0):  # tau = 0: the baselines' full-period reflection
-                got = sum_rate_nats(tau, w1, w2, th, rlzs, cs, 0.02, 0.03, 0.01)
+                got = sum_rate_nats(tau, w1, w2, th, rlzs, cs, 0.02)
                 want = sum_rate_nats_loops(tau, w1, w2, th, rlzs, cs.h_bu, cs.h_ru, cs.g_br,
-                                           0.02, 0.03, 0.01)
+                                           0.02, 0.02, 0.02)
                 assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_permuting_users_permutes_sinrs_and_keeps_rate(self):
@@ -337,24 +337,24 @@ class TestSumRate:
                                    stage1_sinr(w1, rlzs[:1], cs, 0.01)[perm], rtol=1e-12)
         np.testing.assert_allclose(stage2_sinr(w2[perm], th, rlzs_p[:1], cs_p, 0.01, 0.02),
                                    stage2_sinr(w2, th, rlzs[:1], cs, 0.01, 0.02)[perm], rtol=1e-12)
-        base = sum_rate(0.3, w1, w2, th, rlzs, cs, 0.01, 0.01, 0.02)
-        assert sum_rate(0.3, w1[perm], w2[perm], th, rlzs_p, cs_p, 0.01, 0.01, 0.02) == pytest.approx(
+        base = sum_rate(0.3, w1, w2, th, rlzs, cs, 0.01)
+        assert sum_rate(0.3, w1[perm], w2[perm], th, rlzs_p, cs_p, 0.01) == pytest.approx(
             base, rel=1e-12)
 
     @pytest.mark.parametrize("c", [1e-4, 1e3])
     def test_scaling_powers_and_noise_keeps_rate(self, c):
-        # beams and adversary vectors by sqrt(c), every noise power by c:
+        # beams and adversary vectors by sqrt(c), the noise power by c:
         # every SINR term scales by c, so the rate is unchanged (catches
         # unit slips between watts and dBm)
         rng = np.random.default_rng(22)
         cs = make_channels(rng, m=5, k=3, q=2, b=2)
         rlzs = make_realization(cs, rng, jitter=0.3, count=5)
         w1, w2, th = crand(rng, 3, 4), crand(rng, 3, 4), crand(rng, 5) * 3.0
-        base = sum_rate(0.4, w1, w2, th, rlzs, cs, 0.01, 0.02, 0.005)
+        base = sum_rate(0.4, w1, w2, th, rlzs, cs, 0.01)
         sc = np.sqrt(c)
         cs_c = replace(cs, z_jam=cs.z_jam * sc, z_int=cs.z_int * sc)
         rlzs_c = replace(rlzs, z_j=rlzs.z_j * sc, z_i=rlzs.z_i * sc)
-        got = sum_rate(0.4, w1 * sc, w2 * sc, th, rlzs_c, cs_c, 0.01 * c, 0.02 * c, 0.005 * c)
+        got = sum_rate(0.4, w1 * sc, w2 * sc, th, rlzs_c, cs_c, 0.01 * c)
         assert got == pytest.approx(base, rel=1e-12)
 
 
@@ -365,13 +365,13 @@ class TestRisPower:
         pm = pm_default()
         w = crand(rng, 2, 4)
         val = ris_power(w, np.zeros(25, complex), cs.g_br, pm)
-        assert val == pytest.approx(25 * (pm.p_dc + pm.p_sc), rel=1e-12)
+        assert val == pytest.approx(25 * pm.p_static, rel=1e-12)
 
     def test_paper_static_value(self):
-        # P_dc = P_sc = 10 uW, M = 25, theta = 0 -> 5e-4 W
+        # the paper's P_dc = P_sc = 10 uW, M = 25, theta = 0 -> 5e-4 W
         rng = np.random.default_rng(14)
         cs = make_channels(rng, m=25)
-        pm = pm_default(p_dc=1e-5, p_sc=1e-5)
+        pm = paper_profile().power_model()
         val = ris_power(np.zeros((2, 4), complex), np.zeros(25, complex), cs.g_br, pm)
         assert val == pytest.approx(5e-4, rel=1e-12)
 
@@ -386,7 +386,7 @@ class TestRisPower:
         for k in range(2):
             gw = cs.g_br @ w[k]
             amp += np.sum(np.abs(th * gw) ** 2)
-        ref = pm.xi * (amp + pm.sigma_r_sq * np.sum(np.abs(th) ** 2)) + 6 * (pm.p_dc + pm.p_sc)
+        ref = pm.xi * (amp + pm.noise * np.sum(np.abs(th) ** 2)) + 6 * pm.p_static
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_two_homogeneous_in_beams(self):
@@ -395,7 +395,7 @@ class TestRisPower:
         pm = pm_default()
         w = crand(rng, 2, 4)
         th = crand(rng, 6)
-        static = 6 * (pm.p_dc + pm.p_sc) + pm.xi * pm.sigma_r_sq * np.sum(np.abs(th) ** 2)
+        static = 6 * pm.p_static + pm.xi * pm.noise * np.sum(np.abs(th) ** 2)
         p1 = ris_power(w, th, cs.g_br, pm) - static
         p2 = ris_power(2.0 * w, th, cs.g_br, pm) - static
         assert p2 == pytest.approx(4.0 * p1, rel=1e-12)
@@ -434,14 +434,3 @@ class TestFeasibility:
         assert not rep.checks["power_stage1"]  # 1.2 > 1.0
         assert rep.power1_slack == pytest.approx(-0.2)
 
-
-class TestPowerModel:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            pm_default(eta1=1.5)
-        with pytest.raises(ValueError):
-            pm_default(xi=0.5)
-        with pytest.raises(ValueError):
-            pm_default(a_max=0.5)
-        with pytest.raises(ValueError):
-            pm_default(p_max=0.0)
