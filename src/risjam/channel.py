@@ -15,14 +15,9 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.random import Generator
 
 REF_DISTANCE = 1.0  # meters
 RWP_GRID_POINTS = 10000  # intervals of the grid sample_rwp_distance inverts on
-
-
-class BadDistance(Exception):
-    """Distance below the 1 m path-loss reference."""
 
 
 class BadParams(Exception):
@@ -31,10 +26,10 @@ class BadParams(Exception):
 
 def path_loss_linear(d, alpha_pl: float, zeta0_db: float):
     """Linear power gain 10^(-PL/10) with PL = zeta0 + 10*alpha*log10(d/d0),
-    d0 = 1 m, of a distance or of an array of distances."""
+    d0 = 1 m, of a distance or of an array of distances.  Distances below d0
+    are not checked: ScenarioConfig.validate keeps every linked pair of a
+    scenario at least d0 apart."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < REF_DISTANCE):
-        raise BadDistance(f"d = {np.min(d)} m below reference distance {REF_DISTANCE} m")
     pl_db = zeta0_db + 10.0 * alpha_pl * np.log10(d / REF_DISTANCE)
     return 10.0 ** (-pl_db / 10.0)
 
@@ -160,7 +155,8 @@ def _rwp_inverse_cdf(b_coeffs: tuple, upsilon: tuple, d_lo: float, d_hi: float):
     return cdf, grid
 
 
-def sample_rwp_distance(rng: Generator, n: int, b_coeffs, upsilon, d_lo: float, d_hi: float) -> np.ndarray:
+def sample_rwp_distance(rng: np.random.Generator, n: int, b_coeffs, upsilon, d_lo: float,
+                        d_hi: float) -> np.ndarray:
     """Draw distances from the polynomial RWP density by inverse CDF on
     rwp_distance_grid's grid (cached per polynomial and range)."""
     cdf, grid = _rwp_inverse_cdf(tuple(np.asarray(b_coeffs, dtype=float).ravel()),
@@ -175,7 +171,7 @@ def ue_radius_range(radius: float):
     return 1e-6 * radius, radius
 
 
-def nakagami_fading(rng: Generator, shape, m: float) -> np.ndarray:
+def nakagami_fading(rng: np.random.Generator, shape, m: float) -> np.ndarray:
     """Unit-mean-power Nakagami-m fades: Gamma(m, 1/m) power, uniform phase."""
     power = rng.gamma(m, 1.0 / m, size=shape)
     while np.any(power == 0.0):  # exact zeros break the nonzero-entry invariant
@@ -304,12 +300,12 @@ class Realization:
         return (self[i] for i in range(len(self)))
 
 
-def _uniform_box(rng: Generator, lo, hi, n: int) -> np.ndarray:
+def _uniform_box(rng: np.random.Generator, lo, hi, n: int) -> np.ndarray:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     return lo + rng.random((n, 3)) * (hi - lo)
 
 
-def _links(rng: Generator, a, b, shape, alpha: float, zeta0_db: float, m: float) -> np.ndarray:
+def _links(rng: np.random.Generator, a, b, shape, alpha: float, zeta0_db: float, m: float) -> np.ndarray:
     """One link of the given shape per pair of points of a and b (broadcast),
     each scaled by the path loss of its distance |a - b|: one fading draw
     for the whole family, of shape lead + shape."""
@@ -319,7 +315,7 @@ def _links(rng: Generator, a, b, shape, alpha: float, zeta0_db: float, m: float)
         rng, dist.shape + tuple(shape), m)
 
 
-def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
+def sample_static_channels(cfg, rng: np.random.Generator) -> ChannelSet:
     """Place UEs/jammers/interferers and synthesize every channel of one trial.
 
     cfg (a ScenarioConfig) provides the placement (bs_pos, ris_pos, the user
@@ -355,14 +351,14 @@ def sample_static_channels(cfg, rng: Generator) -> ChannelSet:
                       ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
 
 
-def _complex_normals(rng: Generator, shape) -> np.ndarray:
+def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex normals with independent standard normal real and imaginary
     parts, from one normal draw: each entry's real part, then its imaginary
     part."""
     return rng.standard_normal(tuple(shape) + (2,)).view(complex)[..., 0]
 
 
-def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.ndarray:
+def _isotropic_power_vectors(rng: np.random.Generator, shape, total_power: float) -> np.ndarray:
     """(T, K, N) complex Gaussian directions, one (K, N) set per transmitter,
     each scaled so that sum_k ||v_k||^2 = total_power."""
     v = _complex_normals(rng, shape)
@@ -373,7 +369,7 @@ def _isotropic_power_vectors(rng: Generator, shape, total_power: float) -> np.nd
     return v * np.sqrt(total_power / norm2)
 
 
-def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator,
+def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: np.random.Generator,
                                  count: int) -> Realization:
     """Draw count realizations of the uncertain channels as one batch.
 
@@ -387,10 +383,9 @@ def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: Generator,
     the estimates, broadcast (read-only views), and takes their adversary
     terms, computed once per call.  The adversary transmit vectors are the
     trial constants stored in the ChannelSet; only the channels change from
-    draw to draw.
+    draw to draw.  e_mse is trusted to be nonnegative, as
+    ScenarioConfig.validate rejects a negative one.
     """
-    if e_mse < 0:
-        raise BadParams("e_mse must be nonnegative")
     ests = {"h_ju": cs.h_ju_est, "h_iu": cs.h_iu_est, "g_jr": cs.g_jr_est}  # drawing order
     if e_mse == 0:
         terms = dict(zip(_TERMS, _adversary_terms(**ests, z_j=cs.z_jam, z_i=cs.z_int)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import optimizer, system
+from . import numerics, optimizer, system
 from .channel import sample_static_channels, sample_uncertain_realization
 from .config import ScenarioConfig
 from .optimizer import AoReport, ssca_ao
@@ -66,7 +66,10 @@ class TrialResult:
 def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult:
     """One seeded trial: sample channels, run the scheme's optimizer (looked
     up in this module's globals at call time) and score its state on
-    held-out draws; no-RIS draws and scores on the view without RIS elements."""
+    held-out draws; no-RIS draws and scores on the view without RIS elements.
+    A solver failure (EnergyInfeasible, Infeasible, MaxIterExceeded) is
+    raised again as its own type, its message led by "<scheme> trial
+    <index>:", with the original as its cause."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
@@ -79,8 +82,8 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
         optimize, cs = baseline_noris, cs.without_ris()
     try:
         report = optimize(cs, cfg, ss_opt)
-    except optimizer.EnergyInfeasible as exc:
-        raise optimizer.EnergyInfeasible(f"trial {trial_index}: {exc}") from exc
+    except (optimizer.EnergyInfeasible, numerics.Infeasible, numerics.MaxIterExceeded) as exc:
+        raise type(exc)(f"{scheme} trial {trial_index}: {exc}") from exc
     heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
     st = report.state
     rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.noise_w)

@@ -24,8 +24,8 @@ import numpy as np
 
 
 class Infeasible(Exception):
-    """No point meets the QCQP constraints: a negative bound on entry, or a
-    half-space out of the power ball's reach."""
+    """No point meets a beam solve's constraints: a half-space out of the
+    power ball's reach."""
 
 
 class MaxIterExceeded(Exception):
@@ -76,8 +76,10 @@ class QcqpProblem:
         maximize    Re{b^H x} - x^H A x
         subject to  sum_m v_m |x_m|^2 <= c,   |x_m| <= caps_m
 
-    A Hermitian PSD and the ellipsoid diagonal with weights v_m > 0; x = 0
-    is feasible when c >= 0.
+    A Hermitian PSD, the ellipsoid diagonal with weights v_m > 0, caps_m
+    >= 0 and a float c >= 0, so x = 0 is feasible.  Nothing is checked or
+    converted: the active reflection solve builds it from a validated
+    scenario (positive noise power, caps A_max >= 1, no negative bound).
     """
 
     quad: np.ndarray
@@ -85,24 +87,6 @@ class QcqpProblem:
     weights: np.ndarray
     bound: float
     caps: np.ndarray
-
-    def __post_init__(self):
-        self.quad = np.asarray(self.quad, dtype=complex)
-        self.lin = np.asarray(self.lin, dtype=complex).ravel()
-        n = self.lin.size
-        if self.quad.shape != (n, n):
-            raise ValueError(f"quad shape {self.quad.shape} does not match lin length {n}")
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.size != n:
-            raise ValueError("weights length mismatch")
-        if not np.all(self.weights > 0):
-            raise ValueError("ellipsoid weights must be positive")
-        self.bound = float(self.bound)
-        self.caps = np.asarray(self.caps, dtype=float).ravel()
-        if self.caps.size != n:
-            raise ValueError("caps length mismatch")
-        if np.any(self.caps < 0):
-            raise ValueError("caps must be nonnegative")
 
 
 def _ball_bound(d, cum, cap):
@@ -516,8 +500,6 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7,
     at most max(tol, 1e-9); MaxIterExceeded after 20,000 maps.  The
     answer never exceeds the ellipsoid bound in floating point.
     """
-    if p.bound < 0:
-        raise Infeasible(f"ellipsoid bound {p.bound} < 0")
     s = np.sqrt(p.weights)
     a = p.quad / np.outer(s, s)
     b = p.lin / s

@@ -50,10 +50,6 @@ from .numerics import QcqpProblem, solve_concave_qcqp
 from .system import LN2, PowerModel, SolverState
 
 
-class DegenerateTau(Exception):
-    """Both the RIS power draw and the harvest term are zero."""
-
-
 class EnergyInfeasible(Exception):
     """Harvested energy cannot cover static power plus amplified RIS noise."""
 
@@ -118,11 +114,11 @@ def update_saa_stats(stats: SaaStats, draws: Realization, cs: ChannelSet) -> Saa
 
 
 def update_tau(p_r: float, w1: np.ndarray, g_br: np.ndarray, eta1: float) -> float:
-    """Energy-tight time split tau = P_R / (P_R + eta1 sum_k ||G_BR w1_k||^2)."""
-    harvest = system.harvested_energy(w1, 1.0, g_br, eta1)
-    if p_r <= 0.0 and harvest <= 0.0:
-        raise DegenerateTau("both the power draw and the harvest term vanish")
-    return p_r / (p_r + harvest)
+    """Energy-tight time split tau = P_R / (P_R + eta1 sum_k ||G_BR w1_k||^2),
+    for a power draw P_R > 0, which is not checked: the AO loop tests it, and
+    the initial state's P_R >= M P_static is positive in a validated
+    scenario."""
+    return p_r / (p_r + system.harvested_energy(w1, 1.0, g_br, eta1))
 
 
 # ---------------------------------------------------------------------------

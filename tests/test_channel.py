@@ -12,7 +12,6 @@ from scipy import integrate, stats
 import risjam
 from risjam import channel
 from risjam.channel import (
-    BadDistance,
     BadParams,
     ChannelSet,
     RwpParams,
@@ -64,18 +63,11 @@ class TestPathLoss:
         vals_a = [path_loss_linear(20.0, a, 30.0) for a in (2.0, 2.5, 3.0)]
         assert all(a > b for a, b in zip(vals_a, vals_a[1:]))
 
-    def test_below_reference(self):
-        with pytest.raises(BadDistance):
-            path_loss_linear(0.5, 2.0, 30.0)
-
     def test_arrays_of_distances(self):
-        # entry by entry as the scalar law, and one distance below the
-        # reference rejects the whole array
+        # entry by entry as the scalar law
         d = np.array([[1.0, 10.0], [37.4, 150.0]])
         want = [[path_loss_linear(float(x), 2.0, 30.0) for x in row] for row in d]
         np.testing.assert_allclose(path_loss_linear(d, 2.0, 30.0), want, rtol=1e-14)
-        with pytest.raises(BadDistance):
-            path_loss_linear(np.array([2.0, 0.5]), 2.0, 30.0)
 
 
 class TestRwpParams:
@@ -393,16 +385,40 @@ print(json.dumps([loaded, pool, channel.rwp_nakagami_pdf(8.0 * 150.0 ** -2.75, p
 """
 
 
+IMPORT_THEN_TRIAL = """
+import json, sys
+import risjam.cli
+from risjam import harness, paper_profile
+paper_profile()
+loaded = "numpy.random" in sys.modules
+print(json.dumps([loaded, harness.run_trial(paper_profile(r_max=3, heldout=5), "no-ris", 0).rate_bits]))
+"""
+
+
+def fresh_interpreter(code):
+    """The JSON that code prints in a fresh interpreter importing this
+    checkout's risjam."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                                     env={**os.environ, "PYTHONPATH": str(src)}).stdout)
+
+
 def test_trials_load_no_scipy_special():
     # the trial path needs only numpy: scipy.special, which costs every
     # fresh interpreter (CLI run, pool worker) about 0.2 s and 17 MB, is
     # loaded only when the closed-form channel-power law is evaluated; nor
     # do serial trials load the process pool, which only --jobs > 1 uses
     code = TRIALS_THEN_DENSITY.format(b=list(PAPER_B), ups=list(PAPER_UPS))
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    loaded, pool, density = json.loads(out)
+    loaded, pool, density = fresh_interpreter(code)
     assert not loaded
     assert not pool
     assert np.isfinite(density) and density > 0.0
+
+
+def test_import_loads_no_numpy_random():
+    # the sampler's annotations name np.random.Generator without evaluating
+    # it, so importing the CLI and building a profile leave numpy.random
+    # (12-16 ms and about 6 MB of a fresh interpreter) to the first trial
+    loaded, rate = fresh_interpreter(IMPORT_THEN_TRIAL)
+    assert not loaded
+    assert np.isfinite(rate) and rate > 0.0

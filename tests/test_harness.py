@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import risjam
-from risjam import cli, harness, optimizer, system
+from risjam import cli, harness, numerics, optimizer, system
 from risjam.config import ParseError, ScenarioConfig, ValidationError, load_scenario
 from risjam.harness import (
     SCHEMES,
@@ -101,6 +101,7 @@ class TestLoadScenario:
         ("jammer_box_min = 0, 40, 10\njammer_box_max = 0, 40, 10", "jammer box and ris_pos"),
         ("bs_pos = 30, 160, 0", "bs_pos and user disc"),
         ("ris_pos = 30, 0, 5.5", "bs_pos and ris_pos"),
+        ("ris_pos = 30, 150, 0.5", "ris_pos and user disc"),
         ("interferer_box_min = -50, 170.5, 0", "interferer box and user disc"),
         ("jammer_box_max = 60, 135, 0", "jammer box and user disc"),
     ])
@@ -147,6 +148,12 @@ class TestLoadScenario:
             with pytest.raises(ValidationError, match=name):
                 ScenarioConfig(**{name: value})
 
+    def test_negative_e_mse_rejected(self):
+        # the one check of the CSI error variance: the realization sampler
+        # trusts it
+        with pytest.raises(ValidationError, match="e_mse"):
+            ScenarioConfig(e_mse=-0.1)
+
     def test_counts_must_be_integers(self):
         assert issubclass(ValidationError, ValueError)
         for name in ("m", "b", "trials"):
@@ -178,6 +185,24 @@ class TestRunTrial:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_trial(micro_cfg(), "psychic-ris", 0)
+
+    @pytest.mark.parametrize("scheme, module, solve, error", [
+        ("active-harvesting", optimizer, "solve_w2", optimizer.EnergyInfeasible),
+        ("active-harvesting", numerics, "solve_beams_halfspace", numerics.Infeasible),
+        ("passive-ris", numerics, "unit_modulus_mm", numerics.MaxIterExceeded),
+        ("no-ris", numerics, "solve_beams", numerics.MaxIterExceeded),
+    ])
+    def test_failure_names_its_scheme_and_trial(self, monkeypatch, scheme, module, solve, error):
+        # a solver failure leaves the trial as its own type, led by the
+        # scheme and the trial index, with the original as its cause
+        def fail(*args, **kwargs):
+            raise error("the solve failed")
+
+        monkeypatch.setattr(module, solve, fail)
+        with pytest.raises(error, match=f"^{scheme} trial 3: the solve failed$") as info:
+            run_trial(micro_cfg(), scheme, 3)
+        assert type(info.value) is error and type(info.value.__cause__) is error
+        assert str(info.value.__cause__) == "the solve failed"
 
     def test_paired_channels_across_schemes(self):
         cfg = micro_cfg()

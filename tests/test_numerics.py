@@ -191,25 +191,6 @@ class TestProjectCapsBall:
             np.testing.assert_allclose(p, project_ball(z, c), rtol=1e-14, atol=1e-15)
 
 
-class TestQcqpProblem:
-    def test_rejects_nonpositive_weights(self):
-        for weights in ([1.0, 0.0], [1.0, -1.0]):
-            with pytest.raises(ValueError, match="weights"):
-                QcqpProblem(quad=np.eye(2), lin=np.zeros(2), weights=weights, bound=1.0,
-                            caps=np.ones(2))
-
-    def test_rejects_cap_length(self):
-        with pytest.raises(ValueError):
-            QcqpProblem(quad=np.eye(2), lin=np.zeros(2), weights=np.ones(2), bound=1.0,
-                        caps=np.ones(3))
-
-    def test_negative_bound_infeasible_at_solve(self):
-        p = QcqpProblem(quad=np.eye(2), lin=np.ones(2), weights=np.ones(2), bound=-1.0,
-                        caps=np.ones(2))
-        with pytest.raises(Infeasible):
-            solve_concave_qcqp(p)
-
-
 def kkt_instances():
     """The 40 seeded caps-and-ellipsoid instances (A, b, v, caps, c) of the
     KKT certificate, A PSD of random rank."""

@@ -7,7 +7,6 @@ from risjam.channel import ChannelSet, sample_static_channels, sample_uncertain_
 from risjam.harness import run_trial
 from risjam.optimizer import (
     AoReport,
-    DegenerateTau,
     EnergyInfeasible,
     SaaStats,
     initial_state,
@@ -81,11 +80,6 @@ class TestUpdateTau:
         tau = update_tau(p_r, w, cs.g_br, 0.8)
         e_r = system.harvested_energy(w, tau, cs.g_br, 0.8)
         assert abs(e_r - (1 - tau) * p_r) <= 1e-12 * e_r
-
-    def test_degenerate(self):
-        g = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(DegenerateTau):
-            update_tau(0.0, np.zeros((1, 2), complex), g, 1.0)
 
 
 class TestAuxStage1:
