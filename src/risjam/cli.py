@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
-from .harness import SCHEMES, SWEEP_AXES, _apply_axis, run_sweep
+from .harness import AXIS_FIELDS, SCHEMES, SWEEP_AXES, _apply_axis, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,9 +34,9 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     values = []
-    if args.sweep not in (None, "iterations"):
-        if not args.values:
-            parser.error("--values is required for this sweep axis")
+    if (args.sweep in (None, "iterations")) != (args.values is None):
+        parser.error(f"--values goes with, and only with, --sweep {'|'.join(AXIS_FIELDS)}")
+    if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",")]
         except ValueError:

@@ -8,7 +8,7 @@ text file can override any default, see load_scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -224,15 +224,15 @@ class ScenarioConfig:
 
 
 def paper_profile(**overrides) -> ScenarioConfig:
-    """Full-scale scenario (counts and powers of the reference simulations)."""
-    return replace(ScenarioConfig(), **overrides) if overrides else ScenarioConfig()
+    """Full-scale scenario (counts and powers of the reference simulations), validated once."""
+    return ScenarioConfig(**overrides)
 
 
 def desk_profile(**overrides) -> ScenarioConfig:
-    """Reduced-scale profile for CI runtime: fewer nodes, fewer trials."""
+    """Reduced-scale profile for CI runtime: fewer nodes, fewer trials; validated once."""
     base = dict(n=4, k=2, q=1, b=2, m=8, n_jam=4, trials=50)
     base.update(overrides)
-    return replace(ScenarioConfig(), **base)
+    return ScenarioConfig(**base)
 
 
 def load_scenario(path: str, profile: str = "paper") -> ScenarioConfig:

@@ -104,22 +104,24 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
 
 @dataclass
 class SweepResult:
+    """Per-trial held-out rates and best objectives (bits) by (value, scheme), arrays in
+    trial order so schemes pair by index; rows() computes every statistic the CSV reports."""
+
     axis: str
     values: list
     schemes: list
-    mean_rate: dict = field(default_factory=dict)      # (value, scheme) -> mean bits
-    stderr: dict = field(default_factory=dict)
-    mean_objective: dict = field(default_factory=dict)
-    trials: int = 0
+    rates: dict = field(default_factory=dict)
+    objectives: dict = field(default_factory=dict)
     seed: int = 0
     wall_clock: float = 0.0                            # seconds for the whole sweep
 
     def rows(self):
         for value in self.values:
             for scheme in self.schemes:
-                key = (value, scheme)
-                yield (self.axis, value, scheme, self.mean_rate[key], self.stderr[key],
-                       self.trials, self.seed, self.mean_objective[key])
+                rates = self.rates[(value, scheme)]
+                stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+                yield (self.axis, value, scheme, float(rates.mean()), stderr, rates.size,
+                       self.seed, float(self.objectives[(value, scheme)].mean()))
 
 
 CSV_HEADER = "axis,value,scheme,mean_rate_bits,stderr,trials,seed,objective_bits"
@@ -164,8 +166,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     if axis not in SWEEP_AXES:
         raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = list(values)
-    result = SweepResult(axis=axis, values=values, schemes=schemes,
-                         trials=cfg.trials, seed=cfg.seed)
+    result = SweepResult(axis=axis, values=values, schemes=schemes, seed=cfg.seed)
     cfgs = [_apply_axis(cfg, axis, value) for value in values]
     tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
     t0 = time.perf_counter()
@@ -179,12 +180,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
         outputs = [_run_point(t) for t in tasks]
     result.wall_clock = time.perf_counter() - t0
     keys = [(value, scheme) for value in values for scheme in schemes]
-    for i, key in enumerate(keys):
-        chunk = outputs[i * cfg.trials:(i + 1) * cfg.trials]
-        rates, objs = map(np.array, zip(*chunk))
-        result.mean_rate[key] = float(rates.mean())
-        result.stderr[key] = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-        result.mean_objective[key] = float(objs.mean())
+    for key, chunk in zip(keys, np.reshape(outputs, (len(keys), cfg.trials, 2))):
+        result.rates[key], result.objectives[key] = chunk.T
     if out:
         write_csv(result, out)
     return result
@@ -193,17 +190,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
 def _iteration_trace(cfg: ScenarioConfig, schemes, out):
     """Per-iteration objective trace of a single trial (convergence curve)."""
     traces = {scheme: run_trial(cfg, scheme, 0).report.objective_bits for scheme in schemes}
-    length = max(len(t) for t in traces.values())
-    values = list(range(1, length + 1))
-    result = SweepResult(axis="iterations", values=values, schemes=list(schemes),
-                         trials=1, seed=cfg.seed)
-    for r, value in enumerate(values):
-        for scheme in schemes:
-            t = traces[scheme]
-            v = t[min(r, len(t) - 1)]
-            result.mean_rate[(value, scheme)] = float(v)
-            result.stderr[(value, scheme)] = 0.0
-            result.mean_objective[(value, scheme)] = float(v)
+    values = list(range(1, max(len(t) for t in traces.values()) + 1))
+    points = {(v, s): np.array([t[min(v, len(t)) - 1]]) for s, t in traces.items() for v in values}
+    result = SweepResult(axis="iterations", values=values, schemes=schemes, rates=points,
+                         objectives=points, seed=cfg.seed)
     if out:
         write_csv(result, out)
     return result

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,17 +288,13 @@ def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerMo
     """Reflection coefficients: maximize the averaged quadratic model under
     the output-power ellipsoid, diagonal with weights sum_k |mu_km|^2 +
     sigma^2, and per-element amplitude caps (numerics.solve_concave_qcqp,
-    its ball step warm-started from the record when given)."""
-    m = state.theta.size
-    if m == 0:
-        return state.theta.copy()
+    its ball step warm-started from the record when given).  theta must be non-empty; P_E >= 0
+    is not checked, as solve_w2 on this w1, tau and M raised unless P_E - sigma^2 ||theta||^2 >= 0."""
     p_e = energy_budget(state, cs, pm)
-    if p_e < 0:
-        raise EnergyInfeasible(f"the harvest cannot cover the static load (P_E_tilde = {p_e:.3e})")
     mu = state.w2 @ cs.g_br.T
     gamma, lam = theta_quadratic_model(state, cs, stats, pm.noise, mu)
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.noise,
-                       bound=p_e, caps=np.full(m, pm.a_max))
+                       bound=p_e, caps=np.full(state.theta.size, pm.a_max))
     return solve_concave_qcqp(prob, tol=tol, record=record)
 
 
@@ -461,9 +457,6 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
 
     report.state = best_state
     report.feasibility = system.check_feasibility(best_state, cs, pm)
-    if not harvest:
-        # no harvesting stage and no amplification draw: no energy-supply constraint
-        report.feasibility = replace(report.feasibility, energy_slack=0.0)
     return report
 
 

@@ -11,7 +11,7 @@ averages of these quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +50,9 @@ class SolverState:
     nu2: np.ndarray = None
 
     def copy(self) -> "SolverState":
-        return SolverState(
-            tau=self.tau, w1=self.w1.copy(), w2=self.w2.copy(), theta=self.theta.copy(),
-            omega1=None if self.omega1 is None else self.omega1.copy(),
-            nu1=None if self.nu1 is None else self.nu1.copy(),
-            omega2=None if self.omega2 is None else self.omega2.copy(),
-            nu2=None if self.nu2 is None else self.nu2.copy(),
-        )
+        """Copies every array field; it reads the fields, so a new one needs no edit."""
+        return SolverState(**{k: v.copy() if isinstance(v, np.ndarray) else v
+                              for k, v in vars(self).items()})
 
 
 def harvested_energy(w1: np.ndarray, tau: float, g_br: np.ndarray, eta1: float) -> float:
@@ -151,17 +147,17 @@ def ris_power(w2: np.ndarray, theta: np.ndarray, g_br: np.ndarray, pm: PowerMode
 
 @dataclass
 class FeasibilityReport:
-    """Constraint slacks (nonnegative = satisfied) and per-constraint flags."""
+    """Constraint slacks (nonnegative = satisfied); checks derives the per-constraint flags."""
 
     power1_slack: float
     power2_slack: float
     energy_slack: float
     amplitude_slack: float
-    checks: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    @property
+    def checks(self) -> dict:
         tol = 1e-8  # a slack this far below zero still counts as met
-        self.checks = {
+        return {
             "power_stage1": self.power1_slack >= -tol,
             "power_stage2": self.power2_slack >= -tol,
             "energy_supply": self.energy_slack >= -tol,
@@ -175,11 +171,12 @@ class FeasibilityReport:
 
 def check_feasibility(state: SolverState, cs: ChannelSet, pm: PowerModel) -> FeasibilityReport:
     """Slacks for both transmit-power caps, the energy-supply inequality, and
-    the per-element amplitude bound."""
+    the per-element amplitude bound; at tau = 0 (no harvest) P_R counts as 0, so
+    the energy slack E_R - (1-tau) P_R is 0."""
     p1 = float(np.sum(np.abs(state.w1) ** 2))
     p2 = float(np.sum(np.abs(state.w2) ** 2))
     e_r = harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
-    p_r = ris_power(state.w2, state.theta, cs.g_br, pm)
+    p_r = ris_power(state.w2, state.theta, cs.g_br, pm) if state.tau > 0 else 0.0
     amp = float(np.max(np.abs(state.theta))) if state.theta.size else 0.0
     return FeasibilityReport(
         power1_slack=pm.p_max - p1,

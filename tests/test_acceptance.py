@@ -179,7 +179,7 @@ def test_criterion_6_interior_optimum_in_m():
     values = [5, 10, 15, 20, 25, 30, 40, 50]
     cfg = replace(risjam.paper_profile(), trials=24)
     res = harness.run_sweep(cfg, "M", values, schemes=["active-harvesting"])
-    curve = np.array([res.mean_rate[(v, "active-harvesting")] for v in values])
+    curve = np.array([res.rates[(v, "active-harvesting")].mean() for v in values])
     peak = values[int(np.argmax(curve))]
     ok = 15 <= peak <= 40 and peak not in (values[0], values[-1])
     detail = ("(curve " + ", ".join(f"{v:.2f}" for v in curve) +
@@ -200,7 +200,7 @@ def test_criterion_7_monotone_trends():
     details = []
     for axis, values, sign in axes:
         res = harness.run_sweep(base, axis, values, schemes=["active-harvesting"])
-        curve = [res.mean_rate[(v, "active-harvesting")] for v in values]
+        curve = [res.rates[(v, "active-harvesting")].mean() for v in values]
         rho = sstats.spearmanr(values, curve).statistic
         ok = sign * rho >= 0.9
         all_ok &= ok

@@ -444,6 +444,28 @@ class TestRunSweep:
         with pytest.raises(UnknownAxis):
             run_sweep(micro_cfg(), "temperature", [1, 2])
 
+    def test_per_trial_data_and_csv_statistics(self, tmp_path):
+        cfg = micro_cfg(trials=3)
+        schemes = ["no-ris", "passive-ris"]
+        out = tmp_path / "sweep.csv"
+        res = run_sweep(cfg, "B", [1, 2], schemes=schemes, out=str(out))
+        for value in (1, 2):
+            cfg_v = harness._apply_axis(cfg, "B", value)
+            for scheme in schemes:
+                trials = [run_trial(cfg_v, scheme, i) for i in range(3)]
+                assert list(res.rates[(value, scheme)]) == [t.rate_bits for t in trials]
+                assert (list(res.objectives[(value, scheme)])
+                        == [t.report.best_objective_bits for t in trials])
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 4
+        for axis, value, scheme, mean, stderr, trials, seed, objective in rows:
+            rates = res.rates[(int(value), scheme)]
+            assert (axis, trials, seed) == ("B", "3", str(cfg.seed))
+            assert float(mean) == pytest.approx(np.mean(rates), rel=1e-5)
+            assert float(stderr) == pytest.approx(np.std(rates, ddof=1) / np.sqrt(3), rel=1e-5)
+            assert float(objective) == pytest.approx(np.mean(res.objectives[(int(value), scheme)]),
+                                                     rel=1e-5)
+
     def test_csv_byte_identical(self, tmp_path):
         cfg = micro_cfg(trials=3)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -491,7 +513,7 @@ class TestRunSweep:
         for trials in (25, 100, 400):
             cfg = micro_cfg(trials=trials, e_mse=0.1, r_max=4, heldout=4)
             res = run_sweep(cfg, "B", [1], schemes=["no-ris"])
-            stderrs[trials] = res.stderr[(1, "no-ris")]
+            stderrs[trials] = next(res.rows())[4]
         assert stderrs[25] > stderrs[100] > stderrs[400]
         ratio = stderrs[25] / stderrs[400]
         assert 2.0 < ratio < 8.0  # ideal 4.0
@@ -515,7 +537,7 @@ class TestRunSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         res = run_sweep(micro_cfg(trials=2), "B", [1, 2, 3], schemes=["no-ris"], jobs=2)
         assert len(pools) == 1
-        assert len(res.mean_rate) == 3
+        assert len(res.rates) == 3
         assert res.wall_clock > 0.0
 
 
@@ -544,6 +566,8 @@ class TestCli:
         ["--profile", "desk", "--scenario", "{tmp}/inverted_box.cfg", "--scheme", "no-ris"],
         ["--profile", "desk", "--scenario", "{tmp}/jammer_on_ris.cfg", "--scheme", "no-ris"],
         ["--profile", "desk", "--scenario", "{tmp}/no_user_density.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--values", "6,8", "--scheme", "no-ris"],
+        ["--profile", "desk", "--sweep", "iterations", "--values", "6,8", "--scheme", "no-ris"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
         (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")

@@ -531,15 +531,6 @@ class TestSolveTheta:
         v = np.diag(np.sum(np.abs(mu) ** 2, axis=0)) + pm.noise * np.eye(5)
         assert np.vdot(th, v @ th).real <= p_e * (1 + 1e-7)
 
-    def test_energy_infeasible(self):
-        rng, cs, stats, _ = make_instance(25, m=4)
-        pm = pm_default()
-        st = SolverState(tau=0.5, w1=np.zeros((2, 4), complex), w2=crand(rng, 2, 4),
-                         theta=crand(rng, 4))
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        with pytest.raises(EnergyInfeasible):
-            solve_theta(st, cs, stats, pm)
-
     def test_surrogate_ascent(self):
         for seed in (26, 27):
             rng, cs, stats, _ = make_instance(seed, m=6, q=2)

@@ -434,3 +434,23 @@ class TestFeasibility:
         assert not rep.checks["power_stage1"]  # 1.2 > 1.0
         assert rep.power1_slack == pytest.approx(-0.2)
 
+
+
+class TestSolverStateCopy:
+    def test_copy_equals_and_owns_its_arrays(self):
+        rng = np.random.default_rng(20)
+        st = SolverState(tau=0.3, w1=crand(rng, 2, 4), w2=crand(rng, 2, 4), theta=crand(rng, 3),
+                         omega2=rng.uniform(size=2), nu2=crand(rng, 2))
+        arrays = ("w1", "w2", "theta", "omega2", "nu2")
+        before = {name: getattr(st, name).copy() for name in arrays}
+        cp = st.copy()
+        assert cp.tau == st.tau
+        assert cp.omega1 is None and cp.nu1 is None
+        for name in arrays:
+            a, b = getattr(cp, name), getattr(st, name)
+            np.testing.assert_array_equal(a, b)
+            assert a is not b and not np.shares_memory(a, b)
+            a *= 2.0  # mutating the copy leaves the original as it was
+            np.testing.assert_array_equal(getattr(st, name), before[name])
+        cp.tau = 0.9
+        assert st.tau == 0.3
