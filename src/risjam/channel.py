@@ -379,18 +379,18 @@ def sample_uncertain_realization(cs: ChannelSet, e_mse: float, rng: np.random.Ge
     draw for the whole batch, in the order jammer-user, interferer-user,
     jammer-RIS, so that channels without RIS elements consume the same
     jammer and interferer errors; the normals are scaled and added to the
-    estimates in place.  At e_mse = 0 no normals are drawn: every draw is
-    the estimates, broadcast (read-only views), and takes their adversary
-    terms, computed once per call.  The adversary transmit vectors are the
-    trial constants stored in the ChannelSet; only the channels change from
-    draw to draw.  e_mse is trusted to be nonnegative, as
+    estimates in place.  At e_mse = 0 the batch is one draw, whatever count
+    is asked: read-only views of the estimates and of their adversary terms,
+    computed once, with no normals drawn.  The adversary transmit vectors
+    are the trial constants stored in the ChannelSet; only the channels
+    change from draw to draw.  e_mse is trusted to be nonnegative, as
     ScenarioConfig.validate rejects a negative one.
     """
     ests = {"h_ju": cs.h_ju_est, "h_iu": cs.h_iu_est, "g_jr": cs.g_jr_est}  # drawing order
     if e_mse == 0:
         terms = dict(zip(_TERMS, _adversary_terms(**ests, z_j=cs.z_jam, z_i=cs.z_int)))
         return Realization._of(z_j=cs.z_jam, z_i=cs.z_int, **{
-            name: np.broadcast_to(a, (count,) + a.shape) for name, a in {**ests, **terms}.items()})
+            name: np.broadcast_to(a, (1,) + a.shape) for name, a in {**ests, **terms}.items()})
     links = {}
     for name, est in ests.items():
         draw = links[name] = _complex_normals(rng, (count,) + est.shape)

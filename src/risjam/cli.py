@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
-from .harness import AXIS_FIELDS, SCHEMES, SWEEP_AXES, _apply_axis, run_sweep
+from .harness import AXIS_FIELDS, SCHEMES, SWEEP_AXES, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,6 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one point (a B sweep at the configured B) or one sweep.  Bad input
+    is a usage error (exit 2) before any trial runs; later errors are not."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -41,25 +44,27 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",")]
         except ValueError:
             parser.error(f"--values must be comma-separated numbers, got {args.values}")
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        parser.error(f"--out must name a file in an existing directory, got {args.out}")
     try:
         if args.scenario:
             cfg = load_scenario(args.scenario, profile=args.profile)
         else:
             cfg = desk_profile() if args.profile == "desk" else paper_profile()
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.sweep is None:
-            # single point: reuse the sweep machinery on the B axis at its configured value
-            args.sweep, values = "B", [cfg.b]
-        for value in values:  # every sweep value must make a valid scenario
-            _apply_axis(cfg, args.sweep, value)
+        overrides = {name: v for name, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+        if overrides:
+            cfg = replace(cfg, **overrides)
     except (OSError, ParseError, ValidationError) as exc:
         parser.error(str(exc))
+    if args.sweep is None:
+        args.sweep, values = "B", [cfg.b]
 
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-    result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
+    try:
+        result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
+    except ValidationError as exc:  # a bad value: run_sweep builds every config before trials
+        parser.error(str(exc))
     for row in result.rows():
         axis, value, scheme, mean_rate, stderr, trials, seed, objective = row
         print(f"{axis}={value:g} {scheme}: rate={mean_rate:.4f} bits (+/- {stderr:.4f}), "

@@ -66,10 +66,10 @@ class TrialResult:
 def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult:
     """One seeded trial: sample channels, run the scheme's optimizer (looked
     up in this module's globals at call time) and score its state on
-    held-out draws; no-RIS draws and scores on the view without RIS elements.
-    A solver failure (EnergyInfeasible, Infeasible, MaxIterExceeded) is
-    raised again as its own type, its message led by "<scheme> trial
-    <index>:", with the original as its cause."""
+    held-out draws (one at e_mse = 0); no-RIS draws and scores on the view
+    without RIS elements.  A solver failure (EnergyInfeasible, Infeasible,
+    MaxIterExceeded) is raised again as its own type, its message led by
+    "<scheme> trial <index>:", with the original as its cause."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
@@ -91,10 +91,8 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """cfg with the axis's fields set to value; the new config validates it.
-    An integral value of a count field is set as an int."""
-    if axis not in AXIS_FIELDS:
-        raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """cfg with the axis's fields set to value (run_sweep checks the axis,
+    the new config the value); an integral count value is set as an int."""
     names = AXIS_FIELDS[axis]
     value = float(value)
     if isinstance(getattr(ScenarioConfig, names[0]), int) and value.is_integer():
@@ -152,6 +150,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
               out: str | None = None) -> SweepResult:
     """Paired Monte-Carlo sweep over one axis; optionally writes the CSV.
 
+    Every value's config is built, and so validated, before any trial runs.
     Trials may execute in separate processes (jobs > 1): one pool runs every
     (value, scheme, trial) task of the sweep.  The pool and the serial loop
     both return results in task order, so results are merged by position
@@ -162,38 +161,36 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
     if axis == "iterations":
-        return _iteration_trace(cfg, schemes, out)
-    if axis not in SWEEP_AXES:
+        result = _iteration_trace(cfg, schemes)
+    elif axis not in SWEEP_AXES:
         raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = list(values)
-    result = SweepResult(axis=axis, values=values, schemes=schemes, seed=cfg.seed)
-    cfgs = [_apply_axis(cfg, axis, value) for value in values]
-    tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
-    t0 = time.perf_counter()
-    if jobs and jobs > 1:
-        # imported here: loading the process pool costs every `import risjam`
-        # (CLI run, pool worker) about 14 ms, and only parallel sweeps use it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_point, tasks, chunksize=4))
     else:
-        outputs = [_run_point(t) for t in tasks]
-    result.wall_clock = time.perf_counter() - t0
-    keys = [(value, scheme) for value in values for scheme in schemes]
-    for key, chunk in zip(keys, np.reshape(outputs, (len(keys), cfg.trials, 2))):
-        result.rates[key], result.objectives[key] = chunk.T
+        values = list(values)
+        result = SweepResult(axis=axis, values=values, schemes=schemes, seed=cfg.seed)
+        cfgs = [_apply_axis(cfg, axis, value) for value in values]
+        tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
+        t0 = time.perf_counter()
+        if jobs and jobs > 1:
+            # imported here: loading the process pool costs every `import risjam`
+            # (CLI run, pool worker) about 14 ms, and only parallel sweeps use it
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outputs = list(pool.map(_run_point, tasks, chunksize=4))
+        else:
+            outputs = [_run_point(t) for t in tasks]
+        result.wall_clock = time.perf_counter() - t0
+        keys = [(value, scheme) for value in values for scheme in schemes]
+        for key, chunk in zip(keys, np.reshape(outputs, (len(keys), cfg.trials, 2))):
+            result.rates[key], result.objectives[key] = chunk.T
     if out:
         write_csv(result, out)
     return result
 
 
-def _iteration_trace(cfg: ScenarioConfig, schemes, out):
+def _iteration_trace(cfg: ScenarioConfig, schemes):
     """Per-iteration objective trace of a single trial (convergence curve)."""
     traces = {scheme: run_trial(cfg, scheme, 0).report.objective_bits for scheme in schemes}
     values = list(range(1, max(len(t) for t in traces.values()) + 1))
     points = {(v, s): np.array([t[min(v, len(t)) - 1]]) for s, t in traces.items() for v in values}
-    result = SweepResult(axis="iterations", values=values, schemes=schemes, rates=points,
-                         objectives=points, seed=cfg.seed)
-    if out:
-        write_csv(result, out)
-    return result
+    return SweepResult(axis="iterations", values=values, schemes=schemes, rates=points,
+                       objectives=points, seed=cfg.seed)

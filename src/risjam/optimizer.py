@@ -369,15 +369,13 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
     warm-started at the current theta.  On channels without RIS elements
     theta starts empty, so every RIS term drops out.
 
-    Before the loop one generator on the seed draws the whole batch of
-    r_max realizations (one sample call).  Iteration r folds draw r into the
-    SAA statistics, evaluates the SAA objective on the first r draws,
-    applies the stop rule, keeps the best state, then updates the blocks
-    the scheme optimizes.  With ideal CSI (e_mse = 0) every draw is the
-    estimates, so the batch holds one draw: it is folded once, and every
-    objective is evaluated on that one draw.  Each QCQP block keeps one
-    multiplier record across the iterations, so its solves start from the
-    multipliers of its previous solve."""
+    Before the loop one generator on the seed asks for r_max realizations
+    (one sample call; at e_mse = 0 the sampler returns one).  Iteration r
+    folds draw r, if the batch holds it, into the SAA statistics, evaluates
+    the SAA objective on the draws folded so far, applies the stop rule,
+    keeps the best state, then updates the blocks the scheme optimizes.
+    Each QCQP block keeps one multiplier record across the iterations, so
+    its solves start from the multipliers of its previous solve."""
     pm = cfg.power_model()
     state = initial_state(cs, pm, harvest)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
@@ -392,8 +390,7 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
         report.timings[block] += time.perf_counter() - t0
 
     with timed("draw"):
-        draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng),
-                                             1 if cfg.e_mse == 0 else cfg.r_max)
+        draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng), cfg.r_max)
     best_state = state.copy()
     prev_v = None
     warmup = 5

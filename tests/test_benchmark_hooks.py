@@ -112,7 +112,8 @@ def test_trial_meets_the_capture_contract(monkeypatch, scheme):
     harness.run_trial(cfg, scheme, 0)
 
     assert len(static) == 1
-    assert len(scoring) == 1 and len(scoring[0]) == cfg.heldout
+    assert cfg.e_mse == 0  # ideal CSI: the held-out batch is one draw
+    assert len(scoring) == 1 and len(scoring[0]) == 1
     cs = static[0]
     # a no-RIS trial draws on the view without RIS elements: its g_jr has no
     # RIS rows, which the checks do not read when theta is empty
@@ -160,18 +161,20 @@ def test_one_draw_fold_and_objective_per_iteration(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", harness.SCHEMES)
 def test_one_draw_for_every_iteration_at_ideal_csi(monkeypatch, scheme):
-    # at e_mse = 0 every draw is the estimates: the AO samples and folds
-    # one draw, once, and scores the SAA objective of every iteration on
-    # that one draw; the held-out scoring still samples cfg.heldout draws
+    # at e_mse = 0 every draw is the estimates: each sample returns one
+    # draw, whatever count is asked; the AO folds it once and scores the SAA
+    # objective of every iteration on it, and the held-out scoring rates
+    # that one draw
     calls = []
-    sizes = [(channel, "sample_uncertain_realization", "sample", lambda args: args[3]),
-             (optimizer, "update_saa_stats", "fold", lambda args: len(args[1])),
-             (system, "sum_rate_nats", "objective", lambda args: len(args[4]))]
+    sizes = [(channel, "sample_uncertain_realization", "sample", lambda args, out: len(out)),
+             (optimizer, "update_saa_stats", "fold", lambda args, out: len(args[1])),
+             (system, "sum_rate_nats", "objective", lambda args, out: len(args[4]))]
     for module, fn_name, name, size in sizes:
         def make_wrapper(fn, name=name, size=size):
             def wrapper(*args, **kw):
-                calls.append((name, size(args)))
-                return fn(*args, **kw)
+                out = fn(*args, **kw)
+                calls.append((name, size(args, out)))
+                return out
             return wrapper
         patch_everywhere(monkeypatch, module, fn_name, make_wrapper)
     cfg = risjam.desk_profile(r_max=8, heldout=5, e_mse=0.0)
@@ -179,4 +182,4 @@ def test_one_draw_for_every_iteration_at_ideal_csi(monkeypatch, scheme):
 
     assert 2 <= result.report.iterations <= cfg.r_max
     want = [("sample", 1), ("fold", 1)] + [("objective", 1)] * result.report.iterations
-    assert calls == want + [("sample", cfg.heldout), ("objective", cfg.heldout)]
+    assert calls == want + [("sample", 1), ("objective", 1)]

@@ -252,20 +252,22 @@ class TestChannelSet:
 
 class TestRealization:
     def test_zero_error_exact(self):
-        # every draw is a copy of the estimates, and no normals are drawn
+        # ideal CSI is one draw, the estimates, whatever count is asked, and
+        # no normals are drawn
         cfg = risjam.desk_profile()
         cs = sample_static_channels(cfg, np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        rlz = sample_uncertain_realization(cs, 0.0, rng, 4)
-        assert len(rlz) == 4
-        for draw in rlz:
-            np.testing.assert_array_equal(draw.h_ju, cs.h_ju_est)
-            np.testing.assert_array_equal(draw.g_jr, cs.g_jr_est)
-            np.testing.assert_array_equal(draw.h_iu, cs.h_iu_est)
-        # the batch is read-only views of the estimates, not copies
-        for link, est in ((rlz.h_ju, cs.h_ju_est), (rlz.g_jr, cs.g_jr_est), (rlz.bounce, None)):
-            assert not link.flags.writeable
-            assert est is None or np.shares_memory(link, est)
+        for count in (1, 4, 100):
+            rlz = sample_uncertain_realization(cs, 0.0, rng, count)
+            assert len(rlz) == 1
+            for draw in rlz:
+                np.testing.assert_array_equal(draw.h_ju, cs.h_ju_est)
+                np.testing.assert_array_equal(draw.g_jr, cs.g_jr_est)
+                np.testing.assert_array_equal(draw.h_iu, cs.h_iu_est)
+            # the batch is read-only views of the estimates, not copies
+            for link, est in ((rlz.h_ju, cs.h_ju_est), (rlz.g_jr, cs.g_jr_est), (rlz.bounce, None)):
+                assert not link.flags.writeable
+                assert est is None or np.shares_memory(link, est)
         assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
     def test_error_variance_ratio(self):
@@ -308,8 +310,9 @@ class TestRealization:
             cs = sample_static_channels(cfg, np.random.default_rng(seed))
             rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
             rlz = sample_uncertain_realization(cs, e_mse, rng, 3)
-            assert len(rlz) == 3
-            for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), uncertain_draw_loops(cs, e_mse, ref_rng, 3)):
+            count = 1 if e_mse == 0 else 3  # ideal CSI is one draw
+            assert len(rlz) == count
+            for got, want in zip((rlz.h_ju, rlz.g_jr, rlz.h_iu), uncertain_draw_loops(cs, e_mse, ref_rng, count)):
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
             assert rng.standard_normal() == ref_rng.standard_normal()
@@ -326,9 +329,10 @@ class TestRealization:
         q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
         rng = np.random.default_rng(12)
         batch = sample_uncertain_realization(cs, e_mse, rng, 20)
-        assert batch.direct.shape == (20, q, k)
-        assert batch.interf.shape == (20, k)
-        assert batch.bounce.shape == (20, q, m, k)
+        count = 1 if e_mse == 0 else 20  # ideal CSI is one draw
+        assert batch.direct.shape == (count, q, k)
+        assert batch.interf.shape == (count, k)
+        assert batch.bounce.shape == (count, q, m, k)
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
         for th in (theta, np.zeros(0, complex)):
             for got, want in zip(adversary_interference(th, batch, cs),

@@ -568,8 +568,10 @@ class TestCli:
         ["--profile", "desk", "--scenario", "{tmp}/no_user_density.cfg", "--scheme", "no-ris"],
         ["--profile", "desk", "--values", "6,8", "--scheme", "no-ris"],
         ["--profile", "desk", "--sweep", "iterations", "--values", "6,8", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scheme", "no-ris", "--out", "{tmp}/missing/x.csv"],
+        ["--profile", "desk", "--scheme", "no-ris", "--out", "{tmp}"],
     ])
-    def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys):
+    def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
         (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")
         (tmp_path / "unparsable.cfg").write_text("this is not a pair\n")
         (tmp_path / "nan_e_mse.cfg").write_text("e_mse = nan\n")
@@ -581,8 +583,41 @@ class TestCli:
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--trials" not in argv:
             argv += ["--trials", "1"]
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--out", str(out)])
+            cli.main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "missing").exists()
+        assert trials == []  # rejected before any trial ran
+
+    def test_sweep_validates_each_config_once(self, monkeypatch):
+        # the profile, the --trials/--seed overrides (one replace) and one
+        # config per sweep value: run_sweep builds them, the CLI does not
+        calls = []
+        validate = ScenarioConfig.validate
+
+        def counted(cfg):
+            calls.append((cfg.b, cfg.trials, cfg.seed))
+            return validate(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        assert cli.main(["--profile", "desk", "--sweep", "B", "--values", "2,4", "--scheme", "no-ris",
+                         "--trials", "1", "--seed", "3"]) == 0
+        assert calls == [(2, 50, 20240), (2, 1, 3), (2, 1, 3), (4, 1, 3)]
+
+    @pytest.mark.parametrize("where, error", [("run_trial", optimizer.EnergyInfeasible),
+                                              ("write_csv", PermissionError)])
+    def test_errors_after_trials_start_are_not_usage_errors(self, where, error, monkeypatch, tmp_path):
+        # a trial's failure or a failed CSV write leaves main as its own
+        # type, not as a usage error (exit 2)
+        def fail(*args):
+            raise error("late")
+
+        monkeypatch.setattr(harness, where, fail)
+        with pytest.raises(error, match="late"):
+            cli.main(["--profile", "desk", "--scheme", "no-ris", "--trials", "1",
+                      "--out", str(tmp_path / "sweep.csv")])
