@@ -1,0 +1,101 @@
+"""Interleaved same-process A/B of run_trial between two checkouts.
+
+Copies each checkout's src/risjam to a temporary directory as risjam_parent
+and risjam_change, imports both in one process (one BLAS thread) and runs
+the same trials on each side in rounds, alternating which side goes first.
+After one untimed warm-up trial per scheme and side, a round times process
+CPU over run_trial for every (trial index, scheme) on one side, so both
+sides see the same machine load within a round.
+
+    python3 scripts/ab_trials.py --parent ../parent --change . \\
+        --profile paper --e-mse 0.1 --scheme passive-ris no-ris --rounds 30
+
+Prints each side's median ms per trial, the median change/parent ratio of
+the rounds with its quartiles, how many rounds the change won, and whether
+every trial's rate_bits and best_objective_nats are equal as float.hex.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+
+import argparse
+import importlib
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
+SIDES = ("parent", "change")
+
+
+def load(checkout: str, side: str, tmp: str):
+    """The checkout's risjam package imported under the name risjam_<side>."""
+    name = f"risjam_{side}"
+    shutil.copytree(Path(checkout) / "src" / "risjam", Path(tmp) / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def run_side(pkg, cfg, schemes, trials):
+    """(process CPU seconds, [(rate_bits, best_objective_nats) hex per trial])."""
+    results = []
+    t0 = time.process_time()
+    for index in range(trials):
+        for scheme in schemes:
+            res = pkg.harness.run_trial(cfg, scheme, index)
+            results.append((res.rate_bits, res.report.best_objective_nats))
+    cpu = time.process_time() - t0
+    return cpu, [(float(r).hex(), float(o).hex()) for r, o in results]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--profile", choices=("desk", "paper"), default="paper")
+    p.add_argument("--e-mse", type=float, default=0.0)
+    p.add_argument("--scheme", nargs="+", choices=SCHEMES, default=list(SCHEMES))
+    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--trials", type=int, default=10, help="trial indices per round, from 0")
+    args = p.parse_args(argv)
+    if args.rounds < 1 or args.trials < 1:
+        p.error("--rounds and --trials must be at least 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        pkgs = {side: load(getattr(args, side), side, tmp) for side in SIDES}
+        cfgs = {side: getattr(pkg.config, f"{args.profile}_profile")(e_mse=args.e_mse)
+                for side, pkg in pkgs.items()}
+        for side in SIDES:  # untimed: first calls pay one-off costs (lazy imports, caches)
+            run_side(pkgs[side], cfgs[side], args.scheme, 1)
+        cpu = {side: [] for side in SIDES}
+        equal = True
+        for rnd in range(args.rounds):
+            order = SIDES if rnd % 2 == 0 else SIDES[::-1]
+            hexes = {}
+            for side in order:
+                seconds, hexes[side] = run_side(pkgs[side], cfgs[side], args.scheme, args.trials)
+                cpu[side].append(seconds)
+            equal = equal and hexes["parent"] == hexes["change"]
+
+    per_trial = args.trials * len(args.scheme)
+    ratios = np.array(cpu["change"]) / np.array(cpu["parent"])
+    q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+    print(f"{args.profile}, e_mse = {args.e_mse:g}, {', '.join(args.scheme)}: "
+          f"{args.rounds} rounds of {per_trial} trials per side, process CPU time")
+    for side in SIDES:
+        print(f"{side}: {1e3 * np.median(cpu[side]) / per_trial:.3f} ms per trial (median of rounds)")
+    print(f"change/parent: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+    print(f"change won {int(np.sum(ratios < 1.0))} of {args.rounds} rounds")
+    print(f"rate_bits and best_objective_nats equal as float.hex: {'yes' if equal else 'no'}")
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -202,20 +202,8 @@ class ChannelSet:
     interferer_pos: np.ndarray
 
     @property
-    def m_elements(self) -> int:
-        return self.g_br.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.g_br.shape[1]
-
-    @property
     def n_users(self) -> int:
         return self.h_bu.shape[0]
-
-    @property
-    def n_jammers(self) -> int:
-        return self.h_ju_est.shape[0]
 
     def without_ris(self) -> "ChannelSet":
         """The same channels with no RIS elements (M = 0 views): the no-RIS

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
-from .harness import AXIS_FIELDS, SCHEMES, SWEEP_AXES, run_sweep
+from .harness import SCHEMES, SWEEP_AXES, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,14 +31,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one point (a B sweep at the configured B) or one sweep.  Bad input
-    is a usage error (exit 2) before any trial runs; later errors are not."""
+    is a usage error (exit 2) before any trial runs; later errors are not.
+    main checks flags and files, run_sweep the sweep (values, schemes, jobs)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     values = []
-    if (args.sweep in (None, "iterations")) != (args.values is None):
-        parser.error(f"--values goes with, and only with, --sweep {'|'.join(AXIS_FIELDS)}")
+    if args.values is not None and args.sweep is None:
+        parser.error("--values needs --sweep")
     if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",")]
@@ -63,7 +62,7 @@ def main(argv=None) -> int:
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     try:
         result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
-    except ValidationError as exc:  # a bad value: run_sweep builds every config before trials
+    except ValidationError as exc:  # run_sweep checks the sweep before any trial runs
         parser.error(str(exc))
     for row in result.rows():
         axis, value, scheme, mean_rate, stderr, trials, seed, objective = row

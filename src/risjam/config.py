@@ -183,10 +183,6 @@ class ScenarioConfig:
 
     # derived quantities -------------------------------------------------
     @property
-    def p_max_w(self) -> float:
-        return dbm_to_watts(self.p_max_dbm)
-
-    @property
     def p_jam_w(self) -> float:
         return dbm_to_watts(self.p_j_dbm)
 
@@ -194,19 +190,13 @@ class ScenarioConfig:
     def p_int_w(self) -> float:
         return dbm_to_watts(self.p_i_dbm)
 
-    @property
-    def noise_w(self) -> float:
-        return dbm_to_watts(self.noise_dbm)
-
-    @property
-    def a_max(self) -> float:
-        return float(np.sqrt(db_to_linear(self.a_max_db)))
-
     def power_model(self) -> PowerModel:
+        """The model's six constants; the only place they are converted to watts."""
         return PowerModel(
-            p_max=self.p_max_w, eta1=self.eta1, xi=self.xi,
+            p_max=dbm_to_watts(self.p_max_dbm), eta1=self.eta1, xi=self.xi,
             p_static=dbm_to_watts(self.p_dc_dbm) + dbm_to_watts(self.p_sc_dbm),
-            a_max=self.a_max, noise=self.noise_w,
+            a_max=float(np.sqrt(db_to_linear(self.a_max_db))),
+            noise=dbm_to_watts(self.noise_dbm),
         )
 
     def rwp_params(self) -> RwpParams:

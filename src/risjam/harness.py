@@ -9,14 +9,13 @@ trial index) consumes identical channel draws.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numerics, optimizer, system
 from .channel import sample_static_channels, sample_uncertain_realization
-from .config import ScenarioConfig
+from .config import ScenarioConfig, ValidationError
 from .optimizer import AoReport, ssca_ao
 
 SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
@@ -55,10 +54,8 @@ def baseline_noris(cs, cfg, rng) -> AoReport:
 
 @dataclass
 class TrialResult:
-    """A trial's held-out rate and the AO report of the state it scored."""
+    """The held-out rate and AO report of one trial; its caller keeps the scheme and index."""
 
-    scheme: str
-    trial_index: int
     rate_bits: float        # held-out evaluation
     report: AoReport
 
@@ -86,8 +83,8 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
         raise type(exc)(f"{scheme} trial {trial_index}: {exc}") from exc
     heldout = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(ss_eval), cfg.heldout)
     st = report.state
-    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.noise_w)
-    return TrialResult(scheme, trial_index, rate, report)
+    rate = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.power_model().noise)
+    return TrialResult(rate, report)
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -102,8 +99,8 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
 
 @dataclass
 class SweepResult:
-    """Per-trial held-out rates and best objectives (bits) by (value, scheme), arrays in
-    trial order so schemes pair by index; rows() computes every statistic the CSV reports."""
+    """Per-trial held-out rates and best objectives (bits) by (value, scheme), in trial order
+    so schemes pair by index, and no timing; rows() computes every statistic the CSV reports."""
 
     axis: str
     values: list
@@ -111,7 +108,6 @@ class SweepResult:
     rates: dict = field(default_factory=dict)
     objectives: dict = field(default_factory=dict)
     seed: int = 0
-    wall_clock: float = 0.0                            # seconds for the whole sweep
 
     def rows(self):
         for value in self.values:
@@ -150,27 +146,35 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
               out: str | None = None) -> SweepResult:
     """Paired Monte-Carlo sweep over one axis; optionally writes the CSV.
 
-    Every value's config is built, and so validated, before any trial runs.
-    Trials may execute in separate processes (jobs > 1): one pool runs every
-    (value, scheme, trial) task of the sweep.  The pool and the serial loop
-    both return results in task order, so results are merged by position
-    and the output is deterministic either way.
+    The whole sweep contract is checked before any trial or pool starts: an
+    unknown scheme raises ValueError, an unknown axis UnknownAxis; values for
+    the iterations axis, no values for a value axis, no scheme, jobs < 1 or
+    an invalid config at any value (all are built first) raise ValidationError.
+    With jobs > 1 one pool runs every (value, scheme, trial) task.  Pool and
+    serial loop both return results in task order, so results are merged by
+    position and the output is deterministic either way.
     """
-    schemes = list(schemes)
+    schemes, values = list(schemes), list(values)
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
+    if axis not in SWEEP_AXES:
+        raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if axis == "iterations" and values:
+        raise ValidationError(f"the iterations axis takes no values, got {values}")
+    if axis != "iterations" and not values:
+        raise ValidationError(f"the {axis} axis needs at least one value")
+    if not schemes:
+        raise ValidationError("a sweep needs at least one scheme")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if axis == "iterations":
         result = _iteration_trace(cfg, schemes)
-    elif axis not in SWEEP_AXES:
-        raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     else:
-        values = list(values)
         result = SweepResult(axis=axis, values=values, schemes=schemes, seed=cfg.seed)
         cfgs = [_apply_axis(cfg, axis, value) for value in values]
         tasks = [(cfg_v, scheme, idx) for cfg_v in cfgs for scheme in schemes for idx in range(cfg.trials)]
-        t0 = time.perf_counter()
-        if jobs and jobs > 1:
+        if jobs > 1:
             # imported here: loading the process pool costs every `import risjam`
             # (CLI run, pool worker) about 14 ms, and only parallel sweeps use it
             from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +182,6 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
                 outputs = list(pool.map(_run_point, tasks, chunksize=4))
         else:
             outputs = [_run_point(t) for t in tasks]
-        result.wall_clock = time.perf_counter() - t0
         keys = [(value, scheme) for value in values for scheme in schemes]
         for key, chunk in zip(keys, np.reshape(outputs, (len(keys), cfg.trials, 2))):
             result.rates[key], result.objectives[key] = chunk.T

@@ -346,13 +346,11 @@ class AoReport:
 
 def initial_state(cs: ChannelSet, pm: PowerModel, harvest: bool) -> SolverState:
     """Deterministic feasible start: equal-power matched filters, reflection
-    phases aligned to the first user's cascade, energy-tight tau (0 without
-    harvesting)."""
+    phases aligned to the first user's cascade (empty without RIS
+    elements), energy-tight tau (0 without harvesting or elements)."""
     norms = np.linalg.norm(cs.h_bu, axis=1)
     w = np.sqrt(pm.p_max / cs.n_users) * cs.h_bu / norms[:, None]
-    theta = np.zeros(0, dtype=complex)
-    if cs.m_elements:
-        theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
+    theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
     tau = 0.0
     if harvest and theta.size:
         tau = update_tau(system.ris_power(w, theta, cs.g_br, pm), w, cs.g_br, pm.eta1)

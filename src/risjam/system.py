@@ -135,14 +135,11 @@ def sum_rate(tau, w1, w2, theta, realizations, cs, noise) -> float:
 def ris_power(w2: np.ndarray, theta: np.ndarray, g_br: np.ndarray, pm: PowerModel) -> float:
     """Total RIS power draw during reflection:
     xi * (sum_k ||Theta G_BR w2_k||^2 + sigma^2 sum_m |theta_m|^2) + M P_static,
-    with P_static = P_dc + P_sc per element."""
-    m = theta.size
-    if m == 0:
-        return 0.0
+    with P_static = P_dc + P_sc per element (0.0 without elements)."""
     incident = g_br @ w2.T  # (M, K)
     amp_out = float(np.sum(np.abs(theta[:, None] * incident) ** 2))
     amp_noise = pm.noise * float(np.sum(np.abs(theta) ** 2))
-    return pm.xi * (amp_out + amp_noise) + m * pm.p_static
+    return pm.xi * (amp_out + amp_noise) + theta.size * pm.p_static
 
 
 @dataclass

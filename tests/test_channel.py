@@ -326,7 +326,7 @@ class TestRealization:
         cs = sample_static_channels(cfg, np.random.default_rng(11))
         if "m" in counts:  # no RIS elements (a config needs at least one)
             cs = cs.without_ris()
-        q, k, m = cs.n_jammers, cs.n_users, cs.m_elements
+        q, k, m = cs.h_ju_est.shape[0], cs.n_users, cs.g_br.shape[0]
         rng = np.random.default_rng(12)
         batch = sample_uncertain_realization(cs, e_mse, rng, 20)
         count = 1 if e_mse == 0 else 20  # ideal CSI is one draw

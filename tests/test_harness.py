@@ -36,7 +36,7 @@ class TestLoadScenario:
         assert cfg == ScenarioConfig()
         assert (cfg.n, cfg.k, cfg.q, cfg.b, cfg.n_jam, cfg.m) == (8, 4, 3, 4, 8, 25)
         assert cfg.p_j_dbm == 10.0 and cfg.noise_dbm == -105.0
-        assert cfg.a_max == pytest.approx(100.0)
+        assert cfg.power_model().a_max == pytest.approx(100.0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
@@ -219,7 +219,7 @@ class TestRunTrial:
         res = run_trial(cfg, "no-ris", 1)
         ss_chan, _, _ = harness._trial_seeds(cfg, 1)
         cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
-        _, rate_ref = wmmse_sum_rate(cs.h_bu, cfg.p_max_w, cfg.noise_w)
+        _, rate_ref = wmmse_sum_rate(cs.h_bu, cfg.power_model().p_max, cfg.power_model().noise)
         assert res.rate_bits == pytest.approx(rate_ref, rel=0.02)
 
     @pytest.mark.parametrize("e_mse", [0.0, 0.1])
@@ -238,7 +238,7 @@ class TestRunTrial:
             st = optimizer._alternate(cs, cfg, ss_opt, harvest=False).state
             heldout = sample_uncertain_realization(cs, e_mse, np.random.default_rng(ss_eval), cfg.heldout)
             assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
-            want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.noise_w)
+            want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.power_model().noise)
             assert run_trial(cfg, "no-ris", trial).rate_bits == want
 
     def test_feasible_and_converged_flags(self):
@@ -264,8 +264,8 @@ class TestRunTrial:
             report = run_trial(cfg, "active-harvesting", trial).report
             amp = np.abs(report.state.theta)
             assert report.feasibility.all_ok
-            assert amp.max() <= cfg.a_max * (1 + 1e-9)
-            assert amp.max() >= cfg.a_max * (1 - 1e-6)
+            assert amp.max() <= cfg.power_model().a_max * (1 + 1e-9)
+            assert amp.max() >= cfg.power_model().a_max * (1 - 1e-6)
 
 
 class TestBaselines:
@@ -444,6 +444,22 @@ class TestRunSweep:
         with pytest.raises(UnknownAxis):
             run_sweep(micro_cfg(), "temperature", [1, 2])
 
+    @pytest.mark.parametrize("axis, values, schemes, jobs", [
+        ("iterations", [6, 8], ["no-ris"], 1),   # the trace takes no values
+        ("B", [], ["no-ris"], 1),                # a value axis needs values
+        ("B", [2], [], 1),                       # no scheme
+        ("iterations", [], [], 1),
+        ("B", [2], ["no-ris"], 0),               # jobs < 1
+    ])
+    def test_bad_sweeps_rejected_before_any_trial(self, axis, values, schemes, jobs, tmp_path, monkeypatch):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        out = tmp_path / "never.csv"
+        with pytest.raises(ValidationError):
+            run_sweep(micro_cfg(trials=1), axis, values, schemes=schemes, jobs=jobs, out=str(out))
+        assert trials == []
+        assert not out.exists()
+
     def test_per_trial_data_and_csv_statistics(self, tmp_path):
         cfg = micro_cfg(trials=3)
         schemes = ["no-ris", "passive-ris"]
@@ -538,7 +554,6 @@ class TestRunSweep:
         res = run_sweep(micro_cfg(trials=2), "B", [1, 2, 3], schemes=["no-ris"], jobs=2)
         assert len(pools) == 1
         assert len(res.rates) == 3
-        assert res.wall_clock > 0.0
 
 
 class TestCli:

@@ -247,7 +247,7 @@ class TestSaaStats:
         cs = sample_static_channels(cfg, np.random.default_rng(21))
         if "m" in counts:  # no RIS elements (a config needs at least one)
             cs = cs.without_ris()
-        m = cs.m_elements
+        m = cs.g_br.shape[0]
         rng = np.random.default_rng(22)
         draws = sample_uncertain_realization(cs, e_mse, rng, 10)
         stats = SaaStats.empty(cs.n_users, m)
@@ -334,9 +334,9 @@ class TestThetaModel:
 
 class TestSolveW1:
     def _state(self, cs, stats, pm, rng, tau=0.5):
-        w = crand(rng, cs.n_users, cs.n_antennas)
+        w = crand(rng, *cs.h_bu.shape)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
-        st = SolverState(tau=tau, w1=w, w2=w.copy(), theta=np.zeros(cs.m_elements, complex))
+        st = SolverState(tau=tau, w1=w, w2=w.copy(), theta=np.zeros(cs.g_br.shape[0], complex))
         st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         return st
 
@@ -454,9 +454,9 @@ class TestSolveW2:
     def _prep(self, seed, **kw):
         rng, cs, stats, rlzs = make_instance(seed, **kw)
         pm = pm_default()
-        w = crand(rng, cs.n_users, cs.n_antennas)
+        w = crand(rng, *cs.h_bu.shape)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
-        st = SolverState(tau=0.5, w1=w, w2=w.copy(), theta=crand(rng, cs.m_elements) * 0.3)
+        st = SolverState(tau=0.5, w1=w, w2=w.copy(), theta=crand(rng, cs.g_br.shape[0]) * 0.3)
         st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         return rng, cs, stats, pm, st
 
@@ -480,7 +480,7 @@ class TestSolveW2:
 
     def test_theta_zero_degeneracy(self):
         rng, cs, stats, pm, st = self._prep(18)
-        st.theta = np.zeros(cs.m_elements, dtype=complex)
+        st.theta = np.zeros(cs.g_br.shape[0], dtype=complex)
         st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
         w = solve_w2(st, cs, stats, pm)  # S = 0: only the power ball binds
         assert np.sum(np.abs(w) ** 2) <= pm.p_max * (1 + 1e-8)
@@ -604,7 +604,7 @@ class TestSscaAo:
         )
         cfg = risjam.desk_profile(r_max=30, p_max_dbm=30.0, noise_dbm=10.0)
         rep = ssca_ao(cs, cfg, np.random.SeedSequence(0))
-        _, rate_ref = wmmse_sum_rate(h, cfg.p_max_w, 0.01)
+        _, rate_ref = wmmse_sum_rate(h, cfg.power_model().p_max, 0.01)
         assert rep.best_objective_bits == pytest.approx(rate_ref, rel=0.02)
 
     # (harvest, on the view without RIS elements): active, passive, no-RIS

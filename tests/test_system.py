@@ -237,7 +237,7 @@ def assert_interference_matches_loops(batch, cs, rng):
     """Both stages' adversary powers of every draw of the batch, read from
     its terms, against the loops over its channels, for a random theta and
     for no reflection coefficients."""
-    for th in (crand(rng, cs.m_elements), np.zeros(0, complex)):
+    for th in (crand(rng, cs.g_br.shape[0]), np.zeros(0, complex)):
         for got, want in zip(adversary_interference(th, batch, cs),
                              adversary_interference_loops(th, batch, cs.h_ru)):
             assert got.shape == (len(batch), cs.n_users)
