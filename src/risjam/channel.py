@@ -185,8 +185,8 @@ class ChannelSet:
     """Deterministic channels plus stored jammer/interferer channel estimates.
 
     Shapes: g_br (M,N); h_bu (K,N); h_ru (K,M); h_ju_est (Q,K,N_jam);
-    g_jr_est (Q,M,N_jam); h_iu_est (B,K,N).  Vectors are stored untransposed,
-    so h^H w is computed as h.conj() @ w.
+    g_jr_est (Q,M,N_jam); h_iu_est (B,K,N); ue_pos (K,3), the only positions
+    kept.  Vectors are stored untransposed, so h^H w is computed as h.conj() @ w.
     """
 
     g_br: np.ndarray
@@ -198,8 +198,6 @@ class ChannelSet:
     z_jam: np.ndarray  # (Q,K,N_jam) adversary beams, fixed for the trial
     z_int: np.ndarray  # (B,K,N)
     ue_pos: np.ndarray
-    jammer_pos: np.ndarray
-    interferer_pos: np.ndarray
 
     @property
     def n_users(self) -> int:
@@ -335,8 +333,7 @@ def sample_static_channels(cfg, rng: np.random.Generator) -> ChannelSet:
     z_int = _isotropic_power_vectors(rng, (bq, k, cfg.n), cfg.p_int_w)
 
     return ChannelSet(g_br=g_br, h_bu=h_bu, h_ru=h_ru, h_ju_est=h_ju, g_jr_est=g_jr,
-                      h_iu_est=h_iu, z_jam=z_jam, z_int=z_int,
-                      ue_pos=ue_pos, jammer_pos=jam_pos, interferer_pos=int_pos)
+                      h_iu_est=h_iu, z_jam=z_jam, z_int=z_int, ue_pos=ue_pos)
 
 
 def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
-from .config import ParseError, ValidationError, desk_profile, load_scenario, paper_profile
+from .config import PROFILES, ParseError, ValidationError, load_scenario
 from .harness import SCHEMES, SWEEP_AXES, run_sweep
 
 
@@ -24,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--seed", type=int, help="override master seed")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--profile", choices=("paper", "desk"), default="paper")
+    p.add_argument("--profile", choices=tuple(PROFILES), default="paper")
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     return p
 
@@ -32,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one point (a B sweep at the configured B) or one sweep.  Bad input
     is a usage error (exit 2) before any trial runs; later errors are not.
-    main checks flags and files, run_sweep the sweep (values, schemes, jobs)."""
+    main checks argv syntax only; the config and run_sweep (out included) raise ValidationError."""
     parser = build_parser()
     args = parser.parse_args(argv)
     values = []
@@ -43,14 +42,11 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",")]
         except ValueError:
             parser.error(f"--values must be comma-separated numbers, got {args.values}")
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
-        parser.error(f"--out must name a file in an existing directory, got {args.out}")
     try:
         if args.scenario:
             cfg = load_scenario(args.scenario, profile=args.profile)
         else:
-            cfg = desk_profile() if args.profile == "desk" else paper_profile()
+            cfg = PROFILES[args.profile]()
         overrides = {name: v for name, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
         if overrides:
             cfg = replace(cfg, **overrides)
@@ -62,7 +58,7 @@ def main(argv=None) -> int:
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     try:
         result = run_sweep(cfg, args.sweep, values, schemes=schemes, jobs=args.jobs, out=args.out)
-    except ValidationError as exc:  # run_sweep checks the sweep before any trial runs
+    except ValidationError as exc:  # run_sweep checks the sweep and out before any trial runs
         parser.error(str(exc))
     for row in result.rows():
         axis, value, scheme, mean_rate, stderr, trials, seed, objective = row

@@ -225,15 +225,20 @@ def desk_profile(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+PROFILES = {"paper": paper_profile, "desk": desk_profile}
+
+
 def load_scenario(path: str, profile: str = "paper") -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file over the named profile.
 
     Keys are case-insensitive and match the ScenarioConfig field names; a
     value is read as the type of its field's default (comma-separated floats
     for tuple fields).  '#' starts a comment.
-    Raises ParseError (with line number) on syntax/unknown keys and
-    ValidationError when a resulting invariant is violated.
+    Raises ParseError (with line number) on syntax/unknown keys, and
+    ValidationError for a profile not in PROFILES (before reading) or a violated invariant.
     """
+    if profile not in PROFILES:
+        raise ValidationError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
     schema = {f.name.lower(): f for f in fields(ScenarioConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -256,5 +261,4 @@ def load_scenario(path: str, profile: str = "paper") -> ScenarioConfig:
                     overrides[name] = kind(value)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad value for {name!r}: {value!r}") from exc
-    maker = desk_profile if profile == "desk" else paper_profile
-    return maker(**overrides)
+    return PROFILES[profile](**overrides)

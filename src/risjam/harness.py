@@ -9,6 +9,7 @@ trial index) consumes identical channel draws.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,10 +24,6 @@ SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
 AXIS_FIELDS = {"M": ("m",), "e_mse": ("e_mse",), "P_max": ("p_max_dbm",),
                "alpha_r": ("alpha_br", "alpha_ru"), "B": ("b",)}
 SWEEP_AXES = (*AXIS_FIELDS, "iterations")
-
-
-class UnknownAxis(Exception):
-    """Sweep axis outside the supported set."""
 
 
 def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
@@ -66,9 +63,10 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
     held-out draws (one at e_mse = 0); no-RIS draws and scores on the view
     without RIS elements.  A solver failure (EnergyInfeasible, Infeasible,
     MaxIterExceeded) is raised again as its own type, its message led by
-    "<scheme> trial <index>:", with the original as its cause."""
+    "<scheme> trial <index>:", with the original as its cause; an unknown
+    scheme raises ValidationError before any draw."""
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
     cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
     if scheme == "active-harvesting":
@@ -146,10 +144,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
               out: str | None = None) -> SweepResult:
     """Paired Monte-Carlo sweep over one axis; optionally writes the CSV.
 
-    The whole sweep contract is checked before any trial or pool starts: an
-    unknown scheme raises ValueError, an unknown axis UnknownAxis; values for
-    the iterations axis, no values for a value axis, no scheme, jobs < 1 or
-    an invalid config at any value (all are built first) raise ValidationError.
+    The whole sweep contract is checked before any trial or pool starts, each
+    breach a ValidationError: an unknown scheme or axis, values for the
+    iterations axis, no values for a value axis, no scheme, jobs < 1, an out
+    that is a directory or in a missing one, or an invalid config at any value.
     With jobs > 1 one pool runs every (value, scheme, trial) task.  Pool and
     serial loop both return results in task order, so results are merged by
     position and the output is deterministic either way.
@@ -157,9 +155,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
     schemes, values = list(schemes), list(values)
     for s in schemes:
         if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}")
+            raise ValidationError(f"unknown scheme {s!r}")
     if axis not in SWEEP_AXES:
-        raise UnknownAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if axis == "iterations" and values:
         raise ValidationError(f"the iterations axis takes no values, got {values}")
     if axis != "iterations" and not values:
@@ -168,6 +166,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
         raise ValidationError("a sweep needs at least one scheme")
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ValidationError(f"out must name a file in an existing directory, got {out}")
     if axis == "iterations":
         result = _iteration_trace(cfg, schemes)
     else:

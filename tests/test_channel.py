@@ -83,6 +83,11 @@ class TestRwpParams:
         with pytest.raises(BadParams):
             paper_rwp(b_coeffs=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("kw", [{"alpha": 0.0}, {"p_t": -1.0}, {"n_f": 0}])
+    def test_rejects_nonpositive_scales(self, kw):
+        with pytest.raises(BadParams, match="alpha, p_t must be positive and n_f >= 1"):
+            paper_rwp(**kw)
+
 
 class TestRwpNakagamiPdf:
     def _normalization(self, p):

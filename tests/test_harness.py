@@ -10,7 +10,6 @@ from risjam import cli, harness, numerics, optimizer, system
 from risjam.config import ParseError, ScenarioConfig, ValidationError, load_scenario
 from risjam.harness import (
     SCHEMES,
-    UnknownAxis,
     baseline_noris,
     baseline_passive,
     run_sweep,
@@ -41,6 +40,28 @@ class TestLoadScenario:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             ScenarioConfig(seed=-4)
+
+    def test_unknown_profile_rejected_before_reading(self, tmp_path):
+        # the file does not exist: the profile is checked first
+        with pytest.raises(ValidationError, match="profile"):
+            load_scenario(str(tmp_path / "missing.cfg"), profile="dsk")
+
+    @pytest.mark.parametrize("line, message", [
+        ("q = -1", "count q must be nonnegative"),
+        ("b = -2", "count b must be nonnegative"),
+        ("rwp_b = 1, 2", "rwp_b and rwp_upsilon must have equal length"),
+        ("rwp_upsilon = 1, 3, 5, 7", "rwp_b and rwp_upsilon must have equal length"),
+        ("m_nakagami = 0.4", "m_nakagami must be >= 0.5"),
+        ("ue_radius = 0", "ue_radius must be positive"),
+        ("ue_radius = -5", "ue_radius must be positive"),
+        ("varsigma = 0", "convergence tolerances must be positive"),
+        ("varsigma1 = -1e-3", "convergence tolerances must be positive"),
+    ])
+    def test_out_of_range_values_rejected(self, tmp_path, line, message):
+        path = tmp_path / "range.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load_scenario(str(path))
 
     def test_zero_m_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -183,7 +204,7 @@ class TestRunTrial:
         assert r1.report.best_objective_bits == r2.report.best_objective_bits
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="scheme"):
             run_trial(micro_cfg(), "psychic-ris", 0)
 
     @pytest.mark.parametrize("scheme, module, solve, error", [
@@ -440,25 +461,33 @@ def test_trials_keep_their_rates_when_every_power_shifts(profile):
 
 
 class TestRunSweep:
-    def test_unknown_axis(self):
-        with pytest.raises(UnknownAxis):
-            run_sweep(micro_cfg(), "temperature", [1, 2])
-
     @pytest.mark.parametrize("axis, values, schemes, jobs", [
         ("iterations", [6, 8], ["no-ris"], 1),   # the trace takes no values
         ("B", [], ["no-ris"], 1),                # a value axis needs values
         ("B", [2], [], 1),                       # no scheme
         ("iterations", [], [], 1),
         ("B", [2], ["no-ris"], 0),               # jobs < 1
+        ("temperature", [1, 2], ["no-ris"], 1),  # unknown axis
+        ("B", [2], ["psychic-ris"], 1),          # unknown scheme
     ])
     def test_bad_sweeps_rejected_before_any_trial(self, axis, values, schemes, jobs, tmp_path, monkeypatch):
         trials = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
-        out = tmp_path / "never.csv"
         with pytest.raises(ValidationError):
-            run_sweep(micro_cfg(trials=1), axis, values, schemes=schemes, jobs=jobs, out=str(out))
+            run_sweep(micro_cfg(trials=1), axis, values, schemes=schemes, jobs=jobs,
+                      out=str(tmp_path / "never.csv"))
         assert trials == []
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no CSV written
+
+    @pytest.mark.parametrize("out", [".", "missing/never.csv"])
+    def test_bad_out_rejected_before_any_trial(self, out, tmp_path, monkeypatch):
+        # a directory, or a file in a missing directory: checked with the sweep
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ValidationError, match="out must name a file"):
+            run_sweep(micro_cfg(trials=1), "B", [2], schemes=["no-ris"], out=str(tmp_path / out))
+        assert trials == []
+        assert list(tmp_path.iterdir()) == []  # no CSV written, no directory created
 
     def test_per_trial_data_and_csv_statistics(self, tmp_path):
         cfg = micro_cfg(trials=3)

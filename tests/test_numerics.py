@@ -28,12 +28,6 @@ from oracles import (
 )
 
 
-def rand_herm_pd(rng, n, cond=1e3):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    eigs = np.logspace(0, np.log10(cond), n)
-    return (q * eigs[None, :]) @ q.conj().T
-
-
 def rand_psd(rng, n, rank=None):
     rank = rank or n
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))

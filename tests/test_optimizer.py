@@ -600,7 +600,6 @@ class TestSscaAo:
             h_ju_est=np.zeros((0, k, 2), complex), g_jr_est=np.zeros((0, 0, 2), complex),
             h_iu_est=np.zeros((0, k, n), complex), z_jam=np.zeros((0, k, 2), complex),
             z_int=np.zeros((0, k, n), complex), ue_pos=np.zeros((k, 3)),
-            jammer_pos=np.zeros((0, 3)), interferer_pos=np.zeros((0, 3)),
         )
         cfg = risjam.desk_profile(r_max=30, p_max_dbm=30.0, noise_dbm=10.0)
         rep = ssca_ao(cs, cfg, np.random.SeedSequence(0))

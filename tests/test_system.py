@@ -40,8 +40,6 @@ def make_channels(rng, n=4, m=3, k=2, q=1, b=1, n_jam=2, scale=1.0):
         z_jam=z_jam,
         z_int=z_int,
         ue_pos=np.zeros((k, 3)),
-        jammer_pos=np.zeros((q, 3)),
-        interferer_pos=np.zeros((b, 3)),
     )
 
 
