@@ -12,7 +12,9 @@ sides see the same machine load within a round.
 
 Prints each side's median ms per trial, the median change/parent ratio of
 the rounds with its quartiles, how many rounds the change won, and whether
-every trial's rate_bits and best_objective_nats are equal as float.hex.
+every trial is the same on both sides: its iteration count, its w1, w2 and
+theta as bytes (with dtype and shape), and its rate_bits,
+best_objective_nats, tau and four feasibility slacks as float.hex.
 """
 
 import os
@@ -42,16 +44,25 @@ def load(checkout: str, side: str, tmp: str):
     return importlib.import_module(name)
 
 
+def fingerprint(res):
+    """Everything a trial returns that the comparison covers, as hashable values."""
+    rep, st = res.report, res.report.state
+    f = rep.feasibility
+    floats = (res.rate_bits, rep.best_objective_nats, st.tau,
+              f.power1_slack, f.power2_slack, f.energy_slack, f.amplitude_slack)
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (st.w1, st.w2, st.theta))
+    return rep.iterations, tuple(float(v).hex() for v in floats), arrays
+
+
 def run_side(pkg, cfg, schemes, trials):
-    """(process CPU seconds, [(rate_bits, best_objective_nats) hex per trial])."""
+    """(process CPU seconds, [fingerprint per trial])."""
     results = []
     t0 = time.process_time()
     for index in range(trials):
         for scheme in schemes:
-            res = pkg.harness.run_trial(cfg, scheme, index)
-            results.append((res.rate_bits, res.report.best_objective_nats))
+            results.append(pkg.harness.run_trial(cfg, scheme, index))
     cpu = time.process_time() - t0
-    return cpu, [(float(r).hex(), float(o).hex()) for r, o in results]
+    return cpu, [fingerprint(res) for res in results]
 
 
 def main(argv=None) -> int:
@@ -78,11 +89,11 @@ def main(argv=None) -> int:
         equal = True
         for rnd in range(args.rounds):
             order = SIDES if rnd % 2 == 0 else SIDES[::-1]
-            hexes = {}
+            prints = {}
             for side in order:
-                seconds, hexes[side] = run_side(pkgs[side], cfgs[side], args.scheme, args.trials)
+                seconds, prints[side] = run_side(pkgs[side], cfgs[side], args.scheme, args.trials)
                 cpu[side].append(seconds)
-            equal = equal and hexes["parent"] == hexes["change"]
+            equal = equal and prints["parent"] == prints["change"]
 
     per_trial = args.trials * len(args.scheme)
     ratios = np.array(cpu["change"]) / np.array(cpu["parent"])
@@ -93,7 +104,8 @@ def main(argv=None) -> int:
         print(f"{side}: {1e3 * np.median(cpu[side]) / per_trial:.3f} ms per trial (median of rounds)")
     print(f"change/parent: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change won {int(np.sum(ratios < 1.0))} of {args.rounds} rounds")
-    print(f"rate_bits and best_objective_nats equal as float.hex: {'yes' if equal else 'no'}")
+    print("iterations, and w1, w2, theta as bytes, equal; rate_bits, best_objective_nats, tau "
+          f"and the four slacks equal as float.hex: {'yes' if equal else 'no'}")
     return 0 if equal else 1
 
 

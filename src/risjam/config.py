@@ -106,24 +106,31 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        """Reject counts that are not integers, numbers (tuple entries
-        included) that are not finite, points without 3 coordinates, boxes
-        whose max lies below their min, out-of-range values, a user-distance
-        density the sampler cannot invert, and linked nodes that can come
-        closer than the path-loss reference distance."""
+        """Reject counts that are not integers, other values (tuple entries
+        included) that are not finite real numbers, dB values that are 0 or
+        overflow in linear units, points without 3 coordinates, boxes whose
+        max lies below their min, out-of-range values, a user-distance density
+        the sampler cannot invert, and linked nodes that can come closer than
+        the path-loss reference distance."""
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(f.default, int):
                 if not isinstance(v, (int, np.integer)):
                     raise ValidationError(f"{f.name} must be an integer, got {v!r}")
-            elif not np.all(np.isfinite(v)):
-                raise ValidationError(f"{f.name} must be finite, got {v!r}")
-        for name in ("n", "m", "k", "n_jam"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"count {name} must be positive")
-        for name in ("q", "b"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"count {name} must be nonnegative")
+            elif not all(isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
+                         for x in np.asarray(v, dtype=object).ravel()):
+                raise ValidationError(f"{f.name} must be a finite real number or numbers, got {v!r}")
+            elif f.name.endswith(("_dbm", "_db")):
+                try:
+                    linear = (dbm_to_watts if f.name.endswith("_dbm") else db_to_linear)(float(v))
+                except OverflowError:
+                    linear = math.inf
+                if not 0.0 < linear < math.inf:
+                    raise ValidationError(f"{f.name} = {v} is {linear} in linear units in floating point")
+        for name, floor in (("n", 1), ("m", 1), ("k", 1), ("n_jam", 1), ("q", 0), ("b", 0),
+                            ("r_max", 1), ("i_max", 1), ("trials", 1), ("heldout", 1), ("seed", 0)):
+            if getattr(self, name) < floor:
+                raise ValidationError(f"count {name} must be {'positive' if floor else 'nonnegative'}")
         for name in ("bs_pos", "ris_pos", "ue_center", "jammer_box_min", "jammer_box_max",
                      "interferer_box_min", "interferer_box_max"):
             if np.shape(getattr(self, name)) != (3,):
@@ -144,21 +151,14 @@ class ScenarioConfig:
             raise ValidationError("xi must be >= 1")
         if self.a_max_db < 0:
             raise ValidationError("a_max_db must be nonnegative (A_max >= 1)")
-        for name in ("p_max_dbm", "noise_dbm", "p_dc_dbm", "p_sc_dbm"):
-            if dbm_to_watts(getattr(self, name)) <= 0.0:
-                raise ValidationError(f"{name} = {getattr(self, name)} is 0 W in floating point")
         if len(self.rwp_b) != len(self.rwp_upsilon):
             raise ValidationError("rwp_b and rwp_upsilon must have equal length")
         if self.m_nakagami < 0.5:
             raise ValidationError("m_nakagami must be >= 0.5")
         if self.ue_radius <= 0:
             raise ValidationError("ue_radius must be positive")
-        if self.r_max < 1 or self.i_max < 1 or self.trials < 1 or self.heldout < 1:
-            raise ValidationError("iteration caps and trial counts must be positive")
         if self.varsigma <= 0 or self.varsigma1 <= 0:
             raise ValidationError("convergence tolerances must be positive")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
         # the CDF that sample_rwp_distance inverts on its grid must reach a
         # positive mass and never fall: no negative density between points
         mass = rwp_distance_grid(self.rwp_b, self.rwp_upsilon, *ue_radius_range(self.ue_radius))[1]

@@ -64,9 +64,11 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
     without RIS elements.  A solver failure (EnergyInfeasible, Infeasible,
     MaxIterExceeded) is raised again as its own type, its message led by
     "<scheme> trial <index>:", with the original as its cause; an unknown
-    scheme raises ValidationError before any draw."""
+    scheme or an index not an int >= 0 raises ValidationError before any draw."""
     if scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if not isinstance(trial_index, (int, np.integer)) or trial_index < 0:
+        raise ValidationError(f"trial index must be a nonnegative integer, got {trial_index!r}")
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
     cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
     if scheme == "active-harvesting":
@@ -86,12 +88,13 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """cfg with the axis's fields set to value (run_sweep checks the axis,
-    the new config the value); an integral count value is set as an int."""
+    """cfg with the axis's fields set to value (run_sweep checks the axis, the
+    new config the value); a real value is set as a float, or an int for an integral count."""
     names = AXIS_FIELDS[axis]
-    value = float(value)
-    if isinstance(getattr(ScenarioConfig, names[0]), int) and value.is_integer():
-        value = int(value)
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        value = float(value)
+        if isinstance(getattr(ScenarioConfig, names[0]), int) and value.is_integer():
+            value = int(value)
     return replace(cfg, **dict.fromkeys(names, value))
 
 
@@ -146,8 +149,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
 
     The whole sweep contract is checked before any trial or pool starts, each
     breach a ValidationError: an unknown scheme or axis, values for the
-    iterations axis, no values for a value axis, no scheme, jobs < 1, an out
-    that is a directory or in a missing one, or an invalid config at any value.
+    iterations axis, no values for a value axis, no scheme, jobs not an int >= 1,
+    an out that is a directory or in a missing one, or an invalid config at any value.
     With jobs > 1 one pool runs every (value, scheme, trial) task.  Pool and
     serial loop both return results in task order, so results are merged by
     position and the output is deterministic either way.
@@ -164,8 +167,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
         raise ValidationError(f"the {axis} axis needs at least one value")
     if not schemes:
         raise ValidationError("a sweep needs at least one scheme")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ValidationError(f"jobs must be an integer of at least 1, got {jobs!r}")
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
         raise ValidationError(f"out must name a file in an existing directory, got {out}")
     if axis == "iterations":

@@ -6,9 +6,9 @@ the beamforming blocks are solved as convex subproblems built from
 quadratic-transform surrogates of the sum rate.  Both stages share one
 auxiliary update and one surrogate on the system kernel
 (system.signal_and_power); update_aux_stage1/2 pick each stage's channels
-and SAA-averaged extra term for the auxiliaries.  The beam blocks pick
-them again: solve_w1 rebuilds stage 1's extra term, and solve_w2 and the
-baselines' w2 block rebuild stage 2's effective channels.
+and SAA-averaged extra term for the auxiliaries, which are locals of an
+AO iteration.  Each term a block pass derives is computed once and handed
+to every block that reads it.
 
 One AO loop runs every scheme: the active harvesting RIS, and the
 passive-RIS and no-RIS baselines, which skip harvesting; the no-RIS
@@ -166,37 +166,36 @@ def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) 
 
 
 def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, noise: float):
-    """Auxiliaries of the harvesting stage: direct channels, averaged
-    jamming and interference plus the UE noise."""
-    return optimal_aux(cs.h_bu, w1, stats.zbar_i2 + stats.d_abs2 + noise)
+    """Auxiliaries of the harvesting stage: direct channels, with the extra term c
+    of averaged jamming and interference plus the UE noise; returns (omega, nu, c)."""
+    c = stats.zbar_i2 + stats.d_abs2 + noise
+    return (*optimal_aux(cs.h_bu, w1, c), c)
 
 
 def update_aux_stage2(w2: np.ndarray, theta: np.ndarray, cs: ChannelSet, stats: SaaStats,
                       noise: float):
-    """Auxiliaries of the reflection stage: effective channels, amplified
+    """Auxiliaries of the reflection stage: effective channels h, amplified
     RIS noise, the averaged interference built from the running statistics
-    and the current theta, plus the UE noise."""
+    and the current theta, plus the UE noise; returns (omega, nu, h)."""
     c = system.ris_noise(theta, cs, noise) + stage2_interference_avg(theta, cs, stats) + noise
-    return optimal_aux(system.effective_channels(theta, cs), w2, c)
+    h = system.effective_channels(theta, cs)
+    return (*optimal_aux(h, w2, c), h)
 
 
 # ---------------------------------------------------------------------------
 # P2-C: stage-1 beams under power + linearized energy constraints
 # ---------------------------------------------------------------------------
 
-def solve_w1(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-             i_max: int = 15, varsigma1: float = 1e-3,
+def solve_w1(state: SolverState, omega: np.ndarray, nu: np.ndarray, c: np.ndarray, p_r: float,
+             cs: ChannelSet, pm: PowerModel, i_max: int = 15, varsigma1: float = 1e-3,
              record: numerics.Multipliers | None = None) -> np.ndarray:
-    """SCA loop for the stage-1 beams: the nonconvex energy-supply constraint
-    is linearized at the current iterate into a half-space, and each step
-    solves the beam QCQP under that half-space and the power ball
-    (numerics.solve_beams_halfspace).  A and y stay fixed over the loop, so
-    one eigendecomposition of A serves every step, and each step starts
-    from the multipliers of the step before it (the record's, when given)."""
+    """SCA loop for the stage-1 beams, from update_aux_stage1's output and the RIS
+    power draw p_r: the nonconvex energy-supply constraint is linearized at the
+    current iterate into a half-space, and each step solves the beam QCQP under that
+    half-space and the power ball (numerics.solve_beams_halfspace).  A and y stay
+    fixed over the loop, so one eigendecomposition of A serves every step, and each
+    step starts from the multipliers of the step before it (the record's, when given)."""
     tau = state.tau
-    p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
-    omega, nu = state.omega1, state.nu1
-    c = stats.zbar_i2 + stats.d_abs2 + pm.noise
     k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
     a, y = beam_terms(cs.h_bu, omega, nu)
     eig = numerics.psd_eigh(a)
@@ -238,19 +237,20 @@ def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
     return (e_r - one_minus_tau * state.theta.size * pm.p_static) / (one_minus_tau * pm.xi)
 
 
-def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-             tol: float = 1e-9, record: numerics.Multipliers | None = None) -> np.ndarray:
-    """Reflection-stage beams: maximize the stage-2 surrogate under the
+def solve_w2(theta: np.ndarray, omega: np.ndarray, nu: np.ndarray, h: np.ndarray, budget: float,
+             cs: ChannelSet, pm: PowerModel, tol: float = 1e-9,
+             record: numerics.Multipliers | None = None) -> np.ndarray:
+    """Reflection-stage beams from update_aux_stage2's output and the
+    amplifier budget (energy_budget): maximize the stage-2 surrogate under the
     transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams,
     warm-started from the record when given)."""
-    theta = state.theta
-    p_e = energy_budget(state, cs, pm) - pm.noise * float(np.sum(np.abs(theta) ** 2))
+    p_e = budget - pm.noise * float(np.sum(np.abs(theta) ** 2))
     if p_e < 0:
         raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise (P_E = {p_e:.3e})")
     s_block = numerics.hermitize(
         cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
     ) if theta.size else None
-    a, y = beam_terms(system.effective_channels(theta, cs), state.omega2, state.nu2)
+    a, y = beam_terms(h, omega, nu)
     return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol, record=record)
 
 
@@ -258,8 +258,8 @@ def solve_w2(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel
 # P4-B: reflection coefficients (QCQP with magnitude caps)
 # ---------------------------------------------------------------------------
 
-def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
-                          noise: float, mu: np.ndarray):
+def theta_quadratic_model(w2: np.ndarray, omega: np.ndarray, nu: np.ndarray, cs: ChannelSet,
+                          stats: SaaStats, noise: float, mu: np.ndarray):
     """Averaged quadratic model of the stage-2 surrogate in theta.
 
     Returns (gamma_bar, lambda_bar) with the surrogate equal (up to a
@@ -268,7 +268,6 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
     mu (K, M) holds the rows mu_j = G_BR w2_j, which the caller computes once
     per reflection solve.
     """
-    w2, omega, nu = state.w2, state.omega2, state.nu2
     e_dir = cs.h_bu.conj() @ w2.T  # e[k, j] = h_BU,k^H w2_j
     nu2 = np.abs(nu) ** 2
     # sum_k |nu_k|^2 sum_j v_kj v_kj^H with v_kj = conj(mu_j) o h_RU,k
@@ -283,18 +282,18 @@ def theta_quadratic_model(state: SolverState, cs: ChannelSet, stats: SaaStats,
     return numerics.hermitize(gamma), lam
 
 
-def solve_theta(state: SolverState, cs: ChannelSet, stats: SaaStats, pm: PowerModel,
-                tol: float = 1e-8, record: numerics.Multipliers | None = None) -> np.ndarray:
-    """Reflection coefficients: maximize the averaged quadratic model under
-    the output-power ellipsoid, diagonal with weights sum_k |mu_km|^2 +
-    sigma^2, and per-element amplitude caps (numerics.solve_concave_qcqp,
-    its ball step warm-started from the record when given).  theta must be non-empty; P_E >= 0
-    is not checked, as solve_w2 on this w1, tau and M raised unless P_E - sigma^2 ||theta||^2 >= 0."""
-    p_e = energy_budget(state, cs, pm)
+def solve_theta(state: SolverState, omega: np.ndarray, nu: np.ndarray, budget: float,
+                cs: ChannelSet, stats: SaaStats, pm: PowerModel, tol: float = 1e-8,
+                record: numerics.Multipliers | None = None) -> np.ndarray:
+    """Reflection coefficients, from the stage-2 auxiliaries and the amplifier budget
+    P_E: maximize the averaged quadratic model under the output-power ellipsoid,
+    diagonal with weights sum_k |mu_km|^2 + sigma^2, and per-element amplitude caps
+    (numerics.solve_concave_qcqp, its ball step warm-started from the record when given).  theta
+    must be non-empty; P_E >= 0 is not checked, as solve_w2 raised unless P_E - sigma^2 ||theta||^2 >= 0."""
     mu = state.w2 @ cs.g_br.T
-    gamma, lam = theta_quadratic_model(state, cs, stats, pm.noise, mu)
+    gamma, lam = theta_quadratic_model(state.w2, omega, nu, cs, stats, pm.noise, mu)
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.noise,
-                       bound=p_e, caps=np.full(state.theta.size, pm.a_max))
+                       bound=budget, caps=np.full(state.theta.size, pm.a_max))
     return solve_concave_qcqp(prob, tol=tol, record=record)
 
 
@@ -427,25 +426,26 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
                     gap = e_r - (1.0 - state.tau) * p_r
                     report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
             with timed("aux1"):
-                state.omega1, state.nu1 = update_aux_stage1(state.w1, cs, stats, pm.noise)
+                omega1, nu1, c1 = update_aux_stage1(state.w1, cs, stats, pm.noise)
             with timed("w1"):
-                state.w1 = solve_w1(state, cs, stats, pm, i_max=cfg.i_max, varsigma1=cfg.varsigma1,
-                                    record=records["w1"])
+                state.w1 = solve_w1(state, omega1, nu1, c1, p_r, cs, pm, i_max=cfg.i_max,
+                                    varsigma1=cfg.varsigma1, record=records["w1"])
         with timed("aux2"):
-            state.omega2, state.nu2 = update_aux_stage2(state.w2, state.theta, cs, stats, pm.noise)
+            omega2, nu2, h2 = update_aux_stage2(state.w2, state.theta, cs, stats, pm.noise)
         with timed("w2"):
             if harvest:
-                state.w2 = solve_w2(state, cs, stats, pm, record=records["w2"])
+                budget = energy_budget(state, cs, pm)
+                state.w2 = solve_w2(state.theta, omega2, nu2, h2, budget, cs, pm, record=records["w2"])
             else:
-                a, y = beam_terms(system.effective_channels(state.theta, cs),
-                                  state.omega2, state.nu2)
+                a, y = beam_terms(h2, omega2, nu2)
                 state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9,
                                                            record=records["w2"])
         with timed("theta"):
             if state.theta.size and harvest:
-                state.theta = solve_theta(state, cs, stats, pm, record=records["theta"])
+                state.theta = solve_theta(state, omega2, nu2, budget, cs, stats, pm, record=records["theta"])
             elif state.theta.size:
-                gamma, lam = theta_quadratic_model(state, cs, stats, pm.noise, state.w2 @ cs.g_br.T)
+                gamma, lam = theta_quadratic_model(state.w2, omega2, nu2, cs, stats, pm.noise,
+                                                   state.w2 @ cs.g_br.T)
                 state.theta, steps = numerics.unit_modulus_mm(gamma, lam, state.theta, THETA_MM_MAX_ITER)
                 report.theta_steps += steps
                 report.theta_capped += steps >= THETA_MM_MAX_ITER

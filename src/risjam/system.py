@@ -38,21 +38,16 @@ class PowerModel:
 
 @dataclass
 class SolverState:
-    """Current iterates of the alternating optimization."""
+    """The four variables of the alternating optimization."""
 
     tau: float
     w1: np.ndarray      # (K, N)
     w2: np.ndarray      # (K, N)
     theta: np.ndarray   # (M,)
-    omega1: np.ndarray = None
-    nu1: np.ndarray = None
-    omega2: np.ndarray = None
-    nu2: np.ndarray = None
 
     def copy(self) -> "SolverState":
-        """Copies every array field; it reads the fields, so a new one needs no edit."""
-        return SolverState(**{k: v.copy() if isinstance(v, np.ndarray) else v
-                              for k, v in vars(self).items()})
+        """A copy that owns its arrays."""
+        return SolverState(self.tau, self.w1.copy(), self.w2.copy(), self.theta.copy())
 
 
 def harvested_energy(w1: np.ndarray, tau: float, g_br: np.ndarray, eta1: float) -> float:

@@ -18,6 +18,7 @@ from risjam import harness, system
 from risjam.channel import RwpParams, rwp_nakagami_cdf, rwp_nakagami_pdf, sample_rwp_distance, sample_static_channels
 from risjam.optimizer import (
     SaaStats,
+    energy_budget,
     ssca_ao,
     solve_theta,
     solve_w2,
@@ -69,11 +70,11 @@ def test_criterion_1_quadratic_transform_identities():
     for seed in range(100):
         rng, cs, stats, _ = make_instance(1000 + seed, m=4, q=2, b=2)
         w = crand(rng, 2, 4)
-        omega, nu = update_aux_stage1(w, cs, stats, 0.05)
+        omega, nu, _ = update_aux_stage1(w, cs, stats, 0.05)
         f1 = surrogate_stage1(w, omega, nu, cs, stats, 0.05)
         worst = max(worst, abs(f1 - np.sum(np.log1p(omega))) / max(1.0, abs(f1)))
         theta = crand(rng, 4)
-        omega2, nu2 = update_aux_stage2(w, theta, cs, stats, 0.05)
+        omega2, nu2, _ = update_aux_stage2(w, theta, cs, stats, 0.05)
         f2 = surrogate_stage2(w, theta, omega2, nu2, cs, stats, 0.05)
         worst = max(worst, abs(f2 - np.sum(np.log1p(omega2))) / max(1.0, abs(f2)))
     elapsed = time.perf_counter() - t0
@@ -108,15 +109,15 @@ def test_criterion_3_qcqp_oracle_equivalence():
         w = crand(rng, 2, 4)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=0.5, w1=w * 2.0, w2=w, theta=crand(rng, 8) * 0.4)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        w2 = solve_w2(st, cs, stats, pm, tol=1e-10)
-        f = surrogate_stage2(w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
+        omega2, nu2, h2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+        w2 = solve_w2(st.theta, omega2, nu2, h2, energy_budget(st, cs, pm), cs, pm, tol=1e-10)
+        f = surrogate_stage2(w2, st.theta, omega2, nu2, cs, stats, pm.noise)
         # oracle on the stacked problem
         h_eff = system.effective_channels(st.theta, cs)
-        nu2v = np.abs(st.nu2) ** 2
+        nu2v = np.abs(nu2) ** 2
         a_blk = (h_eff.T * nu2v[None, :]) @ h_eff.conj()
         a_full = np.kron(np.eye(2), a_blk)
-        b_full = ((2.0 * np.sqrt(1.0 + st.omega2) * st.nu2)[:, None] * h_eff).ravel()
+        b_full = ((2.0 * np.sqrt(1.0 + omega2) * nu2)[:, None] * h_eff).ravel()
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
         p_e = (e_r - 0.5 * 8 * pm.p_static
                - 0.5 * pm.xi * pm.noise * np.sum(np.abs(st.theta) ** 2)) / (0.5 * pm.xi)
@@ -124,7 +125,7 @@ def test_criterion_3_qcqp_oracle_equivalence():
         s_full = np.kron(np.eye(2), s_blk)
         projs = [lambda y: project_ball(y, pm.p_max), lambda y: project_ellipsoid(y, s_full, p_e)]
         x_ref, _ = pg_qcqp_max(a_full, b_full, projs, iters=30000, x0=w2.ravel())
-        f_ref = surrogate_stage2(x_ref.reshape(2, 4), st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
+        f_ref = surrogate_stage2(x_ref.reshape(2, 4), st.theta, omega2, nu2, cs, stats, pm.noise)
         worst = max(worst, (f_ref - f) / (1.0 + abs(f_ref)))
     # 50 reflection subproblems
     for seed in range(50):
@@ -132,19 +133,19 @@ def test_criterion_3_qcqp_oracle_equivalence():
         pm = pm_default(p_max=1.0, a_max=4.0)
         w = crand(rng, 2, 4) * 0.5
         st = SolverState(tau=0.5, w1=crand(rng, 2, 4) * 2.0, w2=w, theta=crand(rng, 8) * 0.5)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        th = solve_theta(st, cs, stats, pm, tol=1e-9)
-        f = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats, pm.noise)
+        omega2, nu2, _ = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+        th = solve_theta(st, omega2, nu2, energy_budget(st, cs, pm), cs, stats, pm, tol=1e-9)
+        f = surrogate_stage2(st.w2, th, omega2, nu2, cs, stats, pm.noise)
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
         p_e = (e_r - 0.5 * 8 * pm.p_static) / (0.5 * pm.xi)
         mu = st.w2 @ cs.g_br.T
         v = np.sum(np.abs(mu) ** 2, axis=0) + pm.noise
         from risjam.optimizer import theta_quadratic_model
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.noise, mu)
+        gamma, lam = theta_quadratic_model(st.w2, omega2, nu2, cs, stats, pm.noise, mu)
         caps = np.full(8, pm.a_max)
         projs = [lambda y: project_caps_diag_ellipsoid(y, caps, v, p_e)]
         x_ref, _ = pg_qcqp_max(gamma, lam, projs, iters=30000, x0=th)
-        f_ref = surrogate_stage2(st.w2, x_ref, st.omega2, st.nu2, cs, stats, pm.noise)
+        f_ref = surrogate_stage2(st.w2, x_ref, omega2, nu2, cs, stats, pm.noise)
         worst = max(worst, (f_ref - f) / (1.0 + abs(f_ref)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0

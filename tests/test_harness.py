@@ -169,6 +169,21 @@ class TestLoadScenario:
             with pytest.raises(ValidationError, match=name):
                 ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("p_j_dbm", 5000.0), ("p_i_dbm", 5000.0), ("p_max_dbm", 5000.0), ("a_max_db", 1e5),
+        ("zeta0_db", 5000.0), ("zeta0_db", -5000.0), ("p_j_dbm", -3300.0),
+    ])
+    def test_db_values_out_of_float_range_rejected(self, name, value):
+        # 0 or an overflow once converted out of dB: every trial would fail on it
+        with pytest.raises(ValidationError, match=f"^{name} = "):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("overrides", [{"e_mse": "0.1"}, {"bs_pos": ("a", 1, 2)},
+                                           {"p_max_dbm": 1j}, {"rwp_b": (1.0, None, 2.0)}])
+    def test_non_numbers_rejected(self, overrides):
+        with pytest.raises(ValidationError, match="must be a finite real number"):
+            risjam.paper_profile(**overrides)
+
     def test_negative_e_mse_rejected(self):
         # the one check of the CSI error variance: the realization sampler
         # trusts it
@@ -206,6 +221,14 @@ class TestRunTrial:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError, match="scheme"):
             run_trial(micro_cfg(), "psychic-ris", 0)
+
+    @pytest.mark.parametrize("index", [-1, 1.5, "0"])
+    def test_bad_index_rejected_before_any_draw(self, index, monkeypatch):
+        draws = []
+        monkeypatch.setattr(harness, "sample_static_channels", lambda *args: draws.append(args))
+        with pytest.raises(ValidationError, match="trial index"):
+            run_trial(micro_cfg(), "no-ris", index)
+        assert draws == []
 
     @pytest.mark.parametrize("scheme, module, solve, error", [
         ("active-harvesting", optimizer, "solve_w2", optimizer.EnergyInfeasible),
@@ -469,6 +492,8 @@ class TestRunSweep:
         ("B", [2], ["no-ris"], 0),               # jobs < 1
         ("temperature", [1, 2], ["no-ris"], 1),  # unknown axis
         ("B", [2], ["psychic-ris"], 1),          # unknown scheme
+        ("B", [2], ["no-ris"], 1.5),             # jobs not an integer
+        ("P_max", ["x"], ["no-ris"], 1),         # a value that is not a number
     ])
     def test_bad_sweeps_rejected_before_any_trial(self, axis, values, schemes, jobs, tmp_path, monkeypatch):
         trials = []
@@ -614,6 +639,8 @@ class TestCli:
         ["--profile", "desk", "--sweep", "iterations", "--values", "6,8", "--scheme", "no-ris"],
         ["--profile", "desk", "--scheme", "no-ris", "--out", "{tmp}/missing/x.csv"],
         ["--profile", "desk", "--scheme", "no-ris", "--out", "{tmp}"],
+        ["--profile", "desk", "--scenario", "{tmp}/loud_jammer.cfg", "--scheme", "no-ris"],
+        ["--profile", "desk", "--scenario", "{tmp}/huge_budget.cfg", "--scheme", "no-ris"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
         (tmp_path / "negative_seed.cfg").write_text("seed = -4\n")
@@ -623,6 +650,8 @@ class TestCli:
         (tmp_path / "inverted_box.cfg").write_text("jammer_box_max = 30, 100, 0\n")
         (tmp_path / "jammer_on_ris.cfg").write_text("jammer_box_min = 0, 40, 10\njammer_box_max = 0, 40, 10\n")
         (tmp_path / "no_user_density.cfg").write_text("rwp_b = 0, 0, 0\n")
+        (tmp_path / "loud_jammer.cfg").write_text("p_j_dbm = 5000\n")  # overflows in watts
+        (tmp_path / "huge_budget.cfg").write_text("p_max_dbm = 5000\n")
         out = tmp_path / "never.csv"
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--trials" not in argv:

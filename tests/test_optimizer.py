@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from risjam.optimizer import (
     AoReport,
     EnergyInfeasible,
     SaaStats,
+    energy_budget,
     initial_state,
     solve_theta,
     solve_w1,
@@ -27,6 +30,7 @@ from risjam.system import SolverState
 
 from oracles import (adversary_interference_loops, pg_qcqp_max, project_ball, saa_means_loops,
                      uncertain_draw_loops, wmmse_sum_rate)
+from test_benchmark_hooks import patch_everywhere
 from test_system import (crand, make_channels, make_realization, permute_realization,
                          permute_users, pm_default)
 
@@ -89,13 +93,13 @@ class TestAuxStage1:
         stats.d_abs2[:] = 0.0
         w = crand(rng, 1, 4)
         sigma = 0.3
-        omega, nu = update_aux_stage1(w, cs, stats, sigma)
+        omega, nu, _ = update_aux_stage1(w, cs, stats, sigma)
         want = abs(np.vdot(cs.h_bu[0], w[0])) ** 2 / sigma
         assert omega[0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_beam(self):
         _, cs, stats, _ = make_instance(3)
-        omega, nu = update_aux_stage1(np.zeros((2, 4), complex), cs, stats, 0.1)
+        omega, nu, _ = update_aux_stage1(np.zeros((2, 4), complex), cs, stats, 0.1)
         np.testing.assert_array_equal(omega, 0.0)
         np.testing.assert_array_equal(nu, 0.0)
         assert surrogate_stage1(np.zeros((2, 4), complex), omega, nu, cs, stats, 0.1) == 0.0
@@ -105,7 +109,7 @@ class TestAuxStage1:
         for seed in range(20):
             rng, cs, stats, _ = make_instance(100 + seed)
             w = crand(rng, 2, 4)
-            omega, nu = update_aux_stage1(w, cs, stats, 0.05)
+            omega, nu, _ = update_aux_stage1(w, cs, stats, 0.05)
             f = surrogate_stage1(w, omega, nu, cs, stats, 0.05)
             want = float(np.sum(np.log1p(omega)))
             assert abs(f - want) <= 1e-10 * max(1.0, abs(want))
@@ -140,14 +144,14 @@ class TestAuxStage2:
         stats.dt_conj[:] = 0.0
         stats.m_mat[:] = 0.0
         w = crand(rng, 1, 4)
-        omega, _ = update_aux_stage2(w, np.zeros(3, complex), cs, stats, 0.4)
+        omega, _, _ = update_aux_stage2(w, np.zeros(3, complex), cs, stats, 0.4)
         want = abs(np.vdot(cs.h_bu[0], w[0])) ** 2 / 0.4
         assert omega[0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_beam(self):
         rng, cs, stats, _ = make_instance(5)
         theta = crand(rng, 3)
-        omega, nu = update_aux_stage2(np.zeros((2, 4), complex), theta, cs, stats, 0.1)
+        omega, nu, _ = update_aux_stage2(np.zeros((2, 4), complex), theta, cs, stats, 0.1)
         np.testing.assert_array_equal(omega, 0.0)
         np.testing.assert_array_equal(nu, 0.0)
 
@@ -156,7 +160,7 @@ class TestAuxStage2:
             rng, cs, stats, _ = make_instance(200 + seed)
             w = crand(rng, 2, 4)
             theta = crand(rng, 3)
-            omega, nu = update_aux_stage2(w, theta, cs, stats, 0.05)
+            omega, nu, _ = update_aux_stage2(w, theta, cs, stats, 0.05)
             f = surrogate_stage2(w, theta, omega, nu, cs, stats, 0.05)
             want = float(np.sum(np.log1p(omega)))
             assert abs(f - want) <= 1e-10 * max(1.0, abs(want))
@@ -278,10 +282,8 @@ class TestThetaModel:
             rng, cs, stats, _ = make_instance(300 + seed, m=4, q=2, b=2, n_rlz=4, jitter=0.3)
             w2 = crand(rng, 2, 4)
             th0 = crand(rng, 4)
-            omega, nu = update_aux_stage2(w2, th0, cs, stats, 0.07)
-            st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th0,
-                             omega2=omega, nu2=nu)
-            gamma, lam = theta_quadratic_model(st, cs, stats, 0.07, w2 @ cs.g_br.T)
+            omega, nu, _ = update_aux_stage2(w2, th0, cs, stats, 0.07)
+            gamma, lam = theta_quadratic_model(w2, omega, nu, cs, stats, 0.07, w2 @ cs.g_br.T)
 
             def f(th):
                 return surrogate_stage2(w2, th, omega, nu, cs, stats, 0.07)
@@ -299,10 +301,9 @@ class TestThetaModel:
         rng, cs, stats, rlzs = make_instance(10, m=4, q=2, b=2, n_rlz=9, jitter=0.4)
         w2 = crand(rng, 2, 4)
         th = crand(rng, 4)
-        omega, nu = update_aux_stage2(w2, th, cs, stats, 0.05)
-        st = SolverState(tau=0.5, w1=w2.copy(), w2=w2, theta=th, omega2=omega, nu2=nu)
+        omega, nu, _ = update_aux_stage2(w2, th, cs, stats, 0.05)
         mu = w2 @ cs.g_br.T
-        gamma, lam = theta_quadratic_model(st, cs, stats, 0.05, mu)
+        gamma, lam = theta_quadratic_model(w2, omega, nu, cs, stats, 0.05, mu)
 
         # re-loop over stored realizations with the per-draw d/t definitions
         k, m = 2, 4
@@ -337,8 +338,12 @@ class TestSolveW1:
         w = crand(rng, *cs.h_bu.shape)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=tau, w1=w, w2=w.copy(), theta=np.zeros(cs.g_br.shape[0], complex))
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
-        return st
+        return (st, *update_aux_stage1(st.w1, cs, stats, pm.noise))
+
+    @staticmethod
+    def _solve(st, omega, nu, c, cs, pm, **kw):
+        """solve_w1 at the RIS draw the AO hands it: P_R on the state's w2 and theta."""
+        return solve_w1(st, omega, nu, c, system.ris_power(st.w2, st.theta, cs.g_br, pm), cs, pm, **kw)
 
     def test_single_user_mrt(self):
         rng, cs, stats, _ = make_instance(11, k=1, jitter=0.0)
@@ -347,11 +352,11 @@ class TestSolveW1:
         # noise comparable to the signal so the QT fixed-point iteration
         # reaches the power boundary in a handful of rounds
         pm = pm_default(noise=0.5)
-        st = self._state(cs, stats, pm, rng)
+        st, *_ = self._state(cs, stats, pm, rng)
         st.theta[:] = 0.0  # p_r = static only, zero elements -> 0
         for _ in range(40):  # alternate aux and solve to the QT fixed point
-            st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
-            st.w1 = solve_w1(st, cs, stats, pm)
+            omega, nu, c = update_aux_stage1(st.w1, cs, stats, pm.noise)
+            st.w1 = self._solve(st, omega, nu, c, cs, pm)
         mrt = np.sqrt(pm.p_max) * cs.h_bu[0] / np.linalg.norm(cs.h_bu[0])
         align = abs(np.vdot(st.w1[0], mrt)) / (np.linalg.norm(st.w1[0]) * np.linalg.norm(mrt))
         assert align == pytest.approx(1.0, abs=1e-9)
@@ -363,26 +368,24 @@ class TestSolveW1:
         rng, cs, stats, _ = make_instance(12, m=1)
         cs.g_br[:] = 0.0  # K1 = 0: the harvest linearization never binds
         pm = pm_default(p_max=50.0, noise=0.2)
-        st = self._state(cs, stats, pm, rng)
+        st, omega, nu, c = self._state(cs, stats, pm, rng)
         st.theta = np.zeros(0, dtype=complex)  # drops the static draw entirely
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
-        st.nu1 = st.nu1 * 4.0  # strong quadratic term: small interior optimum
-        w = solve_w1(st, cs, stats, pm, i_max=1)
+        nu = nu * 4.0  # strong quadratic term: small interior optimum
+        w = self._solve(st, omega, nu, c, cs, pm, i_max=1)
         assert np.sum(np.abs(w) ** 2) < pm.p_max * (1 - 1e-6)
-        nu2 = np.abs(st.nu1) ** 2
+        nu2 = np.abs(nu) ** 2
         a = (cs.h_bu.T * nu2[None, :]) @ cs.h_bu.conj()
-        b_half = (np.sqrt(1 + st.omega1) * st.nu1)[:, None] * cs.h_bu
+        b_half = (np.sqrt(1 + omega) * nu)[:, None] * cs.h_bu
         w_ref = np.linalg.pinv(a, rcond=1e-10) @ b_half.T
         np.testing.assert_allclose(w, w_ref.T, rtol=1e-6, atol=1e-10)
 
     def test_power_binding_within_1e6(self):
         rng, cs, stats, _ = make_instance(13, scale=3.0)
         pm = pm_default(p_max=0.5)
-        st = self._state(cs, stats, pm, rng)
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
+        st, omega, nu, c = self._state(cs, stats, pm, rng)
         # strong auxiliaries: optimum wants more power than allowed
-        st.nu1 = st.nu1 * 50.0
-        w = solve_w1(st, cs, stats, pm, i_max=1)
+        nu = nu * 50.0
+        w = self._solve(st, omega, nu, c, cs, pm, i_max=1)
         assert np.sum(np.abs(w) ** 2) == pytest.approx(pm.p_max, rel=1e-6)
 
     def test_power_never_exceeds_cap(self):
@@ -391,10 +394,10 @@ class TestSolveW1:
         for seed in range(40):
             rng, cs, stats, _ = make_instance(300 + seed, m=4, scale=3.0)
             pm = pm_default(p_max=float(rng.uniform(0.1, 2.0)))
-            st = self._state(cs, stats, pm, rng, tau=float(rng.uniform(0.3, 0.7)))
+            st, omega, nu, c = self._state(cs, stats, pm, rng, tau=float(rng.uniform(0.3, 0.7)))
             st.theta = crand(rng, 4) * 0.3
-            st.nu1 = st.nu1 * float(rng.uniform(5.0, 100.0))  # the ball binds
-            w = solve_w1(st, cs, stats, pm)
+            nu = nu * float(rng.uniform(5.0, 100.0))  # the ball binds
+            w = self._solve(st, omega, nu, c, cs, pm)
             worst = max(worst, np.sum(np.abs(w) ** 2) / pm.p_max - 1.0)
         assert worst <= 1e-12
         assert worst >= -1e-8  # the cap was binding, not slack
@@ -402,15 +405,14 @@ class TestSolveW1:
     def test_sca_surrogate_monotone(self):
         rng, cs, stats, _ = make_instance(14, m=4)
         pm = pm_default()
-        st = self._state(cs, stats, pm, rng, tau=0.6)
+        st, omega, nu, c = self._state(cs, stats, pm, rng, tau=0.6)
         st.theta = crand(rng, 4)
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
         vals = []
         w = st.w1.copy()
         for _ in range(6):
             st.w1 = w
-            w = solve_w1(st, cs, stats, pm, i_max=1)
-            vals.append(surrogate_stage1(w, st.omega1, st.nu1, cs, stats, pm.noise))
+            w = self._solve(st, omega, nu, c, cs, pm, i_max=1)
+            vals.append(surrogate_stage1(w, omega, nu, cs, stats, pm.noise))
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(vals[1:])))
 
@@ -418,18 +420,17 @@ class TestSolveW1:
         # one linearized subproblem against a projected-gradient oracle
         rng, cs, stats, _ = make_instance(15)
         pm = pm_default(p_max=0.8)
-        st = self._state(cs, stats, pm, rng, tau=0.55)
+        st, omega, nu, c = self._state(cs, stats, pm, rng, tau=0.55)
         st.theta = crand(rng, 3) * 0.2
-        st.omega1, st.nu1 = update_aux_stage1(st.w1, cs, stats, pm.noise)
-        w_new = solve_w1(st, cs, stats, pm, i_max=1)
-        f_solver = surrogate_stage1(w_new, st.omega1, st.nu1, cs, stats, pm.noise)
+        w_new = self._solve(st, omega, nu, c, cs, pm, i_max=1)
+        f_solver = surrogate_stage1(w_new, omega, nu, cs, stats, pm.noise)
 
         # oracle: stacked PG over {power ball} cap {linearized energy halfspace}
         k, n = st.w1.shape
-        nu2 = np.abs(st.nu1) ** 2
+        nu2 = np.abs(nu) ** 2
         a_blk = (cs.h_bu.T * nu2[None, :]) @ cs.h_bu.conj()
         a_full = np.kron(np.eye(k), a_blk)
-        b_full = (2.0 * (np.sqrt(1 + st.omega1) * st.nu1)[:, None] * cs.h_bu).ravel()
+        b_full = (2.0 * (np.sqrt(1 + omega) * nu)[:, None] * cs.h_bu).ravel()
         k1 = cs.g_br.conj().T @ cs.g_br
         p_r = system.ris_power(st.w2, st.theta, cs.g_br, pm)
         a_lin = (pm.eta1 * st.tau * 2.0) * (st.w1 @ k1.T).ravel()  # gradient of the linearized harvest
@@ -446,7 +447,7 @@ class TestSolveW1:
         x0 = st.w1.ravel().copy()
         x_ref, _ = pg_qcqp_max(a_full, b_full, projs, iters=60000, x0=x0)
         w_ref = x_ref.reshape(k, n)
-        f_ref = surrogate_stage1(w_ref, st.omega1, st.nu1, cs, stats, pm.noise)
+        f_ref = surrogate_stage1(w_ref, omega, nu, cs, stats, pm.noise)
         assert f_solver >= f_ref - 1e-4 * (1.0 + abs(f_ref))
 
 
@@ -457,8 +458,12 @@ class TestSolveW2:
         w = crand(rng, *cs.h_bu.shape)
         w *= np.sqrt(pm.p_max / np.sum(np.abs(w) ** 2))
         st = SolverState(tau=0.5, w1=w, w2=w.copy(), theta=crand(rng, cs.g_br.shape[0]) * 0.3)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        return rng, cs, stats, pm, st
+        return rng, cs, stats, pm, st, update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+
+    @staticmethod
+    def _solve(st, aux, cs, pm):
+        """solve_w2 on update_aux_stage2's (omega, nu, h) and the state's budget, as the AO calls it."""
+        return solve_w2(st.theta, *aux, energy_budget(st, cs, pm), cs, pm)
 
     def test_identity_blocks_clip(self):
         # A = I blocks and slack S constraint: w = y/2 clipped to the ball
@@ -469,34 +474,35 @@ class TestSolveW2:
         pm = pm_default(p_max=0.1)
         st = SolverState(tau=0.5, w1=np.full((2, 2), 10.0, complex),
                          w2=np.zeros((2, 2), complex), theta=np.zeros(3, complex))
-        st.omega2 = np.zeros(2)
-        st.nu2 = np.ones(2, dtype=complex)  # |nu| = 1 -> A2 = sum h h^H = I
-        w = solve_w2(st, cs, stats, pm)
-        y = (2.0 * np.sqrt(1 + st.omega2) * st.nu2)[:, None] * cs.h_bu
+        omega = np.zeros(2)
+        nu = np.ones(2, dtype=complex)  # |nu| = 1 -> A2 = sum h h^H = I
+        w = self._solve(st, (omega, nu, system.effective_channels(st.theta, cs)), cs, pm)
+        y = (2.0 * np.sqrt(1 + omega) * nu)[:, None] * cs.h_bu
         expect = y / 2.0
         if np.sum(np.abs(expect) ** 2) > pm.p_max:
             expect *= np.sqrt(pm.p_max / np.sum(np.abs(expect) ** 2))
         np.testing.assert_allclose(w, expect, rtol=1e-6, atol=1e-9)
 
     def test_theta_zero_degeneracy(self):
-        rng, cs, stats, pm, st = self._prep(18)
+        rng, cs, stats, pm, st, _ = self._prep(18)
         st.theta = np.zeros(cs.g_br.shape[0], dtype=complex)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        w = solve_w2(st, cs, stats, pm)  # S = 0: only the power ball binds
+        aux = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+        w = self._solve(st, aux, cs, pm)  # S = 0: only the power ball binds
         assert np.sum(np.abs(w) ** 2) <= pm.p_max * (1 + 1e-8)
 
     def test_energy_infeasible(self):
-        rng, cs, stats, pm, st = self._prep(19)
+        rng, cs, stats, pm, st, aux = self._prep(19)
         st.w1 = np.zeros_like(st.w1)  # no harvest at all
         with pytest.raises(EnergyInfeasible):
-            solve_w2(st, cs, stats, pm)
+            self._solve(st, aux, cs, pm)
 
     def test_pg_oracle(self):
         for seed in (20, 21, 22):
-            rng, cs, stats, pm, st = self._prep(seed)
-            w = solve_w2(st, cs, stats, pm)
-            f = surrogate_stage2(w, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
-            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
+            rng, cs, stats, pm, st, aux = self._prep(seed)
+            omega, nu, _ = aux
+            w = self._solve(st, aux, cs, pm)
+            f = surrogate_stage2(w, st.theta, omega, nu, cs, stats, pm.noise)
+            f_old = surrogate_stage2(st.w2, st.theta, omega, nu, cs, stats, pm.noise)
             assert f >= f_old - 1e-9 * max(1.0, abs(f_old))
 
 
@@ -508,12 +514,12 @@ class TestSolveTheta:
         w = crand(rng, 2, 4)
         st = SolverState(tau=0.5, w1=np.full((2, 4), 30.0, complex), w2=w,
                          theta=np.array([0.5 + 0.1j]))
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        st.nu2 = st.nu2 * 0.05  # weak curvature: unconstrained magnitude beyond the cap
-        gamma, lam = theta_quadratic_model(st, cs, stats, pm.noise, st.w2 @ cs.g_br.T)
+        omega, nu, _ = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+        nu = nu * 0.05  # weak curvature: unconstrained magnitude beyond the cap
+        gamma, lam = theta_quadratic_model(st.w2, omega, nu, cs, stats, pm.noise, st.w2 @ cs.g_br.T)
         uncon = abs(lam[0]) / (2 * np.real(gamma[0, 0]))
         assert uncon > pm.a_max  # the cap must actually bind in this instance
-        th = solve_theta(st, cs, stats, pm)
+        th = solve_theta(st, omega, nu, energy_budget(st, cs, pm), cs, stats, pm)
         assert abs(th[0]) == pytest.approx(pm.a_max, rel=1e-6)
         assert np.angle(th[0]) == pytest.approx(np.angle(lam[0]), abs=1e-5)
 
@@ -522,8 +528,8 @@ class TestSolveTheta:
         pm = pm_default(a_max=5.0)
         w = crand(rng, 2, 4) * 0.3
         st = SolverState(tau=0.4, w1=crand(rng, 2, 4), w2=w, theta=crand(rng, 5) * 0.5)
-        st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-        th = solve_theta(st, cs, stats, pm)
+        omega, nu, _ = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+        th = solve_theta(st, omega, nu, energy_budget(st, cs, pm), cs, stats, pm)
         assert np.all(np.abs(th) <= pm.a_max * (1 + 1e-8))
         e_r = system.harvested_energy(st.w1, st.tau, cs.g_br, pm.eta1)
         p_e = (e_r - 0.6 * 5 * pm.p_static) / (0.6 * pm.xi)
@@ -537,10 +543,10 @@ class TestSolveTheta:
             pm = pm_default(a_max=8.0)
             st = SolverState(tau=0.5, w1=crand(rng, 2, 4) * 2.0, w2=crand(rng, 2, 4) * 0.5,
                              theta=crand(rng, 6) * 0.4)
-            st.omega2, st.nu2 = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
-            f_old = surrogate_stage2(st.w2, st.theta, st.omega2, st.nu2, cs, stats, pm.noise)
-            th = solve_theta(st, cs, stats, pm)
-            f_new = surrogate_stage2(st.w2, th, st.omega2, st.nu2, cs, stats, pm.noise)
+            omega, nu, _ = update_aux_stage2(st.w2, st.theta, cs, stats, pm.noise)
+            f_old = surrogate_stage2(st.w2, st.theta, omega, nu, cs, stats, pm.noise)
+            th = solve_theta(st, omega, nu, energy_budget(st, cs, pm), cs, stats, pm)
+            f_new = surrogate_stage2(st.w2, th, omega, nu, cs, stats, pm.noise)
             assert f_new >= f_old - 1e-8 * max(1.0, abs(f_old))
 
     def test_projections_of_capped_paper_solves(self, monkeypatch):
@@ -635,6 +641,41 @@ class TestSscaAo:
                                             (link[i] for link in want)):
                 np.testing.assert_array_equal(got_then, w)
                 np.testing.assert_array_equal(got_end, w)
+
+    # (harvest, on the view without RIS elements): active, passive, no-RIS
+    @pytest.mark.parametrize("scheme", [(True, False), (False, False), (False, True)])
+    def test_each_block_pass_computes_each_stage_term_once(self, monkeypatch, scheme):
+        # the calls between two SAA objectives are one block pass; in it the
+        # stage-2 channels are built twice, once by the objective and once
+        # for the auxiliaries and the w2 block together, and an active pass
+        # draws the RIS power once (tau and w1 blocks) and the amplifier
+        # budget once (w2 and theta blocks)
+        harvest, no_ris = scheme
+        calls = []
+
+        def record(name):
+            def make_wrapper(fn):
+                def wrapper(*args, **kw):
+                    calls.append(name)
+                    return fn(*args, **kw)
+                return wrapper
+            return make_wrapper
+
+        for module, name in ((system, "sum_rate_nats"), (system, "effective_channels"),
+                             (system, "ris_power"), (optimizer, "energy_budget")):
+            patch_everywhere(monkeypatch, module, name, record(name))
+        cfg = risjam.desk_profile(r_max=8, e_mse=0.1)
+        cs = sample_static_channels(cfg, np.random.default_rng(5))
+        rep = optimizer._alternate(cs.without_ris() if no_ris else cs, cfg,
+                                   np.random.SeedSequence(77), harvest)
+        passes = " ".join(calls).split("sum_rate_nats")[1:-1]  # each ends at the next objective
+        assert len(passes) == rep.iterations - 1 >= 5
+        want = {"effective_channels": 2, "ris_power": int(harvest), "energy_budget": int(harvest)}
+        for block_pass in passes:
+            assert {name: block_pass.split().count(name) for name in want} == want
+
+    def test_state_is_the_four_variables(self):
+        assert [f.name for f in dataclasses.fields(SolverState)] == ["tau", "w1", "w2", "theta"]
 
     def test_determinism(self):
         cfg = risjam.desk_profile(r_max=12)

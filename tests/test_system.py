@@ -437,13 +437,11 @@ class TestFeasibility:
 class TestSolverStateCopy:
     def test_copy_equals_and_owns_its_arrays(self):
         rng = np.random.default_rng(20)
-        st = SolverState(tau=0.3, w1=crand(rng, 2, 4), w2=crand(rng, 2, 4), theta=crand(rng, 3),
-                         omega2=rng.uniform(size=2), nu2=crand(rng, 2))
-        arrays = ("w1", "w2", "theta", "omega2", "nu2")
+        st = SolverState(tau=0.3, w1=crand(rng, 2, 4), w2=crand(rng, 2, 4), theta=crand(rng, 3))
+        arrays = ("w1", "w2", "theta")
         before = {name: getattr(st, name).copy() for name in arrays}
         cp = st.copy()
         assert cp.tau == st.tau
-        assert cp.omega1 is None and cp.nu1 is None
         for name in arrays:
             a, b = getattr(cp, name), getattr(st, name)
             np.testing.assert_array_equal(a, b)
