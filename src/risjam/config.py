@@ -24,6 +24,14 @@ class ValidationError(ValueError):
     """A configuration invariant is violated; message names the invariant."""
 
 
+def is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # bool subclasses int
+
+
+def is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def dbm_to_watts(v: float) -> float:
     return 10.0 ** (v / 10.0) * 1e-3
 
@@ -107,18 +115,17 @@ class ScenarioConfig:
 
     def validate(self):
         """Reject counts that are not integers, other values (tuple entries
-        included) that are not finite real numbers, dB values that are 0 or
-        overflow in linear units, points without 3 coordinates, boxes whose
-        max lies below their min, out-of-range values, a user-distance density
-        the sampler cannot invert, and linked nodes that can come closer than
-        the path-loss reference distance."""
+        included) that are not finite real numbers (a bool is neither), dB
+        values that are 0 or overflow in linear units, points without 3
+        coordinates, boxes whose max lies below their min, out-of-range
+        values, a user-distance density the sampler cannot invert, and linked
+        nodes that can come closer than the path-loss reference distance."""
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(f.default, int):
-                if not isinstance(v, (int, np.integer)):
+                if not is_integer(v):
                     raise ValidationError(f"{f.name} must be an integer, got {v!r}")
-            elif not all(isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
-                         for x in np.asarray(v, dtype=object).ravel()):
+            elif not all(is_real(x) and math.isfinite(x) for x in np.asarray(v, dtype=object).ravel()):
                 raise ValidationError(f"{f.name} must be a finite real number or numbers, got {v!r}")
             elif f.name.endswith(("_dbm", "_db")):
                 try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics, optimizer, system
 from .channel import sample_static_channels, sample_uncertain_realization
-from .config import ScenarioConfig, ValidationError
+from .config import ScenarioConfig, ValidationError, is_integer, is_real
 from .optimizer import AoReport, ssca_ao
 
 SCHEMES = ("active-harvesting", "passive-ris", "no-ris")
@@ -67,7 +67,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int) -> TrialResult
     scheme or an index not an int >= 0 raises ValidationError before any draw."""
     if scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if not isinstance(trial_index, (int, np.integer)) or trial_index < 0:
+    if not is_integer(trial_index) or trial_index < 0:
         raise ValidationError(f"trial index must be a nonnegative integer, got {trial_index!r}")
     ss_chan, ss_opt, ss_eval = _trial_seeds(cfg, trial_index)
     cs = sample_static_channels(cfg, np.random.default_rng(ss_chan))
@@ -91,7 +91,7 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     """cfg with the axis's fields set to value (run_sweep checks the axis, the
     new config the value); a real value is set as a float, or an int for an integral count."""
     names = AXIS_FIELDS[axis]
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if is_real(value):
         value = float(value)
         if isinstance(getattr(ScenarioConfig, names[0]), int) and value.is_integer():
             value = int(value)
@@ -167,7 +167,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, schemes=SCHEMES, jobs: int
         raise ValidationError(f"the {axis} axis needs at least one value")
     if not schemes:
         raise ValidationError("a sweep needs at least one scheme")
-    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
+    if not is_integer(jobs) or jobs < 1:
         raise ValidationError(f"jobs must be an integer of at least 1, got {jobs!r}")
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
         raise ValidationError(f"out must name a file in an existing directory, got {out}")

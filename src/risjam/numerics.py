@@ -77,9 +77,9 @@ class QcqpProblem:
         subject to  sum_m v_m |x_m|^2 <= c,   |x_m| <= caps_m
 
     A Hermitian PSD, the ellipsoid diagonal with weights v_m > 0, caps_m
-    >= 0 and a float c >= 0, so x = 0 is feasible.  Nothing is checked or
-    converted: the active reflection solve builds it from a validated
-    scenario (positive noise power, caps A_max >= 1, no negative bound).
+    >= 0 and a float c > 0.  Nothing is checked or converted: the active
+    reflection solve builds it from a validated scenario (positive noise
+    power, caps A_max >= 1) and a budget that solve_w2 found positive.
     """
 
     quad: np.ndarray
@@ -100,8 +100,8 @@ def _ball_bound(d, cum, cap):
 
 def _ball_factors(d, r, cap, tol, lam=0.0):
     """Factors 1/(d_i + lam) for the smallest lam >= 0 with
-    p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, given d >= 0 ascending and
-    r >= 0.  Returns (factors, lam).
+    p(lam) = sum_i r_i / (d_i + lam)^2 <= cap, given d >= 0 ascending, r >= 0
+    and cap > 0 (unchecked).  Returns (factors, lam).
 
     lam = 0 (pseudo-inverse factors) when r has no weight on the numerical
     null space of d and p(0) fits.  Otherwise lam solves the secular equation
@@ -116,8 +116,6 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     iterate with p in [cap (1 - tol), cap] is returned, or the bound itself
     when p fits there.
     """
-    if cap <= 0.0:
-        return np.zeros_like(d), math.inf
     cum = r.cumsum()
     cut = 1e-12 * max(d[-1], 1e-300)
     if d[0] <= cut:  # a numerical null space (without one, lam = 0 is a Newton iterate)
@@ -217,25 +215,18 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         maximize    sum_k Re{y_k^H w_k} - w_k^H A w_k
         subject to  sum_k ||w_k||^2 <= p_max,   sum_k w_k^H S w_k <= p_e
 
-    with A, S Hermitian PSD (N x N); without S only the power ball applies.
-    The stationary beams (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N
-    eigendecomposition of A + lam2 S across the K users.  For each lam2 the
-    power multiplier lam1 is the ball step (_ball_factors), warm-started at
-    the lam1 of the search's previous lam2; lam2 is found by _search on
-    sqrt(target / energy) - 1, whose slope comes from differentiating the
-    stationary beams with lam1 moving to keep a binding power constant.
-    Both searches stop on the feasible side, with a binding constraint
-    within tol relative of its bound.  With a record, both searches start
-    from its multipliers (see Multipliers).
+    with A, S Hermitian PSD (N x N) and p_e > 0 (unchecked; S = 0 also takes
+    p_e = 0); without S only the power ball applies.  The stationary beams
+    (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N eigendecomposition of
+    A + lam2 S across the K users.  For each lam2 the power multiplier lam1 is
+    the ball step (_ball_factors), warm-started at the lam1 of the search's
+    previous lam2; lam2 is found by _search on sqrt(target / energy) - 1,
+    whose slope comes from differentiating the stationary beams with lam1
+    moving to keep a binding power constant.  Both searches stop on the
+    feasible side, with a binding constraint within tol relative of its bound.
+    With a record, both searches start from its multipliers (see Multipliers).
     """
     rec = Multipliers() if record is None else record
-    if s is not None and p_e <= 0.0:
-        # lam2 -> infinity: the beams are confined to null(S)
-        ev, v = np.linalg.eigh(s)
-        null = v[:, ev <= 1e-14 * max(ev[-1], 1e-300)]
-        if not null.shape[1]:  # S full rank: only w = 0 meets the energy bound
-            return np.zeros(y.shape, dtype=complex)
-        return _ball_beams(psd_eigh(null.conj().T @ a @ null), y @ null.conj(), p_max, tol, rec) @ null.T
     if s is None:
         return _ball_beams(psd_eigh(a), y, p_max, tol, rec)
     s_t = s.T

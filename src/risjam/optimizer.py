@@ -51,7 +51,7 @@ from .system import LN2, PowerModel, SolverState
 
 
 class EnergyInfeasible(Exception):
-    """Harvested energy cannot cover static power plus amplified RIS noise."""
+    """solve_w2, with RIS elements: the harvest cannot cover static power plus amplified RIS noise."""
 
 
 @dataclass
@@ -240,12 +240,13 @@ def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
 def solve_w2(theta: np.ndarray, omega: np.ndarray, nu: np.ndarray, h: np.ndarray, budget: float,
              cs: ChannelSet, pm: PowerModel, tol: float = 1e-9,
              record: numerics.Multipliers | None = None) -> np.ndarray:
-    """Reflection-stage beams from update_aux_stage2's output and the
-    amplifier budget (energy_budget): maximize the stage-2 surrogate under the
-    transmit-power ball and the harvested-energy ellipsoid (numerics.solve_beams,
-    warm-started from the record when given)."""
+    """Reflection-stage beams from update_aux_stage2's output and the amplifier budget
+    (energy_budget): maximize the stage-2 surrogate under the transmit-power ball and the
+    harvested-energy ellipsoid (numerics.solve_beams, warm-started from the record when given).
+    Raises EnergyInfeasible when RIS elements exist and budget - sigma^2 ||theta||^2 <= 0;
+    without them the budget is 0 and only the power ball applies."""
     p_e = budget - pm.noise * float(np.sum(np.abs(theta) ** 2))
-    if p_e < 0:
+    if theta.size and p_e <= 0:
         raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise (P_E = {p_e:.3e})")
     s_block = numerics.hermitize(
         cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
@@ -289,7 +290,7 @@ def solve_theta(state: SolverState, omega: np.ndarray, nu: np.ndarray, budget: f
     P_E: maximize the averaged quadratic model under the output-power ellipsoid,
     diagonal with weights sum_k |mu_km|^2 + sigma^2, and per-element amplitude caps
     (numerics.solve_concave_qcqp, its ball step warm-started from the record when given).  theta
-    must be non-empty; P_E >= 0 is not checked, as solve_w2 raised unless P_E - sigma^2 ||theta||^2 >= 0."""
+    must be non-empty; P_E > 0 is not checked, as solve_w2 raised unless P_E - sigma^2 ||theta||^2 > 0."""
     mu = state.w2 @ cs.g_br.T
     gamma, lam = theta_quadratic_model(state.w2, omega, nu, cs, stats, pm.noise, mu)
     prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.noise,

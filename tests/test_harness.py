@@ -179,7 +179,8 @@ class TestLoadScenario:
             ScenarioConfig(**{name: value})
 
     @pytest.mark.parametrize("overrides", [{"e_mse": "0.1"}, {"bs_pos": ("a", 1, 2)},
-                                           {"p_max_dbm": 1j}, {"rwp_b": (1.0, None, 2.0)}])
+                                           {"p_max_dbm": 1j}, {"rwp_b": (1.0, None, 2.0)},
+                                           {"e_mse": False}, {"p_max_dbm": True}])
     def test_non_numbers_rejected(self, overrides):
         with pytest.raises(ValidationError, match="must be a finite real number"):
             risjam.paper_profile(**overrides)
@@ -191,10 +192,11 @@ class TestLoadScenario:
             ScenarioConfig(e_mse=-0.1)
 
     def test_counts_must_be_integers(self):
+        # a bool is an int by subclass, but not a count
         assert issubclass(ValidationError, ValueError)
-        for name in ("m", "b", "trials"):
+        for name, value in (("m", 3.0), ("b", 3.0), ("trials", 3.0), ("m", True), ("trials", True)):
             with pytest.raises(ValidationError, match="integer"):
-                ScenarioConfig(**{name: 3.0})
+                ScenarioConfig(**{name: value})
 
     def test_readme_table_names_every_field(self):
         # the README's scenario table and the ScenarioConfig schema stay in step
@@ -222,7 +224,7 @@ class TestRunTrial:
         with pytest.raises(ValidationError, match="scheme"):
             run_trial(micro_cfg(), "psychic-ris", 0)
 
-    @pytest.mark.parametrize("index", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("index", [-1, 1.5, "0", True])
     def test_bad_index_rejected_before_any_draw(self, index, monkeypatch):
         draws = []
         monkeypatch.setattr(harness, "sample_static_channels", lambda *args: draws.append(args))
@@ -494,6 +496,8 @@ class TestRunSweep:
         ("B", [2], ["psychic-ris"], 1),          # unknown scheme
         ("B", [2], ["no-ris"], 1.5),             # jobs not an integer
         ("P_max", ["x"], ["no-ris"], 1),         # a value that is not a number
+        ("B", [True], ["no-ris"], 1),            # a bool is not a count
+        ("B", [2], ["no-ris"], True),            # nor a number of jobs
     ])
     def test_bad_sweeps_rejected_before_any_trial(self, axis, values, schemes, jobs, tmp_path, monkeypatch):
         trials = []

@@ -541,30 +541,6 @@ class TestSolveBeams:
             w = solve_beams(a, y, 1.0, s, p_e, tol=1e-10)
             kkt_certificate(a, y, 1.0, s, p_e, w)
 
-    def test_zero_energy_bound_confines_to_null_space(self):
-        # P_E = 0: the beams live in null(S), stationary there
-        rng = np.random.default_rng(43)
-        a, y, s = beam_instance(rng, 6, 2, s_rank=2, in_range=False)
-        w = solve_beams(a, y, 1.0, s, 0.0)
-        assert np.linalg.norm(w @ s.T) <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(w)
-        ev, v = np.linalg.eigh(s)
-        null = v[:, :4]
-        w_r = w @ null.conj()  # coordinates in null(S)
-        kkt_certificate(null.conj().T @ a @ null, y @ null.conj(), 1.0, None, 0.0, w_r)
-        assert np.sum(np.abs(w) ** 2) <= 1.0 * (1 + 1e-12)
-
-    def test_zero_energy_bound_with_full_rank_s_gives_zero_beams(self):
-        # the stage-2 shape: G_BR is 25 x 8 and every |theta_m| > 0, so
-        # S = G_BR^H |Theta|^2 G_BR has full rank, null(S) is empty and only
-        # w = 0 meets P_E = 0
-        rng = np.random.default_rng(47)
-        a, y, _ = beam_instance(rng, 8, 4)
-        g = rng.standard_normal((25, 8)) + 1j * rng.standard_normal((25, 8))
-        s = g.conj().T @ (rng.uniform(0.5, 1.5, 25)[:, None] ** 2 * g)
-        w = solve_beams(a, y, 1.0, s, 0.0)
-        assert w.shape == y.shape and w.dtype == complex
-        np.testing.assert_array_equal(w, 0.0)
-
     def test_energy_slack_and_binding(self):
         rng = np.random.default_rng(44)
         a, y, s = beam_instance(rng, 6, 3, s_rank=6)

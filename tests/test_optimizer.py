@@ -6,7 +6,7 @@ import pytest
 import risjam
 from risjam import numerics, optimizer, system
 from risjam.channel import ChannelSet, sample_static_channels, sample_uncertain_realization
-from risjam.harness import run_trial
+from risjam.harness import SCHEMES, run_trial
 from risjam.optimizer import (
     AoReport,
     EnergyInfeasible,
@@ -496,6 +496,17 @@ class TestSolveW2:
         with pytest.raises(EnergyInfeasible):
             self._solve(st, aux, cs, pm)
 
+    def test_zero_energy_bound_with_full_rank_s_raises(self):
+        # the stage-2 shape: G_BR is 25 x 8 and every |theta_m| > 0, so
+        # S = G_BR^H |Theta|^2 G_BR has full rank and only w = 0 would meet
+        # P_E = 0.  A budget that the RIS noise uses up is not
+        # self-sustaining: solve_w2 raises instead of handing it on
+        rng, cs, stats, pm, st, aux = self._prep(47, n=8, m=25, k=4)
+        assert np.all(np.abs(st.theta) > 0.0)
+        budget = pm.noise * float(np.sum(np.abs(st.theta) ** 2))  # P_E = 0
+        with pytest.raises(EnergyInfeasible):
+            solve_w2(st.theta, *aux, budget, cs, pm)
+
     def test_pg_oracle(self):
         for seed in (20, 21, 22):
             rng, cs, stats, pm, st, aux = self._prep(seed)
@@ -673,6 +684,35 @@ class TestSscaAo:
         want = {"effective_channels": 2, "ris_power": int(harvest), "energy_budget": int(harvest)}
         for block_pass in passes:
             assert {name: block_pass.split().count(name) for name in want} == want
+
+    def test_engine_budgets_are_positive_on_trials(self, monkeypatch):
+        # the QCQP engine trusts its budgets: p_e > 0 in every beam solve
+        # given S, and cap > 0 in every ball step (solve_w2 owns an empty
+        # amplifier budget).  Desk trials 0-3 of every scheme, e_mse 0 and 0.1
+        budgets, caps = [], []
+
+        def watch_beams(fn):
+            def solve_beams(a, y, p_max, s=None, p_e=0.0, **kw):
+                if s is not None:
+                    budgets.append(p_e)
+                return fn(a, y, p_max, s, p_e, **kw)
+            return solve_beams
+
+        def watch_ball(fn):
+            def _ball_factors(d, r, cap, *rest):
+                caps.append(cap)
+                return fn(d, r, cap, *rest)
+            return _ball_factors
+
+        patch_everywhere(monkeypatch, numerics, "solve_beams", watch_beams)
+        patch_everywhere(monkeypatch, numerics, "_ball_factors", watch_ball)
+        for e_mse in (0.0, 0.1):
+            cfg = risjam.desk_profile(e_mse=e_mse)
+            for scheme in SCHEMES:
+                for trial in range(4):
+                    run_trial(cfg, scheme, trial)
+        assert len(budgets) >= 100 and len(caps) >= 1000  # these trials make 155 and 1,317
+        assert min(budgets) > 0.0 and min(caps) > 0.0
 
     def test_state_is_the_four_variables(self):
         assert [f.name for f in dataclasses.fields(SolverState)] == ["tau", "w1", "w2", "theta"]
