@@ -10,6 +10,14 @@ counts as run when its function is called.
     python3 scripts/line_audit.py --profile paper --e-mse 0.1 \\
         --scheme passive-ris no-ris --trials 25
 
+With --scenario FILE ..., each file is read by config.load_scenario over
+--profile, and the traces of all the files are united, so that a set of
+edge scenarios is audited in one run:
+
+    python3 scripts/line_audit.py --profile paper --trials 2 \\
+        --scenario edges/q0b0.txt edges/m1.txt
+
+--e-mse, when given, overrides the e_mse of the profile and of every file.
 Prints, per module, "ran X of Y function lines", then each line that no
 trial ran, with its number and text.
 """
@@ -17,13 +25,14 @@ trial ran, with its number and text.
 import argparse
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "risjam"
 sys.path.insert(0, str(PACKAGE.parent))
 
 from risjam import harness  # noqa: E402  (this checkout's package, not an installed one)
-from risjam.config import PROFILES  # noqa: E402
+from risjam.config import PROFILES, ParseError, ValidationError, load_scenario  # noqa: E402
 
 
 def function_lines(code) -> set:
@@ -67,16 +76,28 @@ def trace_trials(cfg, schemes, trials) -> set:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--profile", choices=tuple(PROFILES), default="paper")
-    p.add_argument("--e-mse", type=float, default=0.0)
+    p.add_argument("--e-mse", type=float, help="e_mse of every config (default: the profile's or file's)")
     p.add_argument("--scheme", nargs="+", choices=harness.SCHEMES, default=list(harness.SCHEMES))
     p.add_argument("--trials", type=int, default=10, help="trial indices, from 0")
+    p.add_argument("--scenario", nargs="+", metavar="FILE", default=[],
+                   help="scenario files read over --profile; their traces are united")
     args = p.parse_args(argv)
     if args.trials < 1:
         p.error("--trials must be at least 1")
 
-    cfg = PROFILES[args.profile](e_mse=args.e_mse)
-    ran = trace_trials(cfg, args.scheme, args.trials)
-    print(f"{args.profile}, e_mse = {args.e_mse:g}, {', '.join(args.scheme)}: trials 0-{args.trials - 1}")
+    if args.scenario:
+        try:
+            cfgs = {f"{path} over {args.profile}": load_scenario(path, args.profile) for path in args.scenario}
+        except (OSError, ParseError, ValidationError) as exc:
+            p.error(f"--scenario: {exc}")
+    else:
+        cfgs = {args.profile: PROFILES[args.profile]()}
+    ran = set()
+    for name, cfg in cfgs.items():
+        if args.e_mse is not None:
+            cfg = replace(cfg, e_mse=args.e_mse)
+        ran |= trace_trials(cfg, args.scheme, args.trials)
+        print(f"{name}, e_mse = {cfg.e_mse:g}, {', '.join(args.scheme)}: trials 0-{args.trials - 1}")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = function_lines(compile(source, str(path), "exec"))

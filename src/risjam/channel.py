@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .numerics import hermitize
+
 REF_DISTANCE = 1.0  # meters
 RWP_GRID_POINTS = 10000  # intervals of the grid sample_rwp_distance inverts on
 
@@ -174,7 +176,7 @@ def ue_radius_range(radius: float):
 def nakagami_fading(rng: np.random.Generator, shape, m: float) -> np.ndarray:
     """Unit-mean-power Nakagami-m fades: Gamma(m, 1/m) power, uniform phase."""
     power = rng.gamma(m, 1.0 / m, size=shape)
-    while np.any(power == 0.0):  # exact zeros break the nonzero-entry invariant
+    while (power == 0.0).any():  # exact zeros break the nonzero-entry invariant
         power = np.where(power == 0.0, rng.gamma(m, 1.0 / m, size=shape), power)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
     return np.sqrt(power) * np.exp(1j * phase)
@@ -187,6 +189,11 @@ class ChannelSet:
     Shapes: g_br (M,N); h_bu (K,N); h_ru (K,M); h_ju_est (Q,K,N_jam);
     g_jr_est (Q,M,N_jam); h_iu_est (B,K,N); ue_pos (K,3), the only positions
     kept.  Vectors are stored untransposed, so h^H w is computed as h.conj() @ w.
+
+    The RIS terms that every AO iteration reads, conj(G_BR), the Gram matrix
+    K1 = G_BR^H G_BR (Hermitian part), conj(h_RU) and |h_RU|^2, are derived
+    on construction (dataclasses.replace and without_ris too), so they match
+    the channels as long as no channel array is written in place.
     """
 
     g_br: np.ndarray
@@ -198,6 +205,16 @@ class ChannelSet:
     z_jam: np.ndarray  # (Q,K,N_jam) adversary beams, fixed for the trial
     z_int: np.ndarray  # (B,K,N)
     ue_pos: np.ndarray
+    g_br_conj: np.ndarray = field(init=False, repr=False)  # (M,N)
+    gram_br: np.ndarray = field(init=False, repr=False)    # (N,N) K1
+    h_ru_conj: np.ndarray = field(init=False, repr=False)  # (K,M)
+    h_ru_abs2: np.ndarray = field(init=False, repr=False)  # (K,M)
+
+    def __post_init__(self):
+        self.g_br_conj = self.g_br.conj()
+        self.gram_br = hermitize(self.g_br_conj.T @ self.g_br)
+        self.h_ru_conj = self.h_ru.conj()
+        self.h_ru_abs2 = np.abs(self.h_ru) ** 2
 
     @property
     def n_users(self) -> int:
@@ -218,7 +235,7 @@ def _adversary_terms(h_ju, g_jr, h_iu, z_j, z_i):
     G_JR,q z_qk (...,Q,M,K)."""
     direct = np.conj(np.einsum("...n,...n->...", h_ju, np.conj(z_j)))
     interf = np.abs(np.einsum("...n,...n->...", h_iu, np.conj(z_i))) ** 2
-    return direct, np.sum(interf, axis=-2), g_jr @ np.swapaxes(z_j, -1, -2)
+    return direct, interf.sum(axis=-2), g_jr @ np.swapaxes(z_j, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -347,10 +364,10 @@ def _isotropic_power_vectors(rng: np.random.Generator, shape, total_power: float
     """(T, K, N) complex Gaussian directions, one (K, N) set per transmitter,
     each scaled so that sum_k ||v_k||^2 = total_power."""
     v = _complex_normals(rng, shape)
-    norm2 = np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True)
-    while np.any(norm2 == 0.0):
+    norm2 = (np.abs(v) ** 2).sum(axis=(-2, -1), keepdims=True)
+    while (norm2 == 0.0).any():
         v = np.where(norm2 == 0.0, _complex_normals(rng, shape), v)
-        norm2 = np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True)
+        norm2 = (np.abs(v) ** 2).sum(axis=(-2, -1), keepdims=True)
     return v * np.sqrt(total_power / norm2)
 
 

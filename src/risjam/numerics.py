@@ -117,15 +117,16 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     when p fits there.
     """
     cum = r.cumsum()
-    cut = 1e-12 * max(d[-1], 1e-300)
-    if d[0] <= cut:  # a numerical null space (without one, lam = 0 is a Newton iterate)
+    d_min = float(d[0])
+    cut = 1e-12 * max(float(d[-1]), 1e-300)
+    if d_min <= cut:  # a numerical null space (without one, lam = 0 is a Newton iterate)
         null = int(np.searchsorted(d, cut, side="right"))
         if cum[null - 1] <= 1e-20 * cum[-1]:
             inv = np.concatenate((np.zeros(null), 1.0 / d[null:]))
             if r @ (inv * inv) <= cap:
                 return inv, 0.0
     lb = _ball_bound(d, cum, cap)
-    if lb == 0.0 and d[0] == 0.0:
+    if lb == 0.0 and d_min == 0.0:
         # every r_i on d_i = 0 is zero here: give those entries the
         # pseudo-inverse factor 0, so that lam = 0 can be evaluated
         d = np.where(d > 0.0, d, math.inf)
@@ -134,10 +135,12 @@ def _ball_factors(d, r, cap, tol, lam=0.0):
     for _ in range(100):
         inv = 1.0 / (d + lam)
         q = r * inv * inv
-        p = q.sum()
+        p = float(q.sum())
         if p <= cap and (p >= cap * (1.0 - tol) or lam == lb):
             return inv, lam
-        lam = max(lb, lam + p * (math.sqrt(p / target) - 1.0) / (q @ inv))
+        slope = float(q @ inv)
+        # r = 0 leaves the Newton step 0 / 0: it falls back to the bound
+        lam = max(lb, lam + p * (math.sqrt(p / target) - 1.0) / slope) if slope else lb
     raise MaxIterExceeded("power multiplier: Newton iteration did not settle")
 
 
@@ -239,22 +242,23 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     def at(lam2, ball_tol=1e-2 * tol):
         nonlocal lam1
         d, u = psd_eigh(a + lam2 * s)
-        c = half_y @ u.conj()  # rows: U^H y_k / 2
+        u_conj = u.conj()
+        c = half_y @ u_conj  # rows: U^H y_k / 2
         inv, lam1 = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), p_max, ball_tol, lam1)
         wt = c * inv  # the beams in the eigenbasis
         w = wt @ u.T
         x = (w, lam1, lam2)
-        swt = (w @ s_t) @ u.conj()  # rows: U^H S U wt_k
+        swt = (w @ s_t) @ u_conj  # rows: U^H S U wt_k
         e = float(np.vdot(wt, swt).real)
         if e <= 0.0:
             return x, math.inf, p_e - e, 0.0
         # d wt / d lam2 = -inv (U^H S U wt + lam1' wt), where lam1 moves with
         # lam2 to hold a binding power constant and stays 0 otherwise
         wi = wt * inv
-        t1 = np.vdot(wi, swt).real
-        de = -2.0 * np.vdot(swt * inv, swt).real
+        t1 = float(np.vdot(wi, swt).real)
+        de = -2.0 * float(np.vdot(swt * inv, swt).real)
         if lam1 > 0.0:
-            de += 2.0 * t1 * t1 / np.vdot(wi, wt).real
+            de += 2.0 * t1 * t1 / float(np.vdot(wi, wt).real)
         root = math.sqrt(target / e)
         return x, root - 1.0, p_e - e, -0.5 * root / e * de
 
@@ -329,8 +333,8 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
             # lam1 moves with lam2 to hold the binding power constant:
             # lam1' = sum b inv^2 / sum power inv^3
             inv2 = inv * inv
-            b2 = b @ inv2
-            slope -= 2.0 * b2 * b2 / (power @ (inv2 * inv))
+            b2 = float(b @ inv2)
+            slope -= 2.0 * b2 * b2 / float(power @ (inv2 * inv))
         return (inv, lam1, lam2), g - target, g - xi, slope
 
     def bound(x0):
@@ -460,7 +464,7 @@ def project_caps_ball(z: np.ndarray, caps: np.ndarray, c: float) -> np.ndarray:
     """
     mag = np.abs(z)
     t = 1.0
-    if float(np.sum(np.minimum(mag, caps) ** 2)) > c:
+    if float((np.minimum(mag, caps) ** 2).sum()) > c:
         on = mag > 0.0  # zero elements stay at zero
         brk = caps[on] / mag[on]
         order = np.argsort(brk)
@@ -497,7 +501,7 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7,
     eig = psd_eigh(a)
     y = _ball_beams(eig, b[None, :], p.bound, tol, Multipliers() if record is None else record)[0]
     x = y / s
-    if np.all(np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300):
+    if (np.abs(x) <= p.caps * (1 + 1e-10) + 1e-300).all():
         return x
     caps, c, max_maps = p.caps * s, p.bound, 20000
     lam_max = max(float(eig[0][-1]), 1e-300)
@@ -512,8 +516,8 @@ def solve_concave_qcqp(p: QcqpProblem, tol: float = 1e-7,
     x = y / s
     # the projection's last rounding, and the unwhitening, can leave the
     # energy just above the bound: scale back onto the feasible side
-    energy = float(np.sum(p.weights * np.abs(x) ** 2))
+    energy = float((p.weights * np.abs(x) ** 2).sum())
     while energy > p.bound:
         x = x * (math.sqrt(p.bound / energy) * (1.0 - 1e-15))
-        energy = float(np.sum(p.weights * np.abs(x) ** 2))
+        energy = float((p.weights * np.abs(x) ** 2).sum())
     return x

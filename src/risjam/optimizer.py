@@ -39,7 +39,6 @@ the multipliers its previous solve ended on.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,8 @@ from .system import LN2, PowerModel, SolverState
 
 
 class EnergyInfeasible(Exception):
-    """solve_w2, with RIS elements: the harvest cannot cover static power plus amplified RIS noise."""
+    """solve_w2, with RIS elements: the amplifier budget P_E (energy_budget) is used up by
+    the amplified RIS noise, leaving the beams P_E - sigma^2 ||theta||^2 <= 0."""
 
 
 @dataclass
@@ -113,12 +113,13 @@ def update_saa_stats(stats: SaaStats, draws: Realization, cs: ChannelSet) -> Saa
     return stats
 
 
-def update_tau(p_r: float, w1: np.ndarray, g_br: np.ndarray, eta1: float) -> float:
-    """Energy-tight time split tau = P_R / (P_R + eta1 sum_k ||G_BR w1_k||^2),
-    for a power draw P_R > 0, which is not checked: the AO loop tests it, and
-    the initial state's P_R >= M P_static is positive in a validated
-    scenario."""
-    return p_r / (p_r + system.harvested_energy(w1, 1.0, g_br, eta1))
+def update_tau(p_r: float, incident: float, eta1: float) -> float:
+    """Energy-tight time split tau = P_R / (P_R + eta1 S), from the stage-1
+    beams' power incident on the RIS, S = sum_k ||G_BR w1_k||^2
+    (system.incident_power), for a power draw P_R > 0, which is not checked:
+    the AO loop tests it, and the initial state's P_R >= M P_static is
+    positive in a validated scenario."""
+    return p_r / (p_r + eta1 * incident)
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +144,16 @@ def surrogate(h: np.ndarray, w: np.ndarray, omega: np.ndarray, nu: np.ndarray,
     """Quadratic-transform surrogate of one stage's sum rate in nats,
     sum_k ln(1+omega_k) + 2 sqrt(1+omega_k) Re{nu_k^* h_k^H w_k} - omega_k
     - |nu_k|^2 (sum_j |h_k^H w_j|^2 + c_k); it equals sum_k ln(1+SINR_k)
-    at the optimal auxiliaries."""
+    at the optimal auxiliaries.  The reference form: solve_w1 evaluates the
+    same surrogate from its beam terms A and y."""
     e, p = system.signal_and_power(h, w, c)
     val = (
         np.log1p(omega)
-        + 2.0 * np.sqrt(1.0 + omega) * np.real(np.conj(nu) * e)
+        + 2.0 * np.sqrt(1.0 + omega) * (np.conj(nu) * e).real
         - omega
         - np.abs(nu) ** 2 * p
     )
-    return float(np.sum(val))
+    return float(val.sum())
 
 
 def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) -> np.ndarray:
@@ -160,9 +162,9 @@ def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) 
     z = stats.zbar_i2 + stats.d_abs2
     if theta.size == 0:
         return z
-    lin = np.einsum("km,km,m->k", np.conj(cs.h_ru), stats.dt_conj, theta)
+    lin = np.einsum("km,km,m->k", cs.h_ru_conj, stats.dt_conj, theta)
     quad = np.einsum("m,kmn,n->k", np.conj(theta), stats.m_mat, theta)
-    return z + 2.0 * np.real(lin) + np.real(quad)
+    return z + 2.0 * lin.real + quad.real
 
 
 def update_aux_stage1(w1: np.ndarray, cs: ChannelSet, stats: SaaStats, noise: float):
@@ -194,21 +196,27 @@ def solve_w1(state: SolverState, omega: np.ndarray, nu: np.ndarray, c: np.ndarra
     current iterate into a half-space, and each step solves the beam QCQP under that
     half-space and the power ball (numerics.solve_beams_halfspace).  A and y stay
     fixed over the loop, so one eigendecomposition of A serves every step, and each
-    step starts from the multipliers of the step before it (the record's, when given)."""
+    step starts from the multipliers of the step before it (the record's, when given).
+    The loop stops when the stage-1 surrogate (surrogate) changes by at most varsigma1
+    relative, evaluated from A and y as c0 + sum_k Re{y_k^H w_k} - w_k^H A w_k with
+    c0 = sum_k ln(1+omega_k) - omega_k - |nu_k|^2 c_k."""
     tau = state.tau
-    k1 = numerics.hermitize(cs.g_br.conj().T @ cs.g_br)
     a, y = beam_terms(cs.h_bu, omega, nu)
     eig = numerics.psd_eigh(a)
     record = numerics.Multipliers() if record is None else record
+    c0 = float((np.log1p(omega) - omega - np.abs(nu) ** 2 * c).sum())
+
+    def objective(w):
+        return c0 + float(np.vdot(y, w).real) - float(np.vdot(w, w @ a.T).real)
 
     w = state.w1.copy()
-    val = surrogate(cs.h_bu, w, omega, nu, c)
+    val = objective(w)
     for _ in range(i_max):
-        a_vec = w @ k1.T  # rows: K1 w_k (K1 Hermitian)
-        xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float(np.sum(np.real(np.conj(w) * a_vec)))
+        a_vec = w @ cs.gram_br.T  # rows: K1 w_k (K1 Hermitian)
+        xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float((np.conj(w) * a_vec).real.sum())
         w = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1,
                                            record=record, eig=eig)
-        val, prev = surrogate(cs.h_bu, w, omega, nu, c), val
+        val, prev = objective(w), val
         if abs(val - prev) <= varsigma1 * max(abs(val), 1e-12):
             break
     return w
@@ -229,9 +237,10 @@ def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
 
 def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
     """Amplifier budget P_E = (E_R - (1-tau) M P_static) / ((1-tau) xi):
-    the output power (amplified signal plus amplified RIS noise) that the
-    harvested energy E_R leaves after the static load, P_static = P_dc + P_sc
-    per element."""
+    the whole output power (amplified signal plus amplified RIS noise) that
+    the harvested energy E_R leaves after the static load, P_static = P_dc +
+    P_sc per element.  The beams get what the noise leaves of it,
+    P_E - sigma^2 ||theta||^2 (solve_w2)."""
     e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
     one_minus_tau = 1.0 - state.tau
     return (e_r - one_minus_tau * state.theta.size * pm.p_static) / (one_minus_tau * pm.xi)
@@ -240,16 +249,18 @@ def energy_budget(state: SolverState, cs: ChannelSet, pm: PowerModel) -> float:
 def solve_w2(theta: np.ndarray, omega: np.ndarray, nu: np.ndarray, h: np.ndarray, budget: float,
              cs: ChannelSet, pm: PowerModel, tol: float = 1e-9,
              record: numerics.Multipliers | None = None) -> np.ndarray:
-    """Reflection-stage beams from update_aux_stage2's output and the amplifier budget
+    """Reflection-stage beams from update_aux_stage2's output and the amplifier budget P_E
     (energy_budget): maximize the stage-2 surrogate under the transmit-power ball and the
-    harvested-energy ellipsoid (numerics.solve_beams, warm-started from the record when given).
-    Raises EnergyInfeasible when RIS elements exist and budget - sigma^2 ||theta||^2 <= 0;
-    without them the budget is 0 and only the power ball applies."""
-    p_e = budget - pm.noise * float(np.sum(np.abs(theta) ** 2))
+    harvested-energy ellipsoid sum_k ||Theta G_BR w_k||^2 <= P_E - sigma^2 ||theta||^2, the
+    budget's share left after the amplified RIS noise (numerics.solve_beams, warm-started
+    from the record when given).  Raises EnergyInfeasible when RIS elements exist and that
+    share is <= 0; without them the budget is 0 and only the power ball applies."""
+    p_e = budget - pm.noise * float((np.abs(theta) ** 2).sum())
     if theta.size and p_e <= 0:
-        raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise (P_E = {p_e:.3e})")
+        raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise: amplifier budget "
+                               f"P_E = {budget:.3e}, less RIS noise sigma^2 ||theta||^2 leaves {p_e:.3e}")
     s_block = numerics.hermitize(
-        cs.g_br.conj().T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
+        cs.g_br_conj.T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
     ) if theta.size else None
     a, y = beam_terms(h, omega, nu)
     return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol, record=record)
@@ -272,14 +283,14 @@ def theta_quadratic_model(w2: np.ndarray, omega: np.ndarray, nu: np.ndarray, cs:
     e_dir = cs.h_bu.conj() @ w2.T  # e[k, j] = h_BU,k^H w2_j
     nu2 = np.abs(nu) ** 2
     # sum_k |nu_k|^2 sum_j v_kj v_kj^H with v_kj = conj(mu_j) o h_RU,k
-    h_w = cs.h_ru.T @ (nu2[:, None] * np.conj(cs.h_ru))  # sum_k |nu_k|^2 h_RU,k h_RU,k^H
+    h_w = cs.h_ru.T @ (nu2[:, None] * cs.h_ru_conj)  # sum_k |nu_k|^2 h_RU,k h_RU,k^H
     gamma = (mu.conj().T @ mu) * h_w
-    gamma += np.diag(noise * (nu2 @ np.abs(cs.h_ru) ** 2))
+    gamma += np.diag(noise * (nu2 @ cs.h_ru_abs2))
     gamma += np.einsum("k,kmn->mn", nu2, stats.m_mat)
     coef = ((np.sqrt(1.0 + omega) * nu)[:, None] * np.conj(mu)
             - nu2[:, None] * (e_dir @ np.conj(mu))
             - nu2[:, None] * np.conj(stats.dt_conj))
-    lam = 2.0 * np.sum(cs.h_ru * coef, axis=0)
+    lam = 2.0 * (cs.h_ru * coef).sum(axis=0)
     return numerics.hermitize(gamma), lam
 
 
@@ -293,7 +304,7 @@ def solve_theta(state: SolverState, omega: np.ndarray, nu: np.ndarray, budget: f
     must be non-empty; P_E > 0 is not checked, as solve_w2 raised unless P_E - sigma^2 ||theta||^2 > 0."""
     mu = state.w2 @ cs.g_br.T
     gamma, lam = theta_quadratic_model(state.w2, omega, nu, cs, stats, pm.noise, mu)
-    prob = QcqpProblem(quad=gamma, lin=lam, weights=np.sum(np.abs(mu) ** 2, axis=0) + pm.noise,
+    prob = QcqpProblem(quad=gamma, lin=lam, weights=(np.abs(mu) ** 2).sum(axis=0) + pm.noise,
                        bound=budget, caps=np.full(state.theta.size, pm.a_max))
     return solve_concave_qcqp(prob, tol=tol, record=record)
 
@@ -344,16 +355,36 @@ class AoReport:
         return self.best_objective_nats / LN2
 
 
+class _BlockTimer:
+    """`with timer(block):` adds the block's wall time to timings[block]; a
+    plain class, as a generator-based context manager costs twice the calls
+    on each of the AO's eight blocks per iteration."""
+
+    def __init__(self, timings: dict):
+        self.timings, self.block, self.t0 = timings, None, 0.0
+
+    def __call__(self, block: str) -> "_BlockTimer":
+        self.block = block
+        return self
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.timings[self.block] += time.perf_counter() - self.t0
+
+
 def initial_state(cs: ChannelSet, pm: PowerModel, harvest: bool) -> SolverState:
     """Deterministic feasible start: equal-power matched filters, reflection
     phases aligned to the first user's cascade (empty without RIS
     elements), energy-tight tau (0 without harvesting or elements)."""
     norms = np.linalg.norm(cs.h_bu, axis=1)
     w = np.sqrt(pm.p_max / cs.n_users) * cs.h_bu / norms[:, None]
-    theta = np.exp(-1j * np.angle(np.conj(cs.h_ru[0]) * (cs.g_br @ cs.h_bu[0])))
+    theta = np.exp(-1j * np.angle(cs.h_ru_conj[0] * (cs.g_br @ cs.h_bu[0])))
     tau = 0.0
     if harvest and theta.size:
-        tau = update_tau(system.ris_power(w, theta, cs.g_br, pm), w, cs.g_br, pm.eta1)
+        tau = update_tau(system.ris_power(w, theta, cs.g_br, pm), system.incident_power(w, cs.g_br),
+                         pm.eta1)
     return SolverState(tau=tau, w1=w.copy(), w2=w.copy(), theta=theta)
 
 
@@ -381,12 +412,7 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
     report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")},
                       multipliers=records)
 
-    @contextmanager
-    def timed(block):
-        t0 = time.perf_counter()
-        yield
-        report.timings[block] += time.perf_counter() - t0
-
+    timed = _BlockTimer(report.timings)
     with timed("draw"):
         draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng), cfg.r_max)
     best_state = state.copy()
@@ -422,8 +448,9 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
             with timed("tau"):
                 p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
                 if p_r > 0:
-                    state.tau = update_tau(p_r, state.w1, cs.g_br, pm.eta1)
-                    e_r = system.harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
+                    incident = system.incident_power(state.w1, cs.g_br)
+                    state.tau = update_tau(p_r, incident, pm.eta1)
+                    e_r = state.tau * pm.eta1 * incident  # harvested_energy's product order
                     gap = e_r - (1.0 - state.tau) * p_r
                     report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
             with timed("aux1"):

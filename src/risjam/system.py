@@ -52,8 +52,13 @@ class SolverState:
 
 def harvested_energy(w1: np.ndarray, tau: float, g_br: np.ndarray, eta1: float) -> float:
     """Energy collected by the RIS during the harvesting stage:
-    tau * eta1 * sum_k ||G_BR w1_k||^2."""
-    return float(tau * eta1 * np.sum(np.abs(g_br @ w1.T) ** 2))
+    tau * eta1 * sum_k ||G_BR w1_k||^2 (incident_power)."""
+    return tau * eta1 * incident_power(w1, g_br)
+
+
+def incident_power(w1: np.ndarray, g_br: np.ndarray) -> float:
+    """Power of the beams w1 that reaches the RIS, sum_k ||G_BR w1_k||^2."""
+    return float((np.abs(g_br @ w1.T) ** 2).sum())
 
 
 def effective_channels(theta: np.ndarray, cs: ChannelSet) -> np.ndarray:
@@ -61,7 +66,7 @@ def effective_channels(theta: np.ndarray, cs: ChannelSet) -> np.ndarray:
     (so that h_k^H = h_BU,k^H + h_RU,k^H Theta G_BR)."""
     if theta.size == 0:
         return cs.h_bu.copy()
-    casc = (np.conj(theta)[None, :] * cs.h_ru) @ np.conj(cs.g_br)  # (K, M) @ (M, N)
+    casc = (np.conj(theta)[None, :] * cs.h_ru) @ cs.g_br_conj  # (K, M) @ (M, N)
     return cs.h_bu + casc
 
 
@@ -73,18 +78,18 @@ def adversary_interference(theta: np.ndarray, draws: Realization, cs: ChannelSet
     adversary terms (Realization), which do not depend on theta, and only
     combines them with theta.  Without reflection coefficients both stages
     see the same power."""
-    z1 = np.sum(np.abs(draws.direct) ** 2, axis=1) + draws.interf
+    z1 = (np.abs(draws.direct) ** 2).sum(axis=1) + draws.interf
     if theta.size == 0 or draws.direct.shape[1] == 0:
         return z1, z1
-    bounced = np.einsum("km,rqmk->rqk", np.conj(cs.h_ru) * theta[None, :], draws.bounce)
-    return z1, np.sum(np.abs(draws.direct + bounced) ** 2, axis=1) + draws.interf
+    bounced = np.einsum("km,rqmk->rqk", cs.h_ru_conj * theta[None, :], draws.bounce)
+    return z1, (np.abs(draws.direct + bounced) ** 2).sum(axis=1) + draws.interf
 
 
 def ris_noise(theta: np.ndarray, cs: ChannelSet, noise: float) -> np.ndarray:
     """(K,) amplified RIS noise at each UE, sigma^2 ||h_RU,k^H Theta||^2."""
     if theta.size == 0:
         return np.zeros(cs.n_users)
-    return noise * np.sum(np.abs(cs.h_ru) ** 2 * np.abs(theta)[None, :] ** 2, axis=1)
+    return noise * (cs.h_ru_abs2 * np.abs(theta)[None, :] ** 2).sum(axis=1)
 
 
 def signal_and_power(h: np.ndarray, w: np.ndarray, c):
@@ -97,7 +102,7 @@ def signal_and_power(h: np.ndarray, w: np.ndarray, c):
     and the received power sum_j |h_k^H w_j|^2 + c_k, broadcast against c.
     """
     e = h.conj() @ w.T  # e[k, j] = h_k^H w_j
-    return np.diagonal(e), np.sum(np.abs(e) ** 2, axis=1) + c
+    return e.diagonal(), (np.abs(e) ** 2).sum(axis=1) + c
 
 
 def sinr(h: np.ndarray, w: np.ndarray, c) -> np.ndarray:
@@ -119,7 +124,7 @@ def sum_rate_nats(tau: float, w1: np.ndarray, w2: np.ndarray, theta: np.ndarray,
                                        ris_noise(theta, cs, noise) + z2 + noise))
     if tau:
         rate += tau * np.log1p(sinr(cs.h_bu, w1, z1 + noise))
-    return float(np.sum(rate)) / len(realizations)
+    return float(rate.sum()) / len(realizations)
 
 
 def sum_rate(tau, w1, w2, theta, realizations, cs, noise) -> float:
@@ -132,8 +137,8 @@ def ris_power(w2: np.ndarray, theta: np.ndarray, g_br: np.ndarray, pm: PowerMode
     xi * (sum_k ||Theta G_BR w2_k||^2 + sigma^2 sum_m |theta_m|^2) + M P_static,
     with P_static = P_dc + P_sc per element (0.0 without elements)."""
     incident = g_br @ w2.T  # (M, K)
-    amp_out = float(np.sum(np.abs(theta[:, None] * incident) ** 2))
-    amp_noise = pm.noise * float(np.sum(np.abs(theta) ** 2))
+    amp_out = float((np.abs(theta[:, None] * incident) ** 2).sum())
+    amp_noise = pm.noise * float((np.abs(theta) ** 2).sum())
     return pm.xi * (amp_out + amp_noise) + theta.size * pm.p_static
 
 
@@ -165,8 +170,8 @@ def check_feasibility(state: SolverState, cs: ChannelSet, pm: PowerModel) -> Fea
     """Slacks for both transmit-power caps, the energy-supply inequality, and
     the per-element amplitude bound; at tau = 0 (no harvest) P_R counts as 0, so
     the energy slack E_R - (1-tau) P_R is 0."""
-    p1 = float(np.sum(np.abs(state.w1) ** 2))
-    p2 = float(np.sum(np.abs(state.w2) ** 2))
+    p1 = float((np.abs(state.w1) ** 2).sum())
+    p2 = float((np.abs(state.w2) ** 2).sum())
     e_r = harvested_energy(state.w1, state.tau, cs.g_br, pm.eta1)
     p_r = ris_power(state.w2, state.theta, cs.g_br, pm) if state.tau > 0 else 0.0
     amp = float(np.max(np.abs(state.theta))) if state.theta.size else 0.0

@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_trials.py: this checkout against itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,7 @@ def test_ab_trials_finds_equal_rates_on_one_checkout():
     assert run.returncode == 0, run.stderr
     assert "change won" in run.stdout
     assert "float.hex: yes" in run.stdout
+    # one checkout: both sides make the same calls
+    counts = re.findall(r"^(parent|change): (\d+) Python-level calls per trial", run.stdout, re.M)
+    assert [side for side, _ in counts] == ["parent", "change"]
+    assert int(counts[0][1]) == int(counts[1][1]) > 0

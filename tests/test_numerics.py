@@ -524,6 +524,15 @@ class TestSolveBeams:
             w = solve_beams(a, y, p_max)
             kkt_certificate(a, y, p_max, None, 0.0, w)
 
+    def test_zero_linear_terms_give_zero_beams_from_a_warm_record(self):
+        # y = 0 puts no weight on the ball step, warm-started at lam1 = 1
+        rng = np.random.default_rng(75)
+        a = rand_psd(rng, 4)
+        rec = numerics.Multipliers(lam1=1.0)
+        w = solve_beams(a, np.zeros((3, 4), complex), 2.0, record=rec)
+        np.testing.assert_array_equal(w, np.zeros((3, 4)))
+        assert rec.lam1 == 0.0
+
     def test_zero_s_matches_ball(self):
         # theta = 0 gives S = 0: the energy constraint is vacuous
         rng = np.random.default_rng(41)
@@ -769,6 +778,14 @@ class TestBallFactors:
                 inv, lam = numerics._ball_factors(d, r, cap, 1e-9, start)
                 assert lam == lam0
                 np.testing.assert_array_equal(inv, inv0)
+
+    def test_zero_weights_from_a_warm_start_end_at_lam_zero(self):
+        # r = 0 leaves the Newton step from a warm lam > 0 at 0 / 0: it falls
+        # back to the bound 0, whose factors 1/d meet any cap
+        d = np.array([0.5, 1.0, 2.0])
+        inv, lam = numerics._ball_factors(d, np.zeros(3), 1.0, 1e-9, lam=1.0)
+        assert lam == 0.0
+        np.testing.assert_array_equal(inv, 1.0 / d)
 
     def test_zero_weight_on_zero_entries_at_lam_zero(self):
         # pseudo-inverse power above the cap and a bound of 0: the Newton

@@ -64,24 +64,24 @@ class TestUpdateTau:
     def test_symmetry(self):
         g = np.eye(2, dtype=complex)
         w = np.array([[1.0, 0.0]], dtype=complex)  # ||G w||^2 = 1
-        assert update_tau(1.0, w, g, 1.0) == pytest.approx(0.5)
+        assert update_tau(1.0, system.incident_power(w, g), 1.0) == pytest.approx(0.5)
 
     def test_limit_small_pr(self):
         g = np.eye(2, dtype=complex)
         w = np.array([[1.0, 0.0]], dtype=complex)
-        assert update_tau(1e-12, w, g, 1.0) < 1e-11
+        assert update_tau(1e-12, system.incident_power(w, g), 1.0) < 1e-11
 
     def test_direct_substitution(self):
         g = np.eye(2, dtype=complex)
         w = np.array([[1.0, 0.0]], dtype=complex)
-        assert update_tau(3.0, w, g, 1.0) == pytest.approx(0.75)
+        assert update_tau(3.0, system.incident_power(w, g), 1.0) == pytest.approx(0.75)
 
     def test_tightness_identity(self):
         rng = np.random.default_rng(1)
         cs = make_channels(rng)
         w = crand(rng, 2, 4)
         p_r = 0.123
-        tau = update_tau(p_r, w, cs.g_br, 0.8)
+        tau = update_tau(p_r, system.incident_power(w, cs.g_br), 0.8)
         e_r = system.harvested_energy(w, tau, cs.g_br, 0.8)
         assert abs(e_r - (1 - tau) * p_r) <= 1e-12 * e_r
 
@@ -366,7 +366,9 @@ class TestSolveW1:
         # no RIS (p_r = 0, energy constraint vacuous) and strong auxiliaries:
         # the unconstrained stationary beams sit inside the ball, lambda1 = 0
         rng, cs, stats, _ = make_instance(12, m=1)
-        cs.g_br[:] = 0.0  # K1 = 0: the harvest linearization never binds
+        # K1 = 0: the harvest linearization never binds (a new set, so its
+        # derived RIS terms follow the zero G_BR)
+        cs = dataclasses.replace(cs, g_br=np.zeros_like(cs.g_br))
         pm = pm_default(p_max=50.0, noise=0.2)
         st, omega, nu, c = self._state(cs, stats, pm, rng)
         st.theta = np.zeros(0, dtype=complex)  # drops the static draw entirely
@@ -499,12 +501,13 @@ class TestSolveW2:
     def test_zero_energy_bound_with_full_rank_s_raises(self):
         # the stage-2 shape: G_BR is 25 x 8 and every |theta_m| > 0, so
         # S = G_BR^H |Theta|^2 G_BR has full rank and only w = 0 would meet
-        # P_E = 0.  A budget that the RIS noise uses up is not
+        # P_E - sigma^2 ||theta||^2 = 0.  A budget that the RIS noise uses up is not
         # self-sustaining: solve_w2 raises instead of handing it on
         rng, cs, stats, pm, st, aux = self._prep(47, n=8, m=25, k=4)
         assert np.all(np.abs(st.theta) > 0.0)
-        budget = pm.noise * float(np.sum(np.abs(st.theta) ** 2))  # P_E = 0
-        with pytest.raises(EnergyInfeasible):
+        budget = pm.noise * float(np.sum(np.abs(st.theta) ** 2))  # P_E = sigma^2 ||theta||^2
+        with pytest.raises(EnergyInfeasible, match=r"budget P_E = \S+, less RIS noise sigma\^2 "
+                                                   r"\|\|theta\|\|\^2 leaves 0\.000e\+00$"):
             solve_w2(st.theta, *aux, budget, cs, pm)
 
     def test_pg_oracle(self):
@@ -660,7 +663,9 @@ class TestSscaAo:
         # stage-2 channels are built twice, once by the objective and once
         # for the auxiliaries and the w2 block together, and an active pass
         # draws the RIS power once (tau and w1 blocks) and the amplifier
-        # budget once (w2 and theta blocks)
+        # budget once (w2 and theta blocks), and sums the stage-1 power
+        # incident on the RIS twice: once for tau and its tightness record
+        # together, once for the budget on the new w1
         harvest, no_ris = scheme
         calls = []
 
@@ -673,7 +678,8 @@ class TestSscaAo:
             return make_wrapper
 
         for module, name in ((system, "sum_rate_nats"), (system, "effective_channels"),
-                             (system, "ris_power"), (optimizer, "energy_budget")):
+                             (system, "ris_power"), (optimizer, "energy_budget"),
+                             (system, "incident_power")):
             patch_everywhere(monkeypatch, module, name, record(name))
         cfg = risjam.desk_profile(r_max=8, e_mse=0.1)
         cs = sample_static_channels(cfg, np.random.default_rng(5))
@@ -681,7 +687,8 @@ class TestSscaAo:
                                    np.random.SeedSequence(77), harvest)
         passes = " ".join(calls).split("sum_rate_nats")[1:-1]  # each ends at the next objective
         assert len(passes) == rep.iterations - 1 >= 5
-        want = {"effective_channels": 2, "ris_power": int(harvest), "energy_budget": int(harvest)}
+        want = {"effective_channels": 2, "ris_power": int(harvest), "energy_budget": int(harvest),
+                "incident_power": 2 * harvest}
         for block_pass in passes:
             assert {name: block_pass.split().count(name) for name in want} == want
 
