@@ -16,9 +16,11 @@ within a round.
 Prints each side's calls per trial and median ms per trial, the median
 change/parent ratio of the rounds with its quartiles, how many rounds the
 change won, and whether every trial is the same on both sides: its
-iteration count, its w1, w2 and theta as bytes (with dtype and shape), and
-its rate_bits, best_objective_nats, tau, four feasibility slacks and
-per-iteration tau_tightness record as float.hex.
+iteration count, its w1, w2 and theta as bytes (with dtype and shape), its
+rate_bits, best_objective_nats, tau, four feasibility slacks and
+per-iteration tau_tightness record as float.hex, its theta_steps and
+theta_capped, and each block's multiplier record (lam1 and lam2 as
+float.hex, solves, ball_steps and evaluations).
 """
 
 import os
@@ -58,7 +60,10 @@ def fingerprint(res):
               f.power1_slack, f.power2_slack, f.energy_slack, f.amplitude_slack)
     arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (st.w1, st.w2, st.theta))
     tightness = tuple(float(v).hex() for v in rep.tau_tightness)
-    return rep.iterations, tuple(float(v).hex() for v in floats), arrays, tightness
+    records = tuple((block, float(m.lam1).hex(), float(m.lam2).hex(), m.solves, m.ball_steps, m.evaluations)
+                    for block, m in sorted(rep.multipliers.items()))
+    return (rep.iterations, tuple(float(v).hex() for v in floats), arrays, tightness,
+            rep.theta_steps, rep.theta_capped, records)
 
 
 def run_side(pkg, cfg, schemes, trials):
@@ -123,8 +128,9 @@ def main(argv=None) -> int:
         print(f"{side}: {1e3 * np.median(cpu[side]) / per_trial:.3f} ms per trial (median of rounds)")
     print(f"change/parent: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change won {int(np.sum(ratios < 1.0))} of {args.rounds} rounds")
-    print("iterations, and w1, w2, theta as bytes, equal; rate_bits, best_objective_nats, tau, "
-          f"the four slacks and tau_tightness equal as float.hex: {'yes' if equal else 'no'}")
+    print("iterations, theta_steps, theta_capped and the multiplier counters equal; w1, w2, theta "
+          "as bytes equal; rate_bits, best_objective_nats, tau, the four slacks, tau_tightness and "
+          f"each block's lam1, lam2 equal as float.hex: {'yes' if equal else 'no'}")
     return 0 if equal else 1
 
 

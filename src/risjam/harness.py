@@ -36,13 +36,13 @@ def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
     return root.spawn(3)
 
 
-def baseline_passive(cs, cfg, rng) -> AoReport:
+def baseline_passive(cs, cfg, rng: np.random.SeedSequence) -> AoReport:
     """Conventional passive-RIS AO: unit-modulus reflection (amplitudes fixed
     at one), full period for data, no harvesting or RIS power draw."""
     return optimizer._alternate(cs, cfg, rng, harvest=False)
 
 
-def baseline_noris(cs, cfg, rng) -> AoReport:
+def baseline_noris(cs, cfg, rng: np.random.SeedSequence) -> AoReport:
     """Transmit beamforming without any RIS (empty theta) against the
     SAA-averaged jamming and interference: the passive AO on the channels'
     view without RIS elements."""

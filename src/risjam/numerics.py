@@ -155,15 +155,15 @@ def _ball_beams(eig, y, cap, tol, record):
     return (c * inv) @ u.T
 
 
-def _search(at, warm, band, bound, at_zero):
+def _search(at, warm, band, bound):
     """The point at the smallest multiplier lam2 >= 0 at which the second
     constraint of a beam solve holds, by Newton steps inside a bracket and
     bisection otherwise.  Returns (x, ball steps, lam2 > 0 evaluations).
 
-    at(lam2) returns (x, f, slack, slope) at lam2 > 0: the stationary point,
-    a residual that rises with lam2 and crosses zero inside the band, the
-    constraint's slack, nonnegative exactly where x is feasible, and the
-    residual's derivative; at_zero() does the same at lam2 = 0.  bound(x0)
+    at(lam2), the one evaluator, lam2 = 0 included, returns (x, f, slack,
+    slope): the stationary point, a residual that rises with lam2 and
+    crosses zero inside the band, the constraint's slack, nonnegative
+    exactly where x is feasible, and the residual's derivative.  bound(x0)
     is a multiplier feasible in exact arithmetic, given the point x0 at
     lam2 = 0 or None.  The search starts at the warm lam2 (at 0 when it is
     0 or not finite).  The bracket runs from the largest infeasible lam2
@@ -180,13 +180,10 @@ def _search(at, warm, band, bound, at_zero):
     lo, hi, x_hi = None, math.inf, None  # hi is the bound while x_hi is None
     f, evaluations = math.inf, 0
     for steps in range(1, 401):
+        f_prev = f if lam else math.inf
+        x, f, s, df = at(lam)
         if lam:
-            f_prev = f
-            x, f, s, df = at(lam)
             evaluations += 1
-        else:
-            x, f, s, df = at_zero()
-            f_prev = math.inf
         if s >= 0.0:
             if s <= band or not lam:
                 return x, steps, evaluations
@@ -221,13 +218,14 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     with A, S Hermitian PSD (N x N) and p_e > 0 (unchecked; S = 0 also takes
     p_e = 0); without S only the power ball applies.  The stationary beams
     (A + lam1 I + lam2 S) w_k = y_k / 2 share one N x N eigendecomposition of
-    A + lam2 S across the K users.  For each lam2 the power multiplier lam1 is
-    the ball step (_ball_factors), warm-started at the lam1 of the search's
-    previous lam2; lam2 is found by _search on sqrt(target / energy) - 1,
-    whose slope comes from differentiating the stationary beams with lam1
-    moving to keep a binding power constant.  Both searches stop on the
-    feasible side, with a binding constraint within tol relative of its bound.
-    With a record, both searches start from its multipliers (see Multipliers).
+    A + lam2 S across the K users.  _search finds lam2 with one evaluator:
+    at each lam2, 0 included, the ball step (_ball_factors) gives lam1,
+    warm-started at the previous lam1, and the residual is
+    sqrt(target / energy) - 1, its slope from differentiating the stationary
+    beams, lam1 moving to keep a binding power constant.  Both searches stop
+    on the feasible side, with a binding constraint within tol relative of
+    its bound.  With a record, both searches start from its multipliers (see
+    Multipliers).
     """
     rec = Multipliers() if record is None else record
     if s is None:
@@ -237,13 +235,14 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
     half_y = 0.5 * y
     lam1 = rec.lam1
 
-    # the inner power band sits well inside the outer energy band, so the
-    # energy curve is smooth at the scale the outer search resolves
-    def at(lam2, ball_tol=1e-2 * tol):
+    def at(lam2):
         nonlocal lam1
         d, u = psd_eigh(a + lam2 * s)
         u_conj = u.conj()
         c = half_y @ u_conj  # rows: U^H y_k / 2
+        # tol at lam2 = 0; above it the power band sits well inside the energy
+        # band, so the energy curve is smooth at the scale the search resolves
+        ball_tol = 1e-2 * tol if lam2 else tol
         inv, lam1 = _ball_factors(d, (np.abs(c) ** 2).sum(axis=0), p_max, ball_tol, lam1)
         wt = c * inv  # the beams in the eigenbasis
         w = wt @ u.T
@@ -271,7 +270,7 @@ def solve_beams(a: np.ndarray, y: np.ndarray, p_max: float, s: np.ndarray | None
         w = x0[0]
         return float(np.vdot(w, y).real - np.vdot(w, w @ a.T).real) / target
 
-    (w, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * p_e, bound, lambda: at(0.0, tol))
+    (w, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * p_e, bound)
     rec.ended(lam1, lam2, steps, evaluations)
     return w
 
@@ -294,18 +293,17 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
     gamma = sum_k |r~_k|^2: the power is
     sum (alpha + 2 lam2 beta + lam2^2 gamma) / (d + lam1)^2 and the harvest
     2 sum (beta + lam2 gamma) / (d + lam1), and the beams are formed once, at
-    the end.  For each lam2 the power multiplier lam1 is the ball step
-    (_ball_factors), warm-started at the search's previous lam1; lam2 is
-    found by _search.  Both stop on the feasible side: the power never
-    exceeds p_max, and a binding half-space holds within tol relative of
-    xi.  With a record, both searches start from its multipliers (see
-    Multipliers).  A half-space that only touches the ball (the ball's
-    largest harvest is xi within tol relative) leaves one feasible point,
-    the ball's point of largest harvest sqrt(p_max) r / ||r||, returned
-    without a search: at a single BS antenna every r_k is parallel to w_k,
-    so at a binding power the linearized harvest touches the ball at the
-    current beams.  Raises Infeasible when no beam in the power ball meets
-    the half-space.
+    the end.  _search finds lam2 with one evaluator: at each lam2, 0
+    included, the ball step (_ball_factors) gives lam1, warm-started at the
+    previous lam1.  Both stop on the feasible side: the power never exceeds
+    p_max, and a binding half-space holds within tol relative of xi.  With
+    a record, both searches start from its multipliers (see Multipliers).
+    A half-space that only touches the ball (the ball's largest harvest is
+    xi within tol relative) leaves one feasible point, the ball's point of
+    largest harvest sqrt(p_max) r / ||r||, returned without a search: at a
+    single BS antenna every r_k is parallel to w_k, so at a binding power
+    the linearized harvest touches the ball at the current beams.  Raises
+    Infeasible when no beam in the power ball meets the half-space.
     """
     rec = Multipliers() if record is None else record
     d, u = psd_eigh(a) if eig is None else eig
@@ -353,7 +351,7 @@ def solve_beams_halfspace(a: np.ndarray, y: np.ndarray, p_max: float, r: np.ndar
         f_ws = 2.0 * t * float(beta.sum()) - t * t * float(d @ gamma)
         return (f_top - f_ws) / delta
 
-    (inv, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * abs(xi), bound, lambda: at(0.0))
+    (inv, lam1, lam2), steps, evaluations = _search(at, rec.lam2, tol * abs(xi), bound)
     rec.ended(lam1, lam2, steps, evaluations)
     return ((c + lam2 * rt) * inv) @ u.T
 

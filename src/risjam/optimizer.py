@@ -4,9 +4,9 @@ Per outer iteration a fresh channel realization is folded into running SAA
 statistics, the time split is set by the closed-form energy-tight rule, and
 the beamforming blocks are solved as convex subproblems built from
 quadratic-transform surrogates of the sum rate.  Both stages share one
-auxiliary update and one surrogate on the system kernel
-(system.signal_and_power); update_aux_stage1/2 pick each stage's channels
-and SAA-averaged extra term for the auxiliaries, which are locals of an
+auxiliary update on the system kernel (system.signal_and_power) and one
+beam surrogate form (beam_terms); update_aux_stage1/2 pick each stage's
+channels and SAA-averaged extra term for the auxiliaries, locals of an
 AO iteration.  Each term a block pass derives is computed once and handed
 to every block that reads it.
 
@@ -139,23 +139,6 @@ def optimal_aux(h: np.ndarray, w: np.ndarray, c: np.ndarray):
     return omega, np.sqrt(1.0 + omega) * e / p
 
 
-def surrogate(h: np.ndarray, w: np.ndarray, omega: np.ndarray, nu: np.ndarray,
-              c: np.ndarray) -> float:
-    """Quadratic-transform surrogate of one stage's sum rate in nats,
-    sum_k ln(1+omega_k) + 2 sqrt(1+omega_k) Re{nu_k^* h_k^H w_k} - omega_k
-    - |nu_k|^2 (sum_j |h_k^H w_j|^2 + c_k); it equals sum_k ln(1+SINR_k)
-    at the optimal auxiliaries.  The reference form: solve_w1 evaluates the
-    same surrogate from its beam terms A and y."""
-    e, p = system.signal_and_power(h, w, c)
-    val = (
-        np.log1p(omega)
-        + 2.0 * np.sqrt(1.0 + omega) * (np.conj(nu) * e).real
-        - omega
-        - np.abs(nu) ** 2 * p
-    )
-    return float(val.sum())
-
-
 def stage2_interference_avg(theta: np.ndarray, cs: ChannelSet, stats: SaaStats) -> np.ndarray:
     """(K,) SAA average of Z_2,k as a function of theta, assembled from the
     sufficient statistics: E|d|^2 + 2 Re{...theta} + theta^H M_bar theta."""
@@ -197,9 +180,9 @@ def solve_w1(state: SolverState, omega: np.ndarray, nu: np.ndarray, c: np.ndarra
     half-space and the power ball (numerics.solve_beams_halfspace).  A and y stay
     fixed over the loop, so one eigendecomposition of A serves every step, and each
     step starts from the multipliers of the step before it (the record's, when given).
-    The loop stops when the stage-1 surrogate (surrogate) changes by at most varsigma1
-    relative, evaluated from A and y as c0 + sum_k Re{y_k^H w_k} - w_k^H A w_k with
-    c0 = sum_k ln(1+omega_k) - omega_k - |nu_k|^2 c_k."""
+    The loop stops when the stage-1 surrogate (reference form: tests/oracles.py) changes
+    by at most varsigma1 relative, evaluated from A and y as c0 + sum_k Re{y_k^H w_k}
+    - w_k^H A w_k with c0 = sum_k ln(1+omega_k) - omega_k - |nu_k|^2 c_k."""
     tau = state.tau
     a, y = beam_terms(cs.h_bu, omega, nu)
     eig = numerics.psd_eigh(a)
@@ -321,9 +304,9 @@ THETA_MM_MAX_ITER = 10000
 
 @dataclass
 class AoReport:
-    """Objective trace, timings, final (best-so-far) state, slacks, the
-    map counts of the unit-modulus theta solves, and the multiplier record
-    of each QCQP block (w1, w2, theta) with its counters."""
+    """Objective trace, final (best-so-far) state, slacks, theta MM map counts,
+    each QCQP block's multiplier record, and eight block timings that partition
+    the AO loop ("objective" includes the stop test and the best-state copy)."""
 
     objective_nats: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -353,25 +336,6 @@ class AoReport:
     @property
     def best_objective_bits(self) -> float:
         return self.best_objective_nats / LN2
-
-
-class _BlockTimer:
-    """`with timer(block):` adds the block's wall time to timings[block]; a
-    plain class, as a generator-based context manager costs twice the calls
-    on each of the AO's eight blocks per iteration."""
-
-    def __init__(self, timings: dict):
-        self.timings, self.block, self.t0 = timings, None, 0.0
-
-    def __call__(self, block: str) -> "_BlockTimer":
-        self.block = block
-        return self
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.timings[self.block] += time.perf_counter() - self.t0
 
 
 def initial_state(cs: ChannelSet, pm: PowerModel, harvest: bool) -> SolverState:
@@ -404,17 +368,24 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
     the SAA objective on the draws folded so far, applies the stop rule,
     keeps the best state, then updates the blocks the scheme optimizes.
     Each QCQP block keeps one multiplier record across the iterations, so
-    its solves start from the multipliers of its previous solve."""
+    its solves start from the multipliers of its previous solve.  lap(block)
+    charges block with the time since the previous lap, or since the draw."""
     pm = cfg.power_model()
     state = initial_state(cs, pm, harvest)
     stats = SaaStats.empty(cs.n_users, state.theta.size)
     records = {block: numerics.Multipliers() for block in ("w1", "w2", "theta")}
-    report = AoReport(timings={k: 0.0 for k in ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")},
-                      multipliers=records)
+    timings = dict.fromkeys(("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta"), 0.0)
+    report = AoReport(timings=timings, multipliers=records)
+    last = time.perf_counter()
 
-    timed = _BlockTimer(report.timings)
-    with timed("draw"):
-        draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng), cfg.r_max)
+    def lap(block):
+        nonlocal last
+        now = time.perf_counter()
+        timings[block] += now - last
+        last = now
+
+    draws = sample_uncertain_realization(cs, cfg.e_mse, np.random.default_rng(rng), cfg.r_max)
+    lap("draw")
     best_state = state.copy()
     prev_v = None
     warmup = 5
@@ -422,10 +393,9 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
 
     for r in range(1, cfg.r_max + 1):
         if r <= len(draws):
-            with timed("draw"):
-                update_saa_stats(stats, draws[r - 1:r], cs)
-        with timed("objective"):
-            v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r], cs, pm.noise)
+            update_saa_stats(stats, draws[r - 1:r], cs)
+            lap("draw")
+        v = system.sum_rate_nats(state.tau, state.w1, state.w2, state.theta, draws[:r], cs, pm.noise)
         report.objective_nats.append(v)
         report.iterations = r
         if v > report.best_objective_nats:
@@ -439,44 +409,44 @@ def _alternate(cs: ChannelSet, cfg, rng: np.random.SeedSequence, harvest: bool) 
             flat_streak += 1
         else:
             flat_streak = 0
-        if r > warmup and flat_streak >= 2:
-            report.converged = True
+        report.converged = r > warmup and flat_streak >= 2
+        lap("objective")
+        if report.converged:
             break
         prev_v = v
 
         if harvest:
-            with timed("tau"):
-                p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
-                if p_r > 0:
-                    incident = system.incident_power(state.w1, cs.g_br)
-                    state.tau = update_tau(p_r, incident, pm.eta1)
-                    e_r = state.tau * pm.eta1 * incident  # harvested_energy's product order
-                    gap = e_r - (1.0 - state.tau) * p_r
-                    report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
-            with timed("aux1"):
-                omega1, nu1, c1 = update_aux_stage1(state.w1, cs, stats, pm.noise)
-            with timed("w1"):
-                state.w1 = solve_w1(state, omega1, nu1, c1, p_r, cs, pm, i_max=cfg.i_max,
-                                    varsigma1=cfg.varsigma1, record=records["w1"])
-        with timed("aux2"):
-            omega2, nu2, h2 = update_aux_stage2(state.w2, state.theta, cs, stats, pm.noise)
-        with timed("w2"):
-            if harvest:
-                budget = energy_budget(state, cs, pm)
-                state.w2 = solve_w2(state.theta, omega2, nu2, h2, budget, cs, pm, record=records["w2"])
-            else:
-                a, y = beam_terms(h2, omega2, nu2)
-                state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9,
-                                                           record=records["w2"])
-        with timed("theta"):
-            if state.theta.size and harvest:
-                state.theta = solve_theta(state, omega2, nu2, budget, cs, stats, pm, record=records["theta"])
-            elif state.theta.size:
-                gamma, lam = theta_quadratic_model(state.w2, omega2, nu2, cs, stats, pm.noise,
-                                                   state.w2 @ cs.g_br.T)
-                state.theta, steps = numerics.unit_modulus_mm(gamma, lam, state.theta, THETA_MM_MAX_ITER)
-                report.theta_steps += steps
-                report.theta_capped += steps >= THETA_MM_MAX_ITER
+            p_r = system.ris_power(state.w2, state.theta, cs.g_br, pm)
+            if p_r > 0:
+                incident = system.incident_power(state.w1, cs.g_br)
+                state.tau = update_tau(p_r, incident, pm.eta1)
+                e_r = state.tau * pm.eta1 * incident  # harvested_energy's product order
+                gap = e_r - (1.0 - state.tau) * p_r
+                report.tau_tightness.append(abs(gap) / max(e_r, 1e-300))
+            lap("tau")
+            omega1, nu1, c1 = update_aux_stage1(state.w1, cs, stats, pm.noise)
+            lap("aux1")
+            state.w1 = solve_w1(state, omega1, nu1, c1, p_r, cs, pm, i_max=cfg.i_max,
+                                varsigma1=cfg.varsigma1, record=records["w1"])
+            lap("w1")
+        omega2, nu2, h2 = update_aux_stage2(state.w2, state.theta, cs, stats, pm.noise)
+        lap("aux2")
+        if harvest:
+            budget = energy_budget(state, cs, pm)
+            state.w2 = solve_w2(state.theta, omega2, nu2, h2, budget, cs, pm, record=records["w2"])
+        else:
+            a, y = beam_terms(h2, omega2, nu2)
+            state.w1 = state.w2 = numerics.solve_beams(a, y, pm.p_max, tol=1e-9, record=records["w2"])
+        lap("w2")
+        if state.theta.size and harvest:
+            state.theta = solve_theta(state, omega2, nu2, budget, cs, stats, pm, record=records["theta"])
+        elif state.theta.size:
+            gamma, lam = theta_quadratic_model(state.w2, omega2, nu2, cs, stats, pm.noise,
+                                               state.w2 @ cs.g_br.T)
+            state.theta, steps = numerics.unit_modulus_mm(gamma, lam, state.theta, THETA_MM_MAX_ITER)
+            report.theta_steps += steps
+            report.theta_capped += steps >= THETA_MM_MAX_ITER
+        lap("theta")
 
     report.state = best_state
     report.feasibility = system.check_feasibility(best_state, cs, pm)

@@ -245,6 +245,22 @@ def stage1_sinr_scalar(k, w1, h_bu, h_ju, z_j, h_iu, z_i, sigma_sq):
 # per-block / per-draw / per-user loop references for the batched model code
 # ---------------------------------------------------------------------------
 
+def surrogate(h, w, omega, nu, c):
+    """Quadratic-transform surrogate of one stage's sum rate in nats,
+    sum_k ln(1+omega_k) + 2 sqrt(1+omega_k) Re{nu_k^* h_k^H w_k} - omega_k
+    - |nu_k|^2 (sum_j |h_k^H w_j|^2 + c_k); it equals sum_k ln(1+SINR_k)
+    at the optimal auxiliaries.  The reference for optimizer.solve_w1, which
+    evaluates the same surrogate from its beam terms A and y."""
+    e = h.conj() @ w.T  # e[k, j] = h_k^H w_j
+    val = (
+        np.log1p(omega)
+        + 2.0 * np.sqrt(1.0 + omega) * (np.conj(nu) * e.diagonal()).real
+        - omega
+        - np.abs(nu) ** 2 * ((np.abs(e) ** 2).sum(axis=1) + c)
+    )
+    return float(val.sum())
+
+
 def uncertain_draw_loops(cs, e_mse, rng, count):
     """(h_ju, g_jr, h_iu), count draws of each, one scalar normal at a time:
     link by link (jammer-user, interferer-user, jammer-RIS), within a link

@@ -1,4 +1,5 @@
 import concurrent.futures
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -462,6 +463,34 @@ def test_single_antenna_active_trials_run(profile, e_mse):
         res = run_trial(cfg, "active-harvesting", trial)
         assert np.isfinite(res.rate_bits)
         assert res.report.feasibility.all_ok
+
+
+AO_BLOCKS = ("draw", "objective", "tau", "aux1", "w1", "aux2", "w2", "theta")
+
+
+@pytest.mark.parametrize("e_mse", [0.0, 0.1])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_block_timings_fit_in_the_optimizer_call(monkeypatch, scheme, e_mse):
+    """AoReport.timings of desk trials 0-2: all eight blocks, none negative,
+    the harvesting blocks never charged without harvesting, and a sum no
+    larger than the wall time around the scheme's optimizer call."""
+    walls = []
+    for name in ("ssca_ao", "baseline_passive", "baseline_noris"):
+        def timed(cs, cfg, rng, optimize=getattr(harness, name)):
+            t0 = time.perf_counter()
+            report = optimize(cs, cfg, rng)
+            walls.append(time.perf_counter() - t0)
+            return report
+        monkeypatch.setattr(harness, name, timed)
+    cfg = risjam.desk_profile(e_mse=e_mse)
+    for trial in range(3):
+        timings = run_trial(cfg, scheme, trial).report.timings
+        assert sorted(timings) == sorted(AO_BLOCKS)
+        assert min(timings.values()) >= 0.0
+        if scheme != "active-harvesting":
+            assert timings["tau"] == timings["aux1"] == timings["w1"] == 0.0
+        assert sum(timings.values()) <= walls[-1]
+    assert len(walls) == 3
 
 
 # every power of a scenario in dBm: the BS budget, the jamming and

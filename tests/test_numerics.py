@@ -810,25 +810,20 @@ def captured_searches(monkeypatch):
     seen = []
     search = numerics._search
 
-    def spy(at, warm, band, bound, at_zero):
+    def spy(at, warm, band, bound):
         rec = SimpleNamespace(at=at, points=[], bounds=[])
         seen.append(rec)
 
-        def at_seen(lam, *args):
-            out = at(lam, *args)
+        def at_seen(lam):
+            out = at(lam)
             rec.points.append((lam, out[2]))
-            return out
-
-        def zero_seen():
-            out = at_zero()
-            rec.points.append((0.0, out[2]))
             return out
 
         def bound_seen(x0):
             rec.bounds.append(bound(x0))
             return rec.bounds[-1]
 
-        return search(at_seen, warm, band, bound_seen, zero_seen)
+        return search(at_seen, warm, band, bound_seen)
 
     monkeypatch.setattr(numerics, "_search", spy)
     return seen

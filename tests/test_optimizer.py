@@ -19,7 +19,6 @@ from risjam.optimizer import (
     optimal_aux,
     ssca_ao,
     stage2_interference_avg,
-    surrogate,
     theta_quadratic_model,
     update_aux_stage1,
     update_aux_stage2,
@@ -29,7 +28,7 @@ from risjam.optimizer import (
 from risjam.system import SolverState
 
 from oracles import (adversary_interference_loops, pg_qcqp_max, project_ball, saa_means_loops,
-                     uncertain_draw_loops, wmmse_sum_rate)
+                     surrogate, uncertain_draw_loops, wmmse_sum_rate)
 from test_benchmark_hooks import patch_everywhere
 from test_system import (crand, make_channels, make_realization, permute_realization,
                          permute_users, pm_default)
