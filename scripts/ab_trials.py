@@ -20,7 +20,11 @@ iteration count, its w1, w2 and theta as bytes (with dtype and shape), its
 rate_bits, best_objective_nats, tau, four feasibility slacks and
 per-iteration tau_tightness record as float.hex, its theta_steps and
 theta_capped, and each block's multiplier record (lam1 and lam2 as
-float.hex, solves, ball_steps and evaluations).
+float.hex, solves, ball_steps and evaluations).  For a change that moves
+bits, it also prints how far the trials of a round are apart: the largest
+relative difference of rate_bits and of best_objective_nats, the largest
+tau difference, and how many trials differ in their iteration count, their
+theta map counts (theta_steps, theta_capped) or their multiplier counters.
 """
 
 import os
@@ -66,15 +70,39 @@ def fingerprint(res):
             rep.theta_steps, rep.theta_capped, records)
 
 
+def counts(res):
+    """A trial's iteration count, theta map counts and multiplier counters."""
+    rep = res.report
+    records = tuple((m.solves, m.ball_steps, m.evaluations) for _, m in sorted(rep.multipliers.items()))
+    return rep.iterations, (rep.theta_steps, rep.theta_capped), records
+
+
+def relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def differences(parent, change):
+    """How far the paired trials of one round are apart: the largest relative
+    difference of rate_bits and of best_objective_nats, the largest tau
+    difference, and the number of trials whose iterations, theta map counts
+    or multiplier counters differ."""
+    rates = [relative(p.rate_bits, c.rate_bits) for p, c in zip(parent, change)]
+    objectives = [relative(p.report.best_objective_nats, c.report.best_objective_nats)
+                  for p, c in zip(parent, change)]
+    taus = [abs(p.report.state.tau - c.report.state.tau) for p, c in zip(parent, change)]
+    pairs = [(counts(p), counts(c)) for p, c in zip(parent, change)]
+    apart = [sum(cp[i] != cc[i] for cp, cc in pairs) for i in range(3)]
+    return max(rates), max(objectives), max(taus), apart
+
+
 def run_side(pkg, cfg, schemes, trials):
-    """(process CPU seconds, [fingerprint per trial])."""
+    """(process CPU seconds, [trial result per trial])."""
     results = []
     t0 = time.process_time()
     for index in range(trials):
         for scheme in schemes:
             results.append(pkg.harness.run_trial(cfg, scheme, index))
-    cpu = time.process_time() - t0
-    return cpu, [fingerprint(res) for res in results]
+    return time.process_time() - t0, results
 
 
 def calls_per_trial(pkg, cfg, schemes, trials) -> float:
@@ -111,11 +139,14 @@ def main(argv=None) -> int:
         equal = True
         for rnd in range(args.rounds):
             order = SIDES if rnd % 2 == 0 else SIDES[::-1]
-            prints = {}
+            results = {}
             for side in order:
-                seconds, prints[side] = run_side(pkgs[side], cfgs[side], args.scheme, args.trials)
+                seconds, results[side] = run_side(pkgs[side], cfgs[side], args.scheme, args.trials)
                 cpu[side].append(seconds)
-            equal = equal and prints["parent"] == prints["change"]
+            equal = equal and ([fingerprint(r) for r in results["parent"]]
+                               == [fingerprint(r) for r in results["change"]])
+        # every round runs the same trials: the last one's differences stand for all
+        rate_diff, objective_diff, tau_diff, apart = differences(results["parent"], results["change"])
 
     per_trial = args.trials * len(args.scheme)
     ratios = np.array(cpu["change"]) / np.array(cpu["parent"])
@@ -128,6 +159,10 @@ def main(argv=None) -> int:
         print(f"{side}: {1e3 * np.median(cpu[side]) / per_trial:.3f} ms per trial (median of rounds)")
     print(f"change/parent: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change won {int(np.sum(ratios < 1.0))} of {args.rounds} rounds")
+    print(f"largest relative difference: rate_bits {rate_diff:.2e}, best_objective_nats "
+          f"{objective_diff:.2e}; largest tau difference {tau_diff:.2e}")
+    print(f"trials that differ, of {per_trial}: iterations {apart[0]}, theta map counts {apart[1]}, "
+          f"multiplier counters {apart[2]}")
     print("iterations, theta_steps, theta_capped and the multiplier counters equal; w1, w2, theta "
           "as bytes equal; rate_bits, best_objective_nats, tau, the four slacks, tau_tightness and "
           f"each block's lam1, lam2 equal as float.hex: {'yes' if equal else 'no'}")

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import hermitize
-
 REF_DISTANCE = 1.0  # meters
 RWP_GRID_POINTS = 10000  # intervals of the grid sample_rwp_distance inverts on
 
@@ -191,8 +189,8 @@ class ChannelSet:
     kept.  Vectors are stored untransposed, so h^H w is computed as h.conj() @ w.
 
     The RIS terms that every AO iteration reads, conj(G_BR), the Gram matrix
-    K1 = G_BR^H G_BR (Hermitian part), conj(h_RU) and |h_RU|^2, are derived
-    on construction (dataclasses.replace and without_ris too), so they match
+    K1 = G_BR^H G_BR as formed, conj(h_RU) and |h_RU|^2, are derived on
+    construction (dataclasses.replace and without_ris too), so they match
     the channels as long as no channel array is written in place.
     """
 
@@ -212,7 +210,7 @@ class ChannelSet:
 
     def __post_init__(self):
         self.g_br_conj = self.g_br.conj()
-        self.gram_br = hermitize(self.g_br_conj.T @ self.g_br)
+        self.gram_br = self.g_br_conj.T @ self.g_br
         self.h_ru_conj = self.h_ru.conj()
         self.h_ru_abs2 = np.abs(self.h_ru) ** 2
 
@@ -221,10 +219,12 @@ class ChannelSet:
         return self.h_bu.shape[0]
 
     def without_ris(self) -> "ChannelSet":
-        """The same channels with no RIS elements (M = 0 views): the no-RIS
-        baseline's channels.  A realization batch drawn on them takes the
-        same jammer and interferer errors as one on the full channels, as
-        the jammer-RIS link is drawn last."""
+        """The same channels with no RIS elements (M = 0 views; a set without
+        them is its own view): the no-RIS baseline's channels.  A realization
+        batch drawn on them takes the same jammer and interferer errors as
+        one on the full channels, as the jammer-RIS link is drawn last."""
+        if not self.g_br.shape[0]:
+            return self
         return replace(self, g_br=self.g_br[:0], h_ru=self.h_ru[:, :0], g_jr_est=self.g_jr_est[:, :0])
 
 

@@ -10,9 +10,9 @@ A solve can carry its multipliers over from the solve before it in a
 Multipliers record, which also counts the solves' work.  Both reflection
 solves, the unit-modulus one and the capped one past its ball step, run
 one engine of SQUAREM-accelerated majorization-minimization maps, each
-with its set's projection and its stop test.  Everything here
-operates on dense complex numpy arrays and is pure: no global state, safe
-to call from concurrent trial workers.
+with its set's projection and its stop test.  Everything here operates on
+dense complex numpy arrays, the Hermitian ones Hermitian up to rounding, and
+is pure: no global state, safe to call from concurrent trial workers.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ class MaxIterExceeded(Exception):
     """Iterative solve did not reach the requested KKT residual."""
 
 
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^H)/2; guards against accumulation drift."""
-    return 0.5 * (a + a.conj().T)
-
-
 def psd_eigh(a: np.ndarray):
-    """Eigendecomposition (d, U) of a Hermitian PSD matrix, d ascending, with
-    the negative eigenvalues that rounding leaves clipped to 0."""
+    """Eigendecomposition (d, U), d ascending, of a PSD matrix Hermitian up to
+    rounding, read from its lower triangle; rounding's negative d clip to 0."""
     d, u = np.linalg.eigh(a)
     return np.maximum(d, 0.0), u
 

@@ -195,7 +195,7 @@ def solve_w1(state: SolverState, omega: np.ndarray, nu: np.ndarray, c: np.ndarra
     w = state.w1.copy()
     val = objective(w)
     for _ in range(i_max):
-        a_vec = w @ cs.gram_br.T  # rows: K1 w_k (K1 Hermitian)
+        a_vec = w @ cs.gram_br.T  # rows: K1 w_k
         xi1 = (1.0 - tau) * p_r + tau * pm.eta1 * float((np.conj(w) * a_vec).real.sum())
         w = numerics.solve_beams_halfspace(a, y, pm.p_max, (tau * pm.eta1) * a_vec, xi1,
                                            record=record, eig=eig)
@@ -213,7 +213,7 @@ def beam_terms(h_eff: np.ndarray, omega: np.ndarray, nu: np.ndarray):
     """Shared quadratic A = sum_k |nu_k|^2 h_k h_k^H and the linear rows
     y_k = 2 sqrt(1+omega_k) nu_k h_k of a beam surrogate, for either stage
     (the direct channels h_BU for stage 1, the effective ones for stage 2)."""
-    a = numerics.hermitize((h_eff.T * (np.abs(nu) ** 2)[None, :]) @ h_eff.conj())
+    a = (h_eff.T * (np.abs(nu) ** 2)[None, :]) @ h_eff.conj()
     y = (2.0 * np.sqrt(1.0 + omega) * nu)[:, None] * h_eff
     return a, y
 
@@ -242,9 +242,7 @@ def solve_w2(theta: np.ndarray, omega: np.ndarray, nu: np.ndarray, h: np.ndarray
     if theta.size and p_e <= 0:
         raise EnergyInfeasible(f"the harvest cannot cover static load and RIS noise: amplifier budget "
                                f"P_E = {budget:.3e}, less RIS noise sigma^2 ||theta||^2 leaves {p_e:.3e}")
-    s_block = numerics.hermitize(
-        cs.g_br_conj.T @ (np.abs(theta)[:, None] ** 2 * cs.g_br)
-    ) if theta.size else None
+    s_block = cs.g_br_conj.T @ (np.abs(theta)[:, None] ** 2 * cs.g_br) if theta.size else None
     a, y = beam_terms(h, omega, nu)
     return numerics.solve_beams(a, y, pm.p_max, s_block, p_e, tol=tol, record=record)
 
@@ -274,7 +272,7 @@ def theta_quadratic_model(w2: np.ndarray, omega: np.ndarray, nu: np.ndarray, cs:
             - nu2[:, None] * (e_dir @ np.conj(mu))
             - nu2[:, None] * np.conj(stats.dt_conj))
     lam = 2.0 * (cs.h_ru * coef).sum(axis=0)
-    return numerics.hermitize(gamma), lam
+    return gamma, lam
 
 
 def solve_theta(state: SolverState, omega: np.ndarray, nu: np.ndarray, budget: float,

@@ -20,3 +20,7 @@ def test_ab_trials_finds_equal_rates_on_one_checkout():
     counts = re.findall(r"^(parent|change): (\d+) Python-level calls per trial", run.stdout, re.M)
     assert [side for side, _ in counts] == ["parent", "change"]
     assert int(counts[0][1]) == int(counts[1][1]) > 0
+    # one checkout: the numbers are zero apart
+    assert ("largest relative difference: rate_bits 0.00e+00, best_objective_nats 0.00e+00; "
+            "largest tau difference 0.00e+00") in run.stdout
+    assert "trials that differ, of 1: iterations 0, theta map counts 0, multiplier counters 0" in run.stdout

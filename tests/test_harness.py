@@ -16,7 +16,7 @@ from risjam.harness import (
     run_sweep,
     run_trial,
 )
-from risjam.channel import sample_static_channels, sample_uncertain_realization
+from risjam.channel import ChannelSet, sample_static_channels, sample_uncertain_realization
 
 from oracles import wmmse_sum_rate
 
@@ -287,6 +287,23 @@ class TestRunTrial:
             assert st.theta.size == 0 and heldout.g_jr.shape[2] == cfg.m
             want = system.sum_rate(st.tau, st.w1, st.w2, st.theta, heldout, cs, cfg.power_model().noise)
             assert run_trial(cfg, "no-ris", trial).rate_bits == want
+
+    @pytest.mark.parametrize("scheme, built", [("active-harvesting", 1), ("passive-ris", 1), ("no-ris", 2)])
+    def test_trial_builds_each_channel_set_once(self, monkeypatch, scheme, built):
+        # the sampled set, and for no-RIS its view without RIS elements:
+        # a set without them is its own view, so baseline_noris builds none
+        sets = []
+        derive = ChannelSet.__post_init__
+
+        def post_init(cs):
+            sets.append(cs)
+            derive(cs)
+
+        cfg = risjam.desk_profile()
+        monkeypatch.setattr(ChannelSet, "__post_init__", post_init)
+        run_trial(cfg, scheme, 0)
+        assert len(sets) == built
+        assert sets[-1].g_br.shape[0] == (0 if scheme == "no-ris" else cfg.m)
 
     def test_feasible_and_converged_flags(self):
         cfg = micro_cfg(r_max=30)

@@ -720,6 +720,50 @@ class TestSscaAo:
         assert len(budgets) >= 100 and len(caps) >= 1000  # these trials make 155 and 1,317
         assert min(budgets) > 0.0 and min(caps) > 0.0
 
+    def test_engine_matrices_are_hermitian_as_formed(self, monkeypatch):
+        # the QCQP engine takes its Hermitian matrices as formed: every
+        # matrix given to psd_eigh, every Gamma of unit_modulus_mm, every
+        # QcqpProblem.quad and each ChannelSet's K1 is Hermitian to rounding.
+        # Desk trials 0-3 of every scheme, e_mse 0 and 0.1
+        seen = []
+
+        def watch_eigh(fn):
+            def psd_eigh(a):
+                seen.append(a)
+                return fn(a)
+            return psd_eigh
+
+        def watch_mm(fn):
+            def unit_modulus_mm(gamma, *rest):
+                seen.append(gamma)
+                return fn(gamma, *rest)
+            return unit_modulus_mm
+
+        def watch_qcqp(fn):
+            def solve_concave_qcqp(p, *rest, **kw):
+                seen.append(p.quad)
+                return fn(p, *rest, **kw)
+            return solve_concave_qcqp
+
+        derive = ChannelSet.__post_init__
+
+        def post_init(cs):
+            derive(cs)
+            seen.append(cs.gram_br)
+
+        patch_everywhere(monkeypatch, numerics, "psd_eigh", watch_eigh)
+        patch_everywhere(monkeypatch, numerics, "unit_modulus_mm", watch_mm)
+        patch_everywhere(monkeypatch, numerics, "solve_concave_qcqp", watch_qcqp)
+        monkeypatch.setattr(ChannelSet, "__post_init__", post_init)
+        for e_mse in (0.0, 0.1):
+            cfg = risjam.desk_profile(e_mse=e_mse)
+            for scheme in SCHEMES:
+                for trial in range(4):
+                    run_trial(cfg, scheme, trial)
+        assert len(seen) >= 1000  # these trials give 1,431, none off by more than 3.1e-16
+        for a in seen:
+            assert np.abs(a - a.conj().T).max() <= 1e-14 * np.abs(a).max()
+
     def test_state_is_the_four_variables(self):
         assert [f.name for f in dataclasses.fields(SolverState)] == ["tau", "w1", "w2", "theta"]
 
